@@ -11,6 +11,12 @@ Continuous next-token targets are the fixed 4:1 mean-pooled token values
 (see :func:`pooled_tokens`), never the learned tokenizer features; a
 learned target would collapse to a constant.  Event streams keep a
 cross-entropy objective over the code vocabulary and bypass the tokenizer.
+
+Sequences always run through chunk-wise retention; one-token continuation
+(:meth:`DecoderLayer.step`) uses the recurrent form.  The parallel form is
+kept as a reference: ``form="parallel"`` on :meth:`Model.encode`,
+:meth:`Model.forward` and :meth:`Model.pretrain_loss` selects it for
+equivalence checks.
 """
 
 from __future__ import annotations
@@ -44,7 +50,6 @@ from .tensor import (
 )
 
 HEAD_KINDS = ("next_token", "classification", "regression")
-RETENTION_FORMS = ("parallel", "recurrent", "chunkwise")
 
 
 @dataclass
@@ -60,7 +65,6 @@ class ModelConfig:
     rotation_base: float = 10000.0
     conv_variant: str = "depthwise_pointwise"
     conv_kernel: int = 15
-    retention_form: str = "parallel"
     retention_norm: bool = True
     output_gate: bool = False
     no_subsampler: bool = False
@@ -88,8 +92,6 @@ class ModelConfig:
             raise ConfigError(f"rotary embedding needs even d_q, got {self.d_q}")
         if self.conv_variant not in CONV_VARIANTS:
             raise ConfigError(f"unknown conv_variant {self.conv_variant!r}")
-        if self.retention_form not in RETENTION_FORMS:
-            raise ConfigError(f"unknown retention_form {self.retention_form!r}")
         if self.head_kind not in HEAD_KINDS:
             raise ConfigError(f"unknown head_kind {self.head_kind!r}")
         if self.no_rotation and not self.no_decay:
@@ -132,7 +134,7 @@ def multihead_retention(
     positions: np.ndarray,
     angles: RotaryAngles,
     gammas,
-    form: str = "parallel",
+    form: str | None = None,
     chunk_size: int = 64,
     apply_rotation: bool = True,
     norm_gain=None,
@@ -140,12 +142,14 @@ def multihead_retention(
     gate_w=None,
     initial: RetentionState | None = None,
 ):
-    """Per-head rotary q/k, retention in the chosen form, head concat,
-    optional per-token layer norm, optional swish gate, output projection.
+    """Per-head rotary q/k, retention, head concat, optional per-token layer
+    norm, optional swish gate, output projection.
 
-    x: [..., L, d_model]; w_q/w_k: [d_model, h*d_q]; w_v: [d_model, h*d_v];
-    w_out: [h*d_v, d_model].  Head count comes from len(gammas).  Returns
-    (out [..., L, d_model], state or None).
+    ``form`` None (or "chunkwise") runs the chunk-wise form; "recurrent"
+    and "parallel" select the other two.  x: [..., L, d_model]; w_q/w_k:
+    [d_model, h*d_q]; w_v: [d_model, h*d_v]; w_out: [h*d_v, d_model].  Head
+    count comes from len(gammas).  Returns (out [..., L, d_model], state),
+    where the parallel form has no state (None).
     """
     gammas = np.asarray(gammas, dtype=np.float64)
     heads = gammas.shape[0]
@@ -155,12 +159,12 @@ def multihead_retention(
     L = q.shape[-2]
 
     state = None
-    if form == "parallel":
-        out = retention_parallel(q, k, v, DecayMask.build(gammas, timestamps=positions))
+    if form is None or form == "chunkwise":
+        out, state = retention_chunkwise(q, k, v, positions, gammas, ChunkPlan.build(L, chunk_size), initial=initial)
     elif form == "recurrent":
         out, state = retention_recurrent(q, k, v, positions, gammas, initial=initial)
-    elif form == "chunkwise":
-        out, state = retention_chunkwise(q, k, v, positions, gammas, ChunkPlan.build(L, chunk_size), initial=initial)
+    elif form == "parallel":
+        out = retention_parallel(q, k, v, DecayMask.build(gammas, timestamps=positions))
     else:
         raise ConfigError(f"unknown retention form {form!r}")
     merged = merge_heads(out)
@@ -230,7 +234,7 @@ class DecoderLayer:
 
     # -- retention sublayer -------------------------------------------------
 
-    def _retention_inner(self, h: Tensor, positions: np.ndarray, form: str, initial: RetentionState | None):
+    def _retention_inner(self, h: Tensor, positions: np.ndarray, form: str | None, initial: RetentionState | None):
         cfg = self.cfg
         return multihead_retention(
             h, self.w_q, self.w_k, self.w_v, self.w_o, self.b_o,
@@ -253,20 +257,16 @@ class DecoderLayer:
         train: bool,
         form: str | None = None,
         valid: np.ndarray | None = None,
-        initial: RetentionState | None = None,
-        want_state: bool = False,
         capture: dict | None = None,
     ):
-        cfg = self.cfg
-        form = form or cfg.retention_form
-        if want_state and form == "parallel":
-            form = "chunkwise"  # parallel has no state to return; chunkwise is equivalent
-        r, state = self._retention_inner(layer_norm(x, self.ln1_gain, self.ln1_bias), positions, form, initial)
+        """Whole-sequence pass; returns (x, retention state after the last
+        token), the state being None under the parallel reference form."""
+        r, state = self._retention_inner(layer_norm(x, self.ln1_gain, self.ln1_bias), positions, form, None)
         x = add(x, r)
         if self.tconv is not None:
             x = self.tconv.forward(x, train=train, valid=valid, update_stats=train, capture=capture)
         x = add(x, self._ffn(x))
-        return (x, state) if want_state else x
+        return x, state
 
     def step(self, x_t: Tensor, position: np.ndarray, state: RetentionState, conv_bufs: list[np.ndarray] | None):
         """One-token continuation in eval mode; O(1) in the prefix length."""
@@ -361,7 +361,12 @@ class Model:
         want_states: bool = False,
         capture: list | None = None,
     ):
-        """Hidden states [B, L+1, d_model]: position 0 is the start token."""
+        """Hidden states [B, L+1, d_model]: position 0 is the start token.
+
+        ``form`` None runs chunk-wise retention; "parallel" or "recurrent"
+        selects a reference form.  ``want_states`` also returns each
+        layer's retention state and the positions, for continuation.
+        """
         feats, positions = self._token_features(batch)
         B = feats.shape[0]
         emb = add(matmul(feats, self.w_in), self.b_in)
@@ -379,11 +384,10 @@ class Model:
             if capture is not None:
                 cap = {}
                 capture.append(cap)
+            x, st = layer.forward(x, pos, train=train, form=form, valid=valid, capture=cap)
             if want_states:
-                x, st = layer.forward(x, pos, train=train, form=form, valid=valid, want_state=True, capture=cap)
                 states.append(st)
-            else:
-                x = layer.forward(x, pos, train=train, form=form, valid=valid, capture=cap)
+            del st  # an unused state would hold its part of the tape through the next layer
         return (x, states, pos) if want_states else x
 
     def forward(self, batch: SequenceBatch, train: bool = False, form: str | None = None) -> Tensor:
@@ -428,8 +432,8 @@ class Model:
             return pooled_tokens(values)
         return values
 
-    def mean_hidden(self, batch: SequenceBatch, train: bool = False, form: str | None = None) -> Tensor:
-        hidden = self.encode(batch, train=train, form=form)[:, 1:, :]
+    def mean_hidden(self, batch: SequenceBatch, train: bool = False) -> Tensor:
+        hidden = self.encode(batch, train=train)[:, 1:, :]
         if batch.valid is not None:
             w = np.asarray(batch.valid, dtype=np.float64)[..., None]
             total = tsum(mul(hidden, w), axis=1)
@@ -466,14 +470,14 @@ class Model:
 
     # -- generation ------------------------------------------------------------
 
-    def generate(self, prompt: SequenceBatch, horizon: int, recompute: bool = False) -> np.ndarray:
+    def generate(self, prompt: SequenceBatch, horizon: int) -> np.ndarray:
         """Autoregressive token forecast [B, horizon, V].
 
-        The default path carries per-layer retention states and convolution
-        buffers (O(1) per emitted token); ``recompute`` re-encodes the whole
-        prefix each step with the parallel form instead (the equivalence
-        oracle for tests).  Timestamped prompts are not supported: rollout
-        emits one token per regular step.
+        The prompt is encoded chunk-wise once; each emitted token then takes
+        one recurrent :meth:`DecoderLayer.step` per layer, carrying the
+        retention states and convolution buffers (O(1) per token).
+        Timestamped prompts are not supported: rollout emits one token per
+        regular step.
         """
         if self.cfg.head_kind != "next_token":
             raise TaskError(f"generate needs a next_token head, model has {self.cfg.head_kind!r}")
@@ -481,66 +485,25 @@ class Model:
             raise InputError(f"horizon must be >= 1, got {horizon}")
         if prompt.timestamps is not None:
             raise InputError("generate supports regularly sampled prompts only")
-        if recompute:
-            return self._generate_recompute(prompt, horizon)
 
         capture: list[dict] = []
         x, states, pos = self.encode(prompt, train=False, want_states=True, capture=capture)
         conv_bufs = [cap.get("dw_inputs") if cap else None for cap in capture]
-        last_hidden = x[:, -1:, :]
-        B = x.shape[0]
         next_pos = int(pos[-1]) + 1
 
         # states are detached each step: generation needs no gradients and
         # must not chain the whole rollout graph in memory
         states = [RetentionState(Tensor(st.s.value), st.last_t) for st in states]
-        last_hidden = Tensor(last_hidden.value)
-
-        preds = []
-        for _ in range(horizon):
-            y = self._head(last_hidden)  # [B, 1, V]
-            preds.append(y.value.copy())
-            emb = add(matmul(Tensor(y.value), self.w_in), self.b_in)
-            h = emb
-            new_states = []
+        preds = [self._head(Tensor(x[:, -1:, :].value)).value]  # each [B, 1, V]
+        # the last prediction needs no step after it
+        for _ in range(horizon - 1):
+            h = add(matmul(Tensor(preds[-1]), self.w_in), self.b_in)
             for li, layer in enumerate(self.layers):
-                h, st, bufs = layer.step(h, np.array([next_pos], dtype=np.int64), states[li], conv_bufs[li])
-                new_states.append(RetentionState(Tensor(st.s.value), st.last_t))
-                conv_bufs[li] = bufs
-            states = new_states
-            last_hidden = Tensor(h.value)
+                h, st, conv_bufs[li] = layer.step(h, np.array([next_pos], dtype=np.int64), states[li], conv_bufs[li])
+                states[li] = RetentionState(Tensor(st.s.value), st.last_t)
+            preds.append(self._head(Tensor(h.value)).value)
             next_pos += 1
         return np.concatenate(preds, axis=1)
-
-    def _generate_recompute(self, prompt: SequenceBatch, horizon: int) -> np.ndarray:
-        feats, _ = self._token_features(prompt)
-        token_vals = feats.value if self.subsampler is None else None
-        raw = np.asarray(prompt.values, dtype=np.float64)
-        preds = []
-        extra: list[np.ndarray] = []
-        for _ in range(horizon):
-            if self.subsampler is not None:
-                hidden = self._encode_mixed(raw, extra)
-            else:
-                vals = np.concatenate([token_vals] + extra, axis=1) if extra else token_vals
-                hidden = self.encode(SequenceBatch(values=vals), train=False, form="parallel")
-            y = self._head(hidden[:, -1:, :]).value.copy()
-            preds.append(y)
-            extra.append(y)
-        return np.concatenate(preds, axis=1)
-
-    def _encode_mixed(self, raw: np.ndarray, extra: list[np.ndarray]) -> Tensor:
-        """Prefix encoding where generated tokens re-enter via the value path."""
-        feats = self.subsampler.forward(Tensor(raw))
-        if extra:
-            feats = concat([feats, Tensor(np.concatenate(extra, axis=1))], axis=1)
-        B, L = feats.shape[0], feats.shape[1]
-        emb = add(matmul(feats, self.w_in), self.b_in)
-        x = concat([broadcast_to(self.sos, (B, 1, self.cfg.d_model)), emb], axis=1)
-        pos = np.arange(0, L + 1, dtype=np.int64)
-        for layer in self.layers:
-            x = layer.forward(x, pos, train=False, form="parallel")
-        return x
 
     # -- checkpointing -----------------------------------------------------------
 
@@ -568,7 +531,10 @@ class Model:
             header = json.loads(fh.readline().decode())
             if header.get("format") != "tsgpt-ckpt-v1":
                 raise CheckpointError(f"unrecognized checkpoint format in {path}")
-            cfg = ModelConfig(**header["config"])
+            try:
+                cfg = ModelConfig(**header["config"])
+            except (TypeError, ConfigError) as e:
+                raise CheckpointError(f"checkpoint {path} has an invalid model config: {e}")
             if cfg.config_hash() != header["config_hash"]:
                 raise CheckpointError("checkpoint config hash mismatch")
             model = cls(cfg)

@@ -5,12 +5,16 @@ All three forms compute, per head and per step n,
     out_n = sum_{m <= n} gamma^(t_n - t_m) (q_n . k_m) v_m
 
 where t are integer timestamps (t_n = n for regularly sampled data).  The
-parallel form materializes the decay matrix D; the recurrent form carries a
-d_k x d_v state; the chunk-wise form mixes parallel intra-chunk work with a
-recurrent inter-chunk state.  Cross-chunk decays are defined in timestamp
-space (gamma^(t - t_last_of_previous_chunk)), the unique choice that keeps
-the chunk-wise form exactly equal to the recurrent one under irregular
-gaps; for consecutive integer timestamps it reduces to the familiar
+chunk-wise form is the one the model runs on whole sequences: parallel
+intra-chunk work plus a recurrent inter-chunk state.  The recurrent form
+carries a d_k x d_v state one step at a time and serves one-token
+continuation.  The parallel form materializes the full decay matrix D and
+is kept as the reference the other two are checked against.
+
+Cross-chunk decays are defined in timestamp space
+(gamma^(t - t_last_of_previous_chunk)), the unique choice that keeps the
+chunk-wise form exactly equal to the recurrent one under irregular gaps;
+for consecutive integer timestamps it reduces to the familiar
 zeta_j = gamma^j and gamma^B factors.
 
 Shape conventions: q, k are [lead..., L, d_k], v is [lead..., L, d_v],
@@ -97,10 +101,6 @@ class RetentionState:
     s: Tensor
     last_t: Array
 
-    @classmethod
-    def zeros(cls, lead: tuple[int, ...], d_k: int, d_v: int, last_t=0) -> "RetentionState":
-        return cls(Tensor(np.zeros(lead + (d_k, d_v))), np.asarray(last_t))
-
 
 @dataclass(frozen=True)
 class ChunkPlan:
@@ -119,21 +119,6 @@ class ChunkPlan:
         if len(bounds) >= 2 and bounds[-1] == bounds[-2]:
             bounds.pop()
         return cls(chunk_size, tuple(bounds))
-
-    def zeta_exponents(self, timestamps) -> list[Array]:
-        """Per-chunk inter-chunk decay exponents t_n - t_last(previous chunk).
-
-        gamma ** exponent is the zeta scaling vector of each chunk.  The
-        first chunk measures gaps from its own first timestamp; its
-        inter-chunk term multiplies a zero state, so the value is moot.
-        """
-        t = _check_timestamps(timestamps)
-        out = []
-        prev_last = t[..., 0]
-        for lo, hi in zip(self.boundaries[:-1], self.boundaries[1:]):
-            out.append(t[..., lo:hi] - prev_last[..., None])
-            prev_last = t[..., hi - 1]
-        return out
 
 
 def _decay_factor(gamma, exponent) -> Array:
@@ -231,7 +216,9 @@ def retention_chunkwise(
     Per chunk: intra-chunk term (q_c k_c^T . D_c) v_c plus inter-chunk term
     (q_c s) scaled row-wise by zeta; the state update weights the chunk's
     k^T v rows by the last row of its decay matrix and carries the previous
-    state decayed by the chunk's total timestamp span.
+    state decayed by the chunk's total timestamp span.  Without an
+    ``initial`` state the first chunk has no inter-chunk term, so a sequence
+    that fits in one chunk runs exactly the parallel form's arithmetic.
     """
     q = q if isinstance(q, Tensor) else Tensor(q)
     k = k if isinstance(k, Tensor) else Tensor(k)
@@ -244,13 +231,7 @@ def retention_chunkwise(
         raise InputError(f"timestamps length {t.shape[-1]} != sequence length {L}")
     batched = t.ndim == 2
 
-    if initial is None:
-        s = Tensor(np.zeros(q.shape[:-2] + (q.shape[-1], v.shape[-1])))
-        prev_last = t[..., 0]
-    else:
-        s = initial.s
-        prev_last = np.asarray(initial.last_t)
-
+    s, prev_last = (None, None) if initial is None else (initial.s, np.asarray(initial.last_t))
     outs = []
     for lo, hi in zip(plan.boundaries[:-1], plan.boundaries[1:]):
         t_c = t[..., lo:hi]
@@ -259,19 +240,17 @@ def retention_chunkwise(
         v_c = v[..., lo:hi, :]
 
         mask_c = DecayMask.build(gamma, timestamps=t_c)
-        intra = matmul(mul(matmul(q_c, swapaxes(k_c, -1, -2)), mask_c.matrix), v_c)
-
-        zeta = _decay_rows(gamma, t_c - prev_last[..., None], batched)
-        inter = mul(matmul(q_c, s), zeta)
-        outs.append(add(intra, inter))
+        out_c = matmul(mul(matmul(q_c, swapaxes(k_c, -1, -2)), mask_c.matrix), v_c)
+        if s is not None:
+            zeta = _decay_rows(gamma, t_c - prev_last[..., None], batched)
+            out_c = add(out_c, mul(matmul(q_c, s), zeta))
+        outs.append(out_c)
 
         last = t_c[..., -1]
         tail = _decay_rows(gamma, last[..., None] - t_c, batched)
-        s = add(
-            matmul(swapaxes(k_c, -1, -2), mul(v_c, tail)),
-            mul(s, _decay_factor(gamma, last - prev_last)),
-        )
+        chunk_s = matmul(swapaxes(k_c, -1, -2), mul(v_c, tail))
+        s = chunk_s if s is None else add(chunk_s, mul(s, _decay_factor(gamma, last - prev_last)))
         prev_last = last
 
-    out = concat(outs, axis=-2)
+    out = outs[0] if len(outs) == 1 else concat(outs, axis=-2)
     return out, RetentionState(s, np.asarray(prev_last))

@@ -168,6 +168,21 @@ def test_finetune_backbone_hash_mismatch_is_checkpoint_error(tmp_path):
     assert rc == 3
 
 
+def test_classify_with_outdated_checkpoint_config_exits_three(tmp_path, capsys):
+    cfg = ModelConfig(layers=1, heads=1, d_q=2, d_v=2, n_inputs=4, conv_kernel=3, discrete=True,
+                      no_subsampler=True, head_kind="classification")
+    ckpt = tmp_path / "clf.ckpt"
+    Model(cfg).save(ckpt)
+    line, payload = ckpt.read_bytes().split(b"\n", 1)
+    header = json.loads(line)
+    header["config"]["retention_form"] = "parallel"  # a key only earlier versions wrote
+    ckpt.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
+    rc = main(["classify", "--checkpoint", str(ckpt), "--data", str(tmp_path / "cohort.jsonl"),
+               "--out", str(tmp_path / "x")])
+    assert rc == 3
+    assert "invalid model config" in capsys.readouterr().err
+
+
 def test_forecast_with_wrong_head_is_task_error(tmp_path):
     cfg = ModelConfig(layers=0, heads=1, d_q=2, d_v=2, n_inputs=1, no_subsampler=True,
                       no_temporal_conv=True, head_kind="classification")
@@ -187,6 +202,10 @@ def test_usage_errors_exit_two(tmp_path):
     assert main(["bench", "--lengths", "64,96,128,160", "--out", str(tmp_path / "b2")]) == 2
     assert main(["bench", "--lengths", "16,32,64,128", "--mechanisms", "psychic",
                  "--out", str(tmp_path / "b3")]) == 2
+    old = write_json(tmp_path / "old.json", {
+        "model": dict(TINY_MODEL, retention_form="parallel"), "data": str(tmp_path / "nope.ndar"),
+    })
+    assert main(["pretrain", "--config", old, "--out", str(tmp_path / "o3")]) == 2
 
 
 def test_missing_data_exits_three(tmp_path):

@@ -1,11 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 
 from tsgpt.convolution import subsampled_length
 from tsgpt.datagen import EventCohortSpec, SequenceBatch, SignalSpec, gen_cohort, gen_signal
 from tsgpt.errors import CheckpointError, ConfigError, InputError, TaskError
-from tsgpt.model import Model, ModelConfig, pooled_tokens
+from tsgpt.model import DecoderLayer, Model, ModelConfig, pooled_tokens
 from tsgpt.tensor import Rng, backward
+
+from conftest import generate_by_reencoding
 
 
 def tiny_cfg(**kw):
@@ -47,8 +51,6 @@ def test_config_unknown_enums():
         ModelConfig(conv_variant="bogus")
     with pytest.raises(ConfigError):
         ModelConfig(head_kind="segmentation")
-    with pytest.raises(ConfigError):
-        ModelConfig(retention_form="butterfly")
 
 
 def test_default_gamma_schedule_is_per_head():
@@ -119,9 +121,19 @@ def test_full_stack_three_forms_agree():
     m = Model(tiny_cfg(chunk_size=3))
     m.pretrain_loss(batch, train=True)
     ref = m.forward(batch, form="parallel").value
-    for form in ("recurrent", "chunkwise"):
+    for form in (None, "recurrent", "chunkwise"):
         out = m.forward(batch, form=form).value
         assert np.max(np.abs(out - ref)) < 1e-9
+
+    # padded irregular event cohort, several chunks long: the default
+    # (chunk-wise) encode against the parallel reference
+    spec = EventCohortSpec(vocab=6, subjects=5, min_events=14, max_events=23, seed=4)
+    cohort, _ = gen_cohort(spec)
+    assert cohort.valid.min() == 0.0 and cohort.values.shape[1] > 2 * 8
+    m = Model(tiny_cfg(n_inputs=6, discrete=True, no_subsampler=True, chunk_size=8))
+    m.pretrain_loss(cohort, train=True)
+    ref = m.encode(cohort, form="parallel").value
+    assert np.max(np.abs(m.encode(cohort).value - ref)) < 1e-9
 
 
 def test_multihead_retention_single_head_reduces_to_parallel_compose():
@@ -249,7 +261,7 @@ def test_generate_streaming_equals_recompute():
     m = Model(tiny_cfg(seed=11))
     m.pretrain_loss(batch, train=True)
     a = m.generate(batch, horizon=20)
-    b = m.generate(batch, horizon=20, recompute=True)
+    b = generate_by_reencoding(m, batch, horizon=20)
     assert a.shape == (3, 20, 2)
     assert np.max(np.abs(a - b)) < 1e-8
 
@@ -259,8 +271,26 @@ def test_generate_streaming_equals_recompute_no_subsampler():
     m = Model(tiny_cfg(no_subsampler=True, seed=12))
     m.pretrain_loss(batch, train=True)
     a = m.generate(batch, horizon=20)
-    b = m.generate(batch, horizon=20, recompute=True)
+    b = generate_by_reencoding(m, batch, horizon=20)
     assert np.max(np.abs(a - b)) < 1e-8
+
+
+def test_generate_steps_only_while_tokens_remain(monkeypatch):
+    batch = signal_batch(T=16)
+    m = Model(tiny_cfg(no_subsampler=True, seed=14))
+    m.pretrain_loss(batch, train=True)
+    calls = []
+    step = DecoderLayer.step
+
+    def counted(self, *args):
+        calls.append(self)
+        return step(self, *args)
+
+    monkeypatch.setattr(DecoderLayer, "step", counted)
+    for horizon in (1, 7):
+        calls.clear()
+        m.generate(batch, horizon=horizon)
+        assert len(calls) == m.cfg.layers * (horizon - 1)
 
 
 def test_generate_horizon_one_is_single_forward_prediction():
@@ -317,6 +347,20 @@ def test_checkpoint_rejects_corrupt_header(tmp_path):
     p.write_bytes(b'{"format": "other"}\n')
     with pytest.raises(CheckpointError):
         Model.load(p)
+
+
+def test_checkpoint_rejects_config_the_model_rejects(tmp_path):
+    p = tmp_path / "model.ckpt"
+    Model(tiny_cfg()).save(p)
+    line, payload = p.read_bytes().split(b"\n", 1)
+    # an unknown key (checkpoints of earlier versions carry retention_form)
+    # and a value ModelConfig refuses
+    for key, value in (("retention_form", "parallel"), ("heads", 0)):
+        header = json.loads(line)
+        header["config"][key] = value
+        p.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
+        with pytest.raises(CheckpointError):
+            Model.load(p)
 
 
 def test_with_head_transfers_backbone_and_hash():

@@ -222,21 +222,21 @@ def test_chunk_plan_boundaries():
         ChunkPlan.build(8, 0)
 
 
-def test_chunk_zeta_exponents_regular():
-    plan = ChunkPlan.build(6, 2)
-    zetas = plan.zeta_exponents(np.arange(1, 7))
-    # chunks after the first measure 1..B from previous chunk's last element
-    np.testing.assert_array_equal(zetas[1], np.array([1, 2]))
-    np.testing.assert_array_equal(zetas[2], np.array([1, 2]))
-
-
 def test_chunkwise_single_chunk_equals_parallel():
+    # a sequence that fits in one chunk runs the parallel form's arithmetic
     rng = Rng(11)
-    L = 7
-    q, k, v = _qkv(rng, (), L, 4, 4)
-    par = retention_parallel(q, k, v, DecayMask.build(0.9, length=L)).value
-    out, _ = retention_chunkwise(q, k, v, None, 0.9, ChunkPlan.build(L, 64))
-    assert np.max(np.abs(out.value - par)) < 1e-12
+    gammas = np.array([0.98, 0.9])
+    for L in (1, 7, 61):
+        q, k, v = _qkv(rng, (), L, 4, 4)
+        par = retention_parallel(q, k, v, DecayMask.build(0.9, length=L)).value
+        out, _ = retention_chunkwise(q, k, v, None, 0.9, ChunkPlan.build(L, 64))
+        np.testing.assert_array_equal(out.value, par)
+
+        q, k, v = _qkv(rng, (3, 2), L, 4, 4)
+        t = _irregular_ts(rng, L, batch=3)
+        par = retention_parallel(q, k, v, DecayMask.build(gammas, timestamps=t)).value
+        out, _ = retention_chunkwise(q, k, v, t, gammas, ChunkPlan.build(L, 64))
+        np.testing.assert_array_equal(out.value, par)
 
 
 def test_chunkwise_unit_chunks_equal_recurrent():
