@@ -128,6 +128,15 @@ def _load_cohort(path, vocab: int) -> dg.SequenceBatch:
     return dg.read_cohort_jsonl(path, vocab)
 
 
+def _load_trained(path) -> Model:
+    """Load a checkpoint for eval, which reads the batch-norm running statistics."""
+    model = Model.load(path)
+    if any(layer.tconv is not None and layer.tconv.bn_state is not None and layer.tconv.bn_state.running_mean is None
+           for layer in model.layers):
+        raise CheckpointError(f"checkpoint {path} holds no batch-norm statistics: it was saved before any training step")
+    return model
+
+
 def _write_metric_csv(path, rows: list[tuple[str, float]]) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -304,7 +313,7 @@ def cmd_forecast(args) -> int:
     if horizon < 1:
         raise UsageError(f"horizon must be >= 1, got {horizon}")
     os.makedirs(args.out, exist_ok=True)
-    model = Model.load(checkpoint)
+    model = _load_trained(checkpoint)
     full = _load_signal(data)
 
     t0 = time.perf_counter()
@@ -358,7 +367,7 @@ def cmd_classify(args) -> int:
     if not data:
         raise UsageError("classify needs data (--data or config field 'data')")
     os.makedirs(args.out, exist_ok=True)
-    model = Model.load(checkpoint)
+    model = _load_trained(checkpoint)
     if model.cfg.head_kind != "classification":
         raise TaskError(f"checkpoint head is {model.cfg.head_kind!r}, classify needs a classification head")
     batch = _load_cohort(data, model.cfg.n_inputs)

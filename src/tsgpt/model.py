@@ -16,11 +16,14 @@ Sequences always run through chunk-wise retention; one-token continuation
 (:meth:`DecoderLayer.step`) uses the recurrent form.  The parallel form is
 kept as a reference: ``form="parallel"`` on :meth:`Model.encode`,
 :meth:`Model.forward` and :meth:`Model.pretrain_loss` selects it for
-equivalence checks.
+equivalence checks.  Eval passes (``train=False``) and :meth:`Model.generate`
+run under :func:`~tsgpt.tensor.no_grad`: they record no autodiff tape.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import hashlib
 import json
 from dataclasses import asdict, dataclass, replace
@@ -42,6 +45,7 @@ from .tensor import (
     log_softmax,
     matmul,
     mul,
+    no_grad,
     read_ndar1,
     swish,
     tmean,
@@ -50,6 +54,18 @@ from .tensor import (
 )
 
 HEAD_KINDS = ("next_token", "classification", "regression")
+
+
+def _untaped_in_eval(method):
+    """Run ``method`` under :func:`no_grad` unless it is called with ``train=True``."""
+    train_default = method.__kwdefaults__["train"]
+
+    @functools.wraps(method)
+    def run(self, *args, **kwargs):
+        with contextlib.nullcontext() if kwargs.get("train", train_default) else no_grad():
+            return method(self, *args, **kwargs)
+
+    return run
 
 
 @dataclass
@@ -353,9 +369,11 @@ class Model:
                 positions = np.arange(1, values.shape[1] + 1, dtype=np.int64)
         return feats, positions
 
+    @_untaped_in_eval
     def encode(
         self,
         batch: SequenceBatch,
+        *,
         train: bool = False,
         form: str | None = None,
         want_states: bool = False,
@@ -390,7 +408,8 @@ class Model:
             del st  # an unused state would hold its part of the tape through the next layer
         return (x, states, pos) if want_states else x
 
-    def forward(self, batch: SequenceBatch, train: bool = False, form: str | None = None) -> Tensor:
+    @_untaped_in_eval
+    def forward(self, batch: SequenceBatch, *, train: bool = False, form: str | None = None) -> Tensor:
         """Token-aligned embeddings [B, L, d_model] (start token dropped)."""
         return self.encode(batch, train=train, form=form)[:, 1:, :]
 
@@ -399,7 +418,8 @@ class Model:
     def _head(self, x: Tensor) -> Tensor:
         return add(matmul(x, self.w_head), self.b_head)
 
-    def pretrain_loss(self, batch: SequenceBatch, train: bool = True, form: str | None = None) -> Tensor:
+    @_untaped_in_eval
+    def pretrain_loss(self, batch: SequenceBatch, *, train: bool = True, form: str | None = None) -> Tensor:
         """Next-token objective: MSE for continuous values, cross-entropy for codes."""
         if self.cfg.head_kind != "next_token":
             raise TaskError(f"pretrain_loss needs a next_token head, model has {self.cfg.head_kind!r}")
@@ -432,7 +452,8 @@ class Model:
             return pooled_tokens(values)
         return values
 
-    def mean_hidden(self, batch: SequenceBatch, train: bool = False) -> Tensor:
+    @_untaped_in_eval
+    def mean_hidden(self, batch: SequenceBatch, *, train: bool = False) -> Tensor:
         hidden = self.encode(batch, train=train)[:, 1:, :]
         if batch.valid is not None:
             w = np.asarray(batch.valid, dtype=np.float64)[..., None]
@@ -440,23 +461,27 @@ class Model:
             return mul(total, 1.0 / np.maximum(w.sum(axis=1), 1.0))
         return tmean(hidden, axis=1)
 
-    def classify_logits(self, batch: SequenceBatch, train: bool = False) -> Tensor:
+    @_untaped_in_eval
+    def classify_logits(self, batch: SequenceBatch, *, train: bool = False) -> Tensor:
         if self.cfg.head_kind != "classification":
             raise TaskError(f"classification needs a classification head, model has {self.cfg.head_kind!r}")
         return self._head(self.mean_hidden(batch, train=train))
 
-    def classification_loss(self, batch: SequenceBatch, train: bool = True) -> Tensor:
+    @_untaped_in_eval
+    def classification_loss(self, batch: SequenceBatch, *, train: bool = True) -> Tensor:
         logits = self.classify_logits(batch, train=train)
         logp = log_softmax(logits)
         onehot = np.eye(self.cfg.n_classes)[np.asarray(batch.labels, dtype=np.int64)]
         return tmean(tsum(mul(logp, mul(onehot, -1.0)), axis=-1))
 
-    def regression_output(self, batch: SequenceBatch, train: bool = False) -> Tensor:
+    @_untaped_in_eval
+    def regression_output(self, batch: SequenceBatch, *, train: bool = False) -> Tensor:
         if self.cfg.head_kind != "regression":
             raise TaskError(f"regression needs a regression head, model has {self.cfg.head_kind!r}")
         return self._head(self.mean_hidden(batch, train=train))
 
-    def regression_loss(self, batch: SequenceBatch, train: bool = True) -> Tensor:
+    @_untaped_in_eval
+    def regression_loss(self, batch: SequenceBatch, *, train: bool = True) -> Tensor:
         out = self.regression_output(batch, train=train)
         err = out - Tensor(np.asarray(batch.labels, dtype=np.float64)[:, None])
         return tmean(mul(err, err))
@@ -470,8 +495,9 @@ class Model:
 
     # -- generation ------------------------------------------------------------
 
+    @no_grad()
     def generate(self, prompt: SequenceBatch, horizon: int) -> np.ndarray:
-        """Autoregressive token forecast [B, horizon, V].
+        """Autoregressive token forecast [B, horizon, V], recorded on no tape.
 
         The prompt is encoded chunk-wise once; each emitted token then takes
         one recurrent :meth:`DecoderLayer.step` per layer, carrying the
@@ -490,18 +516,13 @@ class Model:
         x, states, pos = self.encode(prompt, train=False, want_states=True, capture=capture)
         conv_bufs = [cap.get("dw_inputs") if cap else None for cap in capture]
         next_pos = int(pos[-1]) + 1
-
-        # states are detached each step: generation needs no gradients and
-        # must not chain the whole rollout graph in memory
-        states = [RetentionState(Tensor(st.s.value), st.last_t) for st in states]
-        preds = [self._head(Tensor(x[:, -1:, :].value)).value]  # each [B, 1, V]
+        preds = [self._head(x[:, -1:, :]).value]  # each [B, 1, V]
         # the last prediction needs no step after it
         for _ in range(horizon - 1):
             h = add(matmul(Tensor(preds[-1]), self.w_in), self.b_in)
             for li, layer in enumerate(self.layers):
-                h, st, conv_bufs[li] = layer.step(h, np.array([next_pos], dtype=np.int64), states[li], conv_bufs[li])
-                states[li] = RetentionState(Tensor(st.s.value), st.last_t)
-            preds.append(self._head(Tensor(h.value)).value)
+                h, states[li], conv_bufs[li] = layer.step(h, np.array([next_pos], dtype=np.int64), states[li], conv_bufs[li])
+            preds.append(self._head(h).value)
             next_pos += 1
         return np.concatenate(preds, axis=1)
 

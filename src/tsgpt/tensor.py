@@ -6,12 +6,17 @@ the recorded graph once in reverse topological order and accumulates
 ``.grad`` on every tensor that participated.  The tape is rebuilt on every
 forward pass (define-by-run); nothing here is compiled or fused.
 
+Inside a :func:`no_grad` block nothing is recorded: new tensors hold no
+parents and no backward closure, so an eval pass frees each intermediate
+as soon as it drops it.
+
 Non-``Tensor`` operands (python floats, numpy arrays) are treated as
 constants: they join the computation but receive no gradient.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import struct
 from typing import Iterable, Sequence
@@ -21,6 +26,19 @@ import numpy as np
 from .errors import ContractError, ShapeError, StateError
 
 Array = np.ndarray
+
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no tape for the tensors built inside the block (nests)."""
+    global _grad_enabled
+    prev, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
 
 
 def as_f64(x) -> Array:
@@ -36,8 +54,8 @@ class Tensor:
     def __init__(self, value, _parents: tuple = (), _backward=None):
         self.value = as_f64(value)
         self.grad: Array | None = None
-        self._parents = _parents
-        self._backward = _backward
+        self._parents = _parents if _grad_enabled else ()
+        self._backward = _backward if _grad_enabled else None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -94,9 +112,6 @@ class Tensor:
 
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def swap_last(self):
-        return swapaxes(self, -1, -2)
 
 
 def _val(x) -> Array:
@@ -174,11 +189,6 @@ def mul(a, b) -> Tensor:
     return Tensor(av * bv, parents, back)
 
 
-def mask(x, m) -> Tensor:
-    """Multiplicative masking by a constant array (no softmax anywhere)."""
-    return mul(x, as_f64(m))
-
-
 def power(x, p) -> Tensor:
     xv = _val(x)
     if isinstance(p, Tensor):
@@ -189,43 +199,6 @@ def power(x, p) -> Tensor:
     def back(g):
         if isinstance(x, Tensor):
             _accum(x, g * p * xv ** (p - 1.0))
-
-    return Tensor(out, (x,) if isinstance(x, Tensor) else (), back)
-
-
-def exp(x) -> Tensor:
-    xv = _val(x)
-    out = np.exp(xv)
-
-    def back(g):
-        if isinstance(x, Tensor):
-            _accum(x, g * out)
-
-    return Tensor(out, (x,) if isinstance(x, Tensor) else (), back)
-
-
-def log(x) -> Tensor:
-    xv = _val(x)
-    out = np.log(xv)
-
-    def back(g):
-        if isinstance(x, Tensor):
-            _accum(x, g / xv)
-
-    return Tensor(out, (x,) if isinstance(x, Tensor) else (), back)
-
-
-def sigmoid(x) -> Tensor:
-    xv = _val(x)
-    out = np.empty_like(xv)
-    pos = xv >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-xv[pos]))
-    ex = np.exp(xv[~pos])
-    out[~pos] = ex / (1.0 + ex)
-
-    def back(g):
-        if isinstance(x, Tensor):
-            _accum(x, g * out * (1.0 - out))
 
     return Tensor(out, (x,) if isinstance(x, Tensor) else (), back)
 
@@ -421,41 +394,25 @@ def batch_norm(
     """
     xv = _val(x)
     if train:
+        axes = tuple(range(xv.ndim - 1))
+        channels = (1,) * (xv.ndim - 1) + (-1,)
+        # Composite graph: mean/var as differentiable reductions.
         if valid is None:
-            axes = tuple(range(xv.ndim - 1))
             mu = xv.mean(axis=axes)
             var = xv.var(axis=axes)
-            count = float(np.prod(xv.shape[:-1]))
-            # Composite graph: mean/var as differentiable reductions.
-            mu_t = tmean(x, axis=axes) if isinstance(x, Tensor) else None
-            if mu_t is not None:
-                diff = sub(x, reshape(mu_t, (1,) * (xv.ndim - 1) + (-1,)))
-                var_t = tmean(mul(diff, diff), axis=axes)
-                inv_t = power(add(var_t, eps), -0.5)
-                xhat_t = mul(diff, reshape(inv_t, (1,) * (xv.ndim - 1) + (-1,)))
-                out = add(mul(xhat_t, gain), bias)
-            else:
-                out = Tensor((xv - mu) / np.sqrt(var + eps) * _val(gain) + _val(bias))
+            diff = sub(x, reshape(tmean(x, axis=axes), channels))
+            var_t = tmean(mul(diff, diff), axis=axes)
         else:
             w = as_f64(valid)[..., None]
             count = float(w.sum())
             if count <= 0:
                 raise StateError("batch_norm: empty valid mask")
-            axes = tuple(range(xv.ndim - 1))
-            if isinstance(x, Tensor):
-                xm = mul(x, w)
-                mu_t = mul(tsum(xm, axis=axes), 1.0 / count)
-                diff = sub(x, reshape(mu_t, (1,) * (xv.ndim - 1) + (-1,)))
-                var_t = mul(tsum(mul(mul(diff, diff), w), axis=axes), 1.0 / count)
-                inv_t = power(add(var_t, eps), -0.5)
-                xhat_t = mul(diff, reshape(inv_t, (1,) * (xv.ndim - 1) + (-1,)))
-                out = add(mul(xhat_t, gain), bias)
-                mu = mu_t.value
-                var = var_t.value
-            else:
-                mu = (xv * w).sum(axis=axes) / count
-                var = (((xv - mu) ** 2) * w).sum(axis=axes) / count
-                out = Tensor((xv - mu) / np.sqrt(var + eps) * _val(gain) + _val(bias))
+            mu_t = mul(tsum(mul(x, w), axis=axes), 1.0 / count)
+            diff = sub(x, reshape(mu_t, channels))
+            var_t = mul(tsum(mul(mul(diff, diff), w), axis=axes), 1.0 / count)
+            mu, var = mu_t.value, var_t.value
+        xhat_t = mul(diff, reshape(power(add(var_t, eps), -0.5), channels))
+        out = add(mul(xhat_t, gain), bias)
         if update_stats:
             m = state.momentum
             if state.running_mean is None:
@@ -591,6 +548,8 @@ def backward(loss: Tensor) -> None:
         raise ContractError("backward: loss must be a Tensor")
     if loss.value.shape != ():
         raise ContractError(f"backward: loss must be scalar-shaped, got {loss.value.shape}")
+    if not loss._parents:
+        raise ContractError("backward: the loss recorded no operations (built in eval mode or under no_grad)")
 
     order: list[Tensor] = []
     seen: set[int] = set()

@@ -1,5 +1,6 @@
-"""Shared test helpers: a central-finite-difference oracle and a
-re-encoding oracle for streaming generation."""
+"""Shared test helpers: a central-finite-difference oracle, a taped
+decoder-stack oracle for eval encodes and a re-encoding oracle for
+streaming generation."""
 
 import numpy as np
 
@@ -34,6 +35,18 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
 
 
+def taped_stack(model, feats: np.ndarray, pos: np.ndarray, valid=None, form=None) -> Tensor:
+    """Oracle for ``Model.encode(train=False)``: the start token, the input
+    projection and each ``DecoderLayer.forward`` in eval mode, recorded on
+    the tape.  ``pos`` and ``valid`` include the start token's column."""
+    B = feats.shape[0]
+    emb = add(matmul(Tensor(feats), model.w_in), model.b_in)
+    x = concat([broadcast_to(model.sos, (B, 1, model.cfg.d_model)), emb], axis=1)
+    for layer in model.layers:
+        x, _ = layer.forward(x, pos, train=False, form=form, valid=valid)
+    return x
+
+
 def generate_by_reencoding(model, prompt, horizon: int) -> np.ndarray:
     """Oracle for ``Model.generate``: every emitted token re-encodes the
     whole prefix with the parallel retention form.
@@ -44,12 +57,7 @@ def generate_by_reencoding(model, prompt, horizon: int) -> np.ndarray:
     tokens = model._token_features(prompt)[0].value
     preds = []
     for _ in range(horizon):
-        feats = Tensor(np.concatenate([tokens] + preds, axis=1))
-        B, L = feats.shape[0], feats.shape[1]
-        emb = add(matmul(feats, model.w_in), model.b_in)
-        x = concat([broadcast_to(model.sos, (B, 1, model.cfg.d_model)), emb], axis=1)
-        pos = np.arange(L + 1, dtype=np.int64)
-        for layer in model.layers:
-            x, _ = layer.forward(x, pos, train=False, form="parallel")
+        feats = np.concatenate([tokens] + preds, axis=1)
+        x = taped_stack(model, feats, np.arange(feats.shape[1] + 1, dtype=np.int64), form="parallel")
         preds.append(model._head(x[:, -1:, :]).value)
     return np.concatenate(preds, axis=1)

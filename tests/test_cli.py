@@ -1,8 +1,12 @@
 import csv
 import json
 
+import numpy as np
+
 from tsgpt.cli import main
+from tsgpt.datagen import EventCohortSpec, gen_cohort, write_cohort_jsonl
 from tsgpt.model import Model, ModelConfig
+from tsgpt.tensor import save_tensor
 
 
 def write_json(path, obj):
@@ -181,6 +185,25 @@ def test_classify_with_outdated_checkpoint_config_exits_three(tmp_path, capsys):
                "--out", str(tmp_path / "x")])
     assert rc == 3
     assert "invalid model config" in capsys.readouterr().err
+
+
+def test_eval_on_checkpoint_saved_before_training_exits_three(tmp_path, capsys):
+    ckpt = tmp_path / "untrained.ckpt"
+    Model(ModelConfig(no_subsampler=True)).save(ckpt)
+    save_tensor(tmp_path / "sig.ndar", np.zeros((2, 64, 1)))
+    rc = main(["forecast", "--checkpoint", str(ckpt), "--data", str(tmp_path / "sig.ndar"),
+               "--out", str(tmp_path / "d"), "--horizon", "4"])
+    assert rc == 3
+    assert "holds no batch-norm statistics" in capsys.readouterr().err
+
+    clf = tmp_path / "clf.ckpt"
+    Model(ModelConfig(n_inputs=4, discrete=True, no_subsampler=True, head_kind="classification", n_classes=3)).save(clf)
+    cohort, _ = gen_cohort(EventCohortSpec(vocab=4, subjects=3, min_events=10, max_events=12, seed=1))
+    write_cohort_jsonl(tmp_path / "cohort.jsonl", cohort)
+    rc = main(["classify", "--checkpoint", str(clf), "--data", str(tmp_path / "cohort.jsonl"),
+               "--out", str(tmp_path / "c")])
+    assert rc == 3
+    assert "holds no batch-norm statistics" in capsys.readouterr().err
 
 
 def test_forecast_with_wrong_head_is_task_error(tmp_path):

@@ -5,11 +5,11 @@ import pytest
 
 from tsgpt.convolution import subsampled_length
 from tsgpt.datagen import EventCohortSpec, SequenceBatch, SignalSpec, gen_cohort, gen_signal
-from tsgpt.errors import CheckpointError, ConfigError, InputError, TaskError
+from tsgpt.errors import CheckpointError, ConfigError, ContractError, InputError, TaskError
 from tsgpt.model import DecoderLayer, Model, ModelConfig, pooled_tokens
-from tsgpt.tensor import Rng, backward
+from tsgpt.tensor import Rng, backward, zero_grads
 
-from conftest import generate_by_reencoding
+from oracles import generate_by_reencoding, taped_stack
 
 
 def tiny_cfg(**kw):
@@ -249,6 +249,78 @@ def test_head_task_errors():
     m2 = Model(tiny_cfg())
     with pytest.raises(TaskError):
         m2.classify_logits(batch)
+
+
+# ---------------------------------------------------------------------------
+# tape-free eval
+# ---------------------------------------------------------------------------
+
+
+def padded_cohort(vocab=6, classes=2):
+    spec = EventCohortSpec(vocab=vocab, classes=classes, subjects=5, min_events=14, max_events=23, seed=4)
+    cohort, _ = gen_cohort(spec)
+    assert cohort.valid.min() == 0.0
+    return cohort
+
+
+def reachable(t):
+    """Every tensor the recorded graph keeps alive from ``t`` (itself included)."""
+    seen, stack = {}, [t]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("irregular", [False, True])
+def test_eval_encode_untaped_equals_taped_stack(irregular):
+    if irregular:
+        batch = padded_cohort()
+        m = Model(tiny_cfg(n_inputs=6, discrete=True, no_subsampler=True, chunk_size=8))
+    else:
+        batch = signal_batch(T=32)
+        m = Model(tiny_cfg(chunk_size=3))
+    m.pretrain_loss(batch, train=True)  # prime batch-norm statistics
+    feats = m._token_features(batch)[0].value
+    B, L = feats.shape[:2]
+    if irregular:
+        pos = np.concatenate([np.zeros((B, 1), dtype=np.int64), batch.timestamps], axis=1)
+        valid = np.concatenate([np.ones((B, 1)), batch.valid], axis=1)
+    else:
+        pos, valid = np.arange(L + 1, dtype=np.int64), None
+    ref = taped_stack(m, feats, pos, valid=valid)
+    assert len(reachable(ref)) > 50
+    out = m.encode(batch, train=False)
+    assert out._parents == () and out._backward is None
+    np.testing.assert_array_equal(out.value, ref.value)
+
+
+def test_eval_classify_keeps_no_tape_alive():
+    cohort = padded_cohort(vocab=8, classes=3)
+    m = Model(tiny_cfg(n_inputs=8, discrete=True, no_subsampler=True, head_kind="classification", n_classes=3,
+                       chunk_size=8))
+    taped = m.classify_logits(cohort, train=True)
+    assert len(reachable(taped)) > 100
+    logits = m.classify_logits(cohort, train=False)
+    assert len(reachable(logits)) <= 10
+
+
+@pytest.mark.parametrize("head", ["next_token", "classification"])
+def test_train_step_after_eval_grads_every_param(head):
+    cohort = padded_cohort()
+    m = Model(tiny_cfg(n_inputs=6, discrete=True, no_subsampler=True, head_kind=head))
+    backward(m.loss(cohort, train=True))
+    with pytest.raises(ContractError, match="recorded no operations"):
+        backward(m.loss(cohort, train=False))
+    if head == "next_token":
+        m.generate(signal_batch(T=16, V=6, B=2), horizon=3)
+    else:
+        m.classify_logits(cohort, train=False)
+    zero_grads([p for _, p in m.named_params()])
+    backward(m.loss(cohort, train=True))
+    assert all(p.grad is not None for _, p in m.named_params())
 
 
 # ---------------------------------------------------------------------------

@@ -329,7 +329,7 @@ def test_causality_perturbation():
 
 
 def test_retention_gradients_flow_through_all_forms():
-    from conftest import finite_diff_grad, rel_err
+    from oracles import finite_diff_grad, rel_err
 
     rng = Rng(17)
     L = 5
