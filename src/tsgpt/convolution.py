@@ -21,11 +21,14 @@ from .tensor import (
     Tensor,
     add,
     batch_norm,
+    batch_norm_eval_array,
     conv1d,
     depthwise_conv1d,
     layer_norm,
+    layer_norm_array,
     matmul,
     swish,
+    swish_array,
 )
 
 CONV_VARIANTS = (
@@ -84,7 +87,6 @@ class TemporalConvModule:
             raise ConfigError(f"unknown conv variant {variant!r}; choose from {CONV_VARIANTS}")
         if kernel < 1:
             raise ConfigError(f"conv kernel must be >= 1, got {kernel}")
-        self.d = d
         self.kernel = kernel
         self.variant = variant
         self._params: list[tuple[str, Tensor]] = []
@@ -128,9 +130,10 @@ class TemporalConvModule:
         update_stats: bool = True,
         capture: dict | None = None,
     ) -> Tensor:
-        """Residual block forward.  ``capture``, when given, receives the
-        trailing kernel-1 inputs of each depth-wise stage under "dw_inputs"
-        (the ring buffers :meth:`step` needs to continue the sequence)."""
+        """Residual block forward.  ``capture``, when given, receives under
+        "dw_inputs" the buffers :meth:`step` continues the sequence from: the
+        last kernel-1 inputs of each depth-wise stage, zero-padded in front
+        when the sequence is shorter."""
         x = x if isinstance(x, Tensor) else Tensor(x)
         if self.variant == "none":
             if capture is not None:
@@ -141,8 +144,12 @@ class TemporalConvModule:
         for kind, w, b in self.stages:
             if kind == "dw":
                 if capture is not None:
+                    B, L, d = h.shape
                     keep = self.kernel - 1
-                    dw_inputs.append(h.value[:, h.shape[1] - min(keep, h.shape[1]) :, :].copy())
+                    n = min(keep, L)
+                    buf = np.zeros((B, keep, d))
+                    buf[:, keep - n :, :] = h.value[:, L - n :, :]
+                    dw_inputs.append(buf)
                 h = depthwise_conv1d(h, w, b)
             else:
                 h = add(matmul(h, w), b)
@@ -151,28 +158,25 @@ class TemporalConvModule:
         h = batch_norm(h, self.bn_gain, self.bn_bias, self.bn_state, train=train, update_stats=update_stats, valid=valid)
         return add(x, swish(h))
 
-    def step(self, x_t: Tensor, bufs: list[np.ndarray] | None) -> tuple[Tensor, list[np.ndarray]]:
-        """One-token eval-mode continuation using buffered depth-wise inputs."""
+    def step(self, x_t: np.ndarray, bufs: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+        """One-token eval-mode continuation on plain arrays.
+
+        x_t: [B, 1, d].  ``bufs`` holds each depth-wise stage's previous
+        kernel-1 inputs [B, kernel-1, d], as :meth:`forward` captures them;
+        returns the output and the buffers advanced by this token.  The
+        depth-wise output is the last row of :func:`depthwise_conv1d` over
+        buffer plus token: the same products, summed in tap order.
+        """
         if self.variant == "none":
-            return x_t, bufs or []
-        h = layer_norm(x_t, self.ln_gain, self.ln_bias)
+            return x_t, bufs
+        h = layer_norm_array(x_t, self.ln_gain.value, self.ln_bias.value)[0]
         new_bufs = []
-        di = 0
         for kind, w, b in self.stages:
             if kind == "dw":
-                buf = bufs[di] if bufs else np.zeros((h.shape[0], 0, self.d))
-                window = np.concatenate([buf, h.value], axis=1)
-                out = depthwise_conv1d(Tensor(window), w, b)
-                h = out[:, out.shape[1] - 1 :, :]
-                keep = self.kernel - 1
-                new_bufs.append(window[:, window.shape[1] - min(keep, window.shape[1]) :, :])
-                di += 1
+                window = np.concatenate([bufs[len(new_bufs)], h], axis=1)
+                h = (window * w.value.T).sum(axis=1, keepdims=True) + b.value
+                new_bufs.append(window[:, 1:, :])
             else:
-                h = add(matmul(h, w), b)
-        h = batch_norm(h, self.bn_gain, self.bn_bias, self.bn_state, train=False)
-        return add(x_t, swish(h)), new_bufs
-
-
-def conv_variant(variant: str, d: int, kernel: int, rng: Rng) -> TemporalConvModule:
-    """Construct the temporal block named by the ablation table."""
-    return TemporalConvModule(d, kernel, variant, rng)
+                h = h @ w.value + b.value
+        h = batch_norm_eval_array(h, self.bn_gain.value, self.bn_bias.value, self.bn_state)[0]
+        return x_t + swish_array(h)[0], new_bufs

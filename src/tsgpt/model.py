@@ -12,12 +12,15 @@ Continuous next-token targets are the fixed 4:1 mean-pooled token values
 learned target would collapse to a constant.  Event streams keep a
 cross-entropy objective over the code vocabulary and bypass the tokenizer.
 
-Sequences always run through chunk-wise retention; one-token continuation
-(:meth:`DecoderLayer.step`) uses the recurrent form.  The parallel form is
-kept as a reference: ``form="parallel"`` on :meth:`Model.encode`,
-:meth:`Model.forward` and :meth:`Model.pretrain_loss` selects it for
-equivalence checks.  Eval passes (``train=False``) and :meth:`Model.generate`
-run under :func:`~tsgpt.tensor.no_grad`: they record no autodiff tape.
+Sequences always run through chunk-wise retention.  One-token continuation
+(:meth:`DecoderLayer.step`, the decode step of :meth:`Model.generate`) runs
+the recurrent form on plain numpy arrays: the same float operations, in
+the same order, as the Tensor ops, with no ``Tensor`` built per layer.  The
+parallel form is kept as a reference: ``form="parallel"`` on
+:meth:`Model.encode`, :meth:`Model.forward` and :meth:`Model.pretrain_loss`
+selects it for equivalence checks.  Eval passes (``train=False``) and
+:meth:`Model.generate` run under :func:`~tsgpt.tensor.no_grad`: they record
+no autodiff tape.
 """
 
 from __future__ import annotations
@@ -32,9 +35,17 @@ import numpy as np
 
 from .convolution import CONV_VARIANTS, ConvSubsampler, TemporalConvModule, subsampled_length
 from .datagen import SequenceBatch
-from .errors import CheckpointError, ConfigError, InputError, TaskError
-from .positional import DecaySchedule, RotaryAngles, merge_heads, xpos_qk, _split_heads
-from .retention import ChunkPlan, DecayMask, RetentionState, retention_chunkwise, retention_parallel, retention_recurrent
+from .errors import CheckpointError, ConfigError, DataError, InputError, TaskError
+from .positional import DecaySchedule, RotaryAngles, merge_heads, rotate_array, rotation_tables, xpos_qk, _split_heads
+from .retention import (
+    ChunkPlan,
+    DecayMask,
+    RetentionState,
+    _decay_factor,
+    retention_chunkwise,
+    retention_parallel,
+    retention_recurrent,
+)
 from .tensor import (
     Rng,
     Tensor,
@@ -42,12 +53,14 @@ from .tensor import (
     broadcast_to,
     concat,
     layer_norm,
+    layer_norm_array,
     log_softmax,
     matmul,
     mul,
     no_grad,
     read_ndar1,
     swish,
+    swish_array,
     tmean,
     tsum,
     write_ndar1,
@@ -156,7 +169,6 @@ def multihead_retention(
     norm_gain=None,
     norm_bias=None,
     gate_w=None,
-    initial: RetentionState | None = None,
 ):
     """Per-head rotary q/k, retention, head concat, optional per-token layer
     norm, optional swish gate, output projection.
@@ -165,7 +177,8 @@ def multihead_retention(
     and "parallel" select the other two.  x: [..., L, d_model]; w_q/w_k:
     [d_model, h*d_q]; w_v: [d_model, h*d_v]; w_out: [h*d_v, d_model].  Head
     count comes from len(gammas).  Returns (out [..., L, d_model], state),
-    where the parallel form has no state (None).
+    the retention state after the last token (None under the parallel
+    form).
     """
     gammas = np.asarray(gammas, dtype=np.float64)
     heads = gammas.shape[0]
@@ -176,9 +189,9 @@ def multihead_retention(
 
     state = None
     if form is None or form == "chunkwise":
-        out, state = retention_chunkwise(q, k, v, positions, gammas, ChunkPlan.build(L, chunk_size), initial=initial)
+        out, state = retention_chunkwise(q, k, v, positions, gammas, ChunkPlan.build(L, chunk_size))
     elif form == "recurrent":
-        out, state = retention_recurrent(q, k, v, positions, gammas, initial=initial)
+        out, state = retention_recurrent(q, k, v, positions, gammas)
     elif form == "parallel":
         out = retention_parallel(q, k, v, DecayMask.build(gammas, timestamps=positions))
     else:
@@ -223,6 +236,7 @@ class DecoderLayer:
         self.ffn_w2 = u("ffn_w2", (f, d), f)
         self.ffn_b2 = Tensor(np.zeros(d))
         self.angles = RotaryAngles(cfg.d_q, cfg.rotation_base)
+        self.gammas = cfg.gammas
 
     def named_params(self) -> list[tuple[str, Tensor]]:
         out = [
@@ -250,15 +264,15 @@ class DecoderLayer:
 
     # -- retention sublayer -------------------------------------------------
 
-    def _retention_inner(self, h: Tensor, positions: np.ndarray, form: str | None, initial: RetentionState | None):
+    def _retention_inner(self, h: Tensor, positions: np.ndarray, form: str | None):
         cfg = self.cfg
         return multihead_retention(
             h, self.w_q, self.w_k, self.w_v, self.w_o, self.b_o,
-            positions, self.angles, cfg.gammas,
+            positions, self.angles, self.gammas,
             form=form, chunk_size=cfg.chunk_size,
             apply_rotation=not cfg.no_rotation,
             norm_gain=self.ret_gain, norm_bias=self.ret_bias,
-            gate_w=self.w_gate, initial=initial,
+            gate_w=self.w_gate,
         )
 
     def _ffn(self, x: Tensor) -> Tensor:
@@ -277,23 +291,51 @@ class DecoderLayer:
     ):
         """Whole-sequence pass; returns (x, retention state after the last
         token), the state being None under the parallel reference form."""
-        r, state = self._retention_inner(layer_norm(x, self.ln1_gain, self.ln1_bias), positions, form, None)
+        r, state = self._retention_inner(layer_norm(x, self.ln1_gain, self.ln1_bias), positions, form)
         x = add(x, r)
         if self.tconv is not None:
             x = self.tconv.forward(x, train=train, valid=valid, update_stats=train, capture=capture)
         x = add(x, self._ffn(x))
         return x, state
 
-    def step(self, x_t: Tensor, position: np.ndarray, state: RetentionState, conv_bufs: list[np.ndarray] | None):
-        """One-token continuation in eval mode; O(1) in the prefix length."""
-        r, state = self._retention_inner(
-            layer_norm(x_t, self.ln1_gain, self.ln1_bias), position, "recurrent", state
-        )
-        x = add(x_t, r)
+    def step(self, x_t: np.ndarray, position: int, state: RetentionState, conv_bufs: list[np.ndarray] | None):
+        """One-token eval-mode continuation on plain arrays; O(1) in the prefix length.
+
+        x_t: [B, 1, d_model], the token at integer ``position``.  ``state``
+        holds the retention state as a plain array ``s`` [B, heads, d_q, d_v]
+        after the token at ``state.last_t``; ``conv_bufs`` are the temporal
+        block's depth-wise buffers.  Each float operation is the one the
+        Tensor ops run for the recurrent form on one token, in the same
+        order, so the outputs are bitwise theirs.  Returns (x, state,
+        conv_bufs), all plain arrays.
+        """
+        cfg = self.cfg
+        h = layer_norm_array(x_t, self.ln1_gain.value, self.ln1_bias.value)[0]
+        q = _heads_array(h @ self.w_q.value, cfg.heads)
+        k = _heads_array(h @ self.w_k.value, cfg.heads)
+        v = _heads_array(h @ self.w_v.value, cfg.heads)
+        if not cfg.no_rotation:
+            cos, sin = rotation_tables(np.array([position]), self.angles)
+            q, k = rotate_array(q, cos, sin), rotate_array(k, cos, sin)
+        s = state.s * _decay_factor(self.gammas, position - state.last_t) + k.swapaxes(-1, -2) @ v
+        r = (q @ s).swapaxes(1, 2).reshape(x_t.shape[0], 1, -1)
+        if self.ret_gain is not None:
+            r = layer_norm_array(r, self.ret_gain.value, self.ret_bias.value)[0]
+        if self.w_gate is not None:
+            r = r * swish_array(h @ self.w_gate.value)[0]
+        x = x_t + (r @ self.w_o.value + self.b_o.value)
         if self.tconv is not None:
             x, conv_bufs = self.tconv.step(x, conv_bufs)
-        x = add(x, self._ffn(x))
-        return x, state, conv_bufs
+        h = layer_norm_array(x, self.ln2_gain.value, self.ln2_bias.value)[0]
+        h = swish_array(h @ self.ffn_w1.value + self.ffn_b1.value)[0]
+        x = x + (h @ self.ffn_w2.value + self.ffn_b2.value)
+        return x, RetentionState(s, position), conv_bufs
+
+
+def _heads_array(x: np.ndarray, heads: int) -> np.ndarray:
+    """[B, 1, h*dh] -> [B, h, 1, dh], row-major as a Tensor's value is, so
+    that matmuls on it take the same path and sum in the same order."""
+    return np.ascontiguousarray(x.reshape(x.shape[0], 1, heads, -1).swapaxes(1, 2))
 
 
 class Model:
@@ -499,11 +541,13 @@ class Model:
     def generate(self, prompt: SequenceBatch, horizon: int) -> np.ndarray:
         """Autoregressive token forecast [B, horizon, V], recorded on no tape.
 
-        The prompt is encoded chunk-wise once; each emitted token then takes
-        one recurrent :meth:`DecoderLayer.step` per layer, carrying the
-        retention states and convolution buffers (O(1) per token).
-        Timestamped prompts are not supported: rollout emits one token per
-        regular step.
+        The prompt is encoded chunk-wise once.  Each emitted token then
+        takes one recurrent :meth:`DecoderLayer.step` per layer on plain
+        numpy arrays, carrying the retention states and the depth-wise
+        convolution buffers: O(1) per token, and no ``Tensor`` but the
+        head's.  The outputs are bitwise those of the same recurrence run
+        through the Tensor ops.  Timestamped prompts are not supported:
+        rollout emits one token per regular step.
         """
         if self.cfg.head_kind != "next_token":
             raise TaskError(f"generate needs a next_token head, model has {self.cfg.head_kind!r}")
@@ -514,16 +558,17 @@ class Model:
 
         capture: list[dict] = []
         x, states, pos = self.encode(prompt, train=False, want_states=True, capture=capture)
-        conv_bufs = [cap.get("dw_inputs") if cap else None for cap in capture]
-        next_pos = int(pos[-1]) + 1
+        states = [RetentionState(st.s.value, st.last_t) for st in states]
+        conv_bufs = [cap.get("dw_inputs") for cap in capture]
+        position = int(pos[-1])
         preds = [self._head(x[:, -1:, :]).value]  # each [B, 1, V]
         # the last prediction needs no step after it
         for _ in range(horizon - 1):
-            h = add(matmul(Tensor(preds[-1]), self.w_in), self.b_in)
+            position += 1
+            h = preds[-1] @ self.w_in.value + self.b_in.value
             for li, layer in enumerate(self.layers):
-                h, states[li], conv_bufs[li] = layer.step(h, np.array([next_pos], dtype=np.int64), states[li], conv_bufs[li])
+                h, states[li], conv_bufs[li] = layer.step(h, position, states[li], conv_bufs[li])
             preds.append(self._head(h).value)
-            next_pos += 1
         return np.concatenate(preds, axis=1)
 
     # -- checkpointing -----------------------------------------------------------
@@ -548,10 +593,19 @@ class Model:
 
     @classmethod
     def load(cls, path) -> "Model":
+        """Read a checkpoint written by :meth:`save`.  Anything but exactly
+        that (unreadable or incomplete header, a record that does not match
+        the config, bytes after the last record) raises CheckpointError."""
         with open(path, "rb") as fh:
-            header = json.loads(fh.readline().decode())
-            if header.get("format") != "tsgpt-ckpt-v1":
+            try:
+                header = json.loads(fh.readline().decode())
+            except ValueError as e:  # UnicodeDecodeError, JSONDecodeError
+                raise CheckpointError(f"checkpoint {path} has an unreadable header: {e}")
+            if not isinstance(header, dict) or header.get("format") != "tsgpt-ckpt-v1":
                 raise CheckpointError(f"unrecognized checkpoint format in {path}")
+            missing = [k for k in ("config", "config_hash", "params", "norm_stats") if k not in header]
+            if missing:
+                raise CheckpointError(f"checkpoint {path} header lacks {missing}")
             try:
                 cfg = ModelConfig(**header["config"])
             except (TypeError, ConfigError) as e:
@@ -559,23 +613,29 @@ class Model:
             if cfg.config_hash() != header["config_hash"]:
                 raise CheckpointError("checkpoint config hash mismatch")
             model = cls(cfg)
-            by_name = dict(model.named_params())
-            if [n for n, _ in model.named_params()] != header["params"]:
+            params = model.named_params()
+            if [n for n, _ in params] != header["params"]:
                 raise CheckpointError("checkpoint parameter manifest does not match the config")
-            for name in header["params"]:
-                arr = read_ndar1(fh)
-                if arr.shape != by_name[name].value.shape:
-                    raise CheckpointError(f"parameter {name}: shape {arr.shape} != {by_name[name].value.shape}")
-                by_name[name].value = arr
-            stats = {}
-            for name in header["norm_stats"]:
-                stats[name] = read_ndar1(fh)
-            for i, layer in enumerate(model.layers):
-                if layer.tconv is not None and layer.tconv.bn_state is not None:
-                    mkey, vkey = f"layer{i}.tconv.bn_mean", f"layer{i}.tconv.bn_var"
-                    if mkey in stats:
-                        layer.tconv.bn_state.running_mean = stats[mkey]
-                        layer.tconv.bn_state.running_var = stats[vkey]
+            bn_layers = [(i, layer.tconv.bn_state) for i, layer in enumerate(model.layers)
+                         if layer.tconv is not None and layer.tconv.bn_state is not None]
+            stat_names = [f"layer{i}.tconv.{kind}" for i, _ in bn_layers for kind in ("bn_mean", "bn_var")]
+            if header["norm_stats"] not in ([], stat_names):
+                raise CheckpointError("checkpoint batch-norm statistics do not match the config")
+            try:
+                for name, p in params:
+                    arr = read_ndar1(fh)
+                    if arr.shape != p.value.shape:
+                        raise CheckpointError(f"parameter {name}: shape {arr.shape} != {p.value.shape}")
+                    p.value = arr
+                stats = [read_ndar1(fh) for _ in header["norm_stats"]]
+            except DataError as e:
+                raise CheckpointError(f"checkpoint {path}: {e}")
+            if fh.read(1):
+                raise CheckpointError(f"checkpoint {path} has bytes after its last record")
+        if any(a.shape != (cfg.d_model,) for a in stats):
+            raise CheckpointError(f"checkpoint {path}: batch-norm statistics must have shape ({cfg.d_model},)")
+        for (_, st), mean, var in zip(bn_layers, stats[0::2], stats[1::2]):
+            st.running_mean, st.running_var = mean, var
         return model
 
     def with_head(self, head_kind: str, n_classes: int | None = None) -> "Model":

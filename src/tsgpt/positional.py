@@ -96,6 +96,17 @@ def rotate(x, positions: Array, angles: RotaryAngles) -> Tensor:
     return reshape(stacked, lead + (d,))
 
 
+def rotate_array(x: Array, cos: Array, sin: Array) -> Array:
+    """:func:`rotate` on a plain array, given its cos/sin tables: the same
+    products and sums per pair, for one-token decoding."""
+    pairs = x.reshape(x.shape[:-1] + (-1, 2))
+    even, odd = pairs[..., 0], pairs[..., 1]
+    out = np.empty_like(pairs)
+    out[..., 0] = even * cos + odd * -sin
+    out[..., 1] = even * sin + odd * cos
+    return out.reshape(x.shape)
+
+
 def xpos_qk(
     x,
     w_q,

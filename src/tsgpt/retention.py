@@ -7,9 +7,10 @@ All three forms compute, per head and per step n,
 where t are integer timestamps (t_n = n for regularly sampled data).  The
 chunk-wise form is the one the model runs on whole sequences: parallel
 intra-chunk work plus a recurrent inter-chunk state.  The recurrent form
-carries a d_k x d_v state one step at a time and serves one-token
-continuation.  The parallel form materializes the full decay matrix D and
-is kept as the reference the other two are checked against.
+carries a d_k x d_v state one step at a time; the model's one-token decode
+step (``DecoderLayer.step``) runs its update on plain arrays.  The parallel
+form materializes the full decay matrix D and is kept as the reference the
+other two are checked against.
 
 Cross-chunk decays are defined in timestamp space
 (gamma^(t - t_last_of_previous_chunk)), the unique choice that keeps the
@@ -96,10 +97,11 @@ class DecayMask:
 
 @dataclass
 class RetentionState:
-    """Running per-head summary sum_m gamma^(t_last - t_m) k_m^T v_m."""
+    """Running per-head summary sum_m gamma^(t_last - t_m) k_m^T v_m: a
+    Tensor from the sequence forms, a plain array in the decode step."""
 
-    s: Tensor
-    last_t: Array
+    s: Tensor | Array
+    last_t: Array | int
 
 
 @dataclass(frozen=True)

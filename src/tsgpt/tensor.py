@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import math
 import struct
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, ShapeError, StateError
+from .errors import ContractError, DataError, ShapeError, StateError
 
 Array = np.ndarray
 
@@ -203,12 +204,17 @@ def power(x, p) -> Tensor:
     return Tensor(out, (x,) if isinstance(x, Tensor) else (), back)
 
 
+def swish_array(xv: Array) -> tuple[Array, Array]:
+    """Forward arithmetic of :func:`swish` on a plain array: (out, sigmoid)."""
+    s = 1.0 / (1.0 + np.exp(-np.abs(xv)))
+    s = np.where(xv >= 0, s, 1.0 - s)
+    return xv * s, s
+
+
 def swish(x) -> Tensor:
     """swish(x) = x * sigmoid(x)."""
     xv = _val(x)
-    s = 1.0 / (1.0 + np.exp(-np.abs(xv)))
-    s = np.where(xv >= 0, s, 1.0 - s)
-    out = xv * s
+    out, s = swish_array(xv)
 
     def back(g):
         if isinstance(x, Tensor):
@@ -341,14 +347,23 @@ def matmul(a, b) -> Tensor:
 LAYER_NORM_EPS = 1e-5
 
 
+def layer_norm_array(xv: Array, gv: Array, bv: Array, eps: float = LAYER_NORM_EPS) -> tuple[Array, Array, Array]:
+    """Forward arithmetic of :func:`layer_norm` on plain arrays: (out, xhat, inv).
+
+    Mean and population variance are summed and divided exactly as
+    ``mean``/``var`` do it, sharing the centred input.
+    """
+    n = xv.shape[-1]
+    diff = xv - xv.sum(axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt((diff * diff).sum(axis=-1, keepdims=True) / n + eps)
+    xhat = diff * inv
+    return xhat * gv + bv, xhat, inv
+
+
 def layer_norm(x, gain, bias, eps: float = LAYER_NORM_EPS) -> Tensor:
     """Normalize over the last axis, then apply a learnable affine."""
     xv, gv, bv = _val(x), _val(gain), _val(bias)
-    mu = xv.mean(axis=-1, keepdims=True)
-    var = xv.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (xv - mu) * inv
-    out = xhat * gv + bv
+    out, xhat, inv = layer_norm_array(xv, gv, bv, eps)
     parents = tuple(t for t in (x, gain, bias) if isinstance(t, Tensor))
 
     def back(g):
@@ -423,11 +438,29 @@ def batch_norm(
                 state.running_var = (1.0 - m) * state.running_var + m * var
         return out
 
+    gv, bv = _val(gain), _val(bias)
+    out, xhat, inv = batch_norm_eval_array(xv, gv, bv, state, eps)
+    parents = tuple(t for t in (x, gain, bias) if isinstance(t, Tensor))
+
+    def back(g):
+        if isinstance(gain, Tensor):
+            _accum(gain, _unbroadcast(g * xhat, gv.shape))
+        if isinstance(bias, Tensor):
+            _accum(bias, _unbroadcast(g, bv.shape))
+        if isinstance(x, Tensor):
+            _accum(x, _unbroadcast(g * gv * inv, xv.shape))
+
+    return Tensor(out, parents, back)
+
+
+def batch_norm_eval_array(xv: Array, gv: Array, bv: Array, state: BatchNormState, eps: float = 1e-5):
+    """Forward arithmetic of eval-mode :func:`batch_norm` on plain arrays,
+    normalizing by the running statistics: (out, xhat, inv)."""
     if state.running_mean is None:
         raise StateError("batch_norm: eval mode before any training statistics were recorded")
     inv = 1.0 / np.sqrt(state.running_var + eps)
-    xhat = sub(x, state.running_mean)
-    return add(mul(mul(xhat, inv), gain), bias)
+    xhat = (xv - state.running_mean) * inv
+    return xhat * gv + bv, xhat, inv
 
 
 def log_softmax(x) -> Tensor:
@@ -628,15 +661,27 @@ def write_ndar1(fh, arr: Array) -> None:
     fh.write(a.astype("<f8").tobytes(order="C"))
 
 
+def _read_exact(fh, n: int, what: str) -> bytes:
+    """Exactly ``n`` bytes from a seekable stream, checked against what is
+    left before reading, so a corrupt length never allocates."""
+    pos = fh.tell()
+    left = fh.seek(0, 2) - pos
+    fh.seek(pos)
+    if n > left:
+        raise DataError(f"truncated NDAR1 record: {what} needs {n} bytes, {left} left")
+    return fh.read(n)
+
+
 def read_ndar1(fh) -> Array:
-    magic = fh.read(5)
+    """Read one record written by :func:`write_ndar1`; a bad magic, a
+    truncated header or a payload shorter than its dims raise DataError."""
+    magic = fh.read(len(_MAGIC))
     if magic != _MAGIC:
-        raise ShapeError(f"not an NDAR1 record (magic {magic!r})")
-    (rank,) = struct.unpack("<I", fh.read(4))
-    dims = struct.unpack(f"<{rank}Q", fh.read(8 * rank)) if rank else ()
-    n = int(np.prod(dims)) if dims else 1
-    data = np.frombuffer(fh.read(8 * n), dtype="<f8").astype(np.float64)
-    return data.reshape(dims)
+        raise DataError(f"not an NDAR1 record (magic {magic!r})")
+    (rank,) = struct.unpack("<I", _read_exact(fh, 4, "rank"))
+    dims = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank, "dims")) if rank else ()
+    payload = _read_exact(fh, 8 * math.prod(dims), f"payload of shape {dims}")
+    return np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(dims)
 
 
 def save_tensor(path, arr: Array) -> None:
@@ -645,5 +690,9 @@ def save_tensor(path, arr: Array) -> None:
 
 
 def load_tensor(path) -> Array:
+    """The single NDAR1 record of a file; anything after it is a DataError."""
     with open(path, "rb") as fh:
-        return read_ndar1(fh)
+        arr = read_ndar1(fh)
+        if fh.read(1):
+            raise DataError(f"{path}: bytes after the NDAR1 record")
+    return arr

@@ -1,10 +1,25 @@
 """Shared test helpers: a central-finite-difference oracle, a taped
-decoder-stack oracle for eval encodes and a re-encoding oracle for
-streaming generation."""
+decoder-stack oracle for eval encodes, and two oracles for streaming
+generation: re-encoding the whole prefix per token, and the recurrent
+decode step run through the Tensor ops."""
 
 import numpy as np
 
-from tsgpt.tensor import Tensor, add, broadcast_to, concat, matmul
+from tsgpt.positional import DecaySchedule, _split_heads, merge_heads, xpos_qk
+from tsgpt.retention import RetentionState, retention_recurrent
+from tsgpt.tensor import (
+    Tensor,
+    add,
+    batch_norm,
+    broadcast_to,
+    concat,
+    depthwise_conv1d,
+    layer_norm,
+    matmul,
+    mul,
+    no_grad,
+    swish,
+)
 
 
 def finite_diff_grad(loss_fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -60,4 +75,63 @@ def generate_by_reencoding(model, prompt, horizon: int) -> np.ndarray:
         feats = np.concatenate([tokens] + preds, axis=1)
         x = taped_stack(model, feats, np.arange(feats.shape[1] + 1, dtype=np.int64), form="parallel")
         preds.append(model._head(x[:, -1:, :]).value)
+    return np.concatenate(preds, axis=1)
+
+
+def _tconv_tensor_step(m, x_t: Tensor, bufs):
+    """``TemporalConvModule.step`` through the Tensor ops: each depth-wise
+    stage convolves buffer plus token and keeps the last output row."""
+    if m.variant == "none":
+        return x_t, bufs
+    h = layer_norm(x_t, m.ln_gain, m.ln_bias)
+    new_bufs = []
+    for kind, w, b in m.stages:
+        if kind == "dw":
+            window = np.concatenate([bufs[len(new_bufs)], h.value], axis=1)
+            out = depthwise_conv1d(Tensor(window), w, b)
+            h = out[:, out.shape[1] - 1 :, :]
+            new_bufs.append(window[:, 1:, :])
+        else:
+            h = add(matmul(h, w), b)
+    h = batch_norm(h, m.bn_gain, m.bn_bias, m.bn_state, train=False)
+    return add(x_t, swish(h)), new_bufs
+
+
+def _layer_tensor_step(layer, x_t: Tensor, position: int, state: RetentionState, bufs):
+    """``DecoderLayer.step`` through the Tensor ops: rotary q/k, one
+    recurrent retention update, the temporal block and the feed-forward."""
+    cfg = layer.cfg
+    pos = np.array([position], dtype=np.int64)
+    h = layer_norm(x_t, layer.ln1_gain, layer.ln1_bias)
+    schedule = DecaySchedule(tuple(np.maximum(layer.gammas, 1e-12)))
+    q, k = xpos_qk(h, layer.w_q, layer.w_k, pos, layer.angles, schedule, apply_rotation=not cfg.no_rotation)
+    v = _split_heads(matmul(h, layer.w_v), cfg.heads)
+    out, state = retention_recurrent(q, k, v, pos, layer.gammas, initial=state)
+    r = merge_heads(out)
+    if layer.ret_gain is not None:
+        r = layer_norm(r, layer.ret_gain, layer.ret_bias)
+    if layer.w_gate is not None:
+        r = mul(r, swish(matmul(h, layer.w_gate)))
+    x = add(x_t, add(matmul(r, layer.w_o), layer.b_o))
+    if layer.tconv is not None:
+        x, bufs = _tconv_tensor_step(layer.tconv, x, bufs)
+    return add(x, layer._ffn(x)), state, bufs
+
+
+def generate_by_tensor_steps(model, prompt, horizon: int) -> np.ndarray:
+    """Oracle for ``Model.generate``: the same prompt encode, then each
+    emitted token runs the recurrent step of every layer through the Tensor
+    ops instead of on plain arrays."""
+    with no_grad():
+        capture = []
+        x, states, pos = model.encode(prompt, train=False, want_states=True, capture=capture)
+        bufs = [cap.get("dw_inputs") for cap in capture]
+        position = int(pos[-1])
+        preds = [model._head(x[:, -1:, :]).value]
+        for _ in range(horizon - 1):
+            position += 1
+            h = add(matmul(Tensor(preds[-1]), model.w_in), model.b_in)
+            for li, layer in enumerate(model.layers):
+                h, states[li], bufs[li] = _layer_tensor_step(layer, h, position, states[li], bufs[li])
+            preds.append(model._head(h).value)
     return np.concatenate(preds, axis=1)

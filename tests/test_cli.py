@@ -2,11 +2,13 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
 from tsgpt.cli import main
 from tsgpt.datagen import EventCohortSpec, gen_cohort, write_cohort_jsonl
+from tsgpt.datagen import SequenceBatch
 from tsgpt.model import Model, ModelConfig
-from tsgpt.tensor import save_tensor
+from tsgpt.tensor import Rng, save_tensor
 
 
 def write_json(path, obj):
@@ -215,6 +217,57 @@ def test_forecast_with_wrong_head_is_task_error(tmp_path):
     rc = main(["forecast", "--checkpoint", str(ckpt), "--data", str(sig / "signal.ndar"),
                "--horizon", "2", "--out", str(tmp_path / "x")])
     assert rc == 3
+
+
+def _truncate_payload(ckpt, data):
+    ckpt.write_bytes(ckpt.read_bytes()[:-20])
+
+
+def _header_line_only(ckpt, data):
+    ckpt.write_bytes(ckpt.read_bytes().split(b"\n", 1)[0] + b"\n")
+
+
+def _record_header_only(ckpt, data):
+    ckpt.write_bytes(ckpt.read_bytes().split(b"\n", 1)[0] + b"\nNDAR1\x02\x00")
+
+
+def _non_utf8_header(ckpt, data):
+    ckpt.write_bytes(b"\xff\xfe" + ckpt.read_bytes())
+
+
+def _garbage_header(ckpt, data):
+    ckpt.write_bytes(b"not json\n" + ckpt.read_bytes().split(b"\n", 1)[1])
+
+
+def _bad_magic(ckpt, data):
+    line, payload = ckpt.read_bytes().split(b"\n", 1)
+    ckpt.write_bytes(line + b"\nNDAR2" + payload[5:])
+
+
+def _trailing_bytes(ckpt, data):
+    ckpt.write_bytes(ckpt.read_bytes() + b"\x00")
+
+
+def _truncated_data(ckpt, data):
+    data.write_bytes(data.read_bytes()[:-8])
+
+
+@pytest.mark.parametrize("corrupt", [
+    _truncate_payload, _header_line_only, _record_header_only, _non_utf8_header, _garbage_header, _bad_magic,
+    _trailing_bytes, _truncated_data,
+], ids=lambda f: f.__name__.strip("_"))
+def test_malformed_checkpoint_or_data_exits_three(tmp_path, capsys, corrupt):
+    m = Model(ModelConfig(**TINY_MODEL))
+    m.encode(SequenceBatch(values=Rng(1).normal((2, 16, 1))), train=True)  # batch-norm statistics
+    ckpt, data = tmp_path / "model.ckpt", tmp_path / "sig.ndar"
+    m.save(ckpt)
+    save_tensor(data, Rng(2).normal((2, 32, 1)))
+    args = ["forecast", "--checkpoint", str(ckpt), "--data", str(data), "--horizon", "2", "--out", str(tmp_path / "f")]
+    assert main(args) == 0
+    capsys.readouterr()
+    corrupt(ckpt, data)
+    assert main(args) == 3
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_usage_errors_exit_two(tmp_path):

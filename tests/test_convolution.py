@@ -7,7 +7,6 @@ from tsgpt.convolution import (
     CONV_VARIANTS,
     ConvSubsampler,
     TemporalConvModule,
-    conv_variant,
     subsampled_length,
 )
 from tsgpt.errors import ConfigError, InputError
@@ -129,7 +128,7 @@ def test_pointwise_stage_time_purity():
 
 
 def test_variant_none_is_identity():
-    m = conv_variant("none", 4, 15, Rng(11))
+    m = TemporalConvModule(4, 15, "none", Rng(11))
     x = Rng(12).normal((2, 6, 4))
     out = m.forward(Tensor(x), train=True)
     np.testing.assert_array_equal(out.value, x)
@@ -138,13 +137,13 @@ def test_variant_none_is_identity():
 
 def test_unknown_variant_rejected():
     with pytest.raises(ConfigError):
-        conv_variant("strided_magic", 4, 15, Rng(13))
+        TemporalConvModule(4, 15, "strided_magic", Rng(13))
 
 
 @pytest.mark.parametrize("variant", CONV_VARIANTS)
 def test_all_variants_preserve_shape(variant):
     rng = Rng(14)
-    m = conv_variant(variant, 6, 5, rng)
+    m = TemporalConvModule(6, 5, variant, rng)
     x = rng.normal((3, 9, 6))
     out = m.forward(Tensor(x), train=True)
     assert out.shape == x.shape
@@ -153,7 +152,7 @@ def test_all_variants_preserve_shape(variant):
 @pytest.mark.parametrize("variant", [v for v in CONV_VARIANTS if v != "none"])
 def test_all_variants_causal_in_eval(variant):
     rng = Rng(15)
-    m = conv_variant(variant, 4, 5, rng)
+    m = TemporalConvModule(4, 5, variant, rng)
     m.bn_state.momentum = 1.0
     prime = rng.normal((2, 10, 4))
     m.forward(Tensor(prime), train=True)
@@ -163,3 +162,22 @@ def test_all_variants_causal_in_eval(variant):
     xp[0, 6] += 2.0
     pert = m.forward(Tensor(xp), train=False).value
     np.testing.assert_array_equal(base[0, :6], pert[0, :6])
+
+
+@pytest.mark.parametrize("variant", CONV_VARIANTS)
+def test_step_continues_forward_token_by_token(variant):
+    # the buffers captured from a prefix plus one step per token reproduce
+    # the eval-mode forward over the whole sequence
+    rng = Rng(16)
+    m = TemporalConvModule(4, 5, variant, Rng(17))
+    if m.bn_state is not None:
+        m.forward(Tensor(rng.normal((2, 12, 4))), train=True)
+    x = rng.normal((2, 9, 4))
+    want = m.forward(Tensor(x), train=False).value
+    capture = {}
+    m.forward(Tensor(x[:, :2]), train=False, capture=capture)
+    bufs = capture["dw_inputs"]
+    assert all(b.shape == (2, 4, 4) for b in bufs)
+    for t in range(2, 9):
+        out, bufs = m.step(x[:, t : t + 1], bufs)
+        np.testing.assert_allclose(out, want[:, t : t + 1], rtol=1e-12, atol=1e-12)

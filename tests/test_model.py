@@ -1,15 +1,17 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from tsgpt.convolution import subsampled_length
+from tsgpt.convolution import CONV_VARIANTS, subsampled_length
 from tsgpt.datagen import EventCohortSpec, SequenceBatch, SignalSpec, gen_cohort, gen_signal
 from tsgpt.errors import CheckpointError, ConfigError, ContractError, InputError, TaskError
+from tsgpt.experiments import VANILLA_FLAGS, irregular_model
 from tsgpt.model import DecoderLayer, Model, ModelConfig, pooled_tokens
-from tsgpt.tensor import Rng, backward, zero_grads
+from tsgpt.tensor import Rng, Tensor, backward, zero_grads
 
-from oracles import generate_by_reencoding, taped_stack
+from oracles import generate_by_reencoding, generate_by_tensor_steps, taped_stack
 
 
 def tiny_cfg(**kw):
@@ -363,6 +365,70 @@ def test_generate_steps_only_while_tokens_remain(monkeypatch):
         calls.clear()
         m.generate(batch, horizon=horizon)
         assert len(calls) == m.cfg.layers * (horizon - 1)
+
+
+# (config, raw prompt length): every conv variant, each ablation flag that
+# changes the decode step, the tokenizer, the cohort model, and prompts
+# shorter than the depth-wise buffer.
+STEP_CASES = {
+    **{f"conv-{v}": (tiny_cfg(no_subsampler=True, conv_variant=v), 24) for v in CONV_VARIANTS},
+    "no-temporal-conv": (tiny_cfg(no_subsampler=True, no_temporal_conv=True), 24),
+    "gate-without-norm": (tiny_cfg(no_subsampler=True, output_gate=True, retention_norm=False), 24),
+    "vanilla": (tiny_cfg(no_subsampler=True, **VANILLA_FLAGS), 24),
+    "gamma-override": (tiny_cfg(no_subsampler=True, gamma=0.8), 24),
+    "subsampler": (tiny_cfg(), 48),
+    "irregular-model": (irregular_model(2, no_decay=False), 30),
+    "prompt-shorter-than-kernel": (tiny_cfg(no_subsampler=True, conv_kernel=7), 2),
+    "kernel-1": (tiny_cfg(no_subsampler=True, conv_kernel=1), 8),
+}
+
+
+def perturbed_model(cfg, tag):
+    """A model with every parameter moved off its init (biases non-zero)
+    and batch-norm statistics from one training-mode encode."""
+    m = Model(cfg)
+    rng = Rng(7).child(tag)
+    for name, p in m.named_params():
+        p.value = p.value + 0.2 * rng.child(name).normal(p.value.shape)
+    m.encode(SequenceBatch(values=Rng(1).normal((4, 32, cfg.n_inputs))), train=True)
+    return m
+
+
+@pytest.mark.parametrize("batch_size", [1, 8])
+@pytest.mark.parametrize("case", sorted(STEP_CASES))
+def test_generate_equals_tensor_step_oracle(case, batch_size):
+    cfg, length = STEP_CASES[case]
+    m = perturbed_model(cfg, case)
+    prompt = SequenceBatch(values=Rng(2).child(case).normal((batch_size, length, cfg.n_inputs)))
+    got = m.generate(prompt, horizon=12)
+    want = generate_by_tensor_steps(m, prompt, horizon=12)
+    assert got.shape == (batch_size, 12, cfg.n_inputs)
+    np.testing.assert_array_equal(got, want)
+
+
+def test_generate_builds_few_tensors_per_token(monkeypatch):
+    cfg, length = STEP_CASES["conv-pointwise_depthwise_pointwise"]
+    m = perturbed_model(replace(cfg, output_gate=True), "budget")
+    built = [0]
+    init = Tensor.__init__
+
+    def counted(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    at_head = []
+    head = m._head
+
+    def stamped(x):
+        at_head.append(built[0])
+        return head(x)
+
+    monkeypatch.setattr(Tensor, "__init__", counted)
+    monkeypatch.setattr(m, "_head", stamped)
+    horizon = 16
+    m.generate(SequenceBatch(values=Rng(3).normal((2, length, cfg.n_inputs))), horizon=horizon)
+    assert len(at_head) == horizon
+    assert (at_head[-1] - at_head[0]) / (horizon - 1) <= 4
 
 
 def test_generate_horizon_one_is_single_forward_prediction():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsgpt import tensor as T
-from tsgpt.errors import ContractError, ShapeError, StateError
+from tsgpt.errors import ContractError, DataError, ShapeError, StateError
 
 from oracles import finite_diff_grad, rel_err
 
@@ -189,6 +189,10 @@ def test_gradients_norms_and_convs(seed):
 
     _fd_check(bn_masked_loss, [x, gain, bias])
 
+    running = T.BatchNormState()
+    running.running_mean, running.running_var = rng.normal((4,)), rng.uniform((4,), 0.5, 2.0)
+    _fd_check(lambda a, g, b: T.tsum(T.batch_norm(a, g, b, running, train=False)), [x, gain, bias])
+
 
 def test_swish_at_zero():
     assert T.swish(Tns(np.zeros(3))).value.tolist() == [0.0, 0.0, 0.0]
@@ -223,6 +227,14 @@ def test_batch_norm_train_then_eval_matches_with_momentum_one():
     assert np.max(np.abs(train_out.value - want)) < 1e-12
 
 
+def test_layer_norm_array_matches_numpy_mean_and_var_bitwise():
+    x = T.Rng(12).normal((3, 5, 16), scale=3.0) + 7.0
+    gain, bias = T.Rng(13).normal((16,)), T.Rng(14).normal((16,))
+    mu, var = x.mean(axis=-1, keepdims=True), x.var(axis=-1, keepdims=True)
+    want = (x - mu) * (1.0 / np.sqrt(var + T.LAYER_NORM_EPS)) * gain + bias
+    assert T.layer_norm_array(x, gain, bias)[0].tobytes() == want.tobytes()
+
+
 def test_batch_norm_eval_without_stats_raises():
     state = T.BatchNormState()
     with pytest.raises(StateError):
@@ -253,8 +265,20 @@ def test_ndar1_roundtrip_exact():
 
 
 def test_ndar1_bad_magic():
-    with pytest.raises(ShapeError):
+    with pytest.raises(DataError):
         T.read_ndar1(io.BytesIO(b"WRONG" + b"\x00" * 16))
+
+
+def test_ndar1_every_truncation_and_an_oversized_dim_are_data_errors():
+    buf = io.BytesIO()
+    T.write_ndar1(buf, T.Rng(6).normal((2, 3)))
+    record = buf.getvalue()
+    for cut in range(len(record)):
+        with pytest.raises(DataError):
+            T.read_ndar1(io.BytesIO(record[:cut]))
+    huge = record[:9] + (2**62).to_bytes(8, "little") + record[17:]
+    with pytest.raises(DataError, match="truncated"):
+        T.read_ndar1(io.BytesIO(huge))
 
 
 @given(
