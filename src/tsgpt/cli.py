@@ -66,24 +66,19 @@ def _require(cfg: dict, key: str, context: str):
     return cfg[key]
 
 
-def _model_config(section: dict, seed: int | None) -> ModelConfig:
-    d = dict(section)
+def _from_section(cls, section, context: str, seed: int | None = None, **fields):
+    """``cls(**section, **fields)``, with ``seed`` set when given; a section
+    that is not an object or names a field ``cls`` does not take is a
+    UsageError."""
+    if not isinstance(section, dict):
+        raise UsageError(f"{context} config must be a JSON object, got {type(section).__name__}")
+    d = dict(section, **fields)
     if seed is not None:
         d["seed"] = seed
     try:
-        return ModelConfig(**d)
+        return cls(**d)
     except TypeError as e:
-        raise UsageError(f"bad model config field: {e}")
-
-
-def _schedule(section: dict, seed: int | None) -> TrainSchedule:
-    d = dict(section)
-    if seed is not None:
-        d["seed"] = seed
-    try:
-        return TrainSchedule(**d)
-    except TypeError as e:
-        raise UsageError(f"bad train config field: {e}")
+        raise UsageError(f"bad {context} config field: {e}")
 
 
 def _git_describe() -> str:
@@ -158,9 +153,9 @@ def cmd_gen(args) -> int:
     t0 = time.perf_counter()
     if kind == "signal":
         spec_d = dict(_require(cfg, "spec", "gen"))
-        spec_d["seed"] = seed
-        seasonal = tuple(dg.Seasonal(**s) for s in spec_d.pop("seasonal", [{"amplitude": 1.0, "period": 64.0}]))
-        spec = dg.SignalSpec(seasonal=seasonal, **spec_d)
+        seasonal = tuple(_from_section(dg.Seasonal, s, "seasonal")
+                         for s in spec_d.pop("seasonal", [{"amplitude": 1.0, "period": 64.0}]))
+        spec = _from_section(dg.SignalSpec, spec_d, "signal spec", seed, seasonal=seasonal)
         batch, comps = dg.gen_signal(spec)
         fmt = cfg.get("format", "ndar")
         if fmt == "csv":
@@ -174,9 +169,7 @@ def cmd_gen(args) -> int:
         meta = {"kind": "signal", "length": spec.length, "variates": spec.variates,
                 "n_sequences": spec.n_sequences, "seed": seed, "data": os.path.basename(data_path)}
     elif kind == "cohort":
-        spec_d = dict(_require(cfg, "spec", "gen"))
-        spec_d["seed"] = seed
-        spec = dg.EventCohortSpec(**spec_d)
+        spec = _from_section(dg.EventCohortSpec, _require(cfg, "spec", "gen"), "cohort spec", seed)
         batch, info = dg.gen_cohort(spec)
         data_path = os.path.join(args.out, "cohort.jsonl")
         dg.write_cohort_jsonl(data_path, batch)
@@ -210,8 +203,8 @@ def cmd_pretrain(args) -> int:
     cfg = _load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     os.makedirs(args.out, exist_ok=True)
-    model_cfg = _model_config(_require(cfg, "model", "pretrain"), seed)
-    sched = _schedule(cfg.get("train", {}), seed)
+    model_cfg = _from_section(ModelConfig, _require(cfg, "model", "pretrain"), "model", seed)
+    sched = _from_section(TrainSchedule, cfg.get("train", {}), "train", seed)
     data_path = _require(cfg, "data", "pretrain")
 
     t0 = time.perf_counter()
@@ -244,13 +237,13 @@ def cmd_finetune(args) -> int:
         raise UsageError("finetune needs --checkpoint")
     pretrained = Model.load(args.checkpoint)
     if "model" in cfg:
-        wanted = _model_config(cfg["model"], None)
+        wanted = _from_section(ModelConfig, cfg["model"], "model")
         if wanted.backbone_hash() != pretrained.cfg.backbone_hash():
             raise CheckpointError(
                 f"checkpoint backbone {pretrained.cfg.backbone_hash()} does not match config {wanted.backbone_hash()}"
             )
     head = cfg.get("head", "classification")
-    sched = _schedule(cfg.get("train", {"epochs": 5}), seed)
+    sched = _from_section(TrainSchedule, cfg.get("train", {"epochs": 5}), "train", seed)
     data_path = _require(cfg, "data", "finetune")
 
     t0 = time.perf_counter()
@@ -447,8 +440,8 @@ def cmd_ablate(args) -> int:
         if irregular:
             d["no_subsampler"] = True
         d.update(flags)
-        model_cfg = _model_config(d, seed)
-        sched = _schedule(sched_cfg, seed)
+        model_cfg = _from_section(ModelConfig, d, "model", seed)
+        sched = _from_section(TrainSchedule, sched_cfg, "train", seed)
         if irregular:
             batch = _load_cohort(data_path, model_cfg.n_inputs)
         else:
@@ -459,7 +452,7 @@ def cmd_ablate(args) -> int:
         if irregular and batch.labels is not None:
             n_classes = int(batch.labels.max()) + 1
             clf = model.with_head("classification", n_classes=n_classes)
-            fsched = _schedule(cfg.get("finetune", {"epochs": 3}), seed)
+            fsched = _from_section(TrainSchedule, cfg.get("finetune", {"epochs": 3}), "finetune", seed)
             train(clf, tr, va, fsched)
             logits = clf.classify_logits(te, train=False).value
             metric = accuracy(logits.argmax(axis=1), te.labels)

@@ -440,29 +440,38 @@ def write_cohort_jsonl(path, batch: SequenceBatch) -> None:
 
 
 def read_cohort_jsonl(path, vocab: int) -> SequenceBatch:
+    """Read :func:`write_cohort_jsonl` output.  A line that is not a JSON
+    subject with ``events`` pairs and a ``label``, a subject without events
+    and a code outside [0, vocab) raise DataError."""
     subjects = []
-    with open(path) as fh:
-        for line in fh:
-            if line.strip():
-                subjects.append(json.loads(line))
+    lineno = 0
+    try:
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, 1):
+                if line.strip():
+                    s = json.loads(line)
+                    ev = s["events"]
+                    subjects.append(([int(c) for c, _ in ev], [int(t) for _, t in ev], int(s["label"])))
+    except (ValueError, KeyError, TypeError) as e:
+        raise DataError(f"{path}: malformed cohort line {lineno}: {type(e).__name__}: {e}")
     if not subjects:
         raise DataError(f"{path}: empty cohort file")
-    vmax = max(len(s["events"]) for s in subjects)
+    if not all(c for c, _, _ in subjects):
+        raise DataError(f"{path}: a subject has an empty events list")
+    vmax = max(len(c) for c, _, _ in subjects)
     n = len(subjects)
     codes = np.zeros((n, vmax), dtype=np.int64)
     timestamps = np.zeros((n, vmax), dtype=np.int64)
     valid = np.zeros((n, vmax))
     labels = np.zeros(n, dtype=np.int64)
-    for i, s in enumerate(subjects):
-        ev = s["events"]
-        m = len(ev)
-        codes[i, :m] = [e[0] for e in ev]
-        timestamps[i, :m] = [e[1] for e in ev]
+    for i, (c, t, label) in enumerate(subjects):
+        m = len(c)
+        codes[i, :m] = c
+        timestamps[i, :m] = t
         valid[i, :m] = 1.0
-        last = timestamps[i, m - 1] if m else 0
-        timestamps[i, m:] = last + np.arange(1, vmax - m + 1)
-        labels[i] = s["label"]
-    if codes.max() >= vocab:
-        raise DataError(f"{path}: code {codes.max()} outside vocab {vocab}")
+        timestamps[i, m:] = t[-1] + np.arange(1, vmax - m + 1)
+        labels[i] = label
+    if codes.min() < 0 or codes.max() >= vocab:
+        raise DataError(f"{path}: codes span [{codes.min()}, {codes.max()}], outside vocab [0, {vocab})")
     values = np.eye(vocab)[codes]
     return SequenceBatch(values=values, timestamps=timestamps, codes=codes, valid=valid, labels=labels)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .tensor import Tensor, add, as_f64, concat, matmul, mul, reshape, swapaxes
+from .tensor import Tensor, _accum, as_f64, matmul, reshape, swapaxes
 
 Array = np.ndarray
 
@@ -70,7 +70,8 @@ def rotate(x, positions: Array, angles: RotaryAngles) -> Tensor:
     x has shape [..., L, d] with d even; ``positions`` is an integer vector
     of length L (negative values are fine), or [B, L] for per-sequence
     positions against x shaped [B, heads, L, d].  Each pair is rotated in
-    its own plane, so per-pair norms are preserved.
+    its own plane, so per-pair norms are preserved.  One tape node: the
+    backward applies the transposed rotation (angle -position * theta_i).
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
     d = x.shape[-1]
@@ -83,22 +84,15 @@ def rotate(x, positions: Array, angles: RotaryAngles) -> Tensor:
     if positions.ndim == 2:
         cos, sin = cos[:, None, :, :], sin[:, None, :, :]  # room for the head axis
 
-    lead = x.shape[:-1]
-    pairs = reshape(x, lead + (d // 2, 2))
-    even = pairs[..., 0]
-    odd = pairs[..., 1]
-    r_even = add(mul(even, cos), mul(odd, -sin))
-    r_odd = add(mul(even, sin), mul(odd, cos))
-    stacked = concat(
-        [reshape(r_even, lead + (d // 2, 1)), reshape(r_odd, lead + (d // 2, 1))],
-        axis=-1,
-    )
-    return reshape(stacked, lead + (d,))
+    def back(g):
+        _accum(x, rotate_array(g, cos, -sin))
+
+    return Tensor(rotate_array(x.value, cos, sin), (x,), back)
 
 
 def rotate_array(x: Array, cos: Array, sin: Array) -> Array:
-    """:func:`rotate` on a plain array, given its cos/sin tables: the same
-    products and sums per pair, for one-token decoding."""
+    """The arithmetic of :func:`rotate` on a plain array, given its cos/sin
+    tables: per pair, (even * cos + odd * -sin, even * sin + odd * cos)."""
     pairs = x.reshape(x.shape[:-1] + (-1, 2))
     even, odd = pairs[..., 0], pairs[..., 1]
     out = np.empty_like(pairs)

@@ -4,7 +4,10 @@ A ``Tensor`` wraps a row-major float64 numpy array together with an
 operation record; calling :func:`backward` on a scalar-shaped tensor walks
 the recorded graph once in reverse topological order and accumulates
 ``.grad`` on every tensor that participated.  The tape is rebuilt on every
-forward pass (define-by-run); nothing here is compiled or fused.
+forward pass (define-by-run).  Layer and batch normalization are each one
+fused op with an analytic backward.  A tensor's first gradient is copied in,
+not added to zeros, and a slice adds its gradient into its parent's
+``.grad`` in place.
 
 Inside a :func:`no_grad` block nothing is recorded: new tensors hold no
 parents and no backward closure, so an eval pass frees each intermediate
@@ -121,8 +124,9 @@ def _val(x) -> Array:
 
 def _accum(t: Tensor, g: Array) -> None:
     if t.grad is None:
-        t.grad = np.zeros_like(t.value)
-    t.grad += g
+        t.grad = np.array(g, dtype=np.float64, order="C")
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
@@ -239,7 +243,7 @@ def tsum(x, axis=None, keepdims=False) -> Tensor:
         if axis is not None and not keepdims:
             axes = axis if isinstance(axis, tuple) else (axis,)
             gg = np.expand_dims(gg, tuple(a % xv.ndim for a in axes))
-        _accum(x, np.broadcast_to(gg, xv.shape).copy())
+        _accum(x, np.broadcast_to(gg, xv.shape))
 
     return Tensor(out, (x,) if isinstance(x, Tensor) else (), back)
 
@@ -277,14 +281,22 @@ def swapaxes(x, a1: int, a2: int) -> Tensor:
 
 
 def getitem(x, idx) -> Tensor:
+    """``x[idx]``; its backward adds into ``x.grad`` in place, with
+    ``np.add.at`` for advanced indices so repeated entries accumulate."""
     xv = _val(x)
     out = xv[idx]
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    basic = all(i is None or i is Ellipsis or isinstance(i, (slice, int, np.integer)) and not isinstance(i, bool)
+                for i in parts)
 
     def back(g):
         if isinstance(x, Tensor):
-            buf = np.zeros_like(xv)
-            buf[idx] = g
-            _accum(x, buf)
+            if x.grad is None:
+                x.grad = np.zeros_like(xv)
+            if basic:
+                x.grad[idx] += g
+            else:
+                np.add.at(x.grad, idx, g)
 
     return Tensor(out, (x,) if isinstance(x, Tensor) else (), back)
 
@@ -404,42 +416,31 @@ def batch_norm(
     """Per-channel normalization over all leading axes (channels last).
 
     ``valid`` optionally weights which positions contribute to the batch
-    statistics (shape = x.shape[:-1]); excluded positions are still
-    normalized with the resulting statistics.
+    statistics (shape = x.shape[:-1], None for all ones); excluded
+    positions are still normalized with the resulting statistics.
     """
-    xv = _val(x)
+    xv, gv, bv = _val(x), _val(gain), _val(bias)
+    axes = tuple(range(xv.ndim - 1))
     if train:
-        axes = tuple(range(xv.ndim - 1))
-        channels = (1,) * (xv.ndim - 1) + (-1,)
-        # Composite graph: mean/var as differentiable reductions.
-        if valid is None:
-            mu = xv.mean(axis=axes)
-            var = xv.var(axis=axes)
-            diff = sub(x, reshape(tmean(x, axis=axes), channels))
-            var_t = tmean(mul(diff, diff), axis=axes)
-        else:
-            w = as_f64(valid)[..., None]
-            count = float(w.sum())
-            if count <= 0:
-                raise StateError("batch_norm: empty valid mask")
-            mu_t = mul(tsum(mul(x, w), axis=axes), 1.0 / count)
-            diff = sub(x, reshape(mu_t, channels))
-            var_t = mul(tsum(mul(mul(diff, diff), w), axis=axes), 1.0 / count)
-            mu, var = mu_t.value, var_t.value
-        xhat_t = mul(diff, reshape(power(add(var_t, eps), -0.5), channels))
-        out = add(mul(xhat_t, gain), bias)
+        w = np.ones(xv.shape[:-1] + (1,)) if valid is None else as_f64(valid)[..., None]
+        count = float(w.sum())
+        if count <= 0:
+            raise StateError("batch_norm: empty valid mask")
+        mu = (xv * w).sum(axis=axes) * (1.0 / count)
+        diff = xv - mu
+        var = (diff * diff * w).sum(axis=axes) * (1.0 / count)
+        inv = (var + eps) ** -0.5
+        xhat = diff * inv
+        out = xhat * gv + bv
         if update_stats:
             m = state.momentum
             if state.running_mean is None:
-                state.running_mean = mu.copy()
-                state.running_var = var.copy()
+                state.running_mean, state.running_var = mu, var
             else:
                 state.running_mean = (1.0 - m) * state.running_mean + m * mu
                 state.running_var = (1.0 - m) * state.running_var + m * var
-        return out
-
-    gv, bv = _val(gain), _val(bias)
-    out, xhat, inv = batch_norm_eval_array(xv, gv, bv, state, eps)
+    else:
+        out, xhat, inv = batch_norm_eval_array(xv, gv, bv, state, eps)
     parents = tuple(t for t in (x, gain, bias) if isinstance(t, Tensor))
 
     def back(g):
@@ -448,7 +449,11 @@ def batch_norm(
         if isinstance(bias, Tensor):
             _accum(bias, _unbroadcast(g, bv.shape))
         if isinstance(x, Tensor):
-            _accum(x, _unbroadcast(g * gv * inv, xv.shape))
+            gy = g * gv
+            if train:
+                # d/dx through the batch mean and variance, both weighted by w
+                gy = gy - w * (gy.sum(axis=axes) / count + xhat * ((gy * xhat).sum(axis=axes) / count))
+            _accum(x, _unbroadcast(gy * inv, xv.shape))
 
     return Tensor(out, parents, back)
 

@@ -284,6 +284,43 @@ def test_usage_errors_exit_two(tmp_path):
     assert main(["pretrain", "--config", old, "--out", str(tmp_path / "o3")]) == 2
 
 
+def test_unknown_spec_field_exits_two(tmp_path, capsys):
+    for kind, spec in [("cohort", {"bogus": 1}), ("signal", dict(SIGNAL_CFG["spec"], bogus=1)),
+                       ("signal", dict(SIGNAL_CFG["spec"], seasonal=[{"amplitude": 1.0, "phase_shift": 2}]))]:
+        cfg = write_json(tmp_path / "gen.json", {"kind": kind, "spec": spec})
+        assert main(["gen", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "config field" in capsys.readouterr().err
+    bad_train = write_json(tmp_path / "pre.json", {
+        "model": TINY_MODEL, "train": {"epochs": 1, "bogus": 1}, "data": str(tmp_path / "nope.ndar"),
+    })
+    assert main(["pretrain", "--config", bad_train, "--out", str(tmp_path / "p")]) == 2
+
+
+@pytest.mark.parametrize("line", [
+    '{"id": 9, "events": [[-1, 1], [2, 3]], "label": 1}',  # negative code
+    '{"id": 9, "events": [[1, 1], [4, 3]], "label": 1}',  # code == vocab
+    '{"id": 9, "events": [[1, 1], [2, 3]], "label": 1',  # malformed JSON
+    '{"id": 9, "label": 1}',  # no events
+    '{"id": 9, "events": [[1, 1], [2, 3]]}',  # no label
+    '{"id": 9, "events": [], "label": 1}',  # empty events
+    '{"id": 9, "events": [[1, 1], [2]], "label": 1}',  # event without a timestamp
+], ids=["negative_code", "code_at_vocab", "malformed_json", "no_events", "no_label", "empty_events", "short_event"])
+def test_malformed_cohort_file_exits_three(tmp_path, capsys, line):
+    data = tmp_path / "cohort.jsonl"
+    cohort, _ = gen_cohort(EventCohortSpec(vocab=4, subjects=10, min_events=10, max_events=12, seed=1))
+    write_cohort_jsonl(data, cohort)
+    cfg = write_json(tmp_path / "pre.json", {
+        "model": dict(TINY_MODEL, n_inputs=4, discrete=True), "train": {"epochs": 1}, "data": str(data),
+    })
+    args = ["pretrain", "--config", cfg, "--out", str(tmp_path / "o")]
+    assert main(args) == 0
+    capsys.readouterr()
+    with open(data, "a") as fh:
+        fh.write(line + "\n")
+    assert main(args) == 3
+    assert capsys.readouterr().err.startswith(f"error: {data}: ")
+
+
 def test_missing_data_exits_three(tmp_path):
     cfg = write_json(tmp_path / "p.json", {
         "model": TINY_MODEL, "train": {"epochs": 1}, "data": str(tmp_path / "nope.ndar"),

@@ -309,6 +309,20 @@ def test_eval_classify_keeps_no_tape_alive():
     assert len(reachable(logits)) <= 10
 
 
+@pytest.mark.parametrize("irregular, limit", [(False, 120), (True, 149)])
+def test_train_step_tape_size_is_pinned(irregular, limit):
+    """Rotary and train batch norm record one node each, which keeps a
+    train step of this 2-layer model within these counts."""
+    if irregular:
+        batch = padded_cohort()
+        m = Model(tiny_cfg(n_inputs=6, discrete=True, no_subsampler=True, chunk_size=8))
+    else:
+        batch = signal_batch(T=32)
+        m = Model(tiny_cfg(chunk_size=8))
+    nodes = [t for t in reachable(m.loss(batch, train=True)) if t._backward is not None]
+    assert len(nodes) <= limit
+
+
 @pytest.mark.parametrize("head", ["next_token", "classification"])
 def test_train_step_after_eval_grads_every_param(head):
     cohort = padded_cohort()

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from tsgpt.errors import ConfigError, InputError
 from tsgpt.positional import DecaySchedule, RotaryAngles, merge_heads, rotate, xpos_qk
-from tsgpt.tensor import Rng, Tensor
+from tsgpt.tensor import Rng, Tensor, backward, mul, tsum
+
+from oracles import finite_diff_grad, rel_err
 
 
 def test_theta_schedule_formula_and_monotonicity():
@@ -73,6 +75,25 @@ def test_rotate_norm_preserved_property(p0, half):
     x = Rng(17).normal((3, d))
     out = rotate(Tensor(x), np.array([p0, p0 + 1, p0 + 7]), RotaryAngles(d)).value
     assert np.max(np.abs(np.linalg.norm(out, axis=-1) - np.linalg.norm(x, axis=-1))) < 1e-10
+
+
+@pytest.mark.parametrize("per_sequence", [False, True])
+def test_rotate_gradient_matches_finite_differences(per_sequence):
+    rng = Rng(21)
+    x = rng.normal((2, 3, 5, 6))  # [B, heads, L, d]
+    weights = rng.normal(x.shape)
+    ang = RotaryAngles(6)
+    pos = np.array([[0, 2, 3, 7, 9], [1, 4, 5, 6, 11]]) if per_sequence else np.array([-2, 0, 1, 5, 6])
+
+    def loss(t):
+        return tsum(mul(rotate(t, pos, ang), weights))
+
+    t = Tensor(x)
+    out = rotate(t, pos, ang)
+    assert out._parents == (t,) and out._backward is not None  # one tape node
+    backward(loss(t))
+    fd = finite_diff_grad(lambda: loss(Tensor(x)).value, x)
+    assert rel_err(t.grad, fd) < 1e-8
 
 
 def test_decay_schedule_default_and_bounds():

@@ -174,24 +174,52 @@ def test_gradients_norms_and_convs(seed):
     bc = rng.normal((6,))
     _fd_check(lambda a, w, b: T.tsum(T.conv1d(a, w, b, stride=2, pad_left=2)), [x, wc, bc])
 
+    # A plain sum of batch-norm outputs has zero gradient in x; weight them.
+    weights = rng.normal(x.shape)
+
     def bn_loss(a, g, b):
         st_ = T.BatchNormState()
-        return T.tsum(T.batch_norm(a, g, b, st_, train=True, update_stats=False))
+        return T.tsum(T.mul(T.batch_norm(a, g, b, st_, train=True, update_stats=False), weights))
 
     _fd_check(bn_loss, [x, gain, bias])
 
     valid = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 0]], dtype=np.float64)
 
     def bn_masked_loss(a, g, b):
+        # excluded positions are normalized too: their outputs carry gradient
         st_ = T.BatchNormState()
         out = T.batch_norm(a, g, b, st_, train=True, update_stats=False, valid=valid)
-        return T.tsum(T.mul(out, valid[..., None]))
+        return T.add(T.tsum(T.mul(out, valid[..., None] * weights)), T.tsum(T.mul(out, 1.0 - valid[..., None])))
 
     _fd_check(bn_masked_loss, [x, gain, bias])
 
     running = T.BatchNormState()
     running.running_mean, running.running_var = rng.normal((4,)), rng.uniform((4,), 0.5, 2.0)
     _fd_check(lambda a, g, b: T.tsum(T.batch_norm(a, g, b, running, train=False)), [x, gain, bias])
+
+
+def test_getitem_gradient_accumulates_repeated_and_sliced_entries():
+    x = Tns(np.arange(4.0))
+    T.backward(T.tsum(x[[1, 1, 2]]))
+    np.testing.assert_array_equal(x.grad, [0.0, 2.0, 1.0, 0.0])
+
+    # basic slices of one parent, overlapping each other and an elementwise use
+    y = Tns(np.arange(12.0).reshape(3, 4))
+    T.backward(T.add(T.add(T.tsum(T.mul(y[0:2, 1:3], 2.0)), T.tsum(y[1])), T.tsum(T.mul(y, y[..., -1:]))))
+    want = 2.0 * np.pad(np.ones((2, 2)), ((0, 1), (1, 1))) + np.eye(3)[1][:, None] + y.value[:, -1:]
+    want[:, -1] += y.value.sum(axis=1)
+    np.testing.assert_array_equal(y.grad, want)
+
+    rng = T.Rng(9)
+    _fd_check(lambda a: T.tsum(T.power(T.add(a[1:, ::2], a[[0, 0], 1::2]), 2.0)), [rng.normal((3, 4))])
+    _fd_check(lambda a: T.tsum(T.mul(a[:, [2, 0, 2]], a[..., 1:2])), [rng.normal((2, 3))])
+
+
+def test_train_batch_norm_records_one_node():
+    x, gain, bias = Tns(T.Rng(3).normal((2, 5, 4))), Tns(np.ones(4)), Tns(np.zeros(4))
+    for valid in (None, np.array([[1, 1, 0, 0, 0], [1, 1, 1, 1, 0]], dtype=np.float64)):
+        out = T.batch_norm(x, gain, bias, T.BatchNormState(), train=True, valid=valid)
+        assert out._parents == (x, gain, bias) and out._backward is not None
 
 
 def test_swish_at_zero():
