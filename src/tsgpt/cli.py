@@ -16,6 +16,7 @@ import argparse
 import csv
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -101,6 +102,7 @@ def _write_manifest(out_dir, command: str, config_path, seed, timings: dict, ext
         "out_dir": str(out_dir),
         "argv": sys.argv[1:],
         "timings_seconds": {k: round(v, 6) for k, v in timings.items()},
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
     }
     if extra:
         manifest.update(extra)
@@ -152,9 +154,11 @@ def cmd_gen(args) -> int:
     kind = _require(cfg, "kind", "gen")
     t0 = time.perf_counter()
     if kind == "signal":
-        spec_d = dict(_require(cfg, "spec", "gen"))
-        seasonal = tuple(_from_section(dg.Seasonal, s, "seasonal")
-                         for s in spec_d.pop("seasonal", [{"amplitude": 1.0, "period": 64.0}]))
+        spec_d = _from_section(dict, _require(cfg, "spec", "gen"), "signal spec")
+        seasonal = spec_d.pop("seasonal", [{"amplitude": 1.0, "period": 64.0}])
+        if not isinstance(seasonal, list):
+            raise UsageError(f"signal spec field 'seasonal' must be a JSON list, got {type(seasonal).__name__}")
+        seasonal = tuple(_from_section(dg.Seasonal, s, "seasonal") for s in seasonal)
         spec = _from_section(dg.SignalSpec, spec_d, "signal spec", seed, seasonal=seasonal)
         batch, comps = dg.gen_signal(spec)
         fmt = cfg.get("format", "ndar")

@@ -558,7 +558,6 @@ class Model:
 
         capture: list[dict] = []
         x, states, pos = self.encode(prompt, train=False, want_states=True, capture=capture)
-        states = [RetentionState(st.s.value, st.last_t) for st in states]
         conv_bufs = [cap.get("dw_inputs") for cap in capture]
         position = int(pos[-1])
         preds = [self._head(x[:, -1:, :]).value]  # each [B, 1, V]

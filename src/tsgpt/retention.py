@@ -6,11 +6,14 @@ All three forms compute, per head and per step n,
 
 where t are integer timestamps (t_n = n for regularly sampled data).  The
 chunk-wise form is the one the model runs on whole sequences: parallel
-intra-chunk work plus a recurrent inter-chunk state.  The recurrent form
+intra-chunk work plus a recurrent inter-chunk state, recorded as one tape
+node with an analytic backward (the reverse chunk recurrence of GLA, Yang
+et al. arXiv 2312.06635 §4, and RetNet's chunk-wise form).  The recurrent form
 carries a d_k x d_v state one step at a time; the model's one-token decode
 step (``DecoderLayer.step``) runs its update on plain arrays.  The parallel
 form materializes the full decay matrix D and is kept as the reference the
-other two are checked against.
+other two are checked against.  The state the sequence forms return is a
+plain array on no tape.
 
 Cross-chunk decays are defined in timestamp space
 (gamma^(t - t_last_of_previous_chunk)), the unique choice that keeps the
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .tensor import Tensor, add, as_f64, concat, matmul, mul, swapaxes
+from .tensor import Tensor, _accum, _unbroadcast, _val, add, as_f64, concat, matmul, mul, swapaxes
 
 Array = np.ndarray
 
@@ -97,10 +100,10 @@ class DecayMask:
 
 @dataclass
 class RetentionState:
-    """Running per-head summary sum_m gamma^(t_last - t_m) k_m^T v_m: a
-    Tensor from the sequence forms, a plain array in the decode step."""
+    """Running per-head summary sum_m gamma^(t_last - t_m) k_m^T v_m, a
+    plain array on no tape."""
 
-    s: Tensor | Array
+    s: Array
     last_t: Array | int
 
 
@@ -201,7 +204,7 @@ def retention_recurrent(
         outs.append(matmul(q[..., n : n + 1, :], s))
         last_t = t_n
     out = concat(outs, axis=-2)
-    return out, RetentionState(s, np.asarray(last_t))
+    return out, RetentionState(_val(s), np.asarray(last_t))
 
 
 def retention_chunkwise(
@@ -221,11 +224,17 @@ def retention_chunkwise(
     state decayed by the chunk's total timestamp span.  Without an
     ``initial`` state the first chunk has no inter-chunk term, so a sequence
     that fits in one chunk runs exactly the parallel form's arithmetic.
+
+    One tape node over (q, k, v).  The forward runs on arrays and keeps each
+    chunk's incoming state; a chunk reuses the previous decay mask when its
+    timestamps relative to its first one repeat.  The backward sweeps the
+    chunks in reverse, carrying dS (0 after the last chunk): with
+    dP = (dO v^T) . D, dq = dP k + (zeta dO) s_prev^T, dk = dP^T q +
+    (tail v) dS^T, dv = (q k^T . D)^T dO + tail (k dS) and
+    dS_prev = q^T (zeta dO) + gamma^span dS.  ``initial`` is a constant.
     """
-    q = q if isinstance(q, Tensor) else Tensor(q)
-    k = k if isinstance(k, Tensor) else Tensor(k)
-    v = v if isinstance(v, Tensor) else Tensor(v)
-    L = q.shape[-2]
+    qv, kv, vv = _val(q), _val(k), _val(v)
+    L = qv.shape[-2]
     if plan.boundaries[-1] != L:
         raise InputError(f"chunk plan covers length {plan.boundaries[-1]}, sequence has {L}")
     t = np.arange(L, dtype=np.int64) if timestamps is None else _check_timestamps(timestamps)
@@ -233,26 +242,56 @@ def retention_chunkwise(
         raise InputError(f"timestamps length {t.shape[-1]} != sequence length {L}")
     batched = t.ndim == 2
 
-    s, prev_last = (None, None) if initial is None else (initial.s, np.asarray(initial.last_t))
-    outs = []
+    s, prev_last = (None, None) if initial is None else (_val(initial.s), np.asarray(initial.last_t))
+    out, chunks, mask, rel_prev = None, [], None, None
     for lo, hi in zip(plan.boundaries[:-1], plan.boundaries[1:]):
         t_c = t[..., lo:hi]
-        q_c = q[..., lo:hi, :]
-        k_c = k[..., lo:hi, :]
-        v_c = v[..., lo:hi, :]
+        q_c, k_c, v_c = as_f64(qv[..., lo:hi, :]), as_f64(kv[..., lo:hi, :]), as_f64(vv[..., lo:hi, :])
+        k_t = as_f64(np.swapaxes(k_c, -1, -2))
+        rel = t_c - t_c[..., :1]
+        if mask is None or not np.array_equal(rel, rel_prev):
+            mask, rel_prev = DecayMask.build(gamma, timestamps=t_c).matrix, rel
 
-        mask_c = DecayMask.build(gamma, timestamps=t_c)
-        out_c = matmul(mul(matmul(q_c, swapaxes(k_c, -1, -2)), mask_c.matrix), v_c)
+        out_c = ((q_c @ k_t) * mask) @ v_c
+        zeta = fac = None
         if s is not None:
             zeta = _decay_rows(gamma, t_c - prev_last[..., None], batched)
-            out_c = add(out_c, mul(matmul(q_c, s), zeta))
-        outs.append(out_c)
+            out_c = out_c + (q_c @ s) * zeta
+        if out is None:
+            out = np.empty(out_c.shape[:-2] + (L, out_c.shape[-1]))
+        out[..., lo:hi, :] = out_c
 
         last = t_c[..., -1]
         tail = _decay_rows(gamma, last[..., None] - t_c, batched)
-        chunk_s = matmul(swapaxes(k_c, -1, -2), mul(v_c, tail))
-        s = chunk_s if s is None else add(chunk_s, mul(s, _decay_factor(gamma, last - prev_last)))
-        prev_last = last
+        chunk_s = k_t @ (v_c * tail)
+        if s is not None:
+            fac = _decay_factor(gamma, last - prev_last)
+            chunk_s = chunk_s + s * fac
+        chunks.append((lo, hi, mask, zeta, tail, fac, s))
+        s, prev_last = chunk_s, last
 
-    out = outs[0] if len(outs) == 1 else concat(outs, axis=-2)
-    return out, RetentionState(s, np.asarray(prev_last))
+    def back(g):
+        dq = np.empty(g.shape[:-1] + qv.shape[-1:])
+        dk = np.empty(g.shape[:-1] + kv.shape[-1:])
+        dv = np.empty(g.shape)
+        ds = None  # gradient of the state leaving the current chunk
+        for lo, hi, mask_c, zeta_c, tail_c, fac_c, s_prev in reversed(chunks):
+            q_c, k_c, v_c, g_c = (as_f64(x[..., lo:hi, :]) for x in (qv, kv, vv, g))
+            dp = (g_c @ np.swapaxes(v_c, -1, -2)) * mask_c
+            dq[..., lo:hi, :] = dp @ k_c
+            dk[..., lo:hi, :] = np.swapaxes(dp, -1, -2) @ q_c
+            dv[..., lo:hi, :] = np.swapaxes((q_c @ np.swapaxes(k_c, -1, -2)) * mask_c, -1, -2) @ g_c
+            if ds is not None:
+                dk[..., lo:hi, :] += (v_c * tail_c) @ np.swapaxes(ds, -1, -2)
+                dv[..., lo:hi, :] += tail_c * (k_c @ ds)
+            if s_prev is not None:
+                gz = g_c * zeta_c
+                dq[..., lo:hi, :] += gz @ np.swapaxes(s_prev, -1, -2)
+                ds_prev = np.swapaxes(q_c, -1, -2) @ gz
+                ds = ds_prev if ds is None else ds_prev + ds * fac_c
+        for x, d in ((q, dq), (k, dk), (v, dv)):
+            if isinstance(x, Tensor):
+                _accum(x, _unbroadcast(d, x.shape))
+
+    parents = tuple(x for x in (q, k, v) if isinstance(x, Tensor))
+    return Tensor(out, parents, back), RetentionState(s, np.asarray(prev_last))

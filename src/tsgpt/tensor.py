@@ -2,12 +2,13 @@
 
 A ``Tensor`` wraps a row-major float64 numpy array together with an
 operation record; calling :func:`backward` on a scalar-shaped tensor walks
-the recorded graph once in reverse topological order and accumulates
-``.grad`` on every tensor that participated.  The tape is rebuilt on every
-forward pass (define-by-run).  Layer and batch normalization are each one
-fused op with an analytic backward.  A tensor's first gradient is copied in,
-not added to zeros, and a slice adds its gradient into its parent's
-``.grad`` in place.
+the recorded graph once in reverse topological order and consumes it: each
+node's gradient, closure and parents are freed once its closure has run,
+so afterwards only leaves (parameters and inputs) carry ``.grad``.  The
+tape is rebuilt on every forward pass (define-by-run).  Layer and batch
+normalization are each one fused op with an analytic backward.  A tensor's
+first gradient is copied in, not added to zeros, and a slice adds its
+gradient into its parent's ``.grad`` in place.
 
 Inside a :func:`no_grad` block nothing is recorded: new tensors hold no
 parents and no backward closure, so an eval pass frees each intermediate
@@ -575,18 +576,25 @@ def depthwise_conv1d(x, w, bias=None) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _swept(g):
+    raise ContractError("backward: this graph was already consumed by an earlier backward; run the forward again")
+
+
 def backward(loss: Tensor) -> None:
     """Reverse-mode sweep from a scalar-shaped loss.
 
-    Visits every reachable node exactly once in reverse topological order;
-    afterwards every participating Tensor carries ``.grad`` with the same
-    shape as its value.
+    Visits every reachable node exactly once in reverse topological order
+    and consumes the tape as it goes: once a node's closure has run, its
+    ``.grad``, closure and parents are dropped, so its buffers are freed
+    before the sweep ends.  Afterwards only leaves (parameters and inputs)
+    carry ``.grad``.  A swept node keeps a closure that raises, so sweeping
+    the same graph again, or a new loss built on it, is a ContractError.
     """
     if not isinstance(loss, Tensor):
         raise ContractError("backward: loss must be a Tensor")
     if loss.value.shape != ():
         raise ContractError(f"backward: loss must be scalar-shaped, got {loss.value.shape}")
-    if not loss._parents:
+    if loss._backward is None:
         raise ContractError("backward: the loss recorded no operations (built in eval mode or under no_grad)")
 
     order: list[Tensor] = []
@@ -599,6 +607,8 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in seen:
             continue
+        if node._backward is _swept:
+            _swept(None)
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
@@ -606,9 +616,13 @@ def backward(loss: Tensor) -> None:
                 stack.append((p, False))
 
     loss.grad = np.ones(())
-    for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
+    while order:
+        node = order.pop()
+        if node._backward is None:
+            continue  # a leaf keeps its gradient
+        if node.grad is not None:
             node._backward(node.grad)
+        node.grad, node._backward, node._parents = None, _swept, ()
 
 
 def zero_grads(params: Iterable[Tensor]) -> None:

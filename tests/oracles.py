@@ -1,12 +1,20 @@
-"""Shared test helpers: a central-finite-difference oracle, a taped
-decoder-stack oracle for eval encodes, and two oracles for streaming
+"""Shared test helpers: a central-finite-difference oracle, the chunk-wise
+retention loop recorded op by op as the fused op's gradient oracle, a
+taped decoder-stack oracle for eval encodes, and two oracles for streaming
 generation: re-encoding the whole prefix per token, and the recurrent
 decode step run through the Tensor ops."""
 
 import numpy as np
 
 from tsgpt.positional import DecaySchedule, _split_heads, merge_heads, xpos_qk
-from tsgpt.retention import RetentionState, retention_recurrent
+from tsgpt.retention import (
+    DecayMask,
+    RetentionState,
+    _check_timestamps,
+    _decay_factor,
+    _decay_rows,
+    retention_recurrent,
+)
 from tsgpt.tensor import (
     Tensor,
     add,
@@ -18,6 +26,7 @@ from tsgpt.tensor import (
     matmul,
     mul,
     no_grad,
+    swapaxes,
     swish,
 )
 
@@ -48,6 +57,34 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=np.float64)
     denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
     return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
+
+
+def retention_chunkwise_taped(q, k, v, timestamps, gamma, plan, initial=None):
+    """Oracle for ``retention_chunkwise``: the same per-chunk loop recorded
+    op by op on the tape (slices, matmuls, masks, state updates), so its
+    gradients come from the generic ops' backwards."""
+    q, k, v = (x if isinstance(x, Tensor) else Tensor(x) for x in (q, k, v))
+    L = q.shape[-2]
+    t = np.arange(L, dtype=np.int64) if timestamps is None else _check_timestamps(timestamps)
+    batched = t.ndim == 2
+    s, prev_last = (None, None) if initial is None else (initial.s, np.asarray(initial.last_t))
+    outs = []
+    for lo, hi in zip(plan.boundaries[:-1], plan.boundaries[1:]):
+        t_c = t[..., lo:hi]
+        q_c, k_c, v_c = q[..., lo:hi, :], k[..., lo:hi, :], v[..., lo:hi, :]
+        mask_c = DecayMask.build(gamma, timestamps=t_c)
+        out_c = matmul(mul(matmul(q_c, swapaxes(k_c, -1, -2)), mask_c.matrix), v_c)
+        if s is not None:
+            zeta = _decay_rows(gamma, t_c - prev_last[..., None], batched)
+            out_c = add(out_c, mul(matmul(q_c, s), zeta))
+        outs.append(out_c)
+        last = t_c[..., -1]
+        tail = _decay_rows(gamma, last[..., None] - t_c, batched)
+        chunk_s = matmul(swapaxes(k_c, -1, -2), mul(v_c, tail))
+        s = chunk_s if s is None else add(chunk_s, mul(s, _decay_factor(gamma, last - prev_last)))
+        prev_last = last
+    out = outs[0] if len(outs) == 1 else concat(outs, axis=-2)
+    return out, RetentionState(s, np.asarray(prev_last))
 
 
 def taped_stack(model, feats: np.ndarray, pos: np.ndarray, valid=None, form=None) -> Tensor:

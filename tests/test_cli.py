@@ -82,6 +82,8 @@ def test_pretrain_then_rerun_reproduces_artifacts_bitwise(tmp_path):
     ckpt = (out1 / "model.ckpt").read_bytes()
     manifest = json.loads((out1 / "manifest.json").read_text())
     assert manifest["command"] == "pretrain" and "train" in manifest["timings_seconds"]
+    assert manifest["peak_rss_mb"] > 0
+    assert json.loads((sig / "manifest.json").read_text())["peak_rss_mb"] > 0
     out2 = pretrain_dir(tmp_path, sig / "signal.ndar")
     assert (out2 / "metrics.csv").read_bytes() == metrics
     assert (out2 / "model.ckpt").read_bytes() == ckpt
@@ -294,6 +296,13 @@ def test_unknown_spec_field_exits_two(tmp_path, capsys):
         "model": TINY_MODEL, "train": {"epochs": 1, "bogus": 1}, "data": str(tmp_path / "nope.ndar"),
     })
     assert main(["pretrain", "--config", bad_train, "--out", str(tmp_path / "p")]) == 2
+
+
+@pytest.mark.parametrize("spec", [5, {"length": 64, "seasonal": 5}], ids=["spec_int", "seasonal_int"])
+def test_malformed_signal_spec_exits_two(tmp_path, capsys, spec):
+    cfg = write_json(tmp_path / "gen.json", {"kind": "signal", "spec": spec})
+    assert main(["gen", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "must be a JSON" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line", [

@@ -106,6 +106,26 @@ def test_backward_rejects_loss_that_recorded_nothing():
     assert x.grad is None
 
 
+def test_backward_consumes_the_tape():
+    x = Tns(np.arange(1.0, 4.0))
+    h = T.mul(x, x)
+    loss = T.tsum(h)
+    T.backward(loss)
+    np.testing.assert_array_equal(x.grad, 2.0 * x.value)  # the leaf keeps its gradient
+    for node in (h, loss):
+        assert node.grad is None and node._parents == ()
+        with pytest.raises(ContractError, match="already consumed"):
+            node._backward(np.ones(node.shape))
+    # sweeping the same graph again names the cause instead of "recorded no operations"
+    with pytest.raises(ContractError, match="already consumed"):
+        T.backward(loss)
+    # a new loss on a swept intermediate raises instead of silently dropping x's gradient
+    x.grad = None
+    with pytest.raises(ContractError, match="already consumed"):
+        T.backward(T.tsum(T.mul(h, 3.0)))
+    assert x.grad is None
+
+
 def test_no_grad_records_no_tape_and_nests():
     x = Tns(np.arange(3.0))
     with T.no_grad():
