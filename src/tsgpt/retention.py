@@ -278,17 +278,18 @@ def retention_chunkwise(
         for lo, hi, mask_c, zeta_c, tail_c, fac_c, s_prev in reversed(chunks):
             q_c, k_c, v_c, g_c = (as_f64(x[..., lo:hi, :]) for x in (qv, kv, vv, g))
             dp = (g_c @ np.swapaxes(v_c, -1, -2)) * mask_c
-            dq[..., lo:hi, :] = dp @ k_c
-            dk[..., lo:hi, :] = np.swapaxes(dp, -1, -2) @ q_c
-            dv[..., lo:hi, :] = np.swapaxes((q_c @ np.swapaxes(k_c, -1, -2)) * mask_c, -1, -2) @ g_c
+            dq_c = dp @ k_c
+            dk_c = np.swapaxes(dp, -1, -2) @ q_c
+            dv_c = np.swapaxes((q_c @ np.swapaxes(k_c, -1, -2)) * mask_c, -1, -2) @ g_c
             if ds is not None:
-                dk[..., lo:hi, :] += (v_c * tail_c) @ np.swapaxes(ds, -1, -2)
-                dv[..., lo:hi, :] += tail_c * (k_c @ ds)
+                dk_c += (v_c * tail_c) @ np.swapaxes(ds, -1, -2)
+                dv_c += tail_c * (k_c @ ds)
             if s_prev is not None:
                 gz = g_c * zeta_c
-                dq[..., lo:hi, :] += gz @ np.swapaxes(s_prev, -1, -2)
+                dq_c += gz @ np.swapaxes(s_prev, -1, -2)
                 ds_prev = np.swapaxes(q_c, -1, -2) @ gz
                 ds = ds_prev if ds is None else ds_prev + ds * fac_c
+            dq[..., lo:hi, :], dk[..., lo:hi, :], dv[..., lo:hi, :] = dq_c, dk_c, dv_c
         for x, d in ((q, dq), (k, dk), (v, dv)):
             if isinstance(x, Tensor):
                 _accum(x, _unbroadcast(d, x.shape))
