@@ -26,7 +26,7 @@ from .tensor import (
     depthwise_conv1d,
     layer_norm,
     layer_norm_array,
-    matmul,
+    linear,
     swish,
     swish_array,
 )
@@ -152,7 +152,7 @@ class TemporalConvModule:
                     dw_inputs.append(buf)
                 h = depthwise_conv1d(h, w, b)
             else:
-                h = add(matmul(h, w), b)
+                h = linear(h, w, b)
         if capture is not None:
             capture["dw_inputs"] = dw_inputs
         h = batch_norm(h, self.bn_gain, self.bn_bias, self.bn_state, train=train, update_stats=update_stats, valid=valid)

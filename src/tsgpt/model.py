@@ -54,6 +54,7 @@ from .tensor import (
     concat,
     layer_norm,
     layer_norm_array,
+    linear,
     log_softmax,
     matmul,
     mul,
@@ -201,7 +202,7 @@ def multihead_retention(
         merged = layer_norm(merged, norm_gain, norm_bias)
     if gate_w is not None:
         merged = mul(merged, swish(matmul(x, gate_w)))
-    return add(matmul(merged, w_out), b_out), state
+    return linear(merged, w_out, b_out), state
 
 
 class DecoderLayer:
@@ -277,8 +278,8 @@ class DecoderLayer:
 
     def _ffn(self, x: Tensor) -> Tensor:
         h = layer_norm(x, self.ln2_gain, self.ln2_bias)
-        h = swish(add(matmul(h, self.ffn_w1), self.ffn_b1))
-        return add(matmul(h, self.ffn_w2), self.ffn_b2)
+        h = linear(h, self.ffn_w1, self.ffn_b1, swish_out=True)
+        return linear(h, self.ffn_w2, self.ffn_b2)
 
     def forward(
         self,
@@ -429,7 +430,7 @@ class Model:
         """
         feats, positions = self._token_features(batch)
         B = feats.shape[0]
-        emb = add(matmul(feats, self.w_in), self.b_in)
+        emb = linear(feats, self.w_in, self.b_in)
         x = concat([broadcast_to(self.sos, (B, 1, self.cfg.d_model)), emb], axis=1)
         if positions.ndim == 1:
             pos = np.concatenate([[0], positions]).astype(np.int64)
@@ -458,7 +459,7 @@ class Model:
     # -- objectives ------------------------------------------------------------
 
     def _head(self, x: Tensor) -> Tensor:
-        return add(matmul(x, self.w_head), self.b_head)
+        return linear(x, self.w_head, self.b_head)
 
     @_untaped_in_eval
     def pretrain_loss(self, batch: SequenceBatch, *, train: bool = True, form: str | None = None) -> Tensor:

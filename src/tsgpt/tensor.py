@@ -6,7 +6,8 @@ the recorded graph once in reverse topological order and consumes it: each
 node's gradient, closure and parents are freed once its closure has run,
 so afterwards only leaves (parameters and inputs) carry ``.grad``.  The
 tape is rebuilt on every forward pass (define-by-run).  Layer and batch
-normalization are each one fused op with an analytic backward.  A tensor's
+normalization and a linear layer (``x @ w + b``, optionally through swish)
+are each one fused op with an analytic backward.  A tensor's
 first gradient is copied in, not added to zeros, and a slice adds its
 gradient into its parent's ``.grad`` in place.
 
@@ -334,13 +335,17 @@ def broadcast_to(x, shape) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _check_matmul(av: Array, bv: Array, op: str) -> None:
+    if av.ndim < 2 or bv.ndim < 2:
+        raise ShapeError(f"{op}: operands must be >= 2-D, got {av.shape} and {bv.shape}")
+    if av.shape[-1] != bv.shape[-2]:
+        raise ShapeError(f"{op}: inner dims differ, {av.shape} x {bv.shape}")
+    _check_broadcast(av[..., :1, :1], bv[..., :1, :1], f"{op}(batch dims)")
+
+
 def matmul(a, b) -> Tensor:
     av, bv = _val(a), _val(b)
-    if av.ndim < 2 or bv.ndim < 2:
-        raise ShapeError(f"matmul: operands must be >= 2-D, got {av.shape} and {bv.shape}")
-    if av.shape[-1] != bv.shape[-2]:
-        raise ShapeError(f"matmul: inner dims differ, {av.shape} x {bv.shape}")
-    _check_broadcast(av[..., :1, :1], bv[..., :1, :1], "matmul(batch dims)")
+    _check_matmul(av, bv, "matmul")
     out = av @ bv
     parents = tuple(t for t in (a, b) if isinstance(t, Tensor))
 
@@ -351,6 +356,32 @@ def matmul(a, b) -> Tensor:
             _accum(b, _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape))
 
     return Tensor(out, parents, back)
+
+
+def linear(x, w, b, swish_out: bool = False) -> Tensor:
+    """``add(matmul(x, w), b)``, through :func:`swish` when ``swish_out``, as
+    one node with bitwise their values.  The tape keeps neither the bias-free
+    product nor the pre-activation: only the output and swish's slope."""
+    xv, wv, bv = _val(x), _val(w), _val(b)
+    _check_matmul(xv, wv, "linear")
+    pre = xv @ wv
+    _check_broadcast(pre, bv, "linear")
+    pre = pre + bv
+    out, slope = pre, None
+    if swish_out:
+        out, s = swish_array(pre)
+        slope = s + pre * s * (1.0 - s) if _grad_enabled else None
+
+    def back(g):
+        g = g if slope is None else g * slope
+        if isinstance(x, Tensor):
+            _accum(x, _unbroadcast(g @ np.swapaxes(wv, -1, -2), xv.shape))
+        if isinstance(w, Tensor):
+            _accum(w, _unbroadcast(np.swapaxes(xv, -1, -2) @ g, wv.shape))
+        if isinstance(b, Tensor):
+            _accum(b, _unbroadcast(g, bv.shape))
+
+    return Tensor(out, tuple(t for t in (x, w, b) if isinstance(t, Tensor)), back)
 
 
 # ---------------------------------------------------------------------------

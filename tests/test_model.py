@@ -309,11 +309,11 @@ def test_eval_classify_keeps_no_tape_alive():
     assert len(reachable(logits)) <= 10
 
 
-@pytest.mark.parametrize("irregular, limit", [(False, 80), (True, 79)])
+@pytest.mark.parametrize("irregular, limit", [(False, 68), (True, 67)])
 def test_train_step_tape_size_is_pinned(irregular, limit):
-    """Rotary, train batch norm and chunk-wise retention record one node
-    each, which keeps a train step of this 2-layer model within these
-    counts."""
+    """Rotary, train batch norm, chunk-wise retention and each linear layer
+    (with the feed-forward's swish) record one node each, which keeps a
+    train step of this 2-layer model within these counts."""
     if irregular:
         batch = padded_cohort()
         m = Model(tiny_cfg(n_inputs=6, discrete=True, no_subsampler=True, chunk_size=8))

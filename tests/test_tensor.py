@@ -218,6 +218,31 @@ def test_gradients_norms_and_convs(seed):
     _fd_check(lambda a, g, b: T.tsum(T.batch_norm(a, g, b, running, train=False)), [x, gain, bias])
 
 
+@pytest.mark.parametrize("swish_out", [False, True])
+def test_linear_is_the_composite_bitwise_in_one_node(swish_out):
+    rng = T.Rng(10)
+    x, w, b, weights = rng.normal((2, 5, 4)), rng.normal((4, 6)), rng.normal((6,)), rng.normal((2, 5, 6))
+
+    def composite(a, wt, bt):
+        out = T.add(T.matmul(a, wt), bt)
+        return T.swish(out) if swish_out else out
+
+    fused = [Tns(v) for v in (x, w, b)]
+    ref = [Tns(v) for v in (x, w, b)]
+    out = T.linear(*fused, swish_out=swish_out)
+    assert out._parents == tuple(fused)
+    np.testing.assert_array_equal(out.value, composite(*ref).value)
+    with T.no_grad():
+        np.testing.assert_array_equal(T.linear(*fused, swish_out=swish_out).value, out.value)
+    T.backward(T.tsum(T.mul(out, weights)))
+    T.backward(T.tsum(T.mul(composite(*ref), weights)))
+    for f, r in zip(fused, ref):
+        np.testing.assert_array_equal(f.grad, r.grad)
+    _fd_check(lambda a, wt, bt: T.tsum(T.mul(T.linear(a, wt, bt, swish_out=swish_out), weights)), [x, w, b])
+    with pytest.raises(ShapeError, match="linear: inner dims differ"):
+        T.linear(Tns(x), Tns(w.T), Tns(b))
+
+
 def test_getitem_gradient_accumulates_repeated_and_sliced_entries():
     x = Tns(np.arange(4.0))
     T.backward(T.tsum(x[[1, 1, 2]]))

@@ -161,16 +161,21 @@ def test_gradcheck_fault_injection_flags_only_corrupted_block():
 
         return T.Tensor(out, (x,) if isinstance(x, T.Tensor) else (), back)
 
+    def bad_linear(x, w, b, swish_out=False):
+        # the feed-forward's swish runs inside its fused linear op
+        out = T.linear(x, w, b)
+        return bad_swish(out) if swish_out else out
+
     T.swish = bad_swish
     try:
         import tsgpt.model as M
 
-        saved = M.swish
-        M.swish = bad_swish
+        saved = M.swish, M.linear
+        M.swish, M.linear = bad_swish, bad_linear
         try:
             corrupted = grad_check(params, loss, tolerance=1e-4)
         finally:
-            M.swish = saved
+            M.swish, M.linear = saved
     finally:
         T.swish = orig
 
