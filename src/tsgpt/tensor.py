@@ -360,20 +360,21 @@ def matmul(a, b) -> Tensor:
 
 def linear(x, w, b, swish_out: bool = False) -> Tensor:
     """``add(matmul(x, w), b)``, through :func:`swish` when ``swish_out``, as
-    one node with bitwise their values.  The tape keeps neither the bias-free
-    product nor the pre-activation: only the output and swish's slope."""
+    one node with bitwise their values and gradients.  The tape keeps neither
+    the bias-free product nor the pre-activation: swish's backward reads
+    ``x * sigmoid(x)`` from the output, which is that product bitwise."""
     xv, wv, bv = _val(x), _val(w), _val(b)
     _check_matmul(xv, wv, "linear")
-    pre = xv @ wv
-    _check_broadcast(pre, bv, "linear")
-    pre = pre + bv
-    out, slope = pre, None
+    out = xv @ wv
+    _check_broadcast(out, bv, "linear")
+    out = out + bv
+    s = None
     if swish_out:
-        out, s = swish_array(pre)
-        slope = s + pre * s * (1.0 - s) if _grad_enabled else None
+        out, s = swish_array(out)
 
     def back(g):
-        g = g if slope is None else g * slope
+        if s is not None:
+            g = g * (s + out * (1.0 - s))
         if isinstance(x, Tensor):
             _accum(x, _unbroadcast(g @ np.swapaxes(wv, -1, -2), xv.shape))
         if isinstance(w, Tensor):
