@@ -360,9 +360,9 @@ def matmul(a, b) -> Tensor:
 
 def linear(x, w, b, swish_out: bool = False) -> Tensor:
     """``add(matmul(x, w), b)``, through :func:`swish` when ``swish_out``, as
-    one node with bitwise their values and gradients.  The tape keeps neither
-    the bias-free product nor the pre-activation: swish's backward reads
-    ``x * sigmoid(x)`` from the output, which is that product bitwise."""
+    one node whose values and gradients are bitwise theirs.  The tape keeps
+    neither the bias-free product nor the pre-activation: swish's backward
+    takes the product ``x * sigmoid(x)`` it needs from the output."""
     xv, wv, bv = _val(x), _val(w), _val(b)
     _check_matmul(xv, wv, "linear")
     out = xv @ wv
