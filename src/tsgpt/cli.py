@@ -31,7 +31,6 @@ from .errors import (
     DataError,
     InputError,
     TaskError,
-    TrainingError,
     TsgptError,
     UsageError,
 )
@@ -125,11 +124,30 @@ def _load_cohort(path, vocab: int) -> dg.SequenceBatch:
     return dg.read_cohort_jsonl(path, vocab)
 
 
+def _load_batch(path, model_cfg: ModelConfig) -> dg.SequenceBatch:
+    """The cohort (discrete models) or signal file a model of ``model_cfg`` reads."""
+    if model_cfg.discrete:
+        return _load_cohort(path, model_cfg.n_inputs)
+    return _load_signal(path)
+
+
+def _eval_inputs(args, command: str) -> tuple[dict, str, str]:
+    """(config, checkpoint, data) for an eval command; flags win over the
+    config's ``checkpoint`` and ``data`` fields."""
+    cfg = _load_config(args.config) if args.config else {}
+    checkpoint = args.checkpoint or cfg.get("checkpoint")
+    data = args.data or cfg.get("data")
+    if not checkpoint:
+        raise UsageError(f"{command} needs a checkpoint (--checkpoint or config field 'checkpoint')")
+    if not data:
+        raise UsageError(f"{command} needs data (--data or config field 'data')")
+    return cfg, checkpoint, data
+
+
 def _load_trained(path) -> Model:
     """Load a checkpoint for eval, which reads the batch-norm running statistics."""
     model = Model.load(path)
-    if any(layer.tconv is not None and layer.tconv.bn_state is not None and layer.tconv.bn_state.running_mean is None
-           for layer in model.layers):
+    if any(layer.tconv is not None and layer.tconv.bn_state.running_mean is None for layer in model.layers):
         raise CheckpointError(f"checkpoint {path} holds no batch-norm statistics: it was saved before any training step")
     return model
 
@@ -212,10 +230,7 @@ def cmd_pretrain(args) -> int:
     data_path = _require(cfg, "data", "pretrain")
 
     t0 = time.perf_counter()
-    if model_cfg.discrete:
-        batch = _load_cohort(data_path, model_cfg.n_inputs)
-    else:
-        batch = _load_signal(data_path)
+    batch = _load_batch(data_path, model_cfg)
     tr, va, _te = _split_three(batch, cfg, seed)
     t_load = time.perf_counter() - t0
 
@@ -251,10 +266,7 @@ def cmd_finetune(args) -> int:
     data_path = _require(cfg, "data", "finetune")
 
     t0 = time.perf_counter()
-    if pretrained.cfg.discrete:
-        batch = _load_cohort(data_path, pretrained.cfg.n_inputs)
-    else:
-        batch = _load_signal(data_path)
+    batch = _load_batch(data_path, pretrained.cfg)
     tr, va, te = _split_three(batch, cfg, seed)
     if cfg.get("subset_fraction"):
         tr = dg.finetune_subset(tr, float(cfg["subset_fraction"]), seed=seed)
@@ -297,16 +309,10 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_forecast(args) -> int:
-    cfg = _load_config(args.config) if args.config else {}
-    checkpoint = args.checkpoint or cfg.get("checkpoint")
-    data = args.data or cfg.get("data")
+    cfg, checkpoint, data = _eval_inputs(args, "forecast")
     horizon = args.horizon if args.horizon is not None else int(cfg.get("horizon", 32))
     prompt_tokens_arg = args.prompt_tokens if args.prompt_tokens is not None else cfg.get("prompt_tokens")
     train_len = args.train_len if args.train_len is not None else cfg.get("train_len")
-    if not checkpoint:
-        raise UsageError("forecast needs a checkpoint (--checkpoint or config field 'checkpoint')")
-    if not data:
-        raise UsageError("forecast needs data (--data or config field 'data')")
     if horizon < 1:
         raise UsageError(f"horizon must be >= 1, got {horizon}")
     os.makedirs(args.out, exist_ok=True)
@@ -356,13 +362,7 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    cfg = _load_config(args.config) if args.config else {}
-    checkpoint = args.checkpoint or cfg.get("checkpoint")
-    data = args.data or cfg.get("data")
-    if not checkpoint:
-        raise UsageError("classify needs a checkpoint (--checkpoint or config field 'checkpoint')")
-    if not data:
-        raise UsageError("classify needs data (--data or config field 'data')")
+    _cfg, checkpoint, data = _eval_inputs(args, "classify")
     os.makedirs(args.out, exist_ok=True)
     model = _load_trained(checkpoint)
     if model.cfg.head_kind != "classification":
@@ -428,29 +428,24 @@ def cmd_ablate(args) -> int:
     cfg = _load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     os.makedirs(args.out, exist_ok=True)
-    base_model = dict(_require(cfg, "model", "ablate"))
-    sched_cfg = cfg.get("train", {"epochs": 2})
+    base_model = _from_section(dict, _require(cfg, "model", "ablate"), "model")
+    sched = _from_section(TrainSchedule, cfg.get("train", {"epochs": 2}), "train", seed)
     data_path = _require(cfg, "data", "ablate")
     irregular = bool(base_model.get("discrete", False))
-
-    t0 = time.perf_counter()
-    rows_out = []
+    row_cfgs = []
     for name, flags in ABLATION_ROWS:
         if irregular and name == "no_subsampler":
             # discrete event streams never use the tokenizer, so the row
             # would duplicate "full"
             continue
-        d = dict(base_model)
-        if irregular:
-            d["no_subsampler"] = True
-        d.update(flags)
-        model_cfg = _from_section(ModelConfig, d, "model", seed)
-        sched = _from_section(TrainSchedule, sched_cfg, "train", seed)
-        if irregular:
-            batch = _load_cohort(data_path, model_cfg.n_inputs)
-        else:
-            batch = _load_signal(data_path)
-        tr, va, te = _split_three(batch, cfg, seed)
+        fields = dict({"no_subsampler": True} if irregular else {}, **flags)
+        row_cfgs.append((name, _from_section(ModelConfig, base_model, "model", seed, **fields)))
+
+    t0 = time.perf_counter()
+    batch = _load_batch(data_path, row_cfgs[0][1])
+    tr, va, te = _split_three(batch, cfg, seed)
+    rows_out = []
+    for name, model_cfg in row_cfgs:
         model = Model(model_cfg)
         train(model, tr, va, sched)
         if irregular and batch.labels is not None:
@@ -604,9 +599,6 @@ def main(argv=None) -> int:
     except (DataError, InputError, CheckpointError, TaskError) as e:
         print(f"error: {e}", file=sys.stderr)
         return DATA_EXIT
-    except (TrainingError,) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return NUMERIC_EXIT
     except TsgptError as e:
         print(f"error: {e}", file=sys.stderr)
         return NUMERIC_EXIT

@@ -3,18 +3,18 @@
 Both use causal (left-only) padding: a decoder-only generative stack must
 never read future timesteps.  The tokenizer halves the sequence twice
 (kernel 3, stride 2, channel count preserved), so 4 | L gives exactly L/4
-tokens.  The temporal block is a residual of layer norm, a depth-wise
-stage that never mixes channels, a point-wise stage that never mixes
-timesteps, then batch norm and swish.  Batch-norm statistics are batch
-global during training; causality is exact in eval mode, which is the mode
-autoregressive decoding runs in.
+tokens.  The temporal block has one layout: a residual of layer norm, a
+bias-free depth-wise stage that never mixes channels, a bias-free
+point-wise stage that never mixes timesteps, then batch norm and swish.
+Batch-norm statistics are batch global during training; causality is
+exact in eval mode, which is the mode autoregressive decoding runs in.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import InputError
 from .tensor import (
     BatchNormState,
     Rng,
@@ -26,17 +26,9 @@ from .tensor import (
     depthwise_conv1d,
     layer_norm,
     layer_norm_array,
-    linear,
+    matmul,
     swish,
     swish_array,
-)
-
-CONV_VARIANTS = (
-    "depthwise_pointwise",
-    "pointwise_depthwise_pointwise",
-    "depthwise_only",
-    "pointwise_only",
-    "none",
 )
 
 
@@ -76,107 +68,64 @@ class ConvSubsampler:
 
 
 class TemporalConvModule:
-    """Residual block: layer norm, conv stages, batch norm, swish.
+    """Residual block: layer norm, a depth-wise stage, a point-wise stage,
+    batch norm, swish.
 
-    The stage list is selected by ``variant``; "none" constructs a pure
-    identity with no parameters (the ablation setting).
+    Neither stage carries a bias.  Batch norm subtracts the per-channel
+    batch mean, so a constant added to each channel before it cancels: a
+    bias there gets only rounding-level gradient and does no work.
     """
 
-    def __init__(self, d: int, kernel: int, variant: str, rng: Rng, momentum: float = 0.1):
-        if variant not in CONV_VARIANTS:
-            raise ConfigError(f"unknown conv variant {variant!r}; choose from {CONV_VARIANTS}")
-        if kernel < 1:
-            raise ConfigError(f"conv kernel must be >= 1, got {kernel}")
+    def __init__(self, d: int, kernel: int, rng: Rng):
         self.kernel = kernel
-        self.variant = variant
-        self._params: list[tuple[str, Tensor]] = []
-        if variant == "none":
-            self.bn_state = None
-            return
-
         self.ln_gain = Tensor(np.ones(d))
         self.ln_bias = Tensor(np.zeros(d))
-        self._params += [("ln_gain", self.ln_gain), ("ln_bias", self.ln_bias)]
-
-        stage_kinds = {
-            "depthwise_pointwise": ("dw", "pw"),
-            "pointwise_depthwise_pointwise": ("pw", "dw", "pw"),
-            "depthwise_only": ("dw",),
-            "pointwise_only": ("pw",),
-        }[variant]
-        self.stages: list[tuple[str, Tensor, Tensor]] = []
-        for i, kind in enumerate(stage_kinds):
-            if kind == "dw":
-                w = _uniform_init(rng.child(f"dw{i}"), (d, kernel), kernel)
-            else:
-                w = _uniform_init(rng.child(f"pw{i}"), (d, d), d)
-            b = Tensor(np.zeros(d))
-            self.stages.append((kind, w, b))
-            self._params += [(f"stage{i}_{kind}_w", w), (f"stage{i}_{kind}_b", b)]
-
+        self.dw_w = _uniform_init(rng.child("dw0"), (d, kernel), kernel)
+        self.pw_w = _uniform_init(rng.child("pw1"), (d, d), d)
         self.bn_gain = Tensor(np.ones(d))
         self.bn_bias = Tensor(np.zeros(d))
-        self.bn_state = BatchNormState(momentum)
-        self._params += [("bn_gain", self.bn_gain), ("bn_bias", self.bn_bias)]
+        self.bn_state = BatchNormState()
 
     def named_params(self) -> list[tuple[str, Tensor]]:
-        return list(self._params)
+        return [
+            ("ln_gain", self.ln_gain),
+            ("ln_bias", self.ln_bias),
+            ("stage0_dw_w", self.dw_w),
+            ("stage1_pw_w", self.pw_w),
+            ("bn_gain", self.bn_gain),
+            ("bn_bias", self.bn_bias),
+        ]
 
-    def forward(
-        self,
-        x,
-        train: bool,
-        valid: np.ndarray | None = None,
-        update_stats: bool = True,
-        capture: dict | None = None,
-    ) -> Tensor:
-        """Residual block forward.  ``capture``, when given, receives under
-        "dw_inputs" the buffers :meth:`step` continues the sequence from: the
-        last kernel-1 inputs of each depth-wise stage, zero-padded in front
-        when the sequence is shorter."""
+    def forward(self, x, train: bool, valid: np.ndarray | None = None, capture: dict | None = None) -> Tensor:
+        """Residual block forward; train mode normalizes by the batch
+        statistics and folds them into the running ones.  ``capture``, when
+        given, receives under "dw_input" the buffer :meth:`step` continues
+        the sequence from: the depth-wise stage's last kernel-1 inputs,
+        zero-padded in front when the sequence is shorter."""
         x = x if isinstance(x, Tensor) else Tensor(x)
-        if self.variant == "none":
-            if capture is not None:
-                capture["dw_inputs"] = []
-            return x
         h = layer_norm(x, self.ln_gain, self.ln_bias)
-        dw_inputs = []
-        for kind, w, b in self.stages:
-            if kind == "dw":
-                if capture is not None:
-                    B, L, d = h.shape
-                    keep = self.kernel - 1
-                    n = min(keep, L)
-                    buf = np.zeros((B, keep, d))
-                    buf[:, keep - n :, :] = h.value[:, L - n :, :]
-                    dw_inputs.append(buf)
-                h = depthwise_conv1d(h, w, b)
-            else:
-                h = linear(h, w, b)
         if capture is not None:
-            capture["dw_inputs"] = dw_inputs
-        h = batch_norm(h, self.bn_gain, self.bn_bias, self.bn_state, train=train, update_stats=update_stats, valid=valid)
+            B, L, d = h.shape
+            keep = self.kernel - 1
+            n = min(keep, L)
+            buf = np.zeros((B, keep, d))
+            buf[:, keep - n :, :] = h.value[:, L - n :, :]
+            capture["dw_input"] = buf
+        h = matmul(depthwise_conv1d(h, self.dw_w), self.pw_w)
+        h = batch_norm(h, self.bn_gain, self.bn_bias, self.bn_state, train=train, valid=valid)
         return add(x, swish(h))
 
-    def step(self, x_t: np.ndarray, bufs: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    def step(self, x_t: np.ndarray, buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One-token eval-mode continuation on plain arrays.
 
-        x_t: [B, 1, d].  ``bufs`` holds each depth-wise stage's previous
-        kernel-1 inputs [B, kernel-1, d], as :meth:`forward` captures them;
-        returns the output and the buffers advanced by this token.  The
+        x_t: [B, 1, d].  ``buf`` holds the depth-wise stage's previous
+        kernel-1 inputs [B, kernel-1, d], as :meth:`forward` captures it;
+        returns the output and the buffer advanced by this token.  The
         depth-wise output is the last row of :func:`depthwise_conv1d` over
         buffer plus token: the same products, summed in tap order.
         """
-        if self.variant == "none":
-            return x_t, bufs
         h = layer_norm_array(x_t, self.ln_gain.value, self.ln_bias.value)[0]
-        new_bufs = []
-        for kind, w, b in self.stages:
-            if kind == "dw":
-                window = np.concatenate([bufs[len(new_bufs)], h], axis=1)
-                h = (window * w.value.T).sum(axis=1, keepdims=True) + b.value
-                new_bufs.append(window[:, 1:, :])
-            else:
-                h = h @ w.value + b.value
+        window = np.concatenate([buf, h], axis=1)
+        h = (window * self.dw_w.value.T).sum(axis=1, keepdims=True) @ self.pw_w.value
         h = batch_norm_eval_array(h, self.bn_gain.value, self.bn_bias.value, self.bn_state)[0]
-        return x_t + swish_array(h)[0], new_bufs
+        return x_t + swish_array(h)[0], window[:, 1:, :]

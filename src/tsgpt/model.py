@@ -28,12 +28,13 @@ from __future__ import annotations
 import contextlib
 import functools
 import hashlib
+import io
 import json
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .convolution import CONV_VARIANTS, ConvSubsampler, TemporalConvModule, subsampled_length
+from .convolution import ConvSubsampler, TemporalConvModule, subsampled_length
 from .datagen import SequenceBatch
 from .errors import CheckpointError, ConfigError, DataError, InputError, TaskError
 from .positional import DecaySchedule, RotaryAngles, merge_heads, rotate_array, rotation_tables, xpos_qk, _split_heads
@@ -68,6 +69,7 @@ from .tensor import (
 )
 
 HEAD_KINDS = ("next_token", "classification", "regression")
+CHECKPOINT_FORMAT = "tsgpt-ckpt-v2"
 
 
 def _untaped_in_eval(method):
@@ -93,7 +95,6 @@ class ModelConfig:
     chunk_size: int = 64
     gamma: float | None = None  # scalar override; None -> per-head schedule
     rotation_base: float = 10000.0
-    conv_variant: str = "depthwise_pointwise"
     conv_kernel: int = 15
     retention_norm: bool = True
     output_gate: bool = False
@@ -120,8 +121,8 @@ class ModelConfig:
             raise ConfigError(f"chunk_size must be >= 1, got {self.chunk_size}")
         if self.d_q % 2 != 0 and not self.no_rotation:
             raise ConfigError(f"rotary embedding needs even d_q, got {self.d_q}")
-        if self.conv_variant not in CONV_VARIANTS:
-            raise ConfigError(f"unknown conv_variant {self.conv_variant!r}")
+        if self.conv_kernel < 1:
+            raise ConfigError(f"conv_kernel must be >= 1, got {self.conv_kernel}")
         if self.head_kind not in HEAD_KINDS:
             raise ConfigError(f"unknown head_kind {self.head_kind!r}")
         if self.no_rotation and not self.no_decay:
@@ -228,7 +229,7 @@ class DecoderLayer:
         self.w_gate = u("w_gate", (d, wv), d) if cfg.output_gate else None
         self.w_o = u("w_o", (wv, d), wv)
         self.b_o = Tensor(np.zeros(d))
-        self.tconv = None if cfg.no_temporal_conv else TemporalConvModule(d, cfg.conv_kernel, cfg.conv_variant, rng.child("tconv"))
+        self.tconv = None if cfg.no_temporal_conv else TemporalConvModule(d, cfg.conv_kernel, rng.child("tconv"))
         self.ln2_gain = Tensor(np.ones(d))
         self.ln2_bias = Tensor(np.zeros(d))
         f = cfg.ffn_expansion * d
@@ -295,20 +296,20 @@ class DecoderLayer:
         r, state = self._retention_inner(layer_norm(x, self.ln1_gain, self.ln1_bias), positions, form)
         x = add(x, r)
         if self.tconv is not None:
-            x = self.tconv.forward(x, train=train, valid=valid, update_stats=train, capture=capture)
+            x = self.tconv.forward(x, train=train, valid=valid, capture=capture)
         x = add(x, self._ffn(x))
         return x, state
 
-    def step(self, x_t: np.ndarray, position: int, state: RetentionState, conv_bufs: list[np.ndarray] | None):
+    def step(self, x_t: np.ndarray, position: int, state: RetentionState, conv_buf: np.ndarray | None):
         """One-token eval-mode continuation on plain arrays; O(1) in the prefix length.
 
         x_t: [B, 1, d_model], the token at integer ``position``.  ``state``
         holds the retention state as a plain array ``s`` [B, heads, d_q, d_v]
-        after the token at ``state.last_t``; ``conv_bufs`` are the temporal
-        block's depth-wise buffers.  Each float operation is the one the
+        after the token at ``state.last_t``; ``conv_buf`` is the temporal
+        block's depth-wise buffer.  Each float operation is the one the
         Tensor ops run for the recurrent form on one token, in the same
         order, so the outputs are bitwise theirs.  Returns (x, state,
-        conv_bufs), all plain arrays.
+        conv_buf), all plain arrays.
         """
         cfg = self.cfg
         h = layer_norm_array(x_t, self.ln1_gain.value, self.ln1_bias.value)[0]
@@ -326,11 +327,11 @@ class DecoderLayer:
             r = r * swish_array(h @ self.w_gate.value)[0]
         x = x_t + (r @ self.w_o.value + self.b_o.value)
         if self.tconv is not None:
-            x, conv_bufs = self.tconv.step(x, conv_bufs)
+            x, conv_buf = self.tconv.step(x, conv_buf)
         h = layer_norm_array(x, self.ln2_gain.value, self.ln2_bias.value)[0]
         h = swish_array(h @ self.ffn_w1.value + self.ffn_b1.value)[0]
         x = x + (h @ self.ffn_w2.value + self.ffn_b2.value)
-        return x, RetentionState(s, position), conv_bufs
+        return x, RetentionState(s, position), conv_buf
 
 
 def _heads_array(x: np.ndarray, heads: int) -> np.ndarray:
@@ -383,11 +384,10 @@ class Model:
     def named_norm_stats(self) -> list[tuple[str, np.ndarray]]:
         out = []
         for i, layer in enumerate(self.layers):
-            if layer.tconv is not None and layer.tconv.bn_state is not None:
+            if layer.tconv is not None and layer.tconv.bn_state.running_mean is not None:
                 st = layer.tconv.bn_state
-                if st.running_mean is not None:
-                    out.append((f"layer{i}.tconv.bn_mean", st.running_mean))
-                    out.append((f"layer{i}.tconv.bn_var", st.running_var))
+                out.append((f"layer{i}.tconv.bn_mean", st.running_mean))
+                out.append((f"layer{i}.tconv.bn_var", st.running_var))
         return out
 
     # -- encoding ------------------------------------------------------------
@@ -559,7 +559,7 @@ class Model:
 
         capture: list[dict] = []
         x, states, pos = self.encode(prompt, train=False, want_states=True, capture=capture)
-        conv_bufs = [cap.get("dw_inputs") for cap in capture]
+        conv_bufs = [cap.get("dw_input") for cap in capture]
         position = int(pos[-1])
         preds = [self._head(x[:, -1:, :]).value]  # each [B, 1, V]
         # the last prediction needs no step after it
@@ -576,62 +576,67 @@ class Model:
     def save(self, path) -> None:
         params = self.named_params()
         stats = self.named_norm_stats()
+        buf = io.BytesIO()
+        for arr in [p.value for _, p in params] + [st for _, st in stats]:
+            write_ndar1(buf, arr)
+        payload = buf.getvalue()
         header = {
-            "format": "tsgpt-ckpt-v1",
+            "format": CHECKPOINT_FORMAT,
             "config": self.cfg.to_dict(),
             "config_hash": self.cfg.config_hash(),
             "backbone_hash": self.cfg.backbone_hash(),
             "params": [n for n, _ in params],
             "norm_stats": [n for n, _ in stats],
+            "payload_sha256": hashlib.sha256(payload).hexdigest(),
         }
         with open(path, "wb") as fh:
-            fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-            for _, p in params:
-                write_ndar1(fh, p.value)
-            for _, a in stats:
-                write_ndar1(fh, a)
+            fh.write(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
 
     @classmethod
     def load(cls, path) -> "Model":
         """Read a checkpoint written by :meth:`save`.  Anything but exactly
-        that (unreadable or incomplete header, a record that does not match
-        the config, bytes after the last record) raises CheckpointError."""
-        with open(path, "rb") as fh:
-            try:
-                header = json.loads(fh.readline().decode())
-            except ValueError as e:  # UnicodeDecodeError, JSONDecodeError
-                raise CheckpointError(f"checkpoint {path} has an unreadable header: {e}")
-            if not isinstance(header, dict) or header.get("format") != "tsgpt-ckpt-v1":
-                raise CheckpointError(f"unrecognized checkpoint format in {path}")
-            missing = [k for k in ("config", "config_hash", "params", "norm_stats") if k not in header]
-            if missing:
-                raise CheckpointError(f"checkpoint {path} header lacks {missing}")
-            try:
-                cfg = ModelConfig(**header["config"])
-            except (TypeError, ConfigError) as e:
-                raise CheckpointError(f"checkpoint {path} has an invalid model config: {e}")
-            if cfg.config_hash() != header["config_hash"]:
-                raise CheckpointError("checkpoint config hash mismatch")
-            model = cls(cfg)
-            params = model.named_params()
-            if [n for n, _ in params] != header["params"]:
-                raise CheckpointError("checkpoint parameter manifest does not match the config")
-            bn_layers = [(i, layer.tconv.bn_state) for i, layer in enumerate(model.layers)
-                         if layer.tconv is not None and layer.tconv.bn_state is not None]
-            stat_names = [f"layer{i}.tconv.{kind}" for i, _ in bn_layers for kind in ("bn_mean", "bn_var")]
-            if header["norm_stats"] not in ([], stat_names):
-                raise CheckpointError("checkpoint batch-norm statistics do not match the config")
-            try:
-                for name, p in params:
-                    arr = read_ndar1(fh)
-                    if arr.shape != p.value.shape:
-                        raise CheckpointError(f"parameter {name}: shape {arr.shape} != {p.value.shape}")
-                    p.value = arr
-                stats = [read_ndar1(fh) for _ in header["norm_stats"]]
-            except DataError as e:
-                raise CheckpointError(f"checkpoint {path}: {e}")
-            if fh.read(1):
-                raise CheckpointError(f"checkpoint {path} has bytes after its last record")
+        that (unreadable or incomplete header, a payload whose sha256 is not
+        the header's, a record that does not match the config, bytes after
+        the last record) raises CheckpointError."""
+        with open(path, "rb") as f:
+            line, payload = f.readline(), f.read()
+        try:
+            header = json.loads(line.decode())
+        except ValueError as e:  # UnicodeDecodeError, JSONDecodeError
+            raise CheckpointError(f"checkpoint {path} has an unreadable header: {e}")
+        if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
+            raise CheckpointError(f"unrecognized checkpoint format in {path}")
+        missing = [k for k in ("config", "config_hash", "params", "norm_stats", "payload_sha256") if k not in header]
+        if missing:
+            raise CheckpointError(f"checkpoint {path} header lacks {missing}")
+        if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
+            raise CheckpointError(f"checkpoint {path}: payload sha256 mismatch (corrupt or truncated file)")
+        try:
+            cfg = ModelConfig(**header["config"])
+        except (TypeError, ConfigError) as e:
+            raise CheckpointError(f"checkpoint {path} has an invalid model config: {e}")
+        if cfg.config_hash() != header["config_hash"]:
+            raise CheckpointError("checkpoint config hash mismatch")
+        model = cls(cfg)
+        params = model.named_params()
+        if [n for n, _ in params] != header["params"]:
+            raise CheckpointError("checkpoint parameter manifest does not match the config")
+        bn_layers = [(i, layer.tconv.bn_state) for i, layer in enumerate(model.layers) if layer.tconv is not None]
+        stat_names = [f"layer{i}.tconv.{kind}" for i, _ in bn_layers for kind in ("bn_mean", "bn_var")]
+        if header["norm_stats"] not in ([], stat_names):
+            raise CheckpointError("checkpoint batch-norm statistics do not match the config")
+        fh = io.BytesIO(payload)
+        try:
+            for name, p in params:
+                arr = read_ndar1(fh)
+                if arr.shape != p.value.shape:
+                    raise CheckpointError(f"parameter {name}: shape {arr.shape} != {p.value.shape}")
+                p.value = arr
+            stats = [read_ndar1(fh) for _ in header["norm_stats"]]
+        except DataError as e:
+            raise CheckpointError(f"checkpoint {path}: {e}")
+        if fh.read(1):
+            raise CheckpointError(f"checkpoint {path} has bytes after its last record")
         if any(a.shape != (cfg.d_model,) for a in stats):
             raise CheckpointError(f"checkpoint {path}: batch-norm statistics must have shape ({cfg.d_model},)")
         for (_, st), mean, var in zip(bn_layers, stats[0::2], stats[1::2]):
@@ -649,12 +654,7 @@ class Model:
             p.value = mine[name].value.copy()
         for i, layer in enumerate(out.layers):
             src = self.layers[i]
-            if (
-                layer.tconv is not None
-                and src.tconv is not None
-                and src.tconv.bn_state is not None
-                and src.tconv.bn_state.running_mean is not None
-            ):
+            if layer.tconv is not None and src.tconv.bn_state.running_mean is not None:
                 layer.tconv.bn_state.running_mean = src.tconv.bn_state.running_mean.copy()
                 layer.tconv.bn_state.running_var = src.tconv.bn_state.running_var.copy()
         return out

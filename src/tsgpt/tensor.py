@@ -98,14 +98,11 @@ class Tensor:
 
     def __truediv__(self, other):
         if isinstance(other, Tensor):
-            return mul(self, power(other, -1.0))
+            raise ContractError("Tensor division: the divisor must be a constant")
         return mul(self, 1.0 / as_f64(other))
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __pow__(self, p):
-        return power(self, p)
 
     def __getitem__(self, idx):
         return getitem(self, idx)
@@ -194,20 +191,6 @@ def mul(a, b) -> Tensor:
             _accum(b, _unbroadcast(g * av, bv.shape))
 
     return Tensor(av * bv, parents, back)
-
-
-def power(x, p) -> Tensor:
-    xv = _val(x)
-    if isinstance(p, Tensor):
-        raise ContractError("power: exponent must be a constant scalar")
-    p = float(p)
-    out = xv**p
-
-    def back(g):
-        if isinstance(x, Tensor):
-            _accum(x, g * p * xv ** (p - 1.0))
-
-    return Tensor(out, (x,) if isinstance(x, Tensor) else (), back)
 
 
 def swish_array(xv: Array) -> tuple[Array, Array]:
@@ -564,7 +547,7 @@ def conv1d(x, w, bias=None, stride: int = 1, pad_left: int | None = None) -> Ten
     return Tensor(out, parents, back)
 
 
-def depthwise_conv1d(x, w, bias=None) -> Tensor:
+def depthwise_conv1d(x, w) -> Tensor:
     """Per-channel causal convolution: x [B, L, C], w [C, k] -> [B, L, C].
 
     No channel mixing; output at t reads inputs t-k+1 .. t.
@@ -580,15 +563,9 @@ def depthwise_conv1d(x, w, bias=None) -> Tensor:
     out = np.zeros_like(xv)
     for j in range(k):
         out += xp[:, j : j + L, :] * wv[:, j]
-    bv = None
-    if bias is not None:
-        bv = _val(bias)
-        out += bv
-    parents = tuple(t for t in (x, w, bias) if isinstance(t, Tensor))
+    parents = tuple(t for t in (x, w) if isinstance(t, Tensor))
 
     def back(g):
-        if isinstance(bias, Tensor):
-            _accum(bias, _unbroadcast(g, bv.shape))
         if isinstance(w, Tensor):
             gw = np.zeros_like(wv)
             for j in range(k):

@@ -102,7 +102,7 @@ def _snapshot(model) -> tuple[dict[str, Array], list[tuple[Array, Array]]]:
     params = {n: p.value.copy() for n, p in model.named_params()}
     stats = []
     for layer in model.layers:
-        if layer.tconv is not None and layer.tconv.bn_state is not None and layer.tconv.bn_state.running_mean is not None:
+        if layer.tconv is not None and layer.tconv.bn_state.running_mean is not None:
             stats.append((layer.tconv.bn_state.running_mean.copy(), layer.tconv.bn_state.running_var.copy()))
         else:
             stats.append(None)

@@ -115,26 +115,18 @@ def generate_by_reencoding(model, prompt, horizon: int) -> np.ndarray:
     return np.concatenate(preds, axis=1)
 
 
-def _tconv_tensor_step(m, x_t: Tensor, bufs):
-    """``TemporalConvModule.step`` through the Tensor ops: each depth-wise
+def _tconv_tensor_step(m, x_t: Tensor, buf):
+    """``TemporalConvModule.step`` through the Tensor ops: the depth-wise
     stage convolves buffer plus token and keeps the last output row."""
-    if m.variant == "none":
-        return x_t, bufs
     h = layer_norm(x_t, m.ln_gain, m.ln_bias)
-    new_bufs = []
-    for kind, w, b in m.stages:
-        if kind == "dw":
-            window = np.concatenate([bufs[len(new_bufs)], h.value], axis=1)
-            out = depthwise_conv1d(Tensor(window), w, b)
-            h = out[:, out.shape[1] - 1 :, :]
-            new_bufs.append(window[:, 1:, :])
-        else:
-            h = add(matmul(h, w), b)
+    window = np.concatenate([buf, h.value], axis=1)
+    out = depthwise_conv1d(Tensor(window), m.dw_w)
+    h = matmul(out[:, out.shape[1] - 1 :, :], m.pw_w)
     h = batch_norm(h, m.bn_gain, m.bn_bias, m.bn_state, train=False)
-    return add(x_t, swish(h)), new_bufs
+    return add(x_t, swish(h)), window[:, 1:, :]
 
 
-def _layer_tensor_step(layer, x_t: Tensor, position: int, state: RetentionState, bufs):
+def _layer_tensor_step(layer, x_t: Tensor, position: int, state: RetentionState, buf):
     """``DecoderLayer.step`` through the Tensor ops: rotary q/k, one
     recurrent retention update, the temporal block and the feed-forward."""
     cfg = layer.cfg
@@ -151,8 +143,8 @@ def _layer_tensor_step(layer, x_t: Tensor, position: int, state: RetentionState,
         r = mul(r, swish(matmul(h, layer.w_gate)))
     x = add(x_t, add(matmul(r, layer.w_o), layer.b_o))
     if layer.tconv is not None:
-        x, bufs = _tconv_tensor_step(layer.tconv, x, bufs)
-    return add(x, layer._ffn(x)), state, bufs
+        x, buf = _tconv_tensor_step(layer.tconv, x, buf)
+    return add(x, layer._ffn(x)), state, buf
 
 
 def generate_by_tensor_steps(model, prompt, horizon: int) -> np.ndarray:
@@ -162,7 +154,7 @@ def generate_by_tensor_steps(model, prompt, horizon: int) -> np.ndarray:
     with no_grad():
         capture = []
         x, states, pos = model.encode(prompt, train=False, want_states=True, capture=capture)
-        bufs = [cap.get("dw_inputs") for cap in capture]
+        bufs = [cap.get("dw_input") for cap in capture]
         position = int(pos[-1])
         preds = [model._head(x[:, -1:, :]).value]
         for _ in range(horizon - 1):

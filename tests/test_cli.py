@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -191,6 +192,39 @@ def test_classify_with_outdated_checkpoint_config_exits_three(tmp_path, capsys):
     assert "invalid model config" in capsys.readouterr().err
 
 
+def test_classify_with_invalid_conv_kernel_in_checkpoint_exits_three(tmp_path, capsys):
+    cfg = ModelConfig(layers=1, heads=1, d_q=2, d_v=2, n_inputs=4, conv_kernel=3, discrete=True,
+                      no_subsampler=True, head_kind="classification")
+    ckpt = tmp_path / "clf.ckpt"
+    Model(cfg).save(ckpt)
+    line, payload = ckpt.read_bytes().split(b"\n", 1)
+    header = json.loads(line)
+    header["config"]["conv_kernel"] = 0
+    # a config hash that matches the edited config, so only the value is wrong
+    header["config_hash"] = hashlib.sha256(json.dumps(header["config"], sort_keys=True).encode()).hexdigest()[:16]
+    ckpt.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
+    rc = main(["classify", "--checkpoint", str(ckpt), "--data", str(tmp_path / "cohort.jsonl"),
+               "--out", str(tmp_path / "x")])
+    assert rc == 3
+    assert "conv_kernel must be >= 1" in capsys.readouterr().err
+
+
+def test_bit_flip_in_checkpoint_payload_exits_three(tmp_path, capsys):
+    m = Model(ModelConfig(**TINY_MODEL))
+    m.encode(SequenceBatch(values=Rng(1).normal((2, 16, 1))), train=True)  # batch-norm statistics
+    ckpt, data = tmp_path / "model.ckpt", tmp_path / "sig.ndar"
+    m.save(ckpt)
+    save_tensor(data, Rng(2).normal((2, 32, 1)))
+    args = ["forecast", "--checkpoint", str(ckpt), "--data", str(data), "--horizon", "2", "--out", str(tmp_path / "f")]
+    assert main(args) == 0
+    capsys.readouterr()
+    raw = bytearray(ckpt.read_bytes())
+    raw[-3] ^= 0x01  # a mantissa bit of the last value of the last record
+    ckpt.write_bytes(bytes(raw))
+    assert main(args) == 3
+    assert "sha256 mismatch" in capsys.readouterr().err
+
+
 def test_eval_on_checkpoint_saved_before_training_exits_three(tmp_path, capsys):
     ckpt = tmp_path / "untrained.ckpt"
     Model(ModelConfig(no_subsampler=True)).save(ckpt)
@@ -284,6 +318,16 @@ def test_usage_errors_exit_two(tmp_path):
         "model": dict(TINY_MODEL, retention_form="parallel"), "data": str(tmp_path / "nope.ndar"),
     })
     assert main(["pretrain", "--config", old, "--out", str(tmp_path / "o3")]) == 2
+    not_object = write_json(tmp_path / "ab.json", {"model": 5, "data": str(tmp_path / "nope.ndar")})
+    assert main(["ablate", "--config", not_object, "--out", str(tmp_path / "o4")]) == 2
+
+
+def test_config_naming_conv_variant_exits_two(tmp_path, capsys):
+    cfg = write_json(tmp_path / "pre.json", {
+        "model": dict(TINY_MODEL, conv_variant="depthwise_pointwise"), "data": str(tmp_path / "nope.ndar"),
+    })
+    assert main(["pretrain", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "conv_variant" in capsys.readouterr().err
 
 
 def test_unknown_spec_field_exits_two(tmp_path, capsys):

@@ -3,13 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsgpt.convolution import (
-    CONV_VARIANTS,
-    ConvSubsampler,
-    TemporalConvModule,
-    subsampled_length,
-)
-from tsgpt.errors import ConfigError, InputError
+from tsgpt.convolution import ConvSubsampler, TemporalConvModule, subsampled_length
+from tsgpt.errors import InputError
 from tsgpt.tensor import Rng, Tensor, depthwise_conv1d
 
 
@@ -65,17 +60,25 @@ def test_subsampler_is_causal_at_token_granularity():
     assert np.any(base[0, 5:] != pert[0, 5:])
 
 
+def test_temporal_conv_parameters_are_the_six_of_its_one_layout():
+    m = TemporalConvModule(4, 5, Rng(4))
+    assert [n for n, _ in m.named_params()] == [
+        "ln_gain", "ln_bias", "stage0_dw_w", "stage1_pw_w", "bn_gain", "bn_bias",
+    ]
+    assert m.dw_w.shape == (4, 5) and m.pw_w.shape == (4, 4)
+
+
 def test_temporal_conv_zero_weights_is_pure_residual():
-    m = TemporalConvModule(4, 5, "depthwise_pointwise", Rng(4))
-    for _, w, _ in m.stages:
-        w.value[:] = 0.0
+    m = TemporalConvModule(4, 5, Rng(4))
+    m.dw_w.value[:] = 0.0
+    m.pw_w.value[:] = 0.0
     x = Rng(5).normal((2, 6, 4))
     out = m.forward(Tensor(x), train=True)
     assert np.max(np.abs(out.value - x)) < 1e-12
 
 
 def test_temporal_conv_impulse_causality_eval_mode():
-    m = TemporalConvModule(3, 5, "depthwise_pointwise", Rng(6))
+    m = TemporalConvModule(3, 5, Rng(6))
     # prime batch-norm statistics on zero input so BN(0) = 0 in eval
     m.bn_state.momentum = 1.0
     m.forward(Tensor(np.zeros((1, 8, 3))), train=True)
@@ -87,7 +90,7 @@ def test_temporal_conv_impulse_causality_eval_mode():
 
 
 def test_temporal_conv_eval_before_train_raises():
-    m = TemporalConvModule(3, 5, "depthwise_pointwise", Rng(7))
+    m = TemporalConvModule(3, 5, Rng(7))
     with pytest.raises(Exception) as ei:
         m.forward(Tensor(np.zeros((1, 8, 3))), train=False)
     assert "statistics" in str(ei.value)
@@ -111,12 +114,15 @@ def test_depthwise_stage_channel_purity():
 
 
 def test_pointwise_stage_time_purity():
-    # the point-wise stage is a per-token linear map: time t output depends
-    # only on time t input
+    # with identity depth-wise taps (last tap 1, the rest 0) every other
+    # part of the block is per-token, so time t output depends only on
+    # time t input through the point-wise stage
     rng = Rng(9)
-    m = TemporalConvModule(4, 5, "pointwise_only", Rng(10))
+    m = TemporalConvModule(4, 5, Rng(10))
+    m.dw_w.value[:] = 0.0
+    m.dw_w.value[:, -1] = 1.0
     m.bn_state.momentum = 1.0
-    m.forward(Tensor(np.zeros((1, 8, 4))), train=True)
+    m.forward(Tensor(rng.normal((1, 8, 4))), train=True)
     x = rng.normal((1, 8, 4))
     base = m.forward(Tensor(x), train=False).value
     xp = x.copy()
@@ -127,32 +133,17 @@ def test_pointwise_stage_time_purity():
     assert not changed[:3].any() and not changed[4:].any()
 
 
-def test_variant_none_is_identity():
-    m = TemporalConvModule(4, 15, "none", Rng(11))
-    x = Rng(12).normal((2, 6, 4))
-    out = m.forward(Tensor(x), train=True)
-    np.testing.assert_array_equal(out.value, x)
-    assert m.named_params() == []
-
-
-def test_unknown_variant_rejected():
-    with pytest.raises(ConfigError):
-        TemporalConvModule(4, 15, "strided_magic", Rng(13))
-
-
-@pytest.mark.parametrize("variant", CONV_VARIANTS)
-def test_all_variants_preserve_shape(variant):
+def test_temporal_conv_preserves_shape():
     rng = Rng(14)
-    m = TemporalConvModule(6, 5, variant, rng)
+    m = TemporalConvModule(6, 5, rng)
     x = rng.normal((3, 9, 6))
     out = m.forward(Tensor(x), train=True)
     assert out.shape == x.shape
 
 
-@pytest.mark.parametrize("variant", [v for v in CONV_VARIANTS if v != "none"])
-def test_all_variants_causal_in_eval(variant):
+def test_temporal_conv_causal_in_eval():
     rng = Rng(15)
-    m = TemporalConvModule(4, 5, variant, rng)
+    m = TemporalConvModule(4, 5, rng)
     m.bn_state.momentum = 1.0
     prime = rng.normal((2, 10, 4))
     m.forward(Tensor(prime), train=True)
@@ -164,20 +155,18 @@ def test_all_variants_causal_in_eval(variant):
     np.testing.assert_array_equal(base[0, :6], pert[0, :6])
 
 
-@pytest.mark.parametrize("variant", CONV_VARIANTS)
-def test_step_continues_forward_token_by_token(variant):
-    # the buffers captured from a prefix plus one step per token reproduce
+def test_step_continues_forward_token_by_token():
+    # the buffer captured from a prefix plus one step per token reproduces
     # the eval-mode forward over the whole sequence
     rng = Rng(16)
-    m = TemporalConvModule(4, 5, variant, Rng(17))
-    if m.bn_state is not None:
-        m.forward(Tensor(rng.normal((2, 12, 4))), train=True)
+    m = TemporalConvModule(4, 5, Rng(17))
+    m.forward(Tensor(rng.normal((2, 12, 4))), train=True)
     x = rng.normal((2, 9, 4))
     want = m.forward(Tensor(x), train=False).value
     capture = {}
     m.forward(Tensor(x[:, :2]), train=False, capture=capture)
-    bufs = capture["dw_inputs"]
-    assert all(b.shape == (2, 4, 4) for b in bufs)
+    buf = capture["dw_input"]
+    assert buf.shape == (2, 4, 4)
     for t in range(2, 9):
-        out, bufs = m.step(x[:, t : t + 1], bufs)
+        out, buf = m.step(x[:, t : t + 1], buf)
         np.testing.assert_allclose(out, want[:, t : t + 1], rtol=1e-12, atol=1e-12)

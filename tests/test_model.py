@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tsgpt.convolution import CONV_VARIANTS, subsampled_length
+from tsgpt.convolution import subsampled_length
 from tsgpt.datagen import EventCohortSpec, SequenceBatch, SignalSpec, gen_cohort, gen_signal
 from tsgpt.errors import CheckpointError, ConfigError, ContractError, InputError, TaskError
 from tsgpt.experiments import VANILLA_FLAGS, irregular_model
@@ -49,8 +49,6 @@ def test_config_discrete_requires_no_subsampler():
 
 
 def test_config_unknown_enums():
-    with pytest.raises(ConfigError):
-        ModelConfig(conv_variant="bogus")
     with pytest.raises(ConfigError):
         ModelConfig(head_kind="segmentation")
 
@@ -400,11 +398,11 @@ def test_generate_steps_only_while_tokens_remain(monkeypatch):
         assert len(calls) == m.cfg.layers * (horizon - 1)
 
 
-# (config, raw prompt length): every conv variant, each ablation flag that
-# changes the decode step, the tokenizer, the cohort model, and prompts
-# shorter than the depth-wise buffer.
+# (config, raw prompt length): the depth-wise -> point-wise temporal block,
+# each ablation flag that changes the decode step, the tokenizer, the cohort
+# model, and prompts shorter than the depth-wise buffer.
 STEP_CASES = {
-    **{f"conv-{v}": (tiny_cfg(no_subsampler=True, conv_variant=v), 24) for v in CONV_VARIANTS},
+    "conv-depthwise_pointwise": (tiny_cfg(no_subsampler=True), 24),
     "no-temporal-conv": (tiny_cfg(no_subsampler=True, no_temporal_conv=True), 24),
     "gate-without-norm": (tiny_cfg(no_subsampler=True, output_gate=True, retention_norm=False), 24),
     "vanilla": (tiny_cfg(no_subsampler=True, **VANILLA_FLAGS), 24),
@@ -440,7 +438,7 @@ def test_generate_equals_tensor_step_oracle(case, batch_size):
 
 
 def test_generate_builds_few_tensors_per_token(monkeypatch):
-    cfg, length = STEP_CASES["conv-pointwise_depthwise_pointwise"]
+    cfg, length = STEP_CASES["conv-depthwise_pointwise"]
     m = perturbed_model(replace(cfg, output_gate=True), "budget")
     built = [0]
     init = Tensor.__init__
@@ -524,9 +522,10 @@ def test_checkpoint_rejects_config_the_model_rejects(tmp_path):
     p = tmp_path / "model.ckpt"
     Model(tiny_cfg()).save(p)
     line, payload = p.read_bytes().split(b"\n", 1)
-    # an unknown key (checkpoints of earlier versions carry retention_form)
-    # and a value ModelConfig refuses
-    for key, value in (("retention_form", "parallel"), ("heads", 0)):
+    # unknown keys (checkpoints of earlier versions carry retention_form or
+    # conv_variant) and values ModelConfig refuses
+    for key, value in (("retention_form", "parallel"), ("conv_variant", "depthwise_pointwise"),
+                       ("heads", 0), ("conv_kernel", 0)):
         header = json.loads(line)
         header["config"][key] = value
         p.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)

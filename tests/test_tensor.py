@@ -66,6 +66,13 @@ def test_backward_rejects_nonscalar():
         T.backward(T.mul(p, 2.0))
 
 
+def test_division_takes_a_constant_divisor_only():
+    p = Tns(np.array([2.0, 4.0]))
+    np.testing.assert_array_equal((p / 2.0).value, [1.0, 2.0])
+    with pytest.raises(ContractError, match="divisor"):
+        p / Tns(np.array([1.0, 2.0]))
+
+
 def test_backward_visits_each_node_once():
     p = Tns(np.ones(4))
     q = T.mul(p, 3.0)
@@ -161,7 +168,6 @@ def test_gradients_elementwise_suite(seed):
     y = rng.normal((3, 4))
     _fd_check(lambda a, b: T.tsum(T.mul(T.add(a, b), T.sub(a, b))), [x, y])
     _fd_check(lambda a: T.tsum(T.swish(a)), [x])
-    _fd_check(lambda a: T.tsum(T.power(T.add(T.mul(a, a), 1.0), 0.5)), [x])
     _fd_check(lambda a: T.tsum(T.log_softmax(a)), [x])
 
 
@@ -173,7 +179,7 @@ def test_gradients_matmul_and_shapes(seed):
     _fd_check(lambda x, y: T.tsum(T.matmul(x, y)), [a, b])
     _fd_check(lambda x: T.tsum(T.mul(T.swapaxes(x, -1, -2), 2.0)), [a])
     _fd_check(lambda x: T.tsum(T.reshape(x, (6, 4))), [a])
-    _fd_check(lambda x: T.tsum(T.power(x[..., 1:3, :], 2.0)), [a])
+    _fd_check(lambda x: T.tsum(T.mul(x[..., 1:3, :], x[..., 1:3, :])), [a])
     _fd_check(lambda x, y: T.tsum(T.concat([x, T.matmul(x, T.matmul(y, T.swapaxes(y, -1, -2)))], axis=-1)), [a, b])
     _fd_check(lambda x: T.tsum(T.broadcast_to(T.tsum(x, axis=1, keepdims=True), x.shape)), [a])
 
@@ -187,8 +193,7 @@ def test_gradients_norms_and_convs(seed):
     _fd_check(lambda a, g, b: T.tsum(T.layer_norm(a, g, b)), [x, gain, bias])
 
     wdw = rng.normal((4, 3))
-    bdw = rng.normal((4,))
-    _fd_check(lambda a, w, b: T.tsum(T.swish(T.depthwise_conv1d(a, w, b))), [x, wdw, bdw])
+    _fd_check(lambda a, w: T.tsum(T.swish(T.depthwise_conv1d(a, w))), [x, wdw])
 
     wc = rng.normal((6, 4, 3))
     bc = rng.normal((6,))
@@ -256,7 +261,12 @@ def test_getitem_gradient_accumulates_repeated_and_sliced_entries():
     np.testing.assert_array_equal(y.grad, want)
 
     rng = T.Rng(9)
-    _fd_check(lambda a: T.tsum(T.power(T.add(a[1:, ::2], a[[0, 0], 1::2]), 2.0)), [rng.normal((3, 4))])
+
+    def squared_slice_sum(a):
+        s = T.add(a[1:, ::2], a[[0, 0], 1::2])
+        return T.tsum(T.mul(s, s))
+
+    _fd_check(squared_slice_sum, [rng.normal((3, 4))])
     _fd_check(lambda a: T.tsum(T.mul(a[:, [2, 0, 2]], a[..., 1:2])), [rng.normal((2, 3))])
 
 
