@@ -66,6 +66,18 @@ def _require(cfg: dict, key: str, context: str):
     return cfg[key]
 
 
+def _scalar(cfg: dict, key: str, kind: type, default=None):
+    """``cfg[key]``, or ``default`` when absent: a JSON integer when ``kind``
+    is int, any JSON number when it is float (never a boolean); anything else
+    is a UsageError."""
+    if key not in cfg:
+        return default
+    value = cfg[key]
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        raise UsageError(f"config field {key!r} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+    return value
+
+
 def _from_section(cls, section, context: str, seed: int | None = None, **fields):
     """``cls(**section, **fields)``, with ``seed`` set when given; a section
     that is not an object or names a field ``cls`` does not take is a
@@ -147,7 +159,7 @@ def _eval_inputs(args, command: str) -> tuple[dict, str, str]:
 def _load_trained(path) -> Model:
     """Load a checkpoint for eval, which reads the batch-norm running statistics."""
     model = Model.load(path)
-    if any(layer.tconv is not None and layer.tconv.bn_state.running_mean is None for layer in model.layers):
+    if any(layer.tconv is not None for layer in model.layers) and not model.named_norm_stats():
         raise CheckpointError(f"checkpoint {path} holds no batch-norm statistics: it was saved before any training step")
     return model
 
@@ -167,7 +179,7 @@ def _write_metric_csv(path, rows: list[tuple[str, float]]) -> None:
 
 def cmd_gen(args) -> int:
     cfg = _load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    seed = args.seed if args.seed is not None else _scalar(cfg, "seed", int, 0)
     os.makedirs(args.out, exist_ok=True)
     kind = _require(cfg, "kind", "gen")
     t0 = time.perf_counter()
@@ -217,13 +229,16 @@ def cmd_gen(args) -> int:
 
 
 def _split_three(batch, cfg, seed):
-    fracs = tuple(cfg.get("splits", (0.8, 0.1, 0.1)))
-    return dg.split(batch, fracs, seed=cfg.get("split_seed", seed))
+    fracs = cfg.get("splits", [0.8, 0.1, 0.1])
+    if not isinstance(fracs, list) or len(fracs) != 3:
+        raise UsageError(f"config field 'splits' must be a list of three numbers, got {fracs!r}")
+    fracs = tuple(_scalar({"splits": f}, "splits", float) for f in fracs)
+    return dg.split(batch, fracs, seed=_scalar(cfg, "split_seed", int, seed))
 
 
 def cmd_pretrain(args) -> int:
     cfg = _load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    seed = args.seed if args.seed is not None else _scalar(cfg, "seed", int, 0)
     os.makedirs(args.out, exist_ok=True)
     model_cfg = _from_section(ModelConfig, _require(cfg, "model", "pretrain"), "model", seed)
     sched = _from_section(TrainSchedule, cfg.get("train", {}), "train", seed)
@@ -250,7 +265,7 @@ def cmd_pretrain(args) -> int:
 
 def cmd_finetune(args) -> int:
     cfg = _load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    seed = args.seed if args.seed is not None else _scalar(cfg, "seed", int, 0)
     os.makedirs(args.out, exist_ok=True)
     if not args.checkpoint:
         raise UsageError("finetune needs --checkpoint")
@@ -268,11 +283,12 @@ def cmd_finetune(args) -> int:
     t0 = time.perf_counter()
     batch = _load_batch(data_path, pretrained.cfg)
     tr, va, te = _split_three(batch, cfg, seed)
-    if cfg.get("subset_fraction"):
-        tr = dg.finetune_subset(tr, float(cfg["subset_fraction"]), seed=seed)
+    fraction = _scalar(cfg, "subset_fraction", float)
+    if fraction:
+        tr = dg.finetune_subset(tr, fraction, seed=seed)
     t_load = time.perf_counter() - t0
 
-    n_classes = int(cfg.get("n_classes", int(batch.labels.max()) + 1 if batch.labels is not None else 2))
+    n_classes = _scalar(cfg, "n_classes", int, int(batch.labels.max()) + 1 if batch.labels is not None else 2)
     model = pretrained.with_head(head, n_classes=n_classes)
 
     def metric_fn(m, val_batch):
@@ -310,9 +326,9 @@ def cmd_finetune(args) -> int:
 
 def cmd_forecast(args) -> int:
     cfg, checkpoint, data = _eval_inputs(args, "forecast")
-    horizon = args.horizon if args.horizon is not None else int(cfg.get("horizon", 32))
-    prompt_tokens_arg = args.prompt_tokens if args.prompt_tokens is not None else cfg.get("prompt_tokens")
-    train_len = args.train_len if args.train_len is not None else cfg.get("train_len")
+    horizon = args.horizon if args.horizon is not None else _scalar(cfg, "horizon", int, 32)
+    prompt_tokens_arg = args.prompt_tokens if args.prompt_tokens is not None else _scalar(cfg, "prompt_tokens", int)
+    train_len = args.train_len if args.train_len is not None else _scalar(cfg, "train_len", float)
     if horizon < 1:
         raise UsageError(f"horizon must be >= 1, got {horizon}")
     os.makedirs(args.out, exist_ok=True)
@@ -323,7 +339,7 @@ def cmd_forecast(args) -> int:
     tokens_full = pooled_tokens(full.values) if model.subsampler is not None else full.values
     total_tokens = tokens_full.shape[1]
     ratio = 4 if model.subsampler is not None else 1
-    prompt_tokens = int(prompt_tokens_arg) if prompt_tokens_arg else max(2, total_tokens // 2)
+    prompt_tokens = prompt_tokens_arg or max(2, total_tokens // 2)
     if prompt_tokens >= total_tokens and total_tokens > 2:
         prompt_tokens = max(2, total_tokens - horizon)
     prompt = dg.SequenceBatch(values=full.values[:, : prompt_tokens * ratio, :])
@@ -426,7 +442,7 @@ ABLATION_ROWS = (
 
 def cmd_ablate(args) -> int:
     cfg = _load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    seed = args.seed if args.seed is not None else _scalar(cfg, "seed", int, 0)
     os.makedirs(args.out, exist_ok=True)
     base_model = _from_section(dict, _require(cfg, "model", "ablate"), "model")
     sched = _from_section(TrainSchedule, cfg.get("train", {"epochs": 2}), "train", seed)
@@ -504,11 +520,16 @@ def cmd_selftest(args) -> int:
     s2 = float((rotate(Tensor(x), np.array([9]), ang).value * rotate(Tensor(y), np.array([6]), ang).value).sum())
     checks.append(("rotation-shift-invariance", abs(s1 - s2) < 1e-10))
 
-    # FLOP boundary identities
+    # FLOP crossovers: attention ties the feed-forward at n = 2hd (its
+    # quadratic term equals its projections) and reaches twice it at n = 6hd
+    # (the quadratic term equals the layer's whole linear part); one token
+    # past each it leads, and dominant_term switches there
     h, d = 4, 16
-    n2, n6 = 2 * h * d, 6 * h * d
-    checks.append(("flop-boundary-2hd", 4 * n2 * h * h * d * d == 2 * n2 * n2 * h * d))
-    checks.append(("flop-boundary-6hd", 12 * n6 * h * h * d * d == 2 * n6 * n6 * h * d))
+    for ratio, n, below, above in ((1, 2 * h * d, "feed-forward", "linear"), (2, 6 * h * d, "linear", "quadratic")):
+        att = [bench_mod.attention_flops(m, h, d) for m in (n, n + 1)]
+        ffn = [ratio * bench_mod.ffn_flops(m, h, d) for m in (n, n + 1)]
+        terms = [bench_mod.dominant_term(m, h, d) for m in (n, n + 1)]
+        checks.append((f"flop-boundary-{n // (h * d)}hd", att[0] == ffn[0] and att[1] > ffn[1] and terms == [below, above]))
 
     # micro gradient check
     from .datagen import SignalSpec, gen_signal

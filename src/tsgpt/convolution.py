@@ -47,7 +47,6 @@ class ConvSubsampler:
     """Two causal 1-D convolutions (kernel 3, stride 2, V -> V), swish between."""
 
     def __init__(self, channels: int, rng: Rng):
-        self.channels = channels
         self.w1 = _uniform_init(rng.child("w1"), (channels, channels, 3), channels * 3)
         self.b1 = Tensor(np.zeros(channels))
         self.w2 = _uniform_init(rng.child("w2"), (channels, channels, 3), channels * 3)

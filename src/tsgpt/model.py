@@ -37,7 +37,7 @@ import numpy as np
 from .convolution import ConvSubsampler, TemporalConvModule, subsampled_length
 from .datagen import SequenceBatch
 from .errors import CheckpointError, ConfigError, DataError, InputError, TaskError
-from .positional import DecaySchedule, RotaryAngles, merge_heads, rotate_array, rotation_tables, xpos_qk, _split_heads
+from .positional import RotaryAngles, default_gammas, merge_heads, rotate_array, rotation_tables, xpos_qk, _split_heads
 from .retention import (
     ChunkPlan,
     DecayMask,
@@ -61,7 +61,7 @@ from .tensor import (
     mul,
     no_grad,
     read_ndar1,
-    swish,
+    sub,
     swish_array,
     tmean,
     tsum,
@@ -70,6 +70,7 @@ from .tensor import (
 
 HEAD_KINDS = ("next_token", "classification", "regression")
 CHECKPOINT_FORMAT = "tsgpt-ckpt-v2"
+FFN_EXPANSION = 4  # feed-forward width per model width
 
 
 def _untaped_in_eval(method):
@@ -90,14 +91,9 @@ class ModelConfig:
     heads: int = 2
     d_q: int = 16
     d_v: int = 16
-    d_model: int | None = None
-    ffn_expansion: int = 4
     chunk_size: int = 64
     gamma: float | None = None  # scalar override; None -> per-head schedule
-    rotation_base: float = 10000.0
     conv_kernel: int = 15
-    retention_norm: bool = True
-    output_gate: bool = False
     no_subsampler: bool = False
     no_temporal_conv: bool = False
     no_decay: bool = False
@@ -111,12 +107,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.layers < 0:
             raise ConfigError(f"layers must be >= 0, got {self.layers}")
-        if min(self.heads, self.d_q, self.d_v, self.ffn_expansion) < 1:
-            raise ConfigError("heads, d_q, d_v and ffn_expansion must be positive")
-        if self.d_model is None:
-            self.d_model = self.heads * self.d_q
-        elif self.d_model != self.heads * self.d_q:
-            raise ConfigError(f"d_model {self.d_model} != heads*d_q = {self.heads * self.d_q}")
+        if min(self.heads, self.d_q, self.d_v) < 1:
+            raise ConfigError("heads, d_q and d_v must be positive")
         if self.chunk_size <= 0:
             raise ConfigError(f"chunk_size must be >= 1, got {self.chunk_size}")
         if self.d_q % 2 != 0 and not self.no_rotation:
@@ -135,12 +127,16 @@ class ModelConfig:
             raise ConfigError("n_inputs must be positive")
 
     @property
+    def d_model(self) -> int:
+        return self.heads * self.d_q
+
+    @property
     def gammas(self) -> np.ndarray:
         if self.no_decay:
             return np.ones(self.heads)
         if self.gamma is not None:
             return np.full(self.heads, self.gamma)
-        return np.asarray(DecaySchedule.default(self.heads).gammas)
+        return default_gammas(self.heads)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -165,15 +161,14 @@ def multihead_retention(
     positions: np.ndarray,
     angles: RotaryAngles,
     gammas,
+    norm_gain,
+    norm_bias,
     form: str | None = None,
     chunk_size: int = 64,
     apply_rotation: bool = True,
-    norm_gain=None,
-    norm_bias=None,
-    gate_w=None,
 ):
-    """Per-head rotary q/k, retention, head concat, optional per-token layer
-    norm, optional swish gate, output projection.
+    """Per-head rotary q/k, retention, head concat, per-token layer norm
+    (``norm_gain``, ``norm_bias``: [h*d_v]), output projection.
 
     ``form`` None (or "chunkwise") runs the chunk-wise form; "recurrent"
     and "parallel" select the other two.  x: [..., L, d_model]; w_q/w_k:
@@ -184,8 +179,7 @@ def multihead_retention(
     """
     gammas = np.asarray(gammas, dtype=np.float64)
     heads = gammas.shape[0]
-    schedule = DecaySchedule(tuple(np.maximum(gammas, 1e-12)))
-    q, k = xpos_qk(x, w_q, w_k, positions, angles, schedule, apply_rotation=apply_rotation)
+    q, k = xpos_qk(x, w_q, w_k, positions, angles, heads, apply_rotation=apply_rotation)
     v = _split_heads(matmul(x, w_v), heads)
     L = q.shape[-2]
 
@@ -198,11 +192,7 @@ def multihead_retention(
         out = retention_parallel(q, k, v, DecayMask.build(gammas, timestamps=positions))
     else:
         raise ConfigError(f"unknown retention form {form!r}")
-    merged = merge_heads(out)
-    if norm_gain is not None:
-        merged = layer_norm(merged, norm_gain, norm_bias)
-    if gate_w is not None:
-        merged = mul(merged, swish(matmul(x, gate_w)))
+    merged = layer_norm(merge_heads(out), norm_gain, norm_bias)
     return linear(merged, w_out, b_out), state
 
 
@@ -224,20 +214,19 @@ class DecoderLayer:
         self.w_q = u("w_q", (d, wq), d)
         self.w_k = u("w_k", (d, wq), d)
         self.w_v = u("w_v", (d, wv), d)
-        self.ret_gain = Tensor(np.ones(wv)) if cfg.retention_norm else None
-        self.ret_bias = Tensor(np.zeros(wv)) if cfg.retention_norm else None
-        self.w_gate = u("w_gate", (d, wv), d) if cfg.output_gate else None
+        self.ret_gain = Tensor(np.ones(wv))
+        self.ret_bias = Tensor(np.zeros(wv))
         self.w_o = u("w_o", (wv, d), wv)
         self.b_o = Tensor(np.zeros(d))
         self.tconv = None if cfg.no_temporal_conv else TemporalConvModule(d, cfg.conv_kernel, rng.child("tconv"))
         self.ln2_gain = Tensor(np.ones(d))
         self.ln2_bias = Tensor(np.zeros(d))
-        f = cfg.ffn_expansion * d
+        f = FFN_EXPANSION * d
         self.ffn_w1 = u("ffn_w1", (d, f), d)
         self.ffn_b1 = Tensor(np.zeros(f))
         self.ffn_w2 = u("ffn_w2", (f, d), f)
         self.ffn_b2 = Tensor(np.zeros(d))
-        self.angles = RotaryAngles(cfg.d_q, cfg.rotation_base)
+        self.angles = RotaryAngles(cfg.d_q)
         self.gammas = cfg.gammas
 
     def named_params(self) -> list[tuple[str, Tensor]]:
@@ -255,11 +244,9 @@ class DecoderLayer:
             ("ffn_b1", self.ffn_b1),
             ("ffn_w2", self.ffn_w2),
             ("ffn_b2", self.ffn_b2),
+            ("ret_gain", self.ret_gain),
+            ("ret_bias", self.ret_bias),
         ]
-        if self.ret_gain is not None:
-            out += [("ret_gain", self.ret_gain), ("ret_bias", self.ret_bias)]
-        if self.w_gate is not None:
-            out += [("w_gate", self.w_gate)]
         if self.tconv is not None:
             out += [(f"tconv.{n}", p) for n, p in self.tconv.named_params()]
         return out
@@ -270,11 +257,8 @@ class DecoderLayer:
         cfg = self.cfg
         return multihead_retention(
             h, self.w_q, self.w_k, self.w_v, self.w_o, self.b_o,
-            positions, self.angles, self.gammas,
-            form=form, chunk_size=cfg.chunk_size,
-            apply_rotation=not cfg.no_rotation,
-            norm_gain=self.ret_gain, norm_bias=self.ret_bias,
-            gate_w=self.w_gate,
+            positions, self.angles, self.gammas, self.ret_gain, self.ret_bias,
+            form=form, chunk_size=cfg.chunk_size, apply_rotation=not cfg.no_rotation,
         )
 
     def _ffn(self, x: Tensor) -> Tensor:
@@ -321,10 +305,7 @@ class DecoderLayer:
             q, k = rotate_array(q, cos, sin), rotate_array(k, cos, sin)
         s = state.s * _decay_factor(self.gammas, position - state.last_t) + k.swapaxes(-1, -2) @ v
         r = (q @ s).swapaxes(1, 2).reshape(x_t.shape[0], 1, -1)
-        if self.ret_gain is not None:
-            r = layer_norm_array(r, self.ret_gain.value, self.ret_bias.value)[0]
-        if self.w_gate is not None:
-            r = r * swish_array(h @ self.w_gate.value)[0]
+        r = layer_norm_array(r, self.ret_gain.value, self.ret_bias.value)[0]
         x = x_t + (r @ self.w_o.value + self.b_o.value)
         if self.tconv is not None:
             x, conv_buf = self.tconv.step(x, conv_buf)
@@ -382,6 +363,8 @@ class Model:
         return sum(p.value.size for _, p in self.named_params())
 
     def named_norm_stats(self) -> list[tuple[str, np.ndarray]]:
+        """Running batch-norm statistics of every temporal block that has
+        recorded some (none before the first train pass)."""
         out = []
         for i, layer in enumerate(self.layers):
             if layer.tconv is not None and layer.tconv.bn_state.running_mean is not None:
@@ -389,6 +372,16 @@ class Model:
                 out.append((f"layer{i}.tconv.bn_mean", st.running_mean))
                 out.append((f"layer{i}.tconv.bn_var", st.running_var))
         return out
+
+    def set_norm_stats(self, stats) -> None:
+        """Copy in running batch-norm statistics from (name, array) pairs
+        named as :meth:`named_norm_stats` names them; blocks not named keep theirs."""
+        named = dict(stats)
+        for i, layer in enumerate(self.layers):
+            if f"layer{i}.tconv.bn_mean" in named:
+                st = layer.tconv.bn_state
+                st.running_mean = named[f"layer{i}.tconv.bn_mean"].copy()
+                st.running_var = named[f"layer{i}.tconv.bn_var"].copy()
 
     # -- encoding ------------------------------------------------------------
 
@@ -482,7 +475,7 @@ class Model:
                 return mul(tsum(mul(tok_ll, -w)), 1.0 / max(w.sum(), 1.0))
             return tmean(mul(tok_ll, -1.0))
         targets = self.token_targets(batch)
-        err = preds - Tensor(targets)
+        err = sub(preds, targets)
         if batch.valid is not None:
             w = np.asarray(batch.valid, dtype=np.float64)[..., None]
             return mul(tsum(mul(mul(err, err), w)), 1.0 / max(w.sum() * targets.shape[-1], 1.0))
@@ -526,7 +519,7 @@ class Model:
     @_untaped_in_eval
     def regression_loss(self, batch: SequenceBatch, *, train: bool = True) -> Tensor:
         out = self.regression_output(batch, train=train)
-        err = out - Tensor(np.asarray(batch.labels, dtype=np.float64)[:, None])
+        err = sub(out, np.asarray(batch.labels, dtype=np.float64)[:, None])
         return tmean(mul(err, err))
 
     def loss(self, batch: SequenceBatch, train: bool = True) -> Tensor:
@@ -621,8 +614,8 @@ class Model:
         params = model.named_params()
         if [n for n, _ in params] != header["params"]:
             raise CheckpointError("checkpoint parameter manifest does not match the config")
-        bn_layers = [(i, layer.tconv.bn_state) for i, layer in enumerate(model.layers) if layer.tconv is not None]
-        stat_names = [f"layer{i}.tconv.{kind}" for i, _ in bn_layers for kind in ("bn_mean", "bn_var")]
+        stat_names = [f"layer{i}.tconv.{kind}" for i, layer in enumerate(model.layers) if layer.tconv is not None
+                      for kind in ("bn_mean", "bn_var")]
         if header["norm_stats"] not in ([], stat_names):
             raise CheckpointError("checkpoint batch-norm statistics do not match the config")
         fh = io.BytesIO(payload)
@@ -639,8 +632,7 @@ class Model:
             raise CheckpointError(f"checkpoint {path} has bytes after its last record")
         if any(a.shape != (cfg.d_model,) for a in stats):
             raise CheckpointError(f"checkpoint {path}: batch-norm statistics must have shape ({cfg.d_model},)")
-        for (_, st), mean, var in zip(bn_layers, stats[0::2], stats[1::2]):
-            st.running_mean, st.running_var = mean, var
+        model.set_norm_stats(zip(header["norm_stats"], stats))
         return model
 
     def with_head(self, head_kind: str, n_classes: int | None = None) -> "Model":
@@ -652,11 +644,7 @@ class Model:
             if name in ("w_head", "b_head"):
                 continue
             p.value = mine[name].value.copy()
-        for i, layer in enumerate(out.layers):
-            src = self.layers[i]
-            if layer.tconv is not None and src.tconv.bn_state.running_mean is not None:
-                layer.tconv.bn_state.running_mean = src.tconv.bn_state.running_mean.copy()
-                layer.tconv.bn_state.running_var = src.tconv.bn_state.running_var.copy()
+        out.set_norm_stats(self.named_norm_stats())
         return out
 
 

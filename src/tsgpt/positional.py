@@ -19,43 +19,26 @@ from .tensor import Tensor, _accum, as_f64, matmul, reshape, swapaxes
 
 Array = np.ndarray
 
+ROTATION_BASE = 10000.0
+
 
 @dataclass(frozen=True)
 class RotaryAngles:
-    """Per-pair rotation frequencies theta_i = base^(-2(i-1)/d), i = 1..d/2."""
+    """Per-pair rotation frequencies theta_i = ROTATION_BASE^(-2(i-1)/d), i = 1..d/2."""
 
     head_dim: int
-    base: float = 10000.0
     thetas: Array = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.head_dim % 2 != 0 or self.head_dim <= 0:
             raise ConfigError(f"rotary head_dim must be positive and even, got {self.head_dim}")
-        if self.base <= 0:
-            raise ConfigError(f"rotary base must be positive, got {self.base}")
         i = np.arange(self.head_dim // 2)
-        object.__setattr__(self, "thetas", as_f64(self.base ** (-2.0 * i / self.head_dim)))
+        object.__setattr__(self, "thetas", as_f64(ROTATION_BASE ** (-2.0 * i / self.head_dim)))
 
 
-@dataclass(frozen=True)
-class DecaySchedule:
-    """One decay rate per head, each in (0, 1]."""
-
-    gammas: tuple[float, ...]
-
-    def __post_init__(self):
-        for g in self.gammas:
-            if not (0.0 < g <= 1.0):
-                raise ConfigError(f"decay gamma must be in (0, 1], got {g}")
-
-    @classmethod
-    def default(cls, heads: int) -> "DecaySchedule":
-        # Distinct windows per head: gamma_h = 1 - 2^-(5+h), h = 1..heads.
-        return cls(tuple(1.0 - 2.0 ** (-(5 + h)) for h in range(1, heads + 1)))
-
-    @classmethod
-    def constant(cls, heads: int, gamma: float) -> "DecaySchedule":
-        return cls((gamma,) * heads)
+def default_gammas(heads: int) -> Array:
+    """Distinct decay windows per head: gamma_h = 1 - 2^-(5+h), h = 1..heads."""
+    return np.array([1.0 - 2.0 ** (-(5 + h)) for h in range(1, heads + 1)])
 
 
 def rotation_tables(positions: Array, angles: RotaryAngles) -> tuple[Array, Array]:
@@ -107,7 +90,7 @@ def xpos_qk(
     w_k,
     positions: Array,
     angles: RotaryAngles,
-    schedule: DecaySchedule,
+    heads: int,
     apply_rotation: bool = True,
 ) -> tuple[Tensor, Tensor]:
     """Project to per-head queries/keys and apply the positional rotation.
@@ -116,17 +99,15 @@ def xpos_qk(
     [d_model, heads * head_dim].  Returns (q, k), each
     [..., heads, L, head_dim].  Keys rotate by +m: the conjugate in the
     rotary formulation is supplied by the q.k inner product itself, which
-    is what makes the product depend on n - m only.  The decay gammas ride
-    along in ``schedule`` for the retention stage; no decay is applied here.
+    is what makes the product depend on n - m only.  No decay is applied
+    here: the retention stage applies it.
     """
     positions = np.asarray(positions)
     if positions.ndim not in (1, 2):
         raise InputError(f"xpos_qk: positions must be [L] or [B, L], got {positions.shape}")
     if positions.shape[-1] > 1 and np.any(np.diff(positions, axis=-1) <= 0):
         raise InputError("xpos_qk: positions must be strictly increasing")
-    heads = len(schedule.gammas)
     x = x if isinstance(x, Tensor) else Tensor(x)
-    d_model = x.shape[-1]
     dh = _val_shape(w_q)[-1] // heads
     if _val_shape(w_q)[-1] % heads != 0:
         raise ConfigError(f"xpos_qk: projection width {_val_shape(w_q)[-1]} not divisible by {heads} heads")

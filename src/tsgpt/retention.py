@@ -55,8 +55,6 @@ class DecayMask:
     """Lower-triangular decay matrix D with D[n, m] = gamma^(t_n - t_m)."""
 
     matrix: Array
-    gamma: float | Array
-    timestamps: Array | None
 
     @classmethod
     def build(cls, gamma, length: int | None = None, timestamps=None) -> "DecayMask":
@@ -77,11 +75,9 @@ class DecayMask:
             if length is None:
                 raise InputError("DecayMask.build: need length or timestamps")
             t = np.arange(length, dtype=np.int64)
-            stored = None
         else:
             t = _check_timestamps(timestamps)
             length = t.shape[-1]
-            stored = t
         gaps = t[..., :, None] - t[..., None, :]
         tril = np.tril(np.ones((length, length), dtype=bool))
         gaps = np.where(tril, gaps, 0)
@@ -91,7 +87,7 @@ class DecayMask:
             d = np.where(tril, g**gaps, 0.0)
         else:
             d = np.where(tril, g[:, None, None] ** gaps, 0.0)
-        return cls(matrix=as_f64(d), gamma=gamma, timestamps=stored)
+        return cls(as_f64(d))
 
     @property
     def length(self) -> int:
@@ -111,7 +107,6 @@ class RetentionState:
 class ChunkPlan:
     """Chunk boundaries for the chunk-wise form; the last chunk may be ragged."""
 
-    chunk_size: int
     boundaries: tuple[int, ...]
 
     @classmethod
@@ -123,7 +118,7 @@ class ChunkPlan:
         bounds = list(range(0, length, chunk_size)) + [length]
         if len(bounds) >= 2 and bounds[-1] == bounds[-2]:
             bounds.pop()
-        return cls(chunk_size, tuple(bounds))
+        return cls(tuple(bounds))
 
 
 def _decay_factor(gamma, exponent) -> Array:

@@ -74,47 +74,8 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.value.shape})"
 
-    # Operator sugar; every overload routes through the module-level ops.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise ContractError("Tensor division: the divisor must be a constant")
-        return mul(self, 1.0 / as_f64(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, idx):
         return getitem(self, idx)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
 
 
 def _val(x) -> Array:
@@ -373,9 +334,11 @@ def linear(x, w, b, swish_out: bool = False) -> Tensor:
 # ---------------------------------------------------------------------------
 
 LAYER_NORM_EPS = 1e-5
+BATCH_NORM_EPS = 1e-5
+BATCH_NORM_MOMENTUM = 0.1  # weight of a train batch's statistics in the running ones
 
 
-def layer_norm_array(xv: Array, gv: Array, bv: Array, eps: float = LAYER_NORM_EPS) -> tuple[Array, Array, Array]:
+def layer_norm_array(xv: Array, gv: Array, bv: Array) -> tuple[Array, Array, Array]:
     """Forward arithmetic of :func:`layer_norm` on plain arrays: (out, xhat, inv).
 
     Mean and population variance are summed and divided exactly as
@@ -383,15 +346,15 @@ def layer_norm_array(xv: Array, gv: Array, bv: Array, eps: float = LAYER_NORM_EP
     """
     n = xv.shape[-1]
     diff = xv - xv.sum(axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt((diff * diff).sum(axis=-1, keepdims=True) / n + eps)
+    inv = 1.0 / np.sqrt((diff * diff).sum(axis=-1, keepdims=True) / n + LAYER_NORM_EPS)
     xhat = diff * inv
     return xhat * gv + bv, xhat, inv
 
 
-def layer_norm(x, gain, bias, eps: float = LAYER_NORM_EPS) -> Tensor:
+def layer_norm(x, gain, bias) -> Tensor:
     """Normalize over the last axis, then apply a learnable affine."""
     xv, gv, bv = _val(x), _val(gain), _val(bias)
-    out, xhat, inv = layer_norm_array(xv, gv, bv, eps)
+    out, xhat, inv = layer_norm_array(xv, gv, bv)
     parents = tuple(t for t in (x, gain, bias) if isinstance(t, Tensor))
 
     def back(g):
@@ -411,29 +374,21 @@ def layer_norm(x, gain, bias, eps: float = LAYER_NORM_EPS) -> Tensor:
 class BatchNormState:
     """Running statistics for batch normalization (population variance)."""
 
-    __slots__ = ("running_mean", "running_var", "momentum")
+    __slots__ = ("running_mean", "running_var")
 
-    def __init__(self, momentum: float = 0.1):
+    def __init__(self):
         self.running_mean: Array | None = None
         self.running_var: Array | None = None
-        self.momentum = momentum
 
 
-def batch_norm(
-    x,
-    gain,
-    bias,
-    state: BatchNormState,
-    train: bool,
-    eps: float = 1e-5,
-    update_stats: bool = True,
-    valid: Array | None = None,
-) -> Tensor:
+def batch_norm(x, gain, bias, state: BatchNormState, train: bool, valid: Array | None = None) -> Tensor:
     """Per-channel normalization over all leading axes (channels last).
 
-    ``valid`` optionally weights which positions contribute to the batch
-    statistics (shape = x.shape[:-1], None for all ones); excluded
-    positions are still normalized with the resulting statistics.
+    Train mode normalizes by the batch statistics and folds them into the
+    running ones (copied in on the first pass).  ``valid`` optionally
+    weights which positions contribute to the batch statistics (shape =
+    x.shape[:-1], None for all ones); excluded positions are still
+    normalized with the resulting statistics.
     """
     xv, gv, bv = _val(x), _val(gain), _val(bias)
     axes = tuple(range(xv.ndim - 1))
@@ -445,18 +400,17 @@ def batch_norm(
         mu = (xv * w).sum(axis=axes) * (1.0 / count)
         diff = xv - mu
         var = (diff * diff * w).sum(axis=axes) * (1.0 / count)
-        inv = (var + eps) ** -0.5
+        inv = (var + BATCH_NORM_EPS) ** -0.5
         xhat = diff * inv
         out = xhat * gv + bv
-        if update_stats:
-            m = state.momentum
-            if state.running_mean is None:
-                state.running_mean, state.running_var = mu, var
-            else:
-                state.running_mean = (1.0 - m) * state.running_mean + m * mu
-                state.running_var = (1.0 - m) * state.running_var + m * var
+        m = BATCH_NORM_MOMENTUM
+        if state.running_mean is None:
+            state.running_mean, state.running_var = mu, var
+        else:
+            state.running_mean = (1.0 - m) * state.running_mean + m * mu
+            state.running_var = (1.0 - m) * state.running_var + m * var
     else:
-        out, xhat, inv = batch_norm_eval_array(xv, gv, bv, state, eps)
+        out, xhat, inv = batch_norm_eval_array(xv, gv, bv, state)
     parents = tuple(t for t in (x, gain, bias) if isinstance(t, Tensor))
 
     def back(g):
@@ -474,12 +428,12 @@ def batch_norm(
     return Tensor(out, parents, back)
 
 
-def batch_norm_eval_array(xv: Array, gv: Array, bv: Array, state: BatchNormState, eps: float = 1e-5):
+def batch_norm_eval_array(xv: Array, gv: Array, bv: Array, state: BatchNormState):
     """Forward arithmetic of eval-mode :func:`batch_norm` on plain arrays,
     normalizing by the running statistics: (out, xhat, inv)."""
     if state.running_mean is None:
         raise StateError("batch_norm: eval mode before any training statistics were recorded")
-    inv = 1.0 / np.sqrt(state.running_var + eps)
+    inv = 1.0 / np.sqrt(state.running_var + BATCH_NORM_EPS)
     xhat = (xv - state.running_mean) * inv
     return xhat * gv + bv, xhat, inv
 
@@ -505,29 +459,21 @@ def log_softmax(x) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def conv1d(x, w, bias=None, stride: int = 1, pad_left: int | None = None) -> Tensor:
-    """Full 1-D convolution: x [B, L, Cin], w [Cout, Cin, k] -> [B, L', Cout].
-
-    Padding is causal (left only); default pad_left = k - 1 keeps the output
-    at time t a function of inputs <= t.
-    """
-    xv, wv = _val(x), _val(w)
+def conv1d(x, w, bias, stride: int, pad_left: int) -> Tensor:
+    """Full 1-D convolution plus bias: x [B, L, Cin], w [Cout, Cin, k],
+    bias [Cout] -> [B, L', Cout].  Padding is causal (left only)."""
+    xv, wv, bv = _val(x), _val(w), _val(bias)
     if xv.ndim != 3 or wv.ndim != 3:
         raise ShapeError(f"conv1d: expected 3-D operands, got {xv.shape} and {wv.shape}")
     cout, cin, k = wv.shape
     if xv.shape[-1] != cin:
         raise ShapeError(f"conv1d: channel mismatch {xv.shape} vs weight {wv.shape}")
-    if pad_left is None:
-        pad_left = k - 1
     xp = np.pad(xv, ((0, 0), (pad_left, 0), (0, 0)))
     lout = (xp.shape[1] - k) // stride + 1
     out = np.zeros((xv.shape[0], lout, cout))
     for j in range(k):
         out += np.einsum("blc,oc->blo", xp[:, j : j + stride * lout : stride, :], wv[:, :, j], optimize=True)
-    bv = None
-    if bias is not None:
-        bv = _val(bias)
-        out += bv
+    out += bv
     parents = tuple(t for t in (x, w, bias) if isinstance(t, Tensor))
 
     def back(g):

@@ -98,25 +98,16 @@ def write_records(path, records: list[TrainRecord]) -> None:
             w.writerow([r.step, r.split, repr(r.loss), "" if r.metric is None else repr(r.metric)])
 
 
-def _snapshot(model) -> tuple[dict[str, Array], list[tuple[Array, Array]]]:
+def _snapshot(model) -> tuple[dict[str, Array], list[tuple[str, Array]]]:
     params = {n: p.value.copy() for n, p in model.named_params()}
-    stats = []
-    for layer in model.layers:
-        if layer.tconv is not None and layer.tconv.bn_state.running_mean is not None:
-            stats.append((layer.tconv.bn_state.running_mean.copy(), layer.tconv.bn_state.running_var.copy()))
-        else:
-            stats.append(None)
-    return params, stats
+    return params, [(n, a.copy()) for n, a in model.named_norm_stats()]
 
 
 def _restore(model, snap) -> None:
     params, stats = snap
     for n, p in model.named_params():
         p.value = params[n].copy()
-    for layer, st in zip(model.layers, stats):
-        if st is not None:
-            layer.tconv.bn_state.running_mean = st[0].copy()
-            layer.tconv.bn_state.running_var = st[1].copy()
+    model.set_norm_stats(stats)
 
 
 def train(

@@ -6,7 +6,7 @@ decode step run through the Tensor ops."""
 
 import numpy as np
 
-from tsgpt.positional import DecaySchedule, _split_heads, merge_heads, xpos_qk
+from tsgpt.positional import _split_heads, merge_heads, xpos_qk
 from tsgpt.retention import (
     DecayMask,
     RetentionState,
@@ -132,15 +132,10 @@ def _layer_tensor_step(layer, x_t: Tensor, position: int, state: RetentionState,
     cfg = layer.cfg
     pos = np.array([position], dtype=np.int64)
     h = layer_norm(x_t, layer.ln1_gain, layer.ln1_bias)
-    schedule = DecaySchedule(tuple(np.maximum(layer.gammas, 1e-12)))
-    q, k = xpos_qk(h, layer.w_q, layer.w_k, pos, layer.angles, schedule, apply_rotation=not cfg.no_rotation)
+    q, k = xpos_qk(h, layer.w_q, layer.w_k, pos, layer.angles, cfg.heads, apply_rotation=not cfg.no_rotation)
     v = _split_heads(matmul(h, layer.w_v), cfg.heads)
     out, state = retention_recurrent(q, k, v, pos, layer.gammas, initial=state)
-    r = merge_heads(out)
-    if layer.ret_gain is not None:
-        r = layer_norm(r, layer.ret_gain, layer.ret_bias)
-    if layer.w_gate is not None:
-        r = mul(r, swish(matmul(h, layer.w_gate)))
+    r = layer_norm(merge_heads(out), layer.ret_gain, layer.ret_bias)
     x = add(x_t, add(matmul(r, layer.w_o), layer.b_o))
     if layer.tconv is not None:
         x, buf = _tconv_tensor_step(layer.tconv, x, buf)

@@ -15,7 +15,7 @@ from tsgpt.experiments import (
     irregular_classification_experiment,
 )
 from tsgpt.model import Model, ModelConfig
-from tsgpt.positional import DecaySchedule, RotaryAngles, rotate, xpos_qk
+from tsgpt.positional import RotaryAngles, rotate, xpos_qk
 from tsgpt.retention import (
     ChunkPlan,
     DecayMask,
@@ -90,7 +90,7 @@ def test_criterion_3_xpos_shift_invariance():
         x = np.tile(row, (L, 1))
         wq = rng.normal((2 * d, d))
         wk = rng.normal((2 * d, d))
-        q, k = xpos_qk(Tensor(x), wq, wk, np.arange(L), angles, DecaySchedule((0.9,)))
+        q, k = xpos_qk(Tensor(x), wq, wk, np.arange(L), angles, 1)
         qv, kv = q.value[0], k.value[0]
         scores = qv @ kv.T
         for rel in range(-(L - 1), L):

@@ -322,6 +322,79 @@ def test_usage_errors_exit_two(tmp_path):
     assert main(["ablate", "--config", not_object, "--out", str(tmp_path / "o4")]) == 2
 
 
+@pytest.mark.parametrize("field, value", [
+    ("d_model", 8), ("ffn_expansion", 4), ("rotation_base", 10000.0), ("retention_norm", True), ("output_gate", False),
+])
+def test_config_naming_a_removed_model_field_exits_two(tmp_path, capsys, field, value):
+    cfg = write_json(tmp_path / "pre.json", {"model": dict(TINY_MODEL, **{field: value}), "data": str(tmp_path / "nope.ndar")})
+    assert main(["pretrain", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_checkpoint_config_with_output_gate_exits_three(tmp_path, capsys):
+    m = Model(ModelConfig(**TINY_MODEL))
+    m.encode(SequenceBatch(values=Rng(1).normal((2, 16, 1))), train=True)  # batch-norm statistics
+    ckpt, data = tmp_path / "model.ckpt", tmp_path / "sig.ndar"
+    m.save(ckpt)
+    save_tensor(data, Rng(2).normal((2, 32, 1)))
+    line, payload = ckpt.read_bytes().split(b"\n", 1)
+    header = json.loads(line)
+    header["config"]["output_gate"] = False  # a key checkpoints of earlier versions carry
+    # hashes that match the edited file, so only the stale key is wrong
+    header["config_hash"] = hashlib.sha256(json.dumps(header["config"], sort_keys=True).encode()).hexdigest()[:16]
+    header["payload_sha256"] = hashlib.sha256(payload).hexdigest()
+    ckpt.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
+    rc = main(["forecast", "--checkpoint", str(ckpt), "--data", str(data), "--horizon", "2", "--out", str(tmp_path / "f")])
+    assert rc == 3
+    assert "output_gate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, fields", [
+    ("forecast", {"horizon": "abc"}),
+    ("forecast", {"horizon": [1]}),
+    ("forecast", {"horizon": True}),
+    ("forecast", {"prompt_tokens": "abc"}),
+    ("forecast", {"train_len": "abc"}),
+    ("pretrain", {"splits": 5}),
+    ("pretrain", {"splits": [0.8, "a", 0.1]}),
+    ("pretrain", {"splits": [0.5, 0.5]}),
+    ("pretrain", {"seed": "abc"}),
+    ("pretrain", {"split_seed": "x"}),
+    ("finetune", {"n_classes": "two"}),
+    ("finetune", {"n_classes": 2.5}),
+    ("finetune", {"subset_fraction": "half"}),
+], ids=["horizon_str", "horizon_list", "horizon_bool", "prompt_tokens_str", "train_len_str", "splits_int",
+        "splits_str_item", "splits_two_items", "seed_str", "split_seed_str", "n_classes_str", "n_classes_float",
+        "subset_fraction_str"])
+def test_mistyped_command_config_field_exits_two(tmp_path, capsys, command, fields):
+    m = Model(ModelConfig(**TINY_MODEL))
+    m.encode(SequenceBatch(values=Rng(1).normal((2, 16, 1))), train=True)  # batch-norm statistics
+    ckpt, data = tmp_path / "model.ckpt", tmp_path / "sig.ndar"
+    m.save(ckpt)
+    save_tensor(data, Rng(2).normal((20, 32, 1)))
+    base = {
+        "forecast": {"checkpoint": str(ckpt), "data": str(data)},
+        "pretrain": {"model": TINY_MODEL, "train": {"epochs": 1}, "data": str(data)},
+        "finetune": {"head": "classification", "train": {"epochs": 1}, "data": str(data)},
+    }[command]
+    cfg = write_json(tmp_path / "cmd.json", dict(base, **fields))
+    args = [command, "--config", cfg, "--out", str(tmp_path / "o")]
+    if command == "finetune":
+        args += ["--checkpoint", str(ckpt)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and next(iter(fields)) in err
+
+
+def test_selftest_fails_when_the_flop_model_is_wrong(monkeypatch, capsys):
+    import tsgpt.bench
+
+    monkeypatch.setattr(tsgpt.bench, "dominant_term", lambda n, h, d: "quadratic")
+    assert main(["selftest"]) == 4
+    out = capsys.readouterr().out
+    assert "FAIL  flop-boundary-2hd" in out and "FAIL  flop-boundary-6hd" in out
+
+
 def test_config_naming_conv_variant_exits_two(tmp_path, capsys):
     cfg = write_json(tmp_path / "pre.json", {
         "model": dict(TINY_MODEL, conv_variant="depthwise_pointwise"), "data": str(tmp_path / "nope.ndar"),

@@ -80,7 +80,6 @@ def test_temporal_conv_zero_weights_is_pure_residual():
 def test_temporal_conv_impulse_causality_eval_mode():
     m = TemporalConvModule(3, 5, Rng(6))
     # prime batch-norm statistics on zero input so BN(0) = 0 in eval
-    m.bn_state.momentum = 1.0
     m.forward(Tensor(np.zeros((1, 8, 3))), train=True)
     x = np.zeros((1, 12, 3))
     x[0, 7, 1] = 1.0
@@ -121,7 +120,6 @@ def test_pointwise_stage_time_purity():
     m = TemporalConvModule(4, 5, Rng(10))
     m.dw_w.value[:] = 0.0
     m.dw_w.value[:, -1] = 1.0
-    m.bn_state.momentum = 1.0
     m.forward(Tensor(rng.normal((1, 8, 4))), train=True)
     x = rng.normal((1, 8, 4))
     base = m.forward(Tensor(x), train=False).value
@@ -144,7 +142,6 @@ def test_temporal_conv_preserves_shape():
 def test_temporal_conv_causal_in_eval():
     rng = Rng(15)
     m = TemporalConvModule(4, 5, rng)
-    m.bn_state.momentum = 1.0
     prime = rng.normal((2, 10, 4))
     m.forward(Tensor(prime), train=True)
     x = rng.normal((1, 10, 4))

@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -30,9 +30,11 @@ def signal_batch(T=32, V=2, B=3, seed=5):
 # ---------------------------------------------------------------------------
 
 
-def test_config_d_model_must_match_heads_times_dq():
-    with pytest.raises(ConfigError):
-        ModelConfig(heads=2, d_q=8, d_model=17)
+def test_model_config_fields_are_pinned():
+    assert [f.name for f in fields(ModelConfig)] == [
+        "layers", "heads", "d_q", "d_v", "chunk_size", "gamma", "conv_kernel", "no_subsampler",
+        "no_temporal_conv", "no_decay", "no_rotation", "head_kind", "n_inputs", "n_classes", "discrete", "seed",
+    ]
     assert ModelConfig(heads=2, d_q=8).d_model == 16
 
 
@@ -140,7 +142,7 @@ def test_multihead_retention_single_head_reduces_to_parallel_compose():
     from tsgpt.model import multihead_retention
     from tsgpt.positional import RotaryAngles
     from tsgpt.retention import DecayMask, retention_parallel
-    from tsgpt.tensor import Tensor
+    from tsgpt.tensor import Tensor, layer_norm_array
 
     rng = Rng(41)
     L, D, dh = 6, 4, 4
@@ -149,17 +151,18 @@ def test_multihead_retention_single_head_reduces_to_parallel_compose():
     wo, bo = rng.normal((dh, D)), rng.normal((D,))
     positions = np.arange(L)
     angles = RotaryAngles(dh)
+    gain, bias = rng.normal((dh,)), rng.normal((dh,))
     out, _ = multihead_retention(
         Tensor(x), Tensor(wq), Tensor(wk), Tensor(wv), Tensor(wo), Tensor(bo),
-        positions, angles, np.array([0.9]), form="chunkwise", chunk_size=64,
+        positions, angles, np.array([0.9]), Tensor(gain), Tensor(bias), form="chunkwise", chunk_size=64,
     )
-    # manual composition: rotate projections, one parallel head, project out
+    # manual composition: rotate projections, one parallel head, layer norm, project out
     from tsgpt.positional import rotate
 
     q = rotate(Tensor(x @ wq), positions, angles)
     k = rotate(Tensor(x @ wk), positions, angles)
     ret = retention_parallel(q, k, Tensor(x @ wv), DecayMask.build(0.9, length=L))
-    want = ret.value @ wo + bo
+    want = layer_norm_array(ret.value, gain, bias)[0] @ wo + bo
     assert np.max(np.abs(out.value - want)) < 1e-12
 
 
@@ -174,10 +177,11 @@ def test_multihead_retention_three_forms_pairwise():
     wq, wk = Tensor(rng.normal((D, h * dh))), Tensor(rng.normal((D, h * dh)))
     wv, wo, bo = Tensor(rng.normal((D, h * dh))), Tensor(rng.normal((h * dh, D))), Tensor(rng.normal((D,)))
     gammas = np.array([0.95, 0.8])
+    gain, bias = Tensor(rng.normal((h * dh,))), Tensor(rng.normal((h * dh,)))
     outs = {}
     for form in ("parallel", "recurrent", "chunkwise"):
         out, _ = multihead_retention(
-            x, wq, wk, wv, wo, bo, np.arange(L), RotaryAngles(dh), gammas,
+            x, wq, wk, wv, wo, bo, np.arange(L), RotaryAngles(dh), gammas, gain, bias,
             form=form, chunk_size=4,
         )
         outs[form] = out.value
@@ -404,7 +408,6 @@ def test_generate_steps_only_while_tokens_remain(monkeypatch):
 STEP_CASES = {
     "conv-depthwise_pointwise": (tiny_cfg(no_subsampler=True), 24),
     "no-temporal-conv": (tiny_cfg(no_subsampler=True, no_temporal_conv=True), 24),
-    "gate-without-norm": (tiny_cfg(no_subsampler=True, output_gate=True, retention_norm=False), 24),
     "vanilla": (tiny_cfg(no_subsampler=True, **VANILLA_FLAGS), 24),
     "gamma-override": (tiny_cfg(no_subsampler=True, gamma=0.8), 24),
     "subsampler": (tiny_cfg(), 48),
@@ -439,7 +442,7 @@ def test_generate_equals_tensor_step_oracle(case, batch_size):
 
 def test_generate_builds_few_tensors_per_token(monkeypatch):
     cfg, length = STEP_CASES["conv-depthwise_pointwise"]
-    m = perturbed_model(replace(cfg, output_gate=True), "budget")
+    m = perturbed_model(cfg, "budget")
     built = [0]
     init = Tensor.__init__
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsgpt.errors import ConfigError, InputError
-from tsgpt.positional import DecaySchedule, RotaryAngles, merge_heads, rotate, xpos_qk
+from tsgpt.positional import RotaryAngles, default_gammas, merge_heads, rotate, xpos_qk
 from tsgpt.tensor import Rng, Tensor, backward, mul, tsum
 
 from oracles import finite_diff_grad, rel_err
@@ -96,20 +96,15 @@ def test_rotate_gradient_matches_finite_differences(per_sequence):
     assert rel_err(t.grad, fd) < 1e-8
 
 
-def test_decay_schedule_default_and_bounds():
-    s = DecaySchedule.default(4)
+def test_default_gammas_formula():
     want = [1 - 2.0 ** (-6), 1 - 2.0 ** (-7), 1 - 2.0 ** (-8), 1 - 2.0 ** (-9)]
-    assert list(s.gammas) == want
-    with pytest.raises(ConfigError):
-        DecaySchedule((0.0,))
-    with pytest.raises(ConfigError):
-        DecaySchedule((1.2,))
+    assert default_gammas(4).tolist() == want
 
 
 def test_xpos_qk_single_token_identity_weights():
     x = Rng(2).normal((1, 4))
     q, k = xpos_qk(
-        Tensor(x), np.eye(4), np.eye(4), np.array([0]), RotaryAngles(4), DecaySchedule((0.9,))
+        Tensor(x), np.eye(4), np.eye(4), np.array([0]), RotaryAngles(4), 1
     )
     assert q.shape == (1, 1, 4)
     np.testing.assert_allclose(q.value[0], x, atol=1e-15)
@@ -121,7 +116,7 @@ def test_xpos_qk_distance_two_quarter_turn():
     object.__setattr__(ang, "thetas", np.array([np.pi / 2]))
     x = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
     q, k = xpos_qk(
-        Tensor(x), np.eye(2), np.eye(2), np.arange(4), ang, DecaySchedule((1.0,))
+        Tensor(x), np.eye(2), np.eye(2), np.arange(4), ang, 1
     )
     score = float((q.value[0, 3] * k.value[0, 1]).sum())
     assert abs(score - np.cos(np.pi)) < 1e-12
@@ -136,7 +131,7 @@ def test_xpos_inner_product_depends_only_on_relative_distance(d):
     wq = rng.normal((2 * d, d))
     wk = rng.normal((2 * d, d))
     q, k = xpos_qk(
-        Tensor(x), wq, wk, np.arange(L), RotaryAngles(d), DecaySchedule((0.97,))
+        Tensor(x), wq, wk, np.arange(L), RotaryAngles(d), 1
     )
     qv, kv = q.value[0], k.value[0]
     # oracle: unrotated projections evaluated at each relative distance
@@ -163,7 +158,7 @@ def test_xpos_shift_invariance_with_identical_content():
         wq = rng.normal((2 * d, d))
         wk = rng.normal((2 * d, d))
         q, k = xpos_qk(
-            Tensor(x), wq, wk, np.arange(L), RotaryAngles(d), DecaySchedule((0.9,))
+            Tensor(x), wq, wk, np.arange(L), RotaryAngles(d), 1
         )
         qv, kv = q.value[0], k.value[0]
         for rel in range(0, L):
@@ -174,14 +169,14 @@ def test_xpos_shift_invariance_with_identical_content():
 def test_xpos_rejects_nonincreasing_positions():
     x = Tensor(Rng(4).normal((3, 4)))
     with pytest.raises(InputError):
-        xpos_qk(x, np.eye(4), np.eye(4), np.array([0, 2, 2]), RotaryAngles(4), DecaySchedule((0.9,)))
+        xpos_qk(x, np.eye(4), np.eye(4), np.array([0, 2, 2]), RotaryAngles(4), 1)
 
 
 def test_xpos_rejects_indivisible_head_split():
     x = Tensor(Rng(5).normal((3, 6)))
     w = Rng(6).normal((6, 5))  # width 5 cannot split across 2 heads
     with pytest.raises(ConfigError):
-        xpos_qk(x, w, w, np.arange(3), RotaryAngles(2), DecaySchedule((0.9, 0.8)))
+        xpos_qk(x, w, w, np.arange(3), RotaryAngles(2), 2)
 
 
 def test_merge_heads_roundtrip():

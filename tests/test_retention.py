@@ -345,7 +345,7 @@ def test_retention_gradients_flow_through_all_forms():
             out, _ = retention_recurrent(qt, kt, vt, t, 0.9)
         else:
             out, _ = retention_chunkwise(qt, kt, vt, t, 0.9, ChunkPlan.build(L, 2))
-        loss = tsum(out * out)
+        loss = tsum(mul(out, out))
         if want_tensors:
             return loss, (qt, kt, vt)
         return loss.value

@@ -66,13 +66,6 @@ def test_backward_rejects_nonscalar():
         T.backward(T.mul(p, 2.0))
 
 
-def test_division_takes_a_constant_divisor_only():
-    p = Tns(np.array([2.0, 4.0]))
-    np.testing.assert_array_equal((p / 2.0).value, [1.0, 2.0])
-    with pytest.raises(ContractError, match="divisor"):
-        p / Tns(np.array([1.0, 2.0]))
-
-
 def test_backward_visits_each_node_once():
     p = Tns(np.ones(4))
     q = T.mul(p, 3.0)
@@ -204,7 +197,7 @@ def test_gradients_norms_and_convs(seed):
 
     def bn_loss(a, g, b):
         st_ = T.BatchNormState()
-        return T.tsum(T.mul(T.batch_norm(a, g, b, st_, train=True, update_stats=False), weights))
+        return T.tsum(T.mul(T.batch_norm(a, g, b, st_, train=True), weights))
 
     _fd_check(bn_loss, [x, gain, bias])
 
@@ -213,7 +206,7 @@ def test_gradients_norms_and_convs(seed):
     def bn_masked_loss(a, g, b):
         # excluded positions are normalized too: their outputs carry gradient
         st_ = T.BatchNormState()
-        out = T.batch_norm(a, g, b, st_, train=True, update_stats=False, valid=valid)
+        out = T.batch_norm(a, g, b, st_, train=True, valid=valid)
         return T.add(T.tsum(T.mul(out, valid[..., None] * weights)), T.tsum(T.mul(out, 1.0 - valid[..., None])))
 
     _fd_check(bn_masked_loss, [x, gain, bias])
@@ -299,7 +292,7 @@ def test_batch_norm_train_then_eval_matches_with_momentum_one():
     x = rng.normal((3, 7, 5), scale=2.0)
     gain = rng.normal((5,)) + 1.0
     bias = rng.normal((5,))
-    state = T.BatchNormState(momentum=1.0)
+    state = T.BatchNormState()  # the first train pass copies the batch statistics in
     train_out = T.batch_norm(Tns(x), Tns(gain), Tns(bias), state, train=True)
     eval_out = T.batch_norm(Tns(x), Tns(gain), Tns(bias), state, train=False)
     assert np.max(np.abs(train_out.value - eval_out.value)) < 1e-6
