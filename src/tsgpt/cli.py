@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import resource
 import subprocess
 import sys
 import time
+import typing
 
 import numpy as np
 
@@ -79,11 +81,20 @@ def _scalar(cfg: dict, key: str, kind: type, default=None):
 
 
 def _from_section(cls, section, context: str, seed: int | None = None, **fields):
-    """``cls(**section, **fields)``, with ``seed`` set when given; a section
-    that is not an object or names a field ``cls`` does not take is a
-    UsageError."""
+    """``cls(**section, **fields)``, with ``seed`` set when given.  A section
+    that is not an object, names a field ``cls`` does not take, or gives a
+    bool, int, float or str field (or one of these or None) a value of
+    another JSON type is a UsageError; integers pass as floats."""
     if not isinstance(section, dict):
         raise UsageError(f"{context} config must be a JSON object, got {type(section).__name__}")
+    hints = typing.get_type_hints(cls) if dataclasses.is_dataclass(cls) else {}
+    json_kinds = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+    for key, value in section.items():
+        kinds = typing.get_args(hints.get(key)) or (hints.get(key),)  # X | None names both
+        kind = next((k for k in kinds if k in json_kinds), None)
+        if kind and not (value is None and type(None) in kinds) and (
+                isinstance(value, bool) != (kind is bool) or not isinstance(value, json_kinds[kind])):
+            raise UsageError(f"{context} config field {key!r} must be {kind.__name__}, got {value!r}")
     d = dict(section, **fields)
     if seed is not None:
         d["seed"] = seed
@@ -401,7 +412,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    lengths = [int(x) for x in args.lengths.split(",")]
+    lengths = [int(x) if x.strip().isdecimal() else 0 for x in args.lengths.split(",")]
+    if min(lengths) < 1:
+        raise UsageError(f"--lengths must be comma-separated positive integers, got {args.lengths!r}")
     mechanisms = args.mechanisms.split(",")
     for m in mechanisms:
         if m not in bench_mod.MECHANISMS:

@@ -8,28 +8,47 @@ bias-free depth-wise stage that never mixes channels, a bias-free
 point-wise stage that never mixes timesteps, then batch norm and swish.
 Batch-norm statistics are batch global during training; causality is
 exact in eval mode, which is the mode autoregressive decoding runs in.
+The block is one tape node with an analytic backward; both directions run
+one block of whole batch rows at a time (``BLOCK_ELEMENTS``), so that the
+depth-wise taps work on arrays that stay in cache.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, StateError
 from .tensor import (
+    BATCH_NORM_EPS,
+    BATCH_NORM_MOMENTUM,
     BatchNormState,
     Rng,
     Tensor,
-    add,
-    batch_norm,
+    _accum,
+    as_f64,
     batch_norm_eval_array,
     conv1d,
-    depthwise_conv1d,
-    layer_norm,
+    grad_enabled,
     layer_norm_array,
-    matmul,
+    layer_norm_grad_array,
     swish,
     swish_array,
 )
+
+
+# Elements per array of one block of batch rows (256 KB): the few arrays a
+# block works on at once stay in a 2 MB L2 cache.
+BLOCK_ELEMENTS = 1 << 15
+
+
+def _taps(src: np.ndarray, taps: np.ndarray, acc: np.ndarray, tmp: np.ndarray) -> None:
+    """Causal depth-wise convolution into ``acc`` [n, L, C], summed in tap
+    order from zero: tap j adds ``src[:, j : j + L] * taps[j]``."""
+    L = acc.shape[1]
+    acc.fill(0.0)
+    for j, tap in enumerate(taps):
+        np.multiply(src[:, j : j + L], tap, out=tmp)
+        acc += tmp
 
 
 def _uniform_init(rng: Rng, shape, fan_in: int) -> Tensor:
@@ -96,23 +115,99 @@ class TemporalConvModule:
         ]
 
     def forward(self, x, train: bool, valid: np.ndarray | None = None, capture: dict | None = None) -> Tensor:
-        """Residual block forward; train mode normalizes by the batch
-        statistics and folds them into the running ones.  ``capture``, when
-        given, receives under "dw_input" the buffer :meth:`step` continues
-        the sequence from: the depth-wise stage's last kernel-1 inputs,
-        zero-padded in front when the sequence is shorter."""
+        """Residual block as one tape node, bitwise the six-op composite.
+        Train mode normalizes by the batch statistics (positions weighted by
+        ``valid``) and folds them into the running ones.  ``capture`` receives
+        under "dw_input" the buffer :meth:`step` continues from: the last
+        kernel-1 depth-wise inputs, zero-padded in front.  The tape keeps the
+        padded layer-norm output, the depth-wise output, the normalized
+        point-wise output and swish's sigmoid (the backward recomputes the
+        layer norm); under :func:`no_grad` only the output spans the batch."""
         x = x if isinstance(x, Tensor) else Tensor(x)
-        h = layer_norm(x, self.ln_gain, self.ln_bias)
+        xv, params = x.value, self.named_params()
+        gl, bl, wd, wp, gb, bb = (p.value for _, p in params)
+        B, L, d = xv.shape
+        k, keep, taps = self.kernel, grad_enabled(), np.ascontiguousarray(wd.T)
+        rows = min(B, max(1, BLOCK_ELEMENTS // (L * d)))
+        blocks = [slice(lo, min(lo + rows, B)) for lo in range(0, B, rows)]
+        hp = np.zeros((B if keep else rows, L + k - 1, d))  # layer norm after k-1 zero rows
+        dw = np.empty((B if keep else rows, L, d))
+        tmp = np.empty((rows, L, d))
+        xhat = np.empty_like(xv) if keep or train else None
+        s = np.empty_like(xv) if keep or train else None  # train: the statistics' products first
+        out = np.empty_like(xv)
+        buf = np.empty((B, k - 1, d))
+
+        def point_wise(b: slice) -> np.ndarray:  # layer norm, depth-wise and point-wise stages of one block
+            n = b.stop - b.start
+            at = b if keep else slice(0, n)
+            hp[at, k - 1 :] = layer_norm_array(xv[b], gl, bl)[0]
+            buf[b] = hp[at, L:]
+            _taps(hp[at], taps, dw[at], tmp[:n])
+            return dw[at] @ wp
+
+        if train:
+            w = np.ones((B, L, 1)) if valid is None else as_f64(valid)[..., None]
+            count = float(w.sum())
+            if count <= 0:
+                raise StateError("batch_norm: empty valid mask")
+            for b in blocks:
+                xhat[b] = point_wise(b)
+            mu = np.multiply(xhat, w, out=s).sum(axis=(0, 1)) * (1.0 / count)
+            xhat -= mu
+            var = np.multiply(np.multiply(xhat, xhat, out=s), w, out=s).sum(axis=(0, 1)) * (1.0 / count)
+            inv = (var + BATCH_NORM_EPS) ** -0.5
+            xhat *= inv
+            st, m, first = self.bn_state, BATCH_NORM_MOMENTUM, self.bn_state.running_mean is None
+            st.running_mean = mu if first else (1.0 - m) * st.running_mean + m * mu
+            st.running_var = var if first else (1.0 - m) * st.running_var + m * var
+        for b in blocks:
+            if train:
+                h = xhat[b] * gb + bb
+            else:
+                h, xh, inv = batch_norm_eval_array(point_wise(b), gb, bb, self.bn_state)
+                if keep:
+                    xhat[b] = xh
+            h, sig = swish_array(h)
+            np.add(xv[b], h, out=out[b])
+            if keep:
+                s[b] = sig
         if capture is not None:
-            B, L, d = h.shape
-            keep = self.kernel - 1
-            n = min(keep, L)
-            buf = np.zeros((B, keep, d))
-            buf[:, keep - n :, :] = h.value[:, L - n :, :]
             capture["dw_input"] = buf
-        h = matmul(depthwise_conv1d(h, self.dw_w), self.pw_w)
-        h = batch_norm(h, self.bn_gain, self.bn_bias, self.bn_state, train=train, valid=valid)
-        return add(x, swish(h))
+        if not keep:
+            return Tensor(out)
+
+        def back(g):
+            g_lg, g_lb, g_wd, g_wp, g_gb, g_bb = (np.zeros_like(v) for v in (gl, bl, wd, wp, gb, bb))
+            for b in blocks:  # through swish; s becomes the gradient at the batch-norm output
+                sb, xb = s[b], xhat[b]
+                np.multiply(g[b], sb + (xb * gb + bb) * sb * (1.0 - sb), out=sb)
+                g_gb += np.einsum("blc,blc->c", sb, xb)
+                g_bb += sb.sum(axis=(0, 1))
+            if train:  # through the batch mean and variance, both weighted by w
+                m_b, m_x = g_bb * gb * (1.0 / count), g_gb * gb * (1.0 / count)
+            x.grad = np.zeros_like(xv) if x.grad is None else x.grad
+            gpad = np.zeros((rows, L + k - 1, d))  # the point-wise input's gradient, k-1 zero rows after
+            for b in blocks:
+                n = b.stop - b.start
+                gy = s[b] * gb
+                if train:
+                    gy -= w[b] * (m_b + xhat[b] * m_x)
+                gy *= inv
+                g_wp += np.tensordot(dw[b], gy, axes=([0, 1], [0, 1]))
+                gd = gpad[:n]
+                np.matmul(gy, wp.T, out=gd[:, :L])
+                for j in range(k):
+                    g_wd[:, j] += np.einsum("blc,blc->c", gd[:, :L], hp[b, j : j + L])
+                _taps(gd, taps[::-1], gy, tmp[:n])  # gy: now the layer-norm output's gradient
+                _, xh, iv = layer_norm_array(xv[b], gl, bl)
+                g_lg += np.einsum("blc,blc->c", gy, xh)
+                g_lb += gy.sum(axis=(0, 1))
+                x.grad[b] += g[b] + layer_norm_grad_array(gy, xh, iv, gl)
+            for (_, p), gp in zip(params, (g_lg, g_lb, g_wd, g_wp, g_gb, g_bb)):
+                _accum(p, gp)
+
+        return Tensor(out, (x,) + tuple(p for _, p in params), back)
 
     def step(self, x_t: np.ndarray, buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One-token eval-mode continuation on plain arrays.
@@ -120,8 +215,8 @@ class TemporalConvModule:
         x_t: [B, 1, d].  ``buf`` holds the depth-wise stage's previous
         kernel-1 inputs [B, kernel-1, d], as :meth:`forward` captures it;
         returns the output and the buffer advanced by this token.  The
-        depth-wise output is the last row of :func:`depthwise_conv1d` over
-        buffer plus token: the same products, summed in tap order.
+        depth-wise output is the last row of :meth:`forward`'s depth-wise
+        stage over buffer plus token: the same products, summed in tap order.
         """
         h = layer_norm_array(x_t, self.ln_gain.value, self.ln_bias.value)[0]
         window = np.concatenate([buf, h], axis=1)

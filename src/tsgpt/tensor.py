@@ -5,11 +5,11 @@ operation record; calling :func:`backward` on a scalar-shaped tensor walks
 the recorded graph once in reverse topological order and consumes it: each
 node's gradient, closure and parents are freed once its closure has run,
 so afterwards only leaves (parameters and inputs) carry ``.grad``.  The
-tape is rebuilt on every forward pass (define-by-run).  Layer and batch
-normalization and a linear layer (``x @ w + b``, optionally through swish)
-are each one fused op with an analytic backward.  A tensor's
-first gradient is copied in, not added to zeros, and a slice adds its
-gradient into its parent's ``.grad`` in place.
+tape is rebuilt on every forward pass (define-by-run).  Layer norm and a
+linear layer (``x @ w + b``, optionally through swish) are each one fused
+op with an analytic backward, as are, in their modules, the temporal
+convolution block and chunk-wise retention.  A tensor's first gradient is
+copied in, not added to zeros, and a slice adds to its parent's ``.grad``.
 
 Inside a :func:`no_grad` block nothing is recorded: new tensors hold no
 parents and no backward closure, so an eval pass frees each intermediate
@@ -45,6 +45,11 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
+
+
+def grad_enabled() -> bool:
+    """Whether new tensors record the tape (False inside :func:`no_grad`)."""
+    return _grad_enabled
 
 
 def as_f64(x) -> Array:
@@ -358,17 +363,22 @@ def layer_norm(x, gain, bias) -> Tensor:
     parents = tuple(t for t in (x, gain, bias) if isinstance(t, Tensor))
 
     def back(g):
-        n = xv.shape[-1]
         if isinstance(gain, Tensor):
             _accum(gain, _unbroadcast(g * xhat, gv.shape))
         if isinstance(bias, Tensor):
             _accum(bias, _unbroadcast(g, bv.shape))
         if isinstance(x, Tensor):
-            gy = g * gv
-            term = gy - gy.mean(axis=-1, keepdims=True) - xhat * (gy * xhat).mean(axis=-1, keepdims=True)
-            _accum(x, term * inv)
+            _accum(x, layer_norm_grad_array(g, xhat, inv, gv))
 
     return Tensor(out, parents, back)
+
+
+def layer_norm_grad_array(g: Array, xhat: Array, inv: Array, gv: Array) -> Array:
+    """Gradient of :func:`layer_norm` at its input, from the output gradient
+    ``g`` and the ``xhat``/``inv`` of :func:`layer_norm_array`."""
+    gy = g * gv
+    term = gy - gy.mean(axis=-1, keepdims=True) - xhat * (gy * xhat).mean(axis=-1, keepdims=True)
+    return term * inv
 
 
 class BatchNormState:
@@ -381,56 +391,9 @@ class BatchNormState:
         self.running_var: Array | None = None
 
 
-def batch_norm(x, gain, bias, state: BatchNormState, train: bool, valid: Array | None = None) -> Tensor:
-    """Per-channel normalization over all leading axes (channels last).
-
-    Train mode normalizes by the batch statistics and folds them into the
-    running ones (copied in on the first pass).  ``valid`` optionally
-    weights which positions contribute to the batch statistics (shape =
-    x.shape[:-1], None for all ones); excluded positions are still
-    normalized with the resulting statistics.
-    """
-    xv, gv, bv = _val(x), _val(gain), _val(bias)
-    axes = tuple(range(xv.ndim - 1))
-    if train:
-        w = np.ones(xv.shape[:-1] + (1,)) if valid is None else as_f64(valid)[..., None]
-        count = float(w.sum())
-        if count <= 0:
-            raise StateError("batch_norm: empty valid mask")
-        mu = (xv * w).sum(axis=axes) * (1.0 / count)
-        diff = xv - mu
-        var = (diff * diff * w).sum(axis=axes) * (1.0 / count)
-        inv = (var + BATCH_NORM_EPS) ** -0.5
-        xhat = diff * inv
-        out = xhat * gv + bv
-        m = BATCH_NORM_MOMENTUM
-        if state.running_mean is None:
-            state.running_mean, state.running_var = mu, var
-        else:
-            state.running_mean = (1.0 - m) * state.running_mean + m * mu
-            state.running_var = (1.0 - m) * state.running_var + m * var
-    else:
-        out, xhat, inv = batch_norm_eval_array(xv, gv, bv, state)
-    parents = tuple(t for t in (x, gain, bias) if isinstance(t, Tensor))
-
-    def back(g):
-        if isinstance(gain, Tensor):
-            _accum(gain, _unbroadcast(g * xhat, gv.shape))
-        if isinstance(bias, Tensor):
-            _accum(bias, _unbroadcast(g, bv.shape))
-        if isinstance(x, Tensor):
-            gy = g * gv
-            if train:
-                # d/dx through the batch mean and variance, both weighted by w
-                gy = gy - w * (gy.sum(axis=axes) / count + xhat * ((gy * xhat).sum(axis=axes) / count))
-            _accum(x, _unbroadcast(gy * inv, xv.shape))
-
-    return Tensor(out, parents, back)
-
-
 def batch_norm_eval_array(xv: Array, gv: Array, bv: Array, state: BatchNormState):
-    """Forward arithmetic of eval-mode :func:`batch_norm` on plain arrays,
-    normalizing by the running statistics: (out, xhat, inv)."""
+    """Eval-mode batch normalization on plain arrays, per channel (channels
+    last) by the running statistics: (out, xhat, inv)."""
     if state.running_mean is None:
         raise StateError("batch_norm: eval mode before any training statistics were recorded")
     inv = 1.0 / np.sqrt(state.running_var + BATCH_NORM_EPS)
@@ -455,7 +418,7 @@ def log_softmax(x) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# 1-D convolutions (channels-last, causal left padding)
+# 1-D convolution (channels-last, causal left padding)
 # ---------------------------------------------------------------------------
 
 
@@ -489,39 +452,6 @@ def conv1d(x, w, bias, stride: int, pad_left: int) -> Tensor:
             for j in range(k):
                 gxp[:, j : j + stride * lout : stride, :] += np.einsum("blo,oc->blc", g, wv[:, :, j], optimize=True)
             _accum(x, gxp[:, pad_left:, :])
-
-    return Tensor(out, parents, back)
-
-
-def depthwise_conv1d(x, w) -> Tensor:
-    """Per-channel causal convolution: x [B, L, C], w [C, k] -> [B, L, C].
-
-    No channel mixing; output at t reads inputs t-k+1 .. t.
-    """
-    xv, wv = _val(x), _val(w)
-    if xv.ndim != 3 or wv.ndim != 2:
-        raise ShapeError(f"depthwise_conv1d: got {xv.shape} and {wv.shape}")
-    c, k = wv.shape
-    if xv.shape[-1] != c:
-        raise ShapeError(f"depthwise_conv1d: channel mismatch {xv.shape} vs weight {wv.shape}")
-    L = xv.shape[1]
-    xp = np.pad(xv, ((0, 0), (k - 1, 0), (0, 0)))
-    out = np.zeros_like(xv)
-    for j in range(k):
-        out += xp[:, j : j + L, :] * wv[:, j]
-    parents = tuple(t for t in (x, w) if isinstance(t, Tensor))
-
-    def back(g):
-        if isinstance(w, Tensor):
-            gw = np.zeros_like(wv)
-            for j in range(k):
-                gw[:, j] = (g * xp[:, j : j + L, :]).sum(axis=(0, 1))
-            _accum(w, gw)
-        if isinstance(x, Tensor):
-            gxp = np.zeros_like(xp)
-            for j in range(k):
-                gxp[:, j : j + L, :] += g * wv[:, j]
-            _accum(x, gxp[:, k - 1 :, :])
 
     return Tensor(out, parents, back)
 

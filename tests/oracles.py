@@ -1,5 +1,7 @@
 """Shared test helpers: a central-finite-difference oracle, the chunk-wise
-retention loop recorded op by op as the fused op's gradient oracle, a
+retention loop recorded op by op as the fused op's gradient oracle, the
+temporal convolution block as six Tensor ops (with the depth-wise
+convolution and batch norm ops it needs) as that fused block's oracle, a
 taped decoder-stack oracle for eval encodes, and two oracles for streaming
 generation: re-encoding the whole prefix per token, and the recurrent
 decode step run through the Tensor ops."""
@@ -15,13 +17,19 @@ from tsgpt.retention import (
     _decay_rows,
     retention_recurrent,
 )
+from tsgpt.errors import ShapeError, StateError
 from tsgpt.tensor import (
+    BATCH_NORM_EPS,
+    BATCH_NORM_MOMENTUM,
     Tensor,
+    _accum,
+    _unbroadcast,
+    _val,
     add,
-    batch_norm,
+    as_f64,
+    batch_norm_eval_array,
     broadcast_to,
     concat,
-    depthwise_conv1d,
     layer_norm,
     matmul,
     mul,
@@ -85,6 +93,103 @@ def retention_chunkwise_taped(q, k, v, timestamps, gamma, plan, initial=None):
         prev_last = last
     out = outs[0] if len(outs) == 1 else concat(outs, axis=-2)
     return out, RetentionState(s, np.asarray(prev_last))
+
+
+def depthwise_conv1d(x, w) -> Tensor:
+    """Per-channel causal convolution: x [B, L, C], w [C, k] -> [B, L, C].
+
+    No channel mixing; output at t reads inputs t-k+1 .. t.
+    """
+    xv, wv = _val(x), _val(w)
+    if xv.ndim != 3 or wv.ndim != 2:
+        raise ShapeError(f"depthwise_conv1d: got {xv.shape} and {wv.shape}")
+    c, k = wv.shape
+    if xv.shape[-1] != c:
+        raise ShapeError(f"depthwise_conv1d: channel mismatch {xv.shape} vs weight {wv.shape}")
+    L = xv.shape[1]
+    xp = np.pad(xv, ((0, 0), (k - 1, 0), (0, 0)))
+    out = np.zeros_like(xv)
+    for j in range(k):
+        out += xp[:, j : j + L, :] * wv[:, j]
+    parents = tuple(t for t in (x, w) if isinstance(t, Tensor))
+
+    def back(g):
+        if isinstance(w, Tensor):
+            gw = np.zeros_like(wv)
+            for j in range(k):
+                gw[:, j] = (g * xp[:, j : j + L, :]).sum(axis=(0, 1))
+            _accum(w, gw)
+        if isinstance(x, Tensor):
+            gxp = np.zeros_like(xp)
+            for j in range(k):
+                gxp[:, j : j + L, :] += g * wv[:, j]
+            _accum(x, gxp[:, k - 1 :, :])
+
+    return Tensor(out, parents, back)
+
+
+def batch_norm(x, gain, bias, state, train: bool, valid=None) -> Tensor:
+    """Per-channel normalization over all leading axes (channels last).
+
+    Train mode normalizes by the batch statistics and folds them into the
+    running ones (copied in on the first pass).  ``valid`` optionally
+    weights which positions contribute to the batch statistics (shape =
+    x.shape[:-1], None for all ones); excluded positions are still
+    normalized with the resulting statistics.
+    """
+    xv, gv, bv = _val(x), _val(gain), _val(bias)
+    axes = tuple(range(xv.ndim - 1))
+    if train:
+        w = np.ones(xv.shape[:-1] + (1,)) if valid is None else as_f64(valid)[..., None]
+        count = float(w.sum())
+        if count <= 0:
+            raise StateError("batch_norm: empty valid mask")
+        mu = (xv * w).sum(axis=axes) * (1.0 / count)
+        diff = xv - mu
+        var = (diff * diff * w).sum(axis=axes) * (1.0 / count)
+        inv = (var + BATCH_NORM_EPS) ** -0.5
+        xhat = diff * inv
+        out = xhat * gv + bv
+        m = BATCH_NORM_MOMENTUM
+        if state.running_mean is None:
+            state.running_mean, state.running_var = mu, var
+        else:
+            state.running_mean = (1.0 - m) * state.running_mean + m * mu
+            state.running_var = (1.0 - m) * state.running_var + m * var
+    else:
+        out, xhat, inv = batch_norm_eval_array(xv, gv, bv, state)
+    parents = tuple(t for t in (x, gain, bias) if isinstance(t, Tensor))
+
+    def back(g):
+        if isinstance(gain, Tensor):
+            _accum(gain, _unbroadcast(g * xhat, gv.shape))
+        if isinstance(bias, Tensor):
+            _accum(bias, _unbroadcast(g, bv.shape))
+        if isinstance(x, Tensor):
+            gy = g * gv
+            if train:
+                # d/dx through the batch mean and variance, both weighted by w
+                gy = gy - w * (gy.sum(axis=axes) / count + xhat * ((gy * xhat).sum(axis=axes) / count))
+            _accum(x, _unbroadcast(gy * inv, xv.shape))
+
+    return Tensor(out, parents, back)
+
+
+def temporal_conv_taped(m, x, train: bool, valid=None, capture=None) -> Tensor:
+    """Oracle for ``TemporalConvModule.forward``: the block as six recorded
+    ops (layer norm, depth-wise, point-wise, batch norm, swish, residual)."""
+    x = x if isinstance(x, Tensor) else Tensor(x)
+    h = layer_norm(x, m.ln_gain, m.ln_bias)
+    if capture is not None:
+        B, L, d = h.shape
+        keep = m.kernel - 1
+        n = min(keep, L)
+        buf = np.zeros((B, keep, d))
+        buf[:, keep - n :, :] = h.value[:, L - n :, :]
+        capture["dw_input"] = buf
+    h = matmul(depthwise_conv1d(h, m.dw_w), m.pw_w)
+    h = batch_norm(h, m.bn_gain, m.bn_bias, m.bn_state, train=train, valid=valid)
+    return add(x, swish(h))
 
 
 def taped_stack(model, feats: np.ndarray, pos: np.ndarray, valid=None, form=None) -> Tensor:

