@@ -116,6 +116,7 @@ def _git_describe() -> str:
 
 
 def _write_manifest(out_dir, command: str, config_path, seed, timings: dict, extra: dict | None = None) -> None:
+    usage = resource.getrusage(resource.RUSAGE_SELF)
     manifest = {
         "command": command,
         "config": config_path,
@@ -124,7 +125,8 @@ def _write_manifest(out_dir, command: str, config_path, seed, timings: dict, ext
         "out_dir": str(out_dir),
         "argv": sys.argv[1:],
         "timings_seconds": {k: round(v, 6) for k, v in timings.items()},
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
+        "peak_rss_mb": round(usage.ru_maxrss / 1024.0, 1),
+        "minor_faults": usage.ru_minflt,  # pages the process faulted in without I/O
     }
     if extra:
         manifest.update(extra)

@@ -205,7 +205,7 @@ class TemporalConvModule:
                 g_lb += gy.sum(axis=(0, 1))
                 x.grad[b] += g[b] + layer_norm_grad_array(gy, xh, iv, gl)
             for (_, p), gp in zip(params, (g_lg, g_lb, g_wd, g_wp, g_gb, g_bb)):
-                _accum(p, gp)
+                _accum(p, gp, own=True)
 
         return Tensor(out, (x,) + tuple(p for _, p in params), back)
 

@@ -414,12 +414,25 @@ def write_signal_csv(path, batch: SequenceBatch) -> None:
 
 
 def read_signal_csv(path) -> SequenceBatch:
+    """Read :func:`write_signal_csv` output.  A missing header, a header with
+    no rows, a row whose cell count is not the header's (a blank row too)
+    and a cell that is not a number raise DataError."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    if not rows or not rows[0] or rows[0][0] != "t":
+    if not rows or len(rows[0]) < 2 or rows[0][0] != "t":
         raise DataError(f"{path}: expected header t,v1..vV")
-    data = np.array([[float(x) for x in row[1:]] for row in rows[1:]])
-    return SequenceBatch(values=data[None, :, :])
+    if len(rows) == 1:
+        raise DataError(f"{path}: a header but no rows")
+    width = len(rows[0])
+    data = np.empty((len(rows) - 1, width))
+    for i, row in enumerate(rows[1:]):
+        if len(row) != width:
+            raise DataError(f"{path}: line {i + 2} has {len(row)} cells, the header {width}")
+        try:
+            data[i] = [float(x) for x in row]
+        except ValueError as e:
+            raise DataError(f"{path}: line {i + 2}: {e}")
+    return SequenceBatch(values=np.ascontiguousarray(data[None, :, 1:]))
 
 
 def write_signal_ndar(path, batch: SequenceBatch) -> None:
@@ -439,10 +452,23 @@ def write_cohort_jsonl(path, batch: SequenceBatch) -> None:
             fh.write(json.dumps({"id": i, "events": events, "label": int(batch.labels[i])}) + "\n")
 
 
+_INT64 = np.iinfo(np.int64)
+
+
+def _json_int(x, what: str) -> int:
+    """``x`` if it is a JSON integer within int64, else ValueError (a float,
+    bool or string is not one)."""
+    if type(x) is not int or not _INT64.min <= x <= _INT64.max:
+        raise ValueError(f"{what} {x!r} is not a 64-bit integer")
+    return x
+
+
 def read_cohort_jsonl(path, vocab: int) -> SequenceBatch:
     """Read :func:`write_cohort_jsonl` output.  A line that is not a JSON
-    subject with ``events`` pairs and a ``label``, a subject without events
-    and a code outside [0, vocab) raise DataError."""
+    subject with ``events`` pairs and a ``label``, a code, timestamp or label
+    that is not a 64-bit JSON integer, a negative label, a subject without
+    events, a last timestamp whose padding steps would pass int64 and a
+    code outside [0, vocab) raise DataError."""
     subjects = []
     lineno = 0
     try:
@@ -450,8 +476,11 @@ def read_cohort_jsonl(path, vocab: int) -> SequenceBatch:
             for lineno, line in enumerate(fh, 1):
                 if line.strip():
                     s = json.loads(line)
-                    ev = s["events"]
-                    subjects.append(([int(c) for c, _ in ev], [int(t) for _, t in ev], int(s["label"])))
+                    ev, label = s["events"], _json_int(s["label"], "label")
+                    if label < 0:
+                        raise ValueError(f"label {label} is negative")
+                    codes = [_json_int(c, "code") for c, _ in ev]
+                    subjects.append((codes, [_json_int(t, "timestamp") for _, t in ev], label))
     except (ValueError, KeyError, TypeError) as e:
         raise DataError(f"{path}: malformed cohort line {lineno}: {type(e).__name__}: {e}")
     if not subjects:
@@ -466,6 +495,8 @@ def read_cohort_jsonl(path, vocab: int) -> SequenceBatch:
     labels = np.zeros(n, dtype=np.int64)
     for i, (c, t, label) in enumerate(subjects):
         m = len(c)
+        if t[-1] > _INT64.max - (vmax - m):
+            raise DataError(f"{path}: subject {i}'s last timestamp {t[-1]} leaves no room for {vmax - m} padding steps")
         codes[i, :m] = c
         timestamps[i, :m] = t
         valid[i, :m] = 1.0

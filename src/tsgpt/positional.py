@@ -68,7 +68,7 @@ def rotate(x, positions: Array, angles: RotaryAngles) -> Tensor:
         cos, sin = cos[:, None, :, :], sin[:, None, :, :]  # room for the head axis
 
     def back(g):
-        _accum(x, rotate_array(g, cos, -sin))
+        _accum(x, rotate_array(g, cos, -sin), own=True)
 
     return Tensor(rotate_array(x.value, cos, sin), (x,), back)
 

@@ -287,7 +287,7 @@ def retention_chunkwise(
             dq[..., lo:hi, :], dk[..., lo:hi, :], dv[..., lo:hi, :] = dq_c, dk_c, dv_c
         for x, d in ((q, dq), (k, dk), (v, dv)):
             if isinstance(x, Tensor):
-                _accum(x, _unbroadcast(d, x.shape))
+                _accum(x, _unbroadcast(d, x.shape), own=True)
 
     parents = tuple(x for x in (q, k, v) if isinstance(x, Tensor))
     return Tensor(out, parents, back), RetentionState(s, np.asarray(prev_last))

@@ -8,8 +8,21 @@ so afterwards only leaves (parameters and inputs) carry ``.grad``.  The
 tape is rebuilt on every forward pass (define-by-run).  Layer norm and a
 linear layer (``x @ w + b``, optionally through swish) are each one fused
 op with an analytic backward, as are, in their modules, the temporal
-convolution block and chunk-wise retention.  A tensor's first gradient is
-copied in, not added to zeros, and a slice adds to its parent's ``.grad``.
+convolution block and chunk-wise retention.  A slice adds to its parent's
+``.grad`` in place.
+
+Two rules keep a train step from churning the heap:
+
+- A full-size kernel allocates only the arrays it returns or keeps for its
+  backward; every other step writes into one of those (``out=`` or an
+  in-place operator), in the order and with the operands the plain
+  expression would use, so the results are bitwise the same.
+- A tensor's first gradient is adopted, not copied, when the caller
+  passes ``own=True`` to :func:`_accum`: the caller guarantees that the
+  array is C-contiguous and that nothing else refers to it or will write
+  to it (a result it just made, or a node's own incoming gradient handed to
+  one parent only).  Later gradients add into it in place, so no two
+  tensors' ``.grad`` share memory.
 
 Inside a :func:`no_grad` block nothing is recorded: new tensors hold no
 parents and no backward closure, so an eval pass frees each intermediate
@@ -87,19 +100,24 @@ def _val(x) -> Array:
     return x.value if isinstance(x, Tensor) else as_f64(x)
 
 
-def _accum(t: Tensor, g: Array) -> None:
+def _accum(t: Tensor, g: Array, own: bool = False) -> None:
+    """Add ``g`` into ``t.grad``.  A first gradient is copied in, or adopted
+    as it is when ``own`` (see the module docstring for when that holds)."""
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64, order="C")
+        t.grad = g if own else np.array(g, dtype=np.float64, order="C")
     else:
         t.grad += g
 
 
 def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
-    """Sum a gradient down to ``shape`` (reverses numpy broadcasting)."""
+    """Sum a gradient down to ``shape`` (reverses numpy broadcasting);
+    ``g`` itself when nothing is summed."""
     extra = g.ndim - len(shape)
+    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[extra + i] != 1)
+    if extra == 0 and not axes:
+        return g
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
     if axes:
         g = g.sum(axis=axes, keepdims=True)
     return g.reshape(shape)
@@ -122,9 +140,9 @@ def add(a, b) -> Tensor:
     _check_broadcast(av, bv, "add")
     parents = tuple(t for t in (a, b) if isinstance(t, Tensor))
 
-    def back(g):
+    def back(g):  # g is this node's own gradient: the first parent may adopt it
         if isinstance(a, Tensor):
-            _accum(a, _unbroadcast(g, av.shape))
+            _accum(a, _unbroadcast(g, av.shape), own=True)
         if isinstance(b, Tensor):
             _accum(b, _unbroadcast(g, bv.shape))
 
@@ -138,9 +156,9 @@ def sub(a, b) -> Tensor:
 
     def back(g):
         if isinstance(a, Tensor):
-            _accum(a, _unbroadcast(g, av.shape))
+            _accum(a, _unbroadcast(g, av.shape), own=True)
         if isinstance(b, Tensor):
-            _accum(b, _unbroadcast(-g, bv.shape))
+            _accum(b, _unbroadcast(-g, bv.shape), own=True)
 
     return Tensor(av - bv, parents, back)
 
@@ -152,18 +170,43 @@ def mul(a, b) -> Tensor:
 
     def back(g):
         if isinstance(a, Tensor):
-            _accum(a, _unbroadcast(g * bv, av.shape))
+            _accum(a, _unbroadcast(g * bv, av.shape), own=True)
         if isinstance(b, Tensor):
-            _accum(b, _unbroadcast(g * av, bv.shape))
+            _accum(b, _unbroadcast(g * av, bv.shape), own=True)
 
     return Tensor(av * bv, parents, back)
 
 
+def _sigmoid(xv: Array) -> Array:
+    """sigmoid(x) in one new array: p = 1 / (1 + exp(-|x|)) where x >= 0 and
+    1 - p where x < 0, bitwise.  The sign select is 0.5 + copysign(p - 0.5, x):
+    with p in [0.5, 1], both p - 0.5 and 1 - p are exact (Sterbenz), so the
+    sum is exactly p or 1 - p; p = 0.5 at x = -0.0 and x = 0."""
+    s = np.abs(xv)
+    np.negative(s, out=s)
+    np.exp(s, out=s)
+    s += 1.0
+    np.divide(1.0, s, out=s)
+    s -= 0.5
+    np.copysign(s, xv, out=s)
+    s += 0.5
+    return s
+
+
 def swish_array(xv: Array) -> tuple[Array, Array]:
     """Forward arithmetic of :func:`swish` on a plain array: (out, sigmoid)."""
-    s = 1.0 / (1.0 + np.exp(-np.abs(xv)))
-    s = np.where(xv >= 0, s, 1.0 - s)
+    s = _sigmoid(xv)
     return xv * s, s
+
+
+def swish_grad_array(g: Array, out: Array, s: Array) -> Array:
+    """Gradient at swish's input, ``g * (s + out * (1 - s))``, from its
+    output ``out = x * s`` and sigmoid ``s``, formed in one new array."""
+    slope = np.subtract(1.0, s)
+    slope *= out
+    slope += s
+    slope *= g
+    return slope
 
 
 def swish(x) -> Tensor:
@@ -173,7 +216,7 @@ def swish(x) -> Tensor:
 
     def back(g):
         if isinstance(x, Tensor):
-            _accum(x, g * (s + xv * s * (1.0 - s)))
+            _accum(x, swish_grad_array(g, out, s), own=True)
 
     return Tensor(out, (x,) if isinstance(x, Tensor) else (), back)
 
@@ -300,36 +343,40 @@ def matmul(a, b) -> Tensor:
 
     def back(g):
         if isinstance(a, Tensor):
-            _accum(a, _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape))
+            _accum(a, _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape), own=True)
         if isinstance(b, Tensor):
-            _accum(b, _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape))
+            _accum(b, _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape), own=True)
 
     return Tensor(out, parents, back)
 
 
 def linear(x, w, b, swish_out: bool = False) -> Tensor:
     """``add(matmul(x, w), b)``, through :func:`swish` when ``swish_out``, as
-    one node whose values and gradients are bitwise theirs.  The tape keeps
-    neither the bias-free product nor the pre-activation: swish's backward
-    takes the product ``x * sigmoid(x)`` it needs from the output."""
+    one node whose values and gradients are bitwise theirs.  The product
+    takes the bias and the activation in place; the tape keeps neither the
+    bias-free product nor the pre-activation, only the output and, with
+    ``swish_out``, the sigmoid, from which the backward forms swish's slope."""
     xv, wv, bv = _val(x), _val(w), _val(b)
     _check_matmul(xv, wv, "linear")
     out = xv @ wv
-    _check_broadcast(out, bv, "linear")
-    out = out + bv
+    try:
+        out += bv
+    except ValueError:
+        raise ShapeError(f"linear: bias {bv.shape} does not broadcast to the product {out.shape}")
     s = None
     if swish_out:
-        out, s = swish_array(out)
+        s = _sigmoid(out)
+        out *= s
 
     def back(g):
         if s is not None:
-            g = g * (s + out * (1.0 - s))
+            g = swish_grad_array(g, out, s)
         if isinstance(x, Tensor):
-            _accum(x, _unbroadcast(g @ np.swapaxes(wv, -1, -2), xv.shape))
+            _accum(x, _unbroadcast(g @ np.swapaxes(wv, -1, -2), xv.shape), own=True)
         if isinstance(w, Tensor):
-            _accum(w, _unbroadcast(np.swapaxes(xv, -1, -2) @ g, wv.shape))
-        if isinstance(b, Tensor):
-            _accum(b, _unbroadcast(g, bv.shape))
+            _accum(w, _unbroadcast(np.swapaxes(xv, -1, -2) @ g, wv.shape), own=True)
+        if isinstance(b, Tensor):  # the last reader of g, so it may adopt it
+            _accum(b, _unbroadcast(g, bv.shape), own=True)
 
     return Tensor(out, tuple(t for t in (x, w, b) if isinstance(t, Tensor)), back)
 
@@ -347,13 +394,17 @@ def layer_norm_array(xv: Array, gv: Array, bv: Array) -> tuple[Array, Array, Arr
     """Forward arithmetic of :func:`layer_norm` on plain arrays: (out, xhat, inv).
 
     Mean and population variance are summed and divided exactly as
-    ``mean``/``var`` do it, sharing the centred input.
+    ``mean``/``var`` do it, sharing the centred input.  Two full-size
+    arrays: the centred input becomes ``xhat`` and its squares the output.
     """
     n = xv.shape[-1]
-    diff = xv - xv.sum(axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt((diff * diff).sum(axis=-1, keepdims=True) / n + LAYER_NORM_EPS)
-    xhat = diff * inv
-    return xhat * gv + bv, xhat, inv
+    xhat = xv - xv.sum(axis=-1, keepdims=True) / n
+    out = xhat * xhat
+    inv = 1.0 / np.sqrt(out.sum(axis=-1, keepdims=True) / n + LAYER_NORM_EPS)
+    xhat *= inv
+    np.multiply(xhat, gv, out=out)
+    out += bv
+    return out, xhat, inv
 
 
 def layer_norm(x, gain, bias) -> Tensor:
@@ -364,21 +415,28 @@ def layer_norm(x, gain, bias) -> Tensor:
 
     def back(g):
         if isinstance(gain, Tensor):
-            _accum(gain, _unbroadcast(g * xhat, gv.shape))
+            _accum(gain, _unbroadcast(g * xhat, gv.shape), own=True)
         if isinstance(bias, Tensor):
             _accum(bias, _unbroadcast(g, bv.shape))
         if isinstance(x, Tensor):
-            _accum(x, layer_norm_grad_array(g, xhat, inv, gv))
+            _accum(x, layer_norm_grad_array(g, xhat, inv, gv), own=True)
 
     return Tensor(out, parents, back)
 
 
 def layer_norm_grad_array(g: Array, xhat: Array, inv: Array, gv: Array) -> Array:
     """Gradient of :func:`layer_norm` at its input, from the output gradient
-    ``g`` and the ``xhat``/``inv`` of :func:`layer_norm_array`."""
+    ``g`` and the ``xhat``/``inv`` of :func:`layer_norm_array`:
+    ``(gy - mean(gy) - xhat * mean(gy * xhat)) * inv`` with ``gy = g * gain``,
+    in two full-size arrays."""
     gy = g * gv
-    term = gy - gy.mean(axis=-1, keepdims=True) - xhat * (gy * xhat).mean(axis=-1, keepdims=True)
-    return term * inv
+    t = gy * xhat
+    m = t.mean(axis=-1, keepdims=True)
+    gy -= gy.mean(axis=-1, keepdims=True)
+    np.multiply(xhat, m, out=t)
+    gy -= t
+    gy *= inv
+    return gy
 
 
 class BatchNormState:
@@ -412,7 +470,7 @@ def log_softmax(x) -> Tensor:
 
     def back(g):
         if isinstance(x, Tensor):
-            _accum(x, g - sm * g.sum(axis=-1, keepdims=True))
+            _accum(x, g - sm * g.sum(axis=-1, keepdims=True), own=True)
 
     return Tensor(out, (x,) if isinstance(x, Tensor) else (), back)
 
@@ -441,12 +499,12 @@ def conv1d(x, w, bias, stride: int, pad_left: int) -> Tensor:
 
     def back(g):
         if isinstance(bias, Tensor):
-            _accum(bias, _unbroadcast(g, bv.shape))
+            _accum(bias, _unbroadcast(g, bv.shape), own=True)
         if isinstance(w, Tensor):
             gw = np.zeros_like(wv)
             for j in range(k):
                 gw[:, :, j] = np.einsum("blo,blc->oc", g, xp[:, j : j + stride * lout : stride, :], optimize=True)
-            _accum(w, gw)
+            _accum(w, gw, own=True)
         if isinstance(x, Tensor):
             gxp = np.zeros_like(xp)
             for j in range(k):

@@ -4,7 +4,10 @@ temporal convolution block as six Tensor ops (with the depth-wise
 convolution and batch norm ops it needs) as that fused block's oracle, a
 taped decoder-stack oracle for eval encodes, and two oracles for streaming
 generation: re-encoding the whole prefix per token, and the recurrent
-decode step run through the Tensor ops."""
+decode step run through the Tensor ops.  The plain-expression forms of the
+in-place kernels (swish, its slope, layer norm and its gradient) are kept
+as their bitwise references, beside a check that gradients own their
+memory."""
 
 import numpy as np
 
@@ -21,6 +24,7 @@ from tsgpt.errors import ShapeError, StateError
 from tsgpt.tensor import (
     BATCH_NORM_EPS,
     BATCH_NORM_MOMENTUM,
+    LAYER_NORM_EPS,
     Tensor,
     _accum,
     _unbroadcast,
@@ -65,6 +69,50 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=np.float64)
     denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
     return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
+
+
+def swish_reference(xv):
+    """swish as a plain expression: (out, sigmoid)."""
+    s = 1.0 / (1.0 + np.exp(-np.abs(xv)))
+    s = np.where(xv >= 0, s, 1.0 - s)
+    return xv * s, s
+
+
+def swish_grad_reference(g, xv, s):
+    """Tensor swish's gradient at its input, as a plain expression."""
+    return g * (s + xv * s * (1.0 - s))
+
+
+def linear_swish_grad_reference(g, out, s):
+    """The fused linear layer's swish slope, from its output, as a plain expression."""
+    return g * (s + out * (1.0 - s))
+
+
+def layer_norm_reference(xv, gv, bv):
+    """Layer norm as a plain expression: (out, xhat, inv)."""
+    n = xv.shape[-1]
+    diff = xv - xv.sum(axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt((diff * diff).sum(axis=-1, keepdims=True) / n + LAYER_NORM_EPS)
+    xhat = diff * inv
+    return xhat * gv + bv, xhat, inv
+
+
+def layer_norm_grad_reference(g, xhat, inv, gv):
+    """Layer norm's gradient at its input, as a plain expression."""
+    gy = g * gv
+    term = gy - gy.mean(axis=-1, keepdims=True) - xhat * (gy * xhat).mean(axis=-1, keepdims=True)
+    return term * inv
+
+
+def assert_grads_own_memory(tensors) -> None:
+    """Every ``.grad`` among ``tensors`` is a writable C-contiguous array
+    that shares memory with no other one's ``.grad`` and no tensor's value."""
+    grads = [t.grad for t in tensors if t.grad is not None]
+    assert grads
+    for i, g in enumerate(grads):
+        assert isinstance(g, np.ndarray) and g.flags.c_contiguous and g.flags.writeable
+        assert not any(np.shares_memory(g, h) for h in grads[i + 1 :])
+        assert not any(np.shares_memory(g, t.value) for t in tensors)
 
 
 def retention_chunkwise_taped(q, k, v, timestamps, gamma, plan, initial=None):

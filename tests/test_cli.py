@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tsgpt.cli import main
-from tsgpt.datagen import EventCohortSpec, gen_cohort, write_cohort_jsonl
+from tsgpt.datagen import EventCohortSpec, gen_cohort, read_signal_csv, write_cohort_jsonl, write_signal_csv
 from tsgpt.datagen import SequenceBatch
 from tsgpt.model import Model, ModelConfig
 from tsgpt.tensor import Rng, save_tensor
@@ -84,6 +84,7 @@ def test_pretrain_then_rerun_reproduces_artifacts_bitwise(tmp_path):
     manifest = json.loads((out1 / "manifest.json").read_text())
     assert manifest["command"] == "pretrain" and "train" in manifest["timings_seconds"]
     assert manifest["peak_rss_mb"] > 0
+    assert isinstance(manifest["minor_faults"], int) and manifest["minor_faults"] >= 0
     assert json.loads((sig / "manifest.json").read_text())["peak_rss_mb"] > 0
     out2 = pretrain_dir(tmp_path, sig / "signal.ndar")
     assert (out2 / "metrics.csv").read_bytes() == metrics
@@ -443,7 +444,17 @@ def test_malformed_signal_spec_exits_two(tmp_path, capsys, spec):
     '{"id": 9, "events": [[1, 1], [2, 3]]}',  # no label
     '{"id": 9, "events": [], "label": 1}',  # empty events
     '{"id": 9, "events": [[1, 1], [2]], "label": 1}',  # event without a timestamp
-], ids=["negative_code", "code_at_vocab", "malformed_json", "no_events", "no_label", "empty_events", "short_event"])
+    '{"id": 9, "events": [[1.5, 1], [2, 3]], "label": 1}',  # a float code
+    '{"id": 9, "events": [[true, 1], [2, 3]], "label": 1}',  # a boolean code
+    '{"id": 9, "events": [["3", 1], [2, 3]], "label": 1}',  # a string code
+    '{"id": 9, "events": [[1, 0.7], [2, 3]], "label": 1}',  # a float timestamp
+    '{"id": 9, "events": [[1, 1], [2, 9223372036854775808]], "label": 1}',  # a timestamp past int64
+    '{"id": 9, "events": [[1, 1], [2, 9223372036854775807]], "label": 1}',  # padding would pass int64
+    '{"id": 9, "events": [[1, 1], [2, 3]], "label": 1.9}',  # a float label
+    '{"id": 9, "events": [[1, 1], [2, 3]], "label": -3}',  # a negative label
+], ids=["negative_code", "code_at_vocab", "malformed_json", "no_events", "no_label", "empty_events", "short_event",
+        "float_code", "bool_code", "string_code", "float_timestamp", "int64_overflow_timestamp", "int64_padding_overflow", "float_label",
+        "negative_label"])
 def test_malformed_cohort_file_exits_three(tmp_path, capsys, line):
     data = tmp_path / "cohort.jsonl"
     cohort, _ = gen_cohort(EventCohortSpec(vocab=4, subjects=10, min_events=10, max_events=12, seed=1))
@@ -457,6 +468,24 @@ def test_malformed_cohort_file_exits_three(tmp_path, capsys, line):
     with open(data, "a") as fh:
         fh.write(line + "\n")
     assert main(args) == 3
+    assert capsys.readouterr().err.startswith(f"error: {data}: ")
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda rows: rows[:3] + [rows[3][:1] + ["abc"]] + rows[4:],  # a non-numeric cell
+    lambda rows: rows[:3] + [rows[3][:1]] + rows[4:],  # a row short of a cell
+    lambda rows: rows[:3] + [[]] + rows[3:],  # a blank row
+    lambda rows: rows[:1],  # a header with no rows
+], ids=["non_numeric_cell", "ragged_row", "blank_row", "header_only"])
+def test_malformed_signal_csv_exits_three(tmp_path, capsys, corrupt):
+    data = tmp_path / "signal.csv"
+    write_signal_csv(data, SequenceBatch(values=Rng(4).normal((1, 64, 1))))
+    cfg = write_json(tmp_path / "pre.json", {"model": TINY_MODEL, "train": {"epochs": 1}, "data": str(data)})
+    assert read_signal_csv(data).values.shape == (1, 64, 1)
+    rows = corrupt(read_csv(data))
+    with open(data, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    assert main(["pretrain", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
     assert capsys.readouterr().err.startswith(f"error: {data}: ")
 
 

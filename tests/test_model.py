@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -11,7 +12,7 @@ from tsgpt.experiments import VANILLA_FLAGS, irregular_model
 from tsgpt.model import DecoderLayer, Model, ModelConfig, pooled_tokens
 from tsgpt.tensor import Rng, Tensor, backward, zero_grads
 
-from oracles import generate_by_reencoding, generate_by_tensor_steps, taped_stack
+from oracles import assert_grads_own_memory, generate_by_reencoding, generate_by_tensor_steps, taped_stack
 
 
 def tiny_cfg(**kw):
@@ -341,7 +342,26 @@ def test_backward_frees_every_swept_node_and_keeps_param_grads(irregular):
         assert t.grad is None and t._parents == ()
         with pytest.raises(ContractError, match="already consumed"):
             t._backward(np.ones(t.shape))
-    assert all(p.grad is not None for _, p in m.named_params())
+    params = [p for _, p in m.named_params()]
+    assert all(p.grad is not None for p in params)
+    assert_grads_own_memory(params)
+
+
+def test_train_forward_allocates_only_what_its_tape_keeps():
+    """Every full-size kernel of a train forward allocates only the arrays it
+    returns or keeps, so the traced peak is what the finished tape holds."""
+    m = Model(tiny_cfg(layers=1, n_inputs=1, conv_kernel=3, no_subsampler=True))
+    batch = SequenceBatch(values=Rng(1).normal((2, 256, 1)))
+    m.loss(batch, train=True)  # first-pass set-up (running statistics) off the trace
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss = m.loss(batch, train=True)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loss._backward is not None
+    assert peak - held < 0.01 * (held - base)
 
 
 @pytest.mark.parametrize("head", ["next_token", "classification"])

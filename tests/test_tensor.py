@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,18 @@ from hypothesis import strategies as st
 from tsgpt import tensor as T
 from tsgpt.errors import ContractError, DataError, ShapeError, StateError
 
-from oracles import batch_norm, depthwise_conv1d, finite_diff_grad, rel_err
+from oracles import (
+    assert_grads_own_memory,
+    batch_norm,
+    depthwise_conv1d,
+    finite_diff_grad,
+    layer_norm_grad_reference,
+    layer_norm_reference,
+    linear_swish_grad_reference,
+    rel_err,
+    swish_grad_reference,
+    swish_reference,
+)
 
 
 def test_matmul_identity():
@@ -239,6 +251,9 @@ def test_linear_is_the_composite_bitwise_in_one_node(swish_out):
     _fd_check(lambda a, wt, bt: T.tsum(T.mul(T.linear(a, wt, bt, swish_out=swish_out), weights)), [x, w, b])
     with pytest.raises(ShapeError, match="linear: inner dims differ"):
         T.linear(Tns(x), Tns(w.T), Tns(b))
+    for bad in (np.ones(7), np.ones((3, 2, 5, 6))):
+        with pytest.raises(ShapeError, match="linear: bias .* does not broadcast"):
+            T.linear(Tns(x), Tns(w), Tns(bad))
 
 
 def test_getitem_gradient_accumulates_repeated_and_sliced_entries():
@@ -309,6 +324,97 @@ def test_layer_norm_array_matches_numpy_mean_and_var_bitwise():
     mu, var = x.mean(axis=-1, keepdims=True), x.var(axis=-1, keepdims=True)
     want = (x - mu) * (1.0 / np.sqrt(var + T.LAYER_NORM_EPS)) * gain + bias
     assert T.layer_norm_array(x, gain, bias)[0].tobytes() == want.tobytes()
+
+
+def _kernel_inputs(shape, seed):
+    """Normal draws at three scales plus the values a kernel must not
+    mishandle: signed zeros, tiny and huge magnitudes, infinities."""
+    x = T.Rng(seed).normal(shape) * np.array([1e-3, 1.0, 40.0])[np.arange(np.prod(shape)) % 3].reshape(shape)
+    flat = x.reshape(-1)
+    flat[:8] = [0.0, -0.0, 1e-300, -1e-300, 800.0, -800.0, np.inf, -np.inf][: flat.size]
+    return x
+
+
+@pytest.mark.parametrize("shape", [(8, 1, 128), (1, 1, 32), (3, 17, 16)])
+def test_in_place_kernels_are_their_plain_expressions_bitwise(shape):
+    x = _kernel_inputs(shape, 20)
+    g = T.Rng(21).normal(shape)
+    with np.errstate(invalid="ignore"):  # -inf * 0 and inf * 0: NaN on both sides
+        out, s = T.swish_array(x)
+        ref_out, ref_s = swish_reference(x)
+        assert out.tobytes() == ref_out.tobytes() and s.tobytes() == ref_s.tobytes()
+        slope = T.swish_grad_array(g, out, s)
+        assert slope.tobytes() == swish_grad_reference(g, x, s).tobytes()
+        assert slope.tobytes() == linear_swish_grad_reference(g, out, s).tobytes()
+
+    x = np.nan_to_num(x, posinf=50.0, neginf=-50.0)
+    gain, bias = T.Rng(22).normal(shape[-1:]), T.Rng(23).normal(shape[-1:])
+    got, want = T.layer_norm_array(x, gain, bias), layer_norm_reference(x, gain, bias)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+    _, xhat, inv = want
+    assert T.layer_norm_grad_array(g, xhat, inv, gain).tobytes() == layer_norm_grad_reference(g, xhat, inv, gain).tobytes()
+
+    w, b = T.Rng(24).normal((shape[-1], 24)), T.Rng(25).normal((24,))
+    xt, wt, bt = Tns(x), Tns(w), Tns(b)
+    y = T.linear(xt, wt, bt, swish_out=True)
+    ref_y, ref_s = swish_reference(x @ w + b)
+    assert y.value.tobytes() == ref_y.tobytes()
+    gy = T.Rng(26).normal(y.shape)
+    T.backward(T.tsum(T.mul(y, gy)))
+    slope = linear_swish_grad_reference(gy, ref_y, ref_s)
+    assert xt.grad.tobytes() == (slope @ w.T).tobytes()
+    assert bt.grad.tobytes() == slope.sum(axis=(0, 1)).tobytes()
+
+
+def _traced(build):
+    """(result, peak bytes, bytes still held) of ``build()``, traced."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = build()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak - base, held - base
+
+
+def test_linear_and_layer_norm_forwards_allocate_only_what_they_keep():
+    rng = T.Rng(27)
+    x, w, b = Tns(rng.normal((8, 1025, 32))), Tns(rng.normal((32, 128))), Tns(rng.normal((128,)))
+    full = 8 * 1025 * 128 * 8
+    y, peak, held = _traced(lambda: T.linear(x, w, b, swish_out=True))
+    assert held >= 2 * full  # the output and the sigmoid
+    assert peak - held < 4096
+    rows = 8 * 1025 * 8  # one row statistic: the means and inv are this size
+    y, peak, held = _traced(lambda: T.layer_norm(x, Tns(np.ones(32)), Tns(np.zeros(32))))
+    assert held >= 2 * 4 * rows * 8  # the output and xhat
+    assert peak - held <= rows + 4096
+
+
+def test_gradients_own_their_memory_in_shared_and_diamond_graphs():
+    rng = T.Rng(28)
+    x = Tns(rng.normal((3, 4)))
+    T.backward(T.tsum(T.add(x, x)))
+    np.testing.assert_array_equal(x.grad, np.full((3, 4), 2.0))
+    assert_grads_own_memory([x])
+
+    # a diamond: x and y meet in h, h is used twice by add and twice by mul
+    x, y = Tns(rng.normal((3, 4))), Tns(rng.normal((3, 4)))
+    h = T.add(x, y)
+    z = T.add(h, h)
+    T.backward(T.tsum(T.mul(z, z)))
+    want = 8.0 * (x.value + y.value)
+    assert x.grad.tobytes() == want.tobytes() and y.grad.tobytes() == want.tobytes()
+    assert_grads_own_memory([x, y])
+
+    # a full-shape bias takes the node's own gradient; a square matmul of one tensor
+    x, w = Tns(rng.normal((2, 3, 3))), Tns(rng.normal((3, 3)))
+    b, c = Tns(rng.normal((2, 3, 3))), Tns(rng.normal((2, 3, 3)))
+    lin = T.linear(x, w, b)
+    T.backward(T.tsum(T.add(T.add(lin, T.matmul(x, x)), T.sub(c, lin))))
+    assert_grads_own_memory([x, w, b, c])
+    np.testing.assert_array_equal(b.grad, np.zeros((2, 3, 3)))
+    np.testing.assert_array_equal(c.grad, np.ones((2, 3, 3)))
 
 
 def test_batch_norm_eval_without_stats_raises():
