@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import json
 import os
+import platform
 import resource
 import subprocess
 import sys
@@ -115,6 +116,19 @@ def _git_describe() -> str:
         return "unknown"
 
 
+def _environment() -> dict:
+    """What a run's timings depend on beyond the code: interpreter, numpy
+    and its BLAS, the host's CPU count and its load averages (1, 5, 15 min)."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "cpu_count": os.cpu_count(),
+        "loadavg": list(os.getloadavg()),
+    }
+
+
 def _write_manifest(out_dir, command: str, config_path, seed, timings: dict, extra: dict | None = None) -> None:
     usage = resource.getrusage(resource.RUSAGE_SELF)
     manifest = {
@@ -127,6 +141,7 @@ def _write_manifest(out_dir, command: str, config_path, seed, timings: dict, ext
         "timings_seconds": {k: round(v, 6) for k, v in timings.items()},
         "peak_rss_mb": round(usage.ru_maxrss / 1024.0, 1),
         "minor_faults": usage.ru_minflt,  # pages the process faulted in without I/O
+        "env": _environment(),
     }
     if extra:
         manifest.update(extra)
@@ -149,8 +164,12 @@ def _load_cohort(path, vocab: int) -> dg.SequenceBatch:
     return dg.read_cohort_jsonl(path, vocab)
 
 
-def _load_batch(path, model_cfg: ModelConfig) -> dg.SequenceBatch:
-    """The cohort (discrete models) or signal file a model of ``model_cfg`` reads."""
+def _load_batch(path, model_cfg: ModelConfig, command: str) -> dg.SequenceBatch:
+    """The cohort (discrete models) or signal file a model of ``model_cfg``
+    trains on.  A signal CSV holds one sequence, which the three-way split
+    of every training command rejects, so it is refused up front."""
+    if str(path).endswith(".csv"):
+        raise UsageError(f"{command} cannot train on {path}: a signal CSV holds one sequence; CSV input is for forecast")
     if model_cfg.discrete:
         return _load_cohort(path, model_cfg.n_inputs)
     return _load_signal(path)
@@ -258,7 +277,7 @@ def cmd_pretrain(args) -> int:
     data_path = _require(cfg, "data", "pretrain")
 
     t0 = time.perf_counter()
-    batch = _load_batch(data_path, model_cfg)
+    batch = _load_batch(data_path, model_cfg, "pretrain")
     tr, va, _te = _split_three(batch, cfg, seed)
     t_load = time.perf_counter() - t0
 
@@ -294,7 +313,7 @@ def cmd_finetune(args) -> int:
     data_path = _require(cfg, "data", "finetune")
 
     t0 = time.perf_counter()
-    batch = _load_batch(data_path, pretrained.cfg)
+    batch = _load_batch(data_path, pretrained.cfg, "finetune")
     tr, va, te = _split_three(batch, cfg, seed)
     fraction = _scalar(cfg, "subset_fraction", float)
     if fraction:
@@ -473,7 +492,7 @@ def cmd_ablate(args) -> int:
         row_cfgs.append((name, _from_section(ModelConfig, base_model, "model", seed, **fields)))
 
     t0 = time.perf_counter()
-    batch = _load_batch(data_path, row_cfgs[0][1])
+    batch = _load_batch(data_path, row_cfgs[0][1], "ablate")
     tr, va, te = _split_three(batch, cfg, seed)
     rows_out = []
     for name, model_cfg in row_cfgs:

@@ -27,6 +27,7 @@ from .tensor import (
     _accum,
     as_f64,
     batch_norm_eval_array,
+    batch_norm_eval_scale,
     conv1d,
     grad_enabled,
     layer_norm_array,
@@ -209,17 +210,50 @@ class TemporalConvModule:
 
         return Tensor(out, (x,) + tuple(p for _, p in params), back)
 
-    def step(self, x_t: np.ndarray, buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One-token eval-mode continuation on plain arrays.
+    def step(self, x_t: np.ndarray, plan: ConvDecode) -> np.ndarray:
+        """One-token eval-mode continuation on plain arrays; returns the
+        block's output [B, 1, d] for x_t [B, 1, d].
 
-        x_t: [B, 1, d].  ``buf`` holds the depth-wise stage's previous
-        kernel-1 inputs [B, kernel-1, d], as :meth:`forward` captures it;
-        returns the output and the buffer advanced by this token.  The
-        depth-wise output is the last row of :meth:`forward`'s depth-wise
-        stage over buffer plus token: the same products, summed in tap order.
+        ``plan`` (:class:`ConvDecode`) holds the depth-wise window
+        [B, kernel, d]: rows 0..kernel-2 are the previous kernel-1
+        depth-wise inputs, oldest first, and the last row takes this token's
+        layer-norm output.  The depth-wise output is the last row of
+        :meth:`forward`'s depth-wise stage over that window: the same
+        products, summed in tap order.  The window then shifts one row
+        toward the front in place.
         """
-        h = layer_norm_array(x_t, self.ln_gain.value, self.ln_bias.value)[0]
-        window = np.concatenate([buf, h], axis=1)
-        h = (window * self.dw_w.value.T).sum(axis=1, keepdims=True) @ self.pw_w.value
-        h = batch_norm_eval_array(h, self.bn_gain.value, self.bn_bias.value, self.bn_state)[0]
-        return x_t + swish_array(h)[0], window[:, 1:, :]
+        p, win = plan, plan.window
+        win[:, -1:] = layer_norm_array(x_t, p.ln_gain, p.ln_bias)[0]
+        np.multiply(win, p.taps, out=p.products)
+        h = np.add.reduce(p.products, axis=1, keepdims=True) @ p.pw_w
+        win[:, :-1] = win[:, 1:]
+        h -= p.bn_mean  # eval batch norm: ((h - mean) * inv) * gain + bias
+        h *= p.bn_inv
+        h *= p.bn_gain
+        h += p.bn_bias
+        out = swish_array(h)[0]
+        out += x_t
+        return out
+
+
+class ConvDecode:
+    """What :meth:`TemporalConvModule.step` reads over one decode: the
+    block's parameter arrays, the depth-wise taps as contiguous rows
+    [kernel, d], the batch-norm running mean and scale
+    ``1/sqrt(running_var + eps)``, and the depth-wise window it updates.
+    Built from the state of the block when it is made, so it must not
+    outlive a change to the parameters or statistics."""
+
+    __slots__ = ("ln_gain", "ln_bias", "taps", "pw_w", "bn_mean", "bn_inv", "bn_gain", "bn_bias", "window", "products")
+
+    def __init__(self, block: TemporalConvModule, buf: np.ndarray):
+        """``buf``: the last kernel-1 depth-wise inputs [B, kernel-1, d], as
+        :meth:`TemporalConvModule.forward` captures them."""
+        self.ln_gain, self.ln_bias, wd, self.pw_w, self.bn_gain, self.bn_bias = (p.value for _, p in block.named_params())
+        self.taps = np.ascontiguousarray(wd.T)
+        self.bn_inv = batch_norm_eval_scale(block.bn_state)
+        self.bn_mean = block.bn_state.running_mean
+        B, k1, d = buf.shape
+        self.window = np.empty((B, k1 + 1, d))
+        self.window[:, :k1] = buf
+        self.products = np.empty_like(self.window)

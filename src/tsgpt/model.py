@@ -15,7 +15,11 @@ cross-entropy objective over the code vocabulary and bypass the tokenizer.
 Sequences always run through chunk-wise retention.  One-token continuation
 (:meth:`DecoderLayer.step`, the decode step of :meth:`Model.generate`) runs
 the recurrent form on plain numpy arrays: the same float operations, in
-the same order, as the Tensor ops, with no ``Tensor`` built per layer.  The
+the same order, as the Tensor ops, with no ``Tensor`` built per layer.
+What is fixed for one ``generate`` call (parameter arrays, the stacked
+q|k|v weight, rotation rows, decay and batch-norm factors) is computed once
+per call into a decode plan (:class:`LayerDecode`), never cached across
+calls: training between two calls would leave a cached plan stale.  The
 parallel form is kept as a reference: ``form="parallel"`` on
 :meth:`Model.encode`, :meth:`Model.forward` and :meth:`Model.pretrain_loss`
 selects it for equivalence checks.  Eval passes (``train=False``) and
@@ -34,7 +38,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .convolution import ConvSubsampler, TemporalConvModule, subsampled_length
+from .convolution import ConvDecode, ConvSubsampler, TemporalConvModule, subsampled_length
 from .datagen import SequenceBatch
 from .errors import CheckpointError, ConfigError, DataError, InputError, TaskError
 from .positional import RotaryAngles, default_gammas, merge_heads, rotate_array, rotation_tables, xpos_qk, _split_heads
@@ -284,41 +288,78 @@ class DecoderLayer:
         x = add(x, self._ffn(x))
         return x, state
 
-    def step(self, x_t: np.ndarray, position: int, state: RetentionState, conv_buf: np.ndarray | None):
+    def step(self, x_t: np.ndarray, plan: LayerDecode, cos: np.ndarray | None, sin: np.ndarray | None) -> np.ndarray:
         """One-token eval-mode continuation on plain arrays; O(1) in the prefix length.
 
-        x_t: [B, 1, d_model], the token at integer ``position``.  ``state``
-        holds the retention state as a plain array ``s`` [B, heads, d_q, d_v]
-        after the token at ``state.last_t``; ``conv_buf`` is the temporal
-        block's depth-wise buffer.  Each float operation is the one the
-        Tensor ops run for the recurrent form on one token, in the same
-        order, so the outputs are bitwise theirs.  Returns (x, state,
-        conv_buf), all plain arrays.
+        x_t: [B, 1, d_model].  ``plan`` (:class:`LayerDecode`, built once
+        per :meth:`Model.generate` call and never kept past it, since
+        training between calls would leave it stale) holds this layer's
+        parameter arrays and the state it carries from token to token: the
+        retention state [B, heads, d_q, d_v], updated in place, and the
+        temporal block's depth-wise window.  ``cos``/``sin`` are
+        the rotation rows of this token's position, tiled over the q and k
+        heads (None under ``no_rotation``).  One GEMM projects q|k|v and one
+        :func:`rotate_array` call rotates q|k.  Each float operation is the
+        one the Tensor ops run for the recurrent form on one token, in the
+        same order, so the output is bitwise theirs.
         """
-        cfg = self.cfg
-        h = layer_norm_array(x_t, self.ln1_gain.value, self.ln1_bias.value)[0]
-        q = _heads_array(h @ self.w_q.value, cfg.heads)
-        k = _heads_array(h @ self.w_k.value, cfg.heads)
-        v = _heads_array(h @ self.w_v.value, cfg.heads)
-        if not cfg.no_rotation:
-            cos, sin = rotation_tables(np.array([position]), self.angles)
-            q, k = rotate_array(q, cos, sin), rotate_array(k, cos, sin)
-        s = state.s * _decay_factor(self.gammas, position - state.last_t) + k.swapaxes(-1, -2) @ v
-        r = (q @ s).swapaxes(1, 2).reshape(x_t.shape[0], 1, -1)
-        r = layer_norm_array(r, self.ret_gain.value, self.ret_bias.value)[0]
-        x = x_t + (r @ self.w_o.value + self.b_o.value)
-        if self.tconv is not None:
-            x, conv_buf = self.tconv.step(x, conv_buf)
-        h = layer_norm_array(x, self.ln2_gain.value, self.ln2_bias.value)[0]
-        h = swish_array(h @ self.ffn_w1.value + self.ffn_b1.value)[0]
-        x = x + (h @ self.ffn_w2.value + self.ffn_b2.value)
-        return x, RetentionState(s, position), conv_buf
+        p = plan
+        h = layer_norm_array(x_t, p.ln1_gain, p.ln1_bias)[0]
+        qkv = h @ p.w_qkv
+        w = p.qk_width
+        qk = qkv if cos is None else rotate_array(qkv[..., : 2 * w], cos, sin)
+        q = qk[..., :w].reshape(p.qk_shape).swapaxes(1, 2)  # [B, heads, 1, d_q]
+        k = qk[..., w : 2 * w].reshape(p.qk_shape).transpose(0, 2, 3, 1)  # [B, heads, d_q, 1]
+        v = qkv[..., 2 * w :].reshape(p.v_shape).swapaxes(1, 2)
+        s = p.s
+        s *= p.fac
+        s += k @ v
+        r = (q @ s).swapaxes(1, 2).reshape(p.r_shape)
+        x = layer_norm_array(r, p.ret_gain, p.ret_bias)[0] @ p.w_o
+        x += p.b_o
+        x += x_t
+        if p.conv is not None:
+            x = self.tconv.step(x, p.conv)
+        h = layer_norm_array(x, p.ln2_gain, p.ln2_bias)[0] @ p.ffn_w1
+        h += p.ffn_b1
+        y = swish_array(h)[0] @ p.ffn_w2
+        y += p.ffn_b2
+        y += x
+        return y
 
 
-def _heads_array(x: np.ndarray, heads: int) -> np.ndarray:
-    """[B, 1, h*dh] -> [B, h, 1, dh], row-major as a Tensor's value is, so
-    that matmuls on it take the same path and sum in the same order."""
-    return np.ascontiguousarray(x.reshape(x.shape[0], 1, heads, -1).swapaxes(1, 2))
+class LayerDecode:
+    """What :meth:`DecoderLayer.step` reads and updates over one
+    :meth:`Model.generate` call: every parameter array, fetched once, with
+    ``w_q | w_k | w_v`` stacked into one [d_model, 2*h*d_q + h*d_v] weight;
+    the decay factor of a unit step; a copy of the retention state after the
+    prompt, which the steps update in place; and the temporal block's
+    :class:`~tsgpt.convolution.ConvDecode`.  It is built from the parameters
+    and batch-norm statistics as they are when it is made, so it lives for
+    one call only: training between calls would leave it stale."""
+
+    __slots__ = (
+        "ln1_gain", "ln1_bias", "w_qkv", "qk_width", "qk_shape", "v_shape", "r_shape", "s", "fac",
+        "ret_gain", "ret_bias", "w_o", "b_o", "conv", "ln2_gain", "ln2_bias", "ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2",
+    )
+
+    def __init__(self, layer: DecoderLayer, state: RetentionState, conv_buf: np.ndarray | None):
+        cfg = layer.cfg
+        B = state.s.shape[0]
+        self.ln1_gain, self.ln1_bias = layer.ln1_gain.value, layer.ln1_bias.value
+        self.w_qkv = np.concatenate([layer.w_q.value, layer.w_k.value, layer.w_v.value], axis=1)
+        self.qk_width = cfg.heads * cfg.d_q
+        self.qk_shape = (B, 1, cfg.heads, cfg.d_q)
+        self.v_shape = (B, 1, cfg.heads, cfg.d_v)
+        self.r_shape = (B, 1, cfg.heads * cfg.d_v)
+        self.s = state.s.copy()
+        self.fac = _decay_factor(layer.gammas, 1)
+        self.ret_gain, self.ret_bias = layer.ret_gain.value, layer.ret_bias.value
+        self.w_o, self.b_o = layer.w_o.value, layer.b_o.value
+        self.conv = None if layer.tconv is None else ConvDecode(layer.tconv, conv_buf)
+        self.ln2_gain, self.ln2_bias = layer.ln2_gain.value, layer.ln2_bias.value
+        self.ffn_w1, self.ffn_b1 = layer.ffn_w1.value, layer.ffn_b1.value
+        self.ffn_w2, self.ffn_b2 = layer.ffn_w2.value, layer.ffn_b2.value
 
 
 class Model:
@@ -538,10 +579,16 @@ class Model:
         The prompt is encoded chunk-wise once.  Each emitted token then
         takes one recurrent :meth:`DecoderLayer.step` per layer on plain
         numpy arrays, carrying the retention states and the depth-wise
-        convolution buffers: O(1) per token, and no ``Tensor`` but the
-        head's.  The outputs are bitwise those of the same recurrence run
-        through the Tensor ops.  Timestamped prompts are not supported:
-        rollout emits one token per regular step.
+        windows: O(1) per token, and no ``Tensor`` but the head's, which
+        every token leaves through ``self._head``.  The outputs are bitwise
+        those of the same recurrence run through the Tensor ops.
+
+        After the first token, the call builds its decode plan (one
+        :class:`LayerDecode` per layer, and the horizon's rotation rows),
+        so the time to the first token does not include it.  The plan is
+        rebuilt on every call, because it copies the parameters and
+        batch-norm statistics as they are then.  Timestamped prompts are
+        not supported: rollout emits one token per regular step.
         """
         if self.cfg.head_kind != "next_token":
             raise TaskError(f"generate needs a next_token head, model has {self.cfg.head_kind!r}")
@@ -552,17 +599,30 @@ class Model:
 
         capture: list[dict] = []
         x, states, pos = self.encode(prompt, train=False, want_states=True, capture=capture)
-        conv_bufs = [cap.get("dw_input") for cap in capture]
-        position = int(pos[-1])
         preds = [self._head(x[:, -1:, :]).value]  # each [B, 1, V]
-        # the last prediction needs no step after it
-        for _ in range(horizon - 1):
-            position += 1
-            h = preds[-1] @ self.w_in.value + self.b_in.value
-            for li, layer in enumerate(self.layers):
-                h, states[li], conv_bufs[li] = layer.step(h, position, states[li], conv_bufs[li])
+        # the decode plan comes after the first head call, so that the time
+        # to the first token does not include it; the last prediction needs
+        # no step after it
+        plans = [LayerDecode(layer, st, cap.get("dw_input")) for layer, st, cap in zip(self.layers, states, capture)]
+        w_in, b_in = self.w_in.value, self.b_in.value
+        for cos, sin in self._rotation_rows(int(pos[-1]) + 1, horizon - 1):
+            h = preds[-1] @ w_in
+            h += b_in
+            for layer, plan in zip(self.layers, plans):
+                h = layer.step(h, plan, cos, sin)
             preds.append(self._head(h).value)
         return np.concatenate(preds, axis=1)
+
+    def _rotation_rows(self, first: int, n: int):
+        """(cos, sin) of positions first .. first+n-1, each row tiled over
+        the q and k heads as :meth:`DecoderLayer.step` takes it; every
+        layer rotates by the same angles.  (None, None) rows under
+        ``no_rotation``."""
+        cfg = self.cfg
+        if cfg.no_rotation:
+            return [(None, None)] * n
+        cos, sin = rotation_tables(np.arange(first, first + n), RotaryAngles(cfg.d_q))
+        return zip(np.tile(cos, 2 * cfg.heads), np.tile(sin, 2 * cfg.heads))
 
     # -- checkpointing -----------------------------------------------------------
 

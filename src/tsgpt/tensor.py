@@ -332,7 +332,8 @@ def _check_matmul(av: Array, bv: Array, op: str) -> None:
         raise ShapeError(f"{op}: operands must be >= 2-D, got {av.shape} and {bv.shape}")
     if av.shape[-1] != bv.shape[-2]:
         raise ShapeError(f"{op}: inner dims differ, {av.shape} x {bv.shape}")
-    _check_broadcast(av[..., :1, :1], bv[..., :1, :1], f"{op}(batch dims)")
+    if av.ndim > 2 and bv.ndim > 2:  # a 2-D operand has no batch dims to disagree
+        _check_broadcast(av[..., :1, :1], bv[..., :1, :1], f"{op}(batch dims)")
 
 
 def matmul(a, b) -> Tensor:
@@ -398,9 +399,9 @@ def layer_norm_array(xv: Array, gv: Array, bv: Array) -> tuple[Array, Array, Arr
     arrays: the centred input becomes ``xhat`` and its squares the output.
     """
     n = xv.shape[-1]
-    xhat = xv - xv.sum(axis=-1, keepdims=True) / n
+    xhat = xv - np.add.reduce(xv, axis=-1, keepdims=True) / n
     out = xhat * xhat
-    inv = 1.0 / np.sqrt(out.sum(axis=-1, keepdims=True) / n + LAYER_NORM_EPS)
+    inv = 1.0 / np.sqrt(np.add.reduce(out, axis=-1, keepdims=True) / n + LAYER_NORM_EPS)
     xhat *= inv
     np.multiply(xhat, gv, out=out)
     out += bv
@@ -449,12 +450,17 @@ class BatchNormState:
         self.running_var: Array | None = None
 
 
+def batch_norm_eval_scale(state: BatchNormState) -> Array:
+    """Per-channel scale ``1/sqrt(running_var + eps)`` of eval-mode batch norm."""
+    if state.running_mean is None:
+        raise StateError("batch_norm: eval mode before any training statistics were recorded")
+    return 1.0 / np.sqrt(state.running_var + BATCH_NORM_EPS)
+
+
 def batch_norm_eval_array(xv: Array, gv: Array, bv: Array, state: BatchNormState):
     """Eval-mode batch normalization on plain arrays, per channel (channels
     last) by the running statistics: (out, xhat, inv)."""
-    if state.running_mean is None:
-        raise StateError("batch_norm: eval mode before any training statistics were recorded")
-    inv = 1.0 / np.sqrt(state.running_var + BATCH_NORM_EPS)
+    inv = batch_norm_eval_scale(state)
     xhat = (xv - state.running_mean) * inv
     return xhat * gv + bv, xhat, inv
 

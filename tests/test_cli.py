@@ -85,6 +85,10 @@ def test_pretrain_then_rerun_reproduces_artifacts_bitwise(tmp_path):
     assert manifest["command"] == "pretrain" and "train" in manifest["timings_seconds"]
     assert manifest["peak_rss_mb"] > 0
     assert isinstance(manifest["minor_faults"], int) and manifest["minor_faults"] >= 0
+    env = manifest["env"]
+    assert set(env) == {"python", "numpy", "blas", "cpu_count", "loadavg"}
+    assert env["numpy"] == np.__version__ and set(env["blas"]) == {"name", "version"}
+    assert env["cpu_count"] >= 1 and len(env["loadavg"]) == 3
     assert json.loads((sig / "manifest.json").read_text())["peak_rss_mb"] > 0
     out2 = pretrain_dir(tmp_path, sig / "signal.ndar")
     assert (out2 / "metrics.csv").read_bytes() == metrics
@@ -478,15 +482,38 @@ def test_malformed_cohort_file_exits_three(tmp_path, capsys, line):
     lambda rows: rows[:1],  # a header with no rows
 ], ids=["non_numeric_cell", "ragged_row", "blank_row", "header_only"])
 def test_malformed_signal_csv_exits_three(tmp_path, capsys, corrupt):
+    # forecast is the command that reads a signal CSV
     data = tmp_path / "signal.csv"
     write_signal_csv(data, SequenceBatch(values=Rng(4).normal((1, 64, 1))))
-    cfg = write_json(tmp_path / "pre.json", {"model": TINY_MODEL, "train": {"epochs": 1}, "data": str(data)})
+    ckpt = trained_checkpoint(tmp_path)
     assert read_signal_csv(data).values.shape == (1, 64, 1)
     rows = corrupt(read_csv(data))
     with open(data, "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
-    assert main(["pretrain", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert main(["forecast", "--checkpoint", ckpt, "--data", str(data), "--out", str(tmp_path / "o")]) == 3
     assert capsys.readouterr().err.startswith(f"error: {data}: ")
+
+
+def trained_checkpoint(tmp_path) -> str:
+    """A TINY_MODEL checkpoint with batch-norm statistics, as eval commands need."""
+    m = Model(ModelConfig(**TINY_MODEL))
+    m.encode(SequenceBatch(values=Rng(5).normal((2, 16, 1))), train=True)
+    path = str(tmp_path / "tiny.ckpt")
+    m.save(path)
+    return path
+
+
+def test_training_on_a_signal_csv_exits_two(tmp_path, capsys):
+    # a CSV holds one sequence, which no three-way split can divide
+    data = tmp_path / "signal.csv"
+    write_signal_csv(data, SequenceBatch(values=Rng(4).normal((1, 64, 1))))
+    cfg = write_json(tmp_path / "pre.json", {"model": TINY_MODEL, "train": {"epochs": 1}, "data": str(data)})
+    assert main(["pretrain", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "CSV input is for forecast" in capsys.readouterr().err
+    ckpt = trained_checkpoint(tmp_path)
+    assert main(["finetune", "--config", cfg, "--checkpoint", ckpt, "--out", str(tmp_path / "f")]) == 2
+    assert "CSV input is for forecast" in capsys.readouterr().err
+    assert main(["forecast", "--checkpoint", ckpt, "--data", str(data), "--horizon", "2", "--out", str(tmp_path / "c")]) == 0
 
 
 def test_missing_data_exits_three(tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsgpt import convolution
-from tsgpt.convolution import ConvSubsampler, TemporalConvModule, subsampled_length
+from tsgpt.convolution import ConvDecode, ConvSubsampler, TemporalConvModule, subsampled_length
 from tsgpt.errors import InputError
 from tsgpt.tensor import Rng, Tensor, backward, mul, no_grad, tsum
 
@@ -169,8 +169,9 @@ def test_step_continues_forward_token_by_token():
     m.forward(Tensor(x[:, :2]), train=False, capture=capture)
     buf = capture["dw_input"]
     assert buf.shape == (2, 4, 4)
+    plan = ConvDecode(m, buf)
     for t in range(2, 9):
-        out, buf = m.step(x[:, t : t + 1], buf)
+        out = m.step(x[:, t : t + 1], plan)
         np.testing.assert_allclose(out, want[:, t : t + 1], rtol=1e-12, atol=1e-12)
 
 

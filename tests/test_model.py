@@ -5,12 +5,14 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from tsgpt.convolution import subsampled_length
+from tsgpt.convolution import TemporalConvModule, subsampled_length
 from tsgpt.datagen import EventCohortSpec, SequenceBatch, SignalSpec, gen_cohort, gen_signal
 from tsgpt.errors import CheckpointError, ConfigError, ContractError, InputError, TaskError
 from tsgpt.experiments import VANILLA_FLAGS, irregular_model
 from tsgpt.model import DecoderLayer, Model, ModelConfig, pooled_tokens
+from tsgpt.positional import RotaryAngles, rotation_tables
 from tsgpt.tensor import Rng, Tensor, backward, zero_grads
+from tsgpt.training import OptimState, adam_step
 
 from oracles import assert_grads_own_memory, generate_by_reencoding, generate_by_tensor_steps, taped_stack
 
@@ -408,18 +410,24 @@ def test_generate_steps_only_while_tokens_remain(monkeypatch):
     batch = signal_batch(T=16)
     m = Model(tiny_cfg(no_subsampler=True, seed=14))
     m.pretrain_loss(batch, train=True)
-    calls = []
-    step = DecoderLayer.step
+    calls = {"layer": 0, "tconv": 0, "head": 0}
 
-    def counted(self, *args):
-        calls.append(self)
-        return step(self, *args)
+    def counted(kind, fn):
+        def run(*args):
+            calls[kind] += 1
+            return fn(*args)
 
-    monkeypatch.setattr(DecoderLayer, "step", counted)
+        return run
+
+    # the per-token entry points stay DecoderLayer.step and
+    # TemporalConvModule.step, and each token leaves through the instance's _head
+    monkeypatch.setattr(DecoderLayer, "step", counted("layer", DecoderLayer.step))
+    monkeypatch.setattr(TemporalConvModule, "step", counted("tconv", TemporalConvModule.step))
+    monkeypatch.setattr(m, "_head", counted("head", m._head))
     for horizon in (1, 7):
-        calls.clear()
+        calls.update(layer=0, tconv=0, head=0)
         m.generate(batch, horizon=horizon)
-        assert len(calls) == m.cfg.layers * (horizon - 1)
+        assert calls == {"layer": m.cfg.layers * (horizon - 1), "tconv": m.cfg.layers * (horizon - 1), "head": horizon}
 
 
 # (config, raw prompt length): the depth-wise -> point-wise temporal block,
@@ -458,6 +466,78 @@ def test_generate_equals_tensor_step_oracle(case, batch_size):
     want = generate_by_tensor_steps(m, prompt, horizon=12)
     assert got.shape == (batch_size, 12, cfg.n_inputs)
     np.testing.assert_array_equal(got, want)
+
+
+def _model_arrays(m) -> dict[str, bytes]:
+    return {name: a.tobytes() for name, a in [(n, p.value) for n, p in m.named_params()] + m.named_norm_stats()}
+
+
+def _train_batch(cfg, tag):
+    if cfg.discrete:
+        codes = Rng(4).child(tag).integers(0, cfg.n_inputs, (3, 20))
+        return SequenceBatch(values=np.eye(cfg.n_inputs)[codes], codes=codes)
+    return SequenceBatch(values=Rng(4).child(tag).normal((3, 48, cfg.n_inputs)))
+
+
+@pytest.mark.parametrize("case", sorted(STEP_CASES))
+def test_generate_after_training_reads_the_new_weights(case):
+    # nothing of one generate call may carry over to the next: training in
+    # between (one Adam step, a train-mode encode) changes every parameter
+    # and batch-norm statistic
+    cfg, length = STEP_CASES[case]
+    m = perturbed_model(cfg, case)
+    prompt = SequenceBatch(values=Rng(2).child(case).normal((2, length, cfg.n_inputs)))
+    m.generate(prompt, horizon=12)
+    before = _model_arrays(m)
+    params = m.named_params()
+    zero_grads([p for _, p in params])
+    backward(m.pretrain_loss(_train_batch(cfg, case), train=True))
+    adam_step(params, OptimState(lr=1e-2, warmup=0, clip_norm=None))
+    m.encode(SequenceBatch(values=Rng(8).normal((4, 32, cfg.n_inputs))), train=True)
+    after = _model_arrays(m)
+    assert before.keys() == after.keys() and all(before[k] != after[k] for k in before)
+    np.testing.assert_array_equal(m.generate(prompt, horizon=12), generate_by_tensor_steps(m, prompt, horizon=12))
+
+
+@pytest.mark.parametrize("batch_size", [1, 8])
+@pytest.mark.parametrize("case", sorted(STEP_CASES))
+def test_generate_writes_no_model_array_and_repeats_bitwise(case, batch_size):
+    # the decode updates its retention states and depth-wise windows in
+    # place; none of them may alias a parameter or a batch-norm statistic
+    cfg, length = STEP_CASES[case]
+    m = perturbed_model(cfg, case)
+    prompt = SequenceBatch(values=Rng(2).child(case).normal((batch_size, length, cfg.n_inputs)))
+    before = _model_arrays(m)
+    first = m.generate(prompt, horizon=12)
+    assert _model_arrays(m) == before
+    assert m.generate(prompt, horizon=12).tobytes() == first.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 32), (8, 1, 32), (1, 1, 16), (8, 1, 16)])
+def test_stacked_qkv_product_is_bitwise_the_three_products(shape):
+    # the decode step projects q|k|v with one product of the stacked
+    # weight; BLAS does not promise that a column of a wider product sums
+    # in the same order, so this pins it for the decode shapes
+    d = shape[-1]
+    rng = Rng(21).child(str(shape))
+    h = rng.child("h").normal(shape)
+    ws = [rng.child(n).normal((d, d)) for n in ("q", "k", "v")]
+    stacked = h @ np.concatenate(ws, axis=1)
+    assert stacked.tobytes() == np.concatenate([h @ w for w in ws], axis=-1).tobytes()
+
+
+@pytest.mark.parametrize("first", [2, 41, 257, 1025])
+@pytest.mark.parametrize("case", ["conv-depthwise_pointwise", "irregular-model"])
+def test_horizon_rotation_rows_are_bitwise_the_per_position_tables(case, first):
+    cfg, _ = STEP_CASES[case]
+    m = Model(cfg)
+    angles = RotaryAngles(cfg.d_q)
+    rows = list(m._rotation_rows(first, 128))
+    assert len(rows) == 128
+    for i, (cos, sin) in enumerate(rows):
+        want = rotation_tables(np.array([first + i]), angles)
+        assert cos.tobytes() == np.tile(want[0][0], 2 * cfg.heads).tobytes()
+        assert sin.tobytes() == np.tile(want[1][0], 2 * cfg.heads).tobytes()
 
 
 def test_generate_builds_few_tensors_per_token(monkeypatch):
