@@ -9,7 +9,7 @@ point-wise stage that never mixes timesteps, then batch norm and swish.
 Batch-norm statistics are batch global during training; causality is
 exact in eval mode, which is the mode autoregressive decoding runs in.
 The block is one tape node with an analytic backward; both directions run
-one block of whole batch rows at a time (``BLOCK_ELEMENTS``), so that the
+one block of whole batch rows at a time (:func:`~tsgpt.tensor.row_blocks`), so that the
 depth-wise taps work on arrays that stay in cache.
 """
 
@@ -32,14 +32,10 @@ from .tensor import (
     grad_enabled,
     layer_norm_array,
     layer_norm_grad_array,
+    row_blocks,
     swish,
     swish_array,
 )
-
-
-# Elements per array of one block of batch rows (256 KB): the few arrays a
-# block works on at once stay in a 2 MB L2 cache.
-BLOCK_ELEMENTS = 1 << 15
 
 
 def _taps(src: np.ndarray, taps: np.ndarray, acc: np.ndarray, tmp: np.ndarray) -> None:
@@ -129,8 +125,8 @@ class TemporalConvModule:
         gl, bl, wd, wp, gb, bb = (p.value for _, p in params)
         B, L, d = xv.shape
         k, keep, taps = self.kernel, grad_enabled(), np.ascontiguousarray(wd.T)
-        rows = min(B, max(1, BLOCK_ELEMENTS // (L * d)))
-        blocks = [slice(lo, min(lo + rows, B)) for lo in range(0, B, rows)]
+        blocks = row_blocks(B, L * d)
+        rows = blocks[0].stop
         hp = np.zeros((B if keep else rows, L + k - 1, d))  # layer norm after k-1 zero rows
         dw = np.empty((B if keep else rows, L, d))
         tmp = np.empty((rows, L, d))

@@ -12,6 +12,16 @@ Continuous next-token targets are the fixed 4:1 mean-pooled token values
 learned target would collapse to a constant.  Event streams keep a
 cross-entropy objective over the code vocabulary and bypass the tokenizer.
 
+In training, each sublayer's glue is one tape node that keeps its inputs:
+q, k and v are one :func:`~tsgpt.positional.project_heads` node each, the
+head merge, norm, output projection and residual after the retention
+kernel are one :func:`retention_output` node, and the pre-norm
+feed-forward with its residual is one :func:`feed_forward` node.  Their
+backwards recompute what they need (the feed-forward only above a size),
+one block of whole batch rows at a time; the retention kernel between them
+runs on the whole batch.  No block splits a row, so each row's outputs are
+bitwise the same in any batch.
+
 Sequences always run through chunk-wise retention.  One-token continuation
 (:meth:`DecoderLayer.step`, the decode step of :meth:`Model.generate`) runs
 the recurrent form on plain numpy arrays: the same float operations, in
@@ -40,8 +50,8 @@ import numpy as np
 
 from .convolution import ConvDecode, ConvSubsampler, TemporalConvModule, subsampled_length
 from .datagen import SequenceBatch
-from .errors import CheckpointError, ConfigError, DataError, InputError, TaskError
-from .positional import RotaryAngles, default_gammas, merge_heads, rotate_array, rotation_tables, xpos_qk, _split_heads
+from .errors import CheckpointError, ConfigError, DataError, InputError, ShapeError, TaskError
+from .positional import RotaryAngles, default_gammas, project_heads, rotate_array, rotation_tables, xpos_qk
 from .retention import (
     ChunkPlan,
     DecayMask,
@@ -54,27 +64,37 @@ from .retention import (
 from .tensor import (
     Rng,
     Tensor,
-    add,
+    _accum,
+    _sigmoid,
+    _val,
     broadcast_to,
     concat,
     layer_norm,
     layer_norm_array,
+    layer_norm_grad_array,
     linear,
     log_softmax,
-    matmul,
     mul,
     no_grad,
+    grad_enabled,
     read_ndar1,
+    row_blocks,
     sub,
     swish_array,
+    swish_grad_array,
     tmean,
     tsum,
+    weight_grad,
     write_ndar1,
 )
 
 HEAD_KINDS = ("next_token", "classification", "regression")
 CHECKPOINT_FORMAT = "tsgpt-ckpt-v2"
 FFN_EXPANSION = 4  # feed-forward width per model width
+# The feed-forward node keeps its hidden activation for the backward when the
+# whole batch's has at most this many elements (4 MB), where recomputing it
+# costs more time than keeping it costs memory; larger batches recompute it.
+FFN_KEEP_ELEMENTS = 1 << 19
 
 
 def _untaped_in_eval(method):
@@ -170,21 +190,25 @@ def multihead_retention(
     form: str | None = None,
     chunk_size: int = 64,
     apply_rotation: bool = True,
+    residual=None,
 ):
     """Per-head rotary q/k, retention, head concat, per-token layer norm
-    (``norm_gain``, ``norm_bias``: [h*d_v]), output projection.
+    (``norm_gain``, ``norm_bias``: [h*d_v]), output projection, plus
+    ``residual`` when it is given.
 
     ``form`` None (or "chunkwise") runs the chunk-wise form; "recurrent"
     and "parallel" select the other two.  x: [..., L, d_model]; w_q/w_k:
     [d_model, h*d_q]; w_v: [d_model, h*d_v]; w_out: [h*d_v, d_model].  Head
-    count comes from len(gammas).  Returns (out [..., L, d_model], state),
-    the retention state after the last token (None under the parallel
-    form).
+    count comes from len(gammas).  q, k and v are one :func:`project_heads`
+    node each and the glue after the retention kernel one
+    :func:`retention_output` node; the kernel runs on the whole batch.
+    Returns (out [..., L, d_model], state), the retention state after the
+    last token (None under the parallel form).
     """
     gammas = np.asarray(gammas, dtype=np.float64)
     heads = gammas.shape[0]
     q, k = xpos_qk(x, w_q, w_k, positions, angles, heads, apply_rotation=apply_rotation)
-    v = _split_heads(matmul(x, w_v), heads)
+    v = project_heads(x, w_v, heads)
     L = q.shape[-2]
 
     state = None
@@ -196,8 +220,124 @@ def multihead_retention(
         out = retention_parallel(q, k, v, DecayMask.build(gammas, timestamps=positions))
     else:
         raise ConfigError(f"unknown retention form {form!r}")
-    merged = layer_norm(merge_heads(out), norm_gain, norm_bias)
-    return linear(merged, w_out, b_out), state
+    return retention_output(out, norm_gain, norm_bias, w_out, b_out, residual), state
+
+
+def retention_output(ret, gain, bias, w_o, b_o, residual=None) -> Tensor:
+    """``linear(layer_norm(merged heads of ret, gain, bias), w_o, b_o)``,
+    plus ``residual`` when it is given, as one tape node.
+
+    ret: [..., h, L, dv] -> [..., L, d_out].  The value is bitwise that of
+    the composite (swapaxes, reshape, layer norm, linear, add).  The node
+    keeps only its inputs; the backward recomputes the merged heads and
+    their layer norm.  Both directions run one block of whole batch rows at
+    a time (:func:`~tsgpt.tensor.row_blocks`).
+    """
+    rv, gv, bv, wv, ov = (_val(t) for t in (ret, gain, bias, w_o, b_o))
+    if rv.shape[-3] * rv.shape[-1] != wv.shape[0]:
+        raise ShapeError(f"retention_output: merged heads of {rv.shape} do not match w_o {wv.shape}")
+    r4 = rv.reshape((-1,) + rv.shape[-3:])
+    N, h, L, dv = r4.shape
+    width, d = h * dv, wv.shape[-1]
+    res = None if residual is None else _val(residual).reshape((N, L, d))
+    blocks = row_blocks(N, L * max(width, d))
+    out = np.empty((N, L, d))
+
+    def merged_norm(b: slice):
+        return layer_norm_array(r4[b].swapaxes(1, 2).reshape((-1, L, width)), gv, bv)
+
+    for b in blocks:
+        y = merged_norm(b)[0] @ wv
+        y += ov
+        if res is None:
+            out[b] = y
+        else:
+            np.add(res[b], y, out=out[b])
+
+    def back(g):
+        g3 = g.reshape((N, L, d))
+        g_g, g_b, g_w, g_o = (np.zeros_like(a) for a in (gv, bv, wv, ov))
+        g_r = np.empty_like(r4)
+        for b in blocks:
+            normed, xhat, inv = merged_norm(b)
+            gb = g3[b]
+            g_o += gb.sum(axis=(0, 1))
+            g_w += weight_grad(normed, gb)
+            gn = gb @ wv.T
+            g_g += np.einsum("blc,blc->c", gn, xhat)
+            g_b += gn.sum(axis=(0, 1))
+            g_r[b] = layer_norm_grad_array(gn, xhat, inv, gv).reshape((-1, L, h, dv)).swapaxes(1, 2)
+        for t, gt in ((gain, g_g), (bias, g_b), (w_o, g_w), (b_o, g_o), (ret, g_r.reshape(rv.shape))):
+            if isinstance(t, Tensor):
+                _accum(t, gt, own=True)
+        if isinstance(residual, Tensor):  # the last reader of g, so it may adopt it
+            _accum(residual, g, own=True)
+
+    parents = tuple(t for t in (ret, gain, bias, w_o, b_o, residual) if isinstance(t, Tensor))
+    return Tensor(out.reshape(rv.shape[:-3] + (L, d)), parents, back)
+
+
+def feed_forward(x, ln_gain, ln_bias, w1, b1, w2, b2) -> Tensor:
+    """``x + linear(linear(layer_norm(x, ln_gain, ln_bias), w1, b1,
+    swish_out=True), w2, b2)`` as one tape node, bitwise the four-node
+    composite.
+
+    x: [..., L, d].  Both directions run one block of whole batch rows at a
+    time (:func:`~tsgpt.tensor.row_blocks`, sized by the hidden width).  When
+    the whole batch's hidden activation has more than ``FFN_KEEP_ELEMENTS``
+    elements, the node keeps only its inputs and the backward recomputes
+    each block's layer norm and hidden activation; otherwise it keeps them.
+    """
+    xv = _val(x)
+    params = (ln_gain, ln_bias, w1, b1, w2, b2)
+    gl, bl, w1v, b1v, w2v, b2v = (_val(p) for p in params)
+    L, d = xv.shape[-2:]
+    f = w1v.shape[-1]
+    x3 = xv.reshape((-1, L, d))
+    blocks = row_blocks(x3.shape[0], L * f)
+    out = np.empty_like(x3)
+
+    def hidden(b: slice):  # layer norm, then the first linear layer through swish
+        h, xhat, inv = layer_norm_array(x3[b], gl, bl)
+        a = h @ w1v
+        a += b1v
+        s = _sigmoid(a)
+        a *= s
+        return h, xhat, inv, a, s
+
+    keep = grad_enabled() and x3.shape[0] * L * f <= FFN_KEEP_ELEMENTS
+    kept = []
+    for b in blocks:
+        hb = hidden(b)
+        y = hb[3] @ w2v
+        y += b2v
+        np.add(x3[b], y, out=out[b])
+        if keep:
+            kept.append(hb)
+
+    def back(g):
+        g3 = g.reshape(x3.shape)
+        grads = [np.zeros_like(v) for v in (gl, bl, w1v, b1v, w2v, b2v)]
+        g_lg, g_lb, g_w1, g_b1, g_w2, g_b2 = grads
+        for b, (h, xhat, inv, a, s) in zip(blocks, kept or map(hidden, blocks)):
+            gb = g3[b]
+            g_b2 += gb.sum(axis=(0, 1))
+            g_w2 += weight_grad(a, gb)
+            ga = swish_grad_array(gb @ w2v.T, a, s)
+            g_b1 += ga.sum(axis=(0, 1))
+            g_w1 += weight_grad(h, ga)
+            gh = ga @ w1v.T
+            g_lg += np.einsum("blc,blc->c", gh, xhat)
+            g_lb += gh.sum(axis=(0, 1))
+            gb += layer_norm_grad_array(gh, xhat, inv, gl)  # g becomes the input's gradient
+        for p, gp in zip(params, grads):
+            if isinstance(p, Tensor):
+                _accum(p, gp, own=True)
+        if isinstance(x, Tensor):
+            _accum(x, g, own=True)
+
+    parents = tuple(t for t in (x,) + params if isinstance(t, Tensor))
+    return Tensor(out.reshape(xv.shape), parents, back)
 
 
 class DecoderLayer:
@@ -257,18 +397,18 @@ class DecoderLayer:
 
     # -- retention sublayer -------------------------------------------------
 
-    def _retention_inner(self, h: Tensor, positions: np.ndarray, form: str | None):
+    def _retention_inner(self, h: Tensor, x: Tensor, positions: np.ndarray, form: str | None):
+        """``x`` plus the retention sublayer run on ``h``, its normalized input."""
         cfg = self.cfg
         return multihead_retention(
             h, self.w_q, self.w_k, self.w_v, self.w_o, self.b_o,
             positions, self.angles, self.gammas, self.ret_gain, self.ret_bias,
-            form=form, chunk_size=cfg.chunk_size, apply_rotation=not cfg.no_rotation,
+            form=form, chunk_size=cfg.chunk_size, apply_rotation=not cfg.no_rotation, residual=x,
         )
 
     def _ffn(self, x: Tensor) -> Tensor:
-        h = layer_norm(x, self.ln2_gain, self.ln2_bias)
-        h = linear(h, self.ffn_w1, self.ffn_b1, swish_out=True)
-        return linear(h, self.ffn_w2, self.ffn_b2)
+        """``x`` plus the pre-norm feed-forward of ``x``: one node."""
+        return feed_forward(x, self.ln2_gain, self.ln2_bias, self.ffn_w1, self.ffn_b1, self.ffn_w2, self.ffn_b2)
 
     def forward(
         self,
@@ -281,12 +421,10 @@ class DecoderLayer:
     ):
         """Whole-sequence pass; returns (x, retention state after the last
         token), the state being None under the parallel reference form."""
-        r, state = self._retention_inner(layer_norm(x, self.ln1_gain, self.ln1_bias), positions, form)
-        x = add(x, r)
+        x, state = self._retention_inner(layer_norm(x, self.ln1_gain, self.ln1_bias), x, positions, form)
         if self.tconv is not None:
             x = self.tconv.forward(x, train=train, valid=valid, capture=capture)
-        x = add(x, self._ffn(x))
-        return x, state
+        return self._ffn(x), state
 
     def step(self, x_t: np.ndarray, plan: LayerDecode, cos: np.ndarray | None, sin: np.ndarray | None) -> np.ndarray:
         """One-token eval-mode continuation on plain arrays; O(1) in the prefix length.

@@ -6,6 +6,12 @@ relative distance only.  The exponential-decay half of the mechanism is not
 applied here: scaling queries by gamma^n and keys by gamma^(-m) overflows
 for long sequences, so the decay is realized entirely inside the retention
 decay matrix, which is algebraically the same thing for every q-k product.
+
+The projection to heads and the rotation are one tape node per projection
+(:func:`project_heads`): it keeps its input and the cos/sin tables, not
+the product, the head split or the rotated copy, and runs one block of
+whole batch rows at a time.  :func:`rotate` is the same rotation as an op
+of its own.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .tensor import Tensor, _accum, as_f64, matmul, reshape, swapaxes
+from .tensor import Tensor, _accum, _check_matmul, _val, as_f64, row_blocks, weight_grad
 
 Array = np.ndarray
 
@@ -73,15 +79,16 @@ def rotate(x, positions: Array, angles: RotaryAngles) -> Tensor:
     return Tensor(rotate_array(x.value, cos, sin), (x,), back)
 
 
-def rotate_array(x: Array, cos: Array, sin: Array) -> Array:
+def rotate_array(x: Array, cos: Array, sin: Array, out: Array | None = None) -> Array:
     """The arithmetic of :func:`rotate` on a plain array, given its cos/sin
-    tables: per pair, (even * cos + odd * -sin, even * sin + odd * cos)."""
+    tables: per pair, (even * cos + odd * -sin, even * sin + odd * cos).
+    Written into ``out`` (an array of x's shape) when it is given."""
     pairs = x.reshape(x.shape[:-1] + (-1, 2))
     even, odd = pairs[..., 0], pairs[..., 1]
-    out = np.empty_like(pairs)
-    out[..., 0] = even * cos + odd * -sin
-    out[..., 1] = even * sin + odd * cos
-    return out.reshape(x.shape)
+    res = np.empty_like(pairs) if out is None else out.reshape(pairs.shape)
+    res[..., 0] = even * cos + odd * -sin
+    res[..., 1] = even * sin + odd * cos
+    return res.reshape(x.shape)
 
 
 def xpos_qk(
@@ -97,7 +104,8 @@ def xpos_qk(
 
     x: [..., L, d_model] with d_model = heads * head_dim; w_q, w_k:
     [d_model, heads * head_dim].  Returns (q, k), each
-    [..., heads, L, head_dim].  Keys rotate by +m: the conjugate in the
+    [..., heads, L, head_dim], one :func:`project_heads` node each, sharing
+    one pair of cos/sin tables.  Keys rotate by +m: the conjugate in the
     rotary formulation is supplied by the q.k inner product itself, which
     is what makes the product depend on n - m only.  No decay is applied
     here: the retention stage applies it.
@@ -105,38 +113,70 @@ def xpos_qk(
     positions = np.asarray(positions)
     if positions.ndim not in (1, 2):
         raise InputError(f"xpos_qk: positions must be [L] or [B, L], got {positions.shape}")
+    if positions.shape[-1] != _val(x).shape[-2]:
+        raise InputError(f"xpos_qk: need {_val(x).shape[-2]} positions, got shape {positions.shape}")
     if positions.shape[-1] > 1 and np.any(np.diff(positions, axis=-1) <= 0):
         raise InputError("xpos_qk: positions must be strictly increasing")
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    dh = _val_shape(w_q)[-1] // heads
-    if _val_shape(w_q)[-1] % heads != 0:
-        raise ConfigError(f"xpos_qk: projection width {_val_shape(w_q)[-1]} not divisible by {heads} heads")
-
-    q = _split_heads(matmul(x, w_q), heads)  # [..., h, L, dh]
-    k = _split_heads(matmul(x, w_k), heads)
+    width = _val(w_q).shape[-1]
+    if width % heads != 0:
+        raise ConfigError(f"xpos_qk: projection width {width} not divisible by {heads} heads")
+    cos = sin = None
     if apply_rotation:
-        if angles.head_dim != dh:
-            raise ConfigError(f"xpos_qk: angles built for dim {angles.head_dim}, heads need {dh}")
-        q = rotate(q, positions, angles)
-        k = rotate(k, positions, angles)
-    return q, k
+        if angles.head_dim != width // heads:
+            raise ConfigError(f"xpos_qk: angles built for dim {angles.head_dim}, heads need {width // heads}")
+        cos, sin = rotation_tables(positions, angles)
+        if positions.ndim == 2:
+            cos, sin = cos[:, None], sin[:, None]  # room for the head axis
+    return project_heads(x, w_q, heads, cos, sin), project_heads(x, w_k, heads, cos, sin)
 
 
-def _val_shape(w) -> tuple[int, ...]:
-    return w.shape if isinstance(w, Tensor) else np.asarray(w).shape
+def project_heads(x, w, heads: int, cos: Array | None = None, sin: Array | None = None) -> Tensor:
+    """``x @ w`` split into heads, [..., L, heads*dh] -> [..., heads, L, dh],
+    then, when the tables are given, rotated by ``cos``/``sin``
+    (:func:`rotation_tables` of the positions: [L, dh/2], or [B, 1, L, dh/2]
+    against x [B, L, d]).
 
+    One tape node whose value is bitwise that of matmul, reshape, swapaxes
+    and :func:`rotate` run in turn, as a contiguous array.  It keeps only
+    its input and the tables: the backward rotates the gradient back and
+    needs no forward intermediate.  Both directions run one block of whole
+    batch rows at a time (:func:`~tsgpt.tensor.row_blocks`).
+    """
+    xv, wv = _val(x), _val(w)
+    _check_matmul(xv, wv, "project_heads")
+    L, d = xv.shape[-2:]
+    n = wv.shape[-1]
+    x3 = xv.reshape((-1, L, d))
+    N, dh = x3.shape[0], n // heads
+    blocks = row_blocks(N, L * n)
+    out = np.empty((N, heads, L, dh))
 
-def _split_heads(x: Tensor, heads: int) -> Tensor:
-    """[..., L, h*dh] -> [..., h, L, dh]."""
-    lead = x.shape[:-2]
-    L, width = x.shape[-2], x.shape[-1]
-    dh = width // heads
-    y = reshape(x, lead + (L, heads, dh))
-    return swapaxes(y, -3, -2)
+    def table(t: Array, b: slice) -> Array:
+        return t[b] if t.ndim == 4 else t
 
+    for b in blocks:
+        p = (x3[b] @ wv).reshape((-1, L, heads, dh)).swapaxes(1, 2)
+        if cos is None:
+            out[b] = p
+        else:
+            rotate_array(p, table(cos, b), table(sin, b), out=out[b])
 
-def merge_heads(x: Tensor) -> Tensor:
-    """[..., h, L, dv] -> [..., L, h*dv]."""
-    y = swapaxes(x, -3, -2)
-    lead = y.shape[:-2]
-    return reshape(y, lead + (y.shape[-2] * y.shape[-1],))
+    def back(g):
+        g4 = g.reshape((N, heads, L, dh))
+        gx = np.empty_like(x3) if isinstance(x, Tensor) else None
+        gw = np.zeros_like(wv) if isinstance(w, Tensor) else None
+        neg_sin = None if sin is None else -sin
+        for b in blocks:
+            gb = g4[b] if cos is None else rotate_array(g4[b], table(cos, b), table(neg_sin, b))
+            gp = gb.swapaxes(1, 2).reshape((-1, L, n))
+            if gx is not None:
+                np.matmul(gp, wv.T, out=gx[b])
+            if gw is not None:
+                gw += weight_grad(x3[b], gp)
+        if gx is not None:
+            _accum(x, gx.reshape(xv.shape), own=True)
+        if gw is not None:
+            _accum(w, gw, own=True)
+
+    parents = tuple(t for t in (x, w) if isinstance(t, Tensor))
+    return Tensor(out.reshape(xv.shape[:-2] + out.shape[1:]), parents, back)

@@ -80,13 +80,11 @@ class DecayMask:
             length = t.shape[-1]
         gaps = t[..., :, None] - t[..., None, :]
         tril = np.tril(np.ones((length, length), dtype=bool))
-        gaps = np.where(tril, gaps, 0)
+        gaps *= tril  # 0 above the diagonal: gamma^0 there, never gamma to a negative power
         if t.ndim == 2:
             gaps = gaps[:, None, :, :]  # room for the head axis
-        if g.ndim == 0:
-            d = np.where(tril, g**gaps, 0.0)
-        else:
-            d = np.where(tril, g[:, None, None] ** gaps, 0.0)
+        d = g**gaps if g.ndim == 0 else g[:, None, None] ** gaps
+        d *= tril  # each entry in [0, 1], so this is np.where(tril, d, 0.0) bitwise
         return cls(as_f64(d))
 
     @property
@@ -247,7 +245,9 @@ def retention_chunkwise(
         if mask is None or not np.array_equal(rel, rel_prev):
             mask, rel_prev = DecayMask.build(gamma, timestamps=t_c).matrix, rel
 
-        out_c = ((q_c @ k_t) * mask) @ v_c
+        out_c = q_c @ k_t
+        out_c *= mask
+        out_c = out_c @ v_c
         zeta = fac = None
         if s is not None:
             zeta = _decay_rows(gamma, t_c - prev_last[..., None], batched)

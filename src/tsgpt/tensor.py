@@ -8,14 +8,16 @@ so afterwards only leaves (parameters and inputs) carry ``.grad``.  The
 tape is rebuilt on every forward pass (define-by-run).  Layer norm and a
 linear layer (``x @ w + b``, optionally through swish) are each one fused
 op with an analytic backward, as are, in their modules, the temporal
-convolution block and chunk-wise retention.  A slice adds to its parent's
+convolution block, chunk-wise retention, the per-head projections and the
+retention output and feed-forward sublayers.  A slice adds to its parent's
 ``.grad`` in place.
 
 Two rules keep a train step from churning the heap:
 
 - A full-size kernel allocates only the arrays it returns or keeps for its
   backward; every other step writes into one of those (``out=`` or an
-  in-place operator), in the order and with the operands the plain
+  in-place operator), or into a temporary of one block of batch rows
+  (:func:`row_blocks`), in the order and with the operands the plain
   expression would use, so the results are bitwise the same.
 - A tensor's first gradient is adopted, not copied, when the caller
   passes ``own=True`` to :func:`_accum`: the caller guarantees that the
@@ -47,6 +49,20 @@ from .errors import ContractError, DataError, ShapeError, StateError
 Array = np.ndarray
 
 _grad_enabled = True
+
+# Elements per array of one block of batch rows (256 KB): the few arrays a
+# block works on at once stay in a 2 MB L2 cache.
+BLOCK_ELEMENTS = 1 << 15
+
+
+def row_blocks(batch: int, row_elements: int) -> list[slice]:
+    """Blocks of whole batch rows, each as many rows as keep an array of
+    ``row_elements`` elements per row within ``BLOCK_ELEMENTS`` (at least
+    one row).  Every kernel that runs by blocks sizes them here, by its
+    widest per-block array; no block splits a row, so a row's results never
+    depend on the rows beside it."""
+    rows = min(batch, max(1, BLOCK_ELEMENTS // row_elements))
+    return [slice(lo, min(lo + rows, batch)) for lo in range(0, batch, rows)]
 
 
 @contextlib.contextmanager
@@ -252,17 +268,6 @@ def tmean(x, axis=None, keepdims=False) -> Tensor:
     return mul(tsum(x, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
-def reshape(x, shape) -> Tensor:
-    xv = _val(x)
-    out = xv.reshape(shape)
-
-    def back(g):
-        if isinstance(x, Tensor):
-            _accum(x, g.reshape(xv.shape))
-
-    return Tensor(out, (x,) if isinstance(x, Tensor) else (), back)
-
-
 def swapaxes(x, a1: int, a2: int) -> Tensor:
     xv = _val(x)
     out = np.swapaxes(xv, a1, a2)
@@ -382,6 +387,13 @@ def linear(x, w, b, swish_out: bool = False) -> Tensor:
     return Tensor(out, tuple(t for t in (x, w, b) if isinstance(t, Tensor)), back)
 
 
+def weight_grad(x: Array, g: Array) -> Array:
+    """Gradient of ``x @ w`` at a 2-D ``w`` from the output gradient ``g``,
+    summed over every row of the C-contiguous ``x`` [..., m] and ``g``
+    [..., n]: one [m, n] product."""
+    return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+
+
 # ---------------------------------------------------------------------------
 # normalization
 # ---------------------------------------------------------------------------
@@ -409,12 +421,22 @@ def layer_norm_array(xv: Array, gv: Array, bv: Array) -> tuple[Array, Array, Arr
 
 
 def layer_norm(x, gain, bias) -> Tensor:
-    """Normalize over the last axis, then apply a learnable affine."""
+    """Normalize over the last axis, then apply a learnable affine.  The
+    node keeps only its inputs: the backward recomputes ``xhat`` and ``inv``
+    with :func:`layer_norm_array`, bitwise the forward's.  The forward runs
+    one block of rows at a time (:func:`row_blocks`; a leading axis of a
+    [B, L, n] input is its batch), so it allocates only its output beyond
+    one block's temporaries."""
     xv, gv, bv = _val(x), _val(gain), _val(bias)
-    out, xhat, inv = layer_norm_array(xv, gv, bv)
+    x3 = xv.reshape((-1,) + xv.shape[-2:]) if xv.ndim > 1 else xv.reshape((1, 1, -1))
+    out = np.empty(x3.shape)
+    for b in row_blocks(x3.shape[0], x3[0].size):
+        out[b] = layer_norm_array(x3[b], gv, bv)[0]
+    out = out.reshape(xv.shape)
     parents = tuple(t for t in (x, gain, bias) if isinstance(t, Tensor))
 
     def back(g):
+        _, xhat, inv = layer_norm_array(xv, gv, bv)
         if isinstance(gain, Tensor):
             _accum(gain, _unbroadcast(g * xhat, gv.shape), own=True)
         if isinstance(bias, Tensor):

@@ -1,17 +1,19 @@
 """Shared test helpers: a central-finite-difference oracle, the chunk-wise
 retention loop recorded op by op as the fused op's gradient oracle, the
 temporal convolution block as six Tensor ops (with the depth-wise
-convolution and batch norm ops it needs) as that fused block's oracle, a
-taped decoder-stack oracle for eval encodes, and two oracles for streaming
-generation: re-encoding the whole prefix per token, and the recurrent
-decode step run through the Tensor ops.  The plain-expression forms of the
-in-place kernels (swish, its slope, layer norm and its gradient) are kept
-as their bitwise references, beside a check that gradients own their
-memory."""
+convolution and batch norm ops it needs) as that fused block's oracle, the
+retention projections, the retention output glue and the feed-forward as
+the composites of Tensor ops their fused nodes replace (with the head split
+and merge they need), a taped decoder-stack oracle for eval encodes, and
+two oracles for streaming generation: re-encoding the whole prefix per
+token, and the recurrent decode step run through the Tensor ops.  The
+plain-expression forms of the in-place kernels (swish, its slope, layer
+norm and its gradient) are kept as their bitwise references, beside a
+check that gradients own their memory."""
 
 import numpy as np
 
-from tsgpt.positional import _split_heads, merge_heads, xpos_qk
+from tsgpt.positional import rotate
 from tsgpt.retention import (
     DecayMask,
     RetentionState,
@@ -35,6 +37,7 @@ from tsgpt.tensor import (
     broadcast_to,
     concat,
     layer_norm,
+    linear,
     matmul,
     mul,
     no_grad,
@@ -268,6 +271,52 @@ def generate_by_reencoding(model, prompt, horizon: int) -> np.ndarray:
     return np.concatenate(preds, axis=1)
 
 
+def reshape(x, shape) -> Tensor:
+    """``x.reshape(shape)`` as a Tensor op."""
+    xv = _val(x)
+
+    def back(g):
+        _accum(x, g.reshape(xv.shape))
+
+    return Tensor(xv.reshape(shape), (x,), back)
+
+
+def split_heads(x: Tensor, heads: int) -> Tensor:
+    """[..., L, h*dh] -> [..., h, L, dh] as two Tensor ops."""
+    lead = x.shape[:-2]
+    L, width = x.shape[-2], x.shape[-1]
+    y = reshape(x, lead + (L, heads, width // heads))
+    return swapaxes(y, -3, -2)
+
+
+def merge_heads(x: Tensor) -> Tensor:
+    """[..., h, L, dv] -> [..., L, h*dv] as two Tensor ops."""
+    y = swapaxes(x, -3, -2)
+    lead = y.shape[:-2]
+    return reshape(y, lead + (y.shape[-2] * y.shape[-1],))
+
+
+def project_heads_taped(x, w, heads: int, positions=None, angles=None) -> Tensor:
+    """Oracle for ``positional.project_heads``: matmul, head split and, when
+    ``positions`` are given, ``rotate``, as recorded Tensor ops."""
+    p = split_heads(matmul(x, w), heads)
+    return p if positions is None else rotate(p, positions, angles)
+
+
+def retention_output_taped(ret, gain, bias, w_o, b_o, residual=None) -> Tensor:
+    """Oracle for ``model.retention_output``: head merge, layer norm, output
+    projection and residual add as recorded Tensor ops."""
+    r = linear(layer_norm(merge_heads(ret), gain, bias), w_o, b_o)
+    return r if residual is None else add(residual, r)
+
+
+def feed_forward_taped(x, ln_gain, ln_bias, w1, b1, w2, b2) -> Tensor:
+    """Oracle for ``model.feed_forward``: layer norm, the two linear layers
+    (swish after the first) and the residual add as four recorded nodes."""
+    h = linear(layer_norm(x, ln_gain, ln_bias), w1, b1, swish_out=True)
+    return add(x, linear(h, w2, b2))
+
+
 def _tconv_tensor_step(m, x_t: Tensor, buf):
     """``TemporalConvModule.step`` through the Tensor ops: the depth-wise
     stage convolves buffer plus token and keeps the last output row."""
@@ -285,14 +334,16 @@ def _layer_tensor_step(layer, x_t: Tensor, position: int, state: RetentionState,
     cfg = layer.cfg
     pos = np.array([position], dtype=np.int64)
     h = layer_norm(x_t, layer.ln1_gain, layer.ln1_bias)
-    q, k = xpos_qk(h, layer.w_q, layer.w_k, pos, layer.angles, cfg.heads, apply_rotation=not cfg.no_rotation)
-    v = _split_heads(matmul(h, layer.w_v), cfg.heads)
+    rot = () if cfg.no_rotation else (pos, layer.angles)
+    q, k = (project_heads_taped(h, w, cfg.heads, *rot) for w in (layer.w_q, layer.w_k))
+    v = project_heads_taped(h, layer.w_v, cfg.heads)
     out, state = retention_recurrent(q, k, v, pos, layer.gammas, initial=state)
     r = layer_norm(merge_heads(out), layer.ret_gain, layer.ret_bias)
     x = add(x_t, add(matmul(r, layer.w_o), layer.b_o))
     if layer.tconv is not None:
         x, buf = _tconv_tensor_step(layer.tconv, x, buf)
-    return add(x, layer._ffn(x)), state, buf
+    ffn = (layer.ln2_gain, layer.ln2_bias, layer.ffn_w1, layer.ffn_b1, layer.ffn_w2, layer.ffn_b2)
+    return feed_forward_taped(x, *ffn), state, buf
 
 
 def generate_by_tensor_steps(model, prompt, horizon: int) -> np.ndarray:

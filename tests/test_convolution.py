@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsgpt import convolution
+from tsgpt import tensor
 from tsgpt.convolution import ConvDecode, ConvSubsampler, TemporalConvModule, subsampled_length
 from tsgpt.errors import InputError
 from tsgpt.tensor import Rng, Tensor, backward, mul, no_grad, tsum
@@ -203,7 +203,7 @@ def test_fused_block_equals_six_op_oracle(case, monkeypatch):
     gradients agree within 1e-10."""
     B, L, d, kernel, rows, padded = FUSED_CASES[case]
     if rows is not None:
-        monkeypatch.setattr(convolution, "BLOCK_ELEMENTS", rows * L * d)
+        monkeypatch.setattr(tensor, "BLOCK_ELEMENTS", rows * L * d)
     fused, ref = _twin_blocks(d, kernel, seed=20)
     rng = Rng(21)
     valid = None
@@ -239,7 +239,7 @@ def test_fused_block_equals_six_op_oracle(case, monkeypatch):
 
 def test_fused_block_gradients_match_finite_differences(monkeypatch):
     B, L, d, kernel = 3, 6, 3, 4
-    monkeypatch.setattr(convolution, "BLOCK_ELEMENTS", 2 * L * d)
+    monkeypatch.setattr(tensor, "BLOCK_ELEMENTS", 2 * L * d)
     block = _twin_blocks(d, kernel, seed=22)[0]
     rng = Rng(23)
     x, weights = rng.normal((B, L, d)), rng.normal((B, L, d))

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsgpt import tensor
 from tsgpt.errors import ConfigError, InputError
-from tsgpt.positional import RotaryAngles, default_gammas, merge_heads, rotate, xpos_qk
-from tsgpt.tensor import Rng, Tensor, backward, mul, tsum
+from tsgpt.positional import RotaryAngles, default_gammas, project_heads, rotate, xpos_qk
+from tsgpt.tensor import Rng, Tensor, backward, mul, no_grad, tsum
 
-from oracles import finite_diff_grad, rel_err
+from oracles import finite_diff_grad, merge_heads, project_heads_taped, rel_err, split_heads
 
 
 def test_theta_schedule_formula_and_monotonicity():
@@ -180,10 +181,92 @@ def test_xpos_rejects_indivisible_head_split():
 
 
 def test_merge_heads_roundtrip():
-    from tsgpt.positional import _split_heads
-
     x = Tensor(Rng(9).normal((2, 5, 12)))
-    split = _split_heads(x, 3)
+    split = split_heads(x, 3)
     assert split.shape == (2, 3, 5, 4)
     merged = merge_heads(split)
     np.testing.assert_array_equal(merged.value, x.value)
+
+
+# B, L, heads, dh, rows per block (None: one block), positions: shared,
+# per-sequence or no rotation
+PROJECTION_CASES = {
+    "unbatched": (None, 6, 2, 4, None, "shared"),
+    "ragged-blocks": (5, 7, 2, 4, 2, "shared"),
+    "per-sequence": (4, 6, 2, 2, 3, "per-sequence"),
+    "no-rotation": (5, 5, 3, 2, 2, None),
+}
+
+
+def _projection_inputs(case):
+    B, L, heads, dh, rows, kind = PROJECTION_CASES[case]
+    rng = Rng(60)
+    lead = () if B is None else (B,)
+    d = heads * dh + 1
+    x, w = rng.normal(lead + (L, d)), rng.normal((d, heads * dh))
+    positions = None
+    if kind == "shared":
+        positions = np.arange(2, 2 * L + 2, 2)
+    elif kind == "per-sequence":
+        positions = np.cumsum(rng.integers(1, 4, (B, L)), axis=1)
+    weights = rng.normal(lead + (heads, L, dh))
+    if B is not None:  # a padded batch: the last positions of two rows count for nothing
+        weights[0, :, L // 2 :] = 0.0
+        weights[-1, :, L - 1 :] = 0.0
+    return x, w, heads, dh, rows, positions, weights
+
+
+def _project(x, w, heads, dh, positions, taped=False):
+    """The fused projection (the query of ``xpos_qk`` when rotating) or its oracle."""
+    angles = None if positions is None else RotaryAngles(dh)
+    if taped:
+        return project_heads_taped(x, w, heads, positions, angles)
+    if positions is None:
+        return project_heads(x, w, heads)
+    return xpos_qk(x, w, w, positions, angles, heads)[0]
+
+
+@pytest.mark.parametrize("case", list(PROJECTION_CASES))
+def test_project_heads_equals_composite_oracle(case, monkeypatch):
+    """The value is bitwise matmul, head split and rotate run as Tensor ops,
+    as a contiguous array, on the tape or not; gradients agree within 1e-12."""
+    x, w, heads, dh, rows, positions, weights = _projection_inputs(case)
+    if rows is not None:
+        monkeypatch.setattr(tensor, "BLOCK_ELEMENTS", rows * x.shape[-2] * heads * dh)
+    with no_grad():
+        eval_out = _project(Tensor(x), Tensor(w), heads, dh, positions)
+    xs, ws = [Tensor(x), Tensor(x)], [Tensor(w), Tensor(w)]
+    outs = [_project(xs[i], ws[i], heads, dh, positions, taped=i == 1) for i in range(2)]
+    assert outs[0].value.flags.c_contiguous and outs[0].shape == weights.shape
+    assert outs[0].value.tobytes() == outs[1].value.tobytes() == eval_out.value.tobytes()
+    for o in outs:
+        backward(tsum(mul(o, weights)))
+    assert rel_err(xs[0].grad, xs[1].grad) < 1e-12
+    assert rel_err(ws[0].grad, ws[1].grad) < 1e-12
+
+
+@pytest.mark.parametrize("case", ["ragged-blocks", "per-sequence"])
+def test_project_heads_gradients_match_finite_differences(case, monkeypatch):
+    x, w, heads, dh, rows, positions, weights = _projection_inputs(case)
+    monkeypatch.setattr(tensor, "BLOCK_ELEMENTS", rows * x.shape[-2] * heads * dh)
+    xt, wt = Tensor(x), Tensor(w)
+    backward(tsum(mul(_project(xt, wt, heads, dh, positions), weights)))
+
+    def loss():
+        with no_grad():
+            return tsum(mul(_project(Tensor(x), Tensor(w), heads, dh, positions), weights)).value
+
+    assert rel_err(xt.grad, finite_diff_grad(loss, x)) < 1e-7
+    assert rel_err(wt.grad, finite_diff_grad(loss, w)) < 1e-7
+
+
+def test_xpos_qk_shares_its_tables_and_keeps_only_its_input():
+    """q and k are one node each over (x, w), and the tape keeps no
+    product, head split or rotation of them."""
+    rng = Rng(61)
+    x, wq, wk = Tensor(rng.normal((2, 5, 4))), Tensor(rng.normal((4, 4))), Tensor(rng.normal((4, 4)))
+    q, k = xpos_qk(x, wq, wk, np.arange(5), RotaryAngles(2), 2)
+    assert q._parents == (x, wq) and k._parents == (x, wk)
+    cells = [c.cell_contents for c in q._backward.__closure__]
+    kept = [c for c in cells if isinstance(c, np.ndarray) and c.size >= x.value.size]
+    assert all(a is x.value or np.shares_memory(a, x.value) for a in kept)

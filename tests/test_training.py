@@ -137,8 +137,6 @@ def test_gradcheck_full_tiny_model_passes():
 
 def test_gradcheck_fault_injection_flags_only_corrupted_block():
     # corrupt one op's backward: swish gets a wrong local derivative
-    from tsgpt import tensor as T
-
     model, data, _ = _toy_model_and_data(seed=9, no_temporal_conv=True)
     params = model.named_params()
 
@@ -148,30 +146,18 @@ def test_gradcheck_fault_injection_flags_only_corrupted_block():
     clean = grad_check(params, loss, tolerance=1e-4)
     assert clean.passed
 
-    def bad_swish(x):
-        xv = T._val(x)
-        s = 1.0 / (1.0 + np.exp(-xv))
-        out = xv * s
-
-        def back(g):
-            if isinstance(x, T.Tensor):
-                T._accum(x, g * s)  # missing the x * s * (1 - s) term
-
-        return T.Tensor(out, (x,) if isinstance(x, T.Tensor) else (), back)
-
-    def bad_linear(x, w, b, swish_out=False):
-        # the feed-forward's swish runs inside its fused linear op
-        out = T.linear(x, w, b)
-        return bad_swish(out) if swish_out else out
+    def bad_swish_grad(g, out, s):
+        # the feed-forward node's swish slope, missing the out * (1 - s) term
+        return g * s
 
     import tsgpt.model as M
 
-    saved = M.linear
-    M.linear = bad_linear
+    saved = M.swish_grad_array
+    M.swish_grad_array = bad_swish_grad
     try:
         corrupted = grad_check(params, loss, tolerance=1e-4)
     finally:
-        M.linear = saved
+        M.swish_grad_array = saved
 
     assert not corrupted.passed
     bad_blocks = {n for n, e in corrupted.block_errors.items() if e >= 1e-4}
