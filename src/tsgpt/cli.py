@@ -311,16 +311,21 @@ def cmd_finetune(args) -> int:
     head = cfg.get("head", "classification")
     sched = _from_section(TrainSchedule, cfg.get("train", {"epochs": 5}), "train", seed)
     data_path = _require(cfg, "data", "finetune")
+    fraction = _scalar(cfg, "subset_fraction", float)
+    if fraction is not None and not 0.0 < fraction <= 1.0:
+        raise UsageError(f"config field 'subset_fraction' must be in (0, 1], got {fraction}")
 
     t0 = time.perf_counter()
     batch = _load_batch(data_path, pretrained.cfg, "finetune")
     tr, va, te = _split_three(batch, cfg, seed)
-    fraction = _scalar(cfg, "subset_fraction", float)
-    if fraction:
+    if fraction is not None:
         tr = dg.finetune_subset(tr, fraction, seed=seed)
     t_load = time.perf_counter() - t0
 
     n_classes = _scalar(cfg, "n_classes", int, int(batch.labels.max()) + 1 if batch.labels is not None else 2)
+    if head == "classification" and batch.labels is not None and n_classes <= batch.labels.max():
+        raise UsageError(f"config field 'n_classes' must exceed the largest label, {int(batch.labels.max())}; "
+                         f"got {n_classes}")
     model = pretrained.with_head(head, n_classes=n_classes)
 
     def metric_fn(m, val_batch):
@@ -363,6 +368,8 @@ def cmd_forecast(args) -> int:
     train_len = args.train_len if args.train_len is not None else _scalar(cfg, "train_len", float)
     if horizon < 1:
         raise UsageError(f"horizon must be >= 1, got {horizon}")
+    if prompt_tokens_arg is not None and prompt_tokens_arg < 1:
+        raise UsageError(f"prompt_tokens must be >= 1, got {prompt_tokens_arg}")
     os.makedirs(args.out, exist_ok=True)
     model = _load_trained(checkpoint)
     full = _load_signal(data)
@@ -527,7 +534,7 @@ def cmd_selftest(args) -> int:
     """Fast invariant sweep; prints one PASS/FAIL line per check."""
     checks: list[tuple[str, bool]] = []
 
-    from .positional import RotaryAngles, rotate
+    from .positional import RotaryAngles, rotate_array, rotation_tables
     from .retention import ChunkPlan, DecayMask, retention_chunkwise, retention_parallel, retention_recurrent
 
     rng = Rng(args.seed or 0)
@@ -546,12 +553,15 @@ def cmd_selftest(args) -> int:
         DecayMask.build(0.95, length=9).matrix.tobytes() == DecayMask.build(0.95, timestamps=np.arange(2, 11)).matrix.tobytes(),
     ))
 
-    # rotation shift invariance
+    # rotation shift invariance, by the arithmetic the projections run
     x = rng.normal((1, 8))
     y = rng.normal((1, 8))
-    ang = RotaryAngles(8)
-    s1 = float((rotate(Tensor(x), np.array([5]), ang).value * rotate(Tensor(y), np.array([2]), ang).value).sum())
-    s2 = float((rotate(Tensor(x), np.array([9]), ang).value * rotate(Tensor(y), np.array([6]), ang).value).sum())
+
+    def rot(a, position):
+        return rotate_array(a, *rotation_tables(np.array([position]), RotaryAngles(8)))
+
+    s1 = float((rot(x, 5) * rot(y, 2)).sum())
+    s2 = float((rot(x, 9) * rot(y, 6)).sum())
     checks.append(("rotation-shift-invariance", abs(s1 - s2) < 1e-10))
 
     # FLOP crossovers: attention ties the feed-forward at n = 2hd (its

@@ -3,10 +3,10 @@
 Continuous signals are trend + seasonal + gaussian noise with the
 components returned separately.  Event cohorts draw per-subject code
 streams at irregular integer timestamps from class-conditional code
-profiles, with an optional early "decoy" phase drawn from a different
-class's profile so that recency actually matters; because the generator is
-known, the exact Bayes classification rule (and hence the accuracy ceiling
-any model can reach) is computable by enumeration.
+profiles, optionally with a class-dependent arrival process so that the
+gaps between events carry the label too; because the generator is known,
+the exact Bayes classification rule (and hence the accuracy ceiling any
+model can reach) is computable by enumeration.
 """
 
 from __future__ import annotations
@@ -151,9 +151,6 @@ class EventCohortSpec:
     gap_low: int = 1
     gap_high: int = 8
     separation: float = 0.9  # 0: identical uniform profiles, 1: disjoint code blocks
-    decoy_fraction: float = 0.0  # early fraction of events drawn from a decoy class
-    era_gap: int = 0  # extra quiet time between eras (decoy/true or cycle)
-    cycle_eras: bool = False  # one era per class in random order; label = last era
     class_timing: bool = False  # odd classes arrive in tight bursts, even ones uniformly
     seed: int = 0
 
@@ -164,12 +161,8 @@ class EventCohortSpec:
             raise ConfigError("max_events < min_events")
         if not (0.0 <= self.separation <= 1.0):
             raise ConfigError("separation must be in [0, 1]")
-        if not (0.0 <= self.decoy_fraction < 1.0):
-            raise ConfigError("decoy_fraction must be in [0, 1)")
         if self.gap_low < 1 or self.gap_high < self.gap_low:
             raise ConfigError("gaps must be positive with gap_high >= gap_low")
-        if self.era_gap < 0:
-            raise ConfigError("era_gap must be >= 0")
         if self.classes < 1 or self.vocab < self.classes:
             raise ConfigError("need vocab >= classes >= 1")
 
@@ -179,10 +172,7 @@ class CohortInfo:
     """Everything the Bayes oracle needs about the generator."""
 
     profiles: Array  # [classes, vocab]
-    decoy_fraction: float
     class_prior: Array  # [classes]
-    decoys: Array  # [subjects] decoy class per subject (-1 when unused)
-    last_era_start: Array | None = None  # [subjects] index of the label era (cycled cohorts)
     class_timing: bool = False  # arrival process depends on class parity
 
 
@@ -218,9 +208,8 @@ def _burst_gaps(r: Rng, m: int) -> Array:
 def gen_cohort(spec: EventCohortSpec) -> tuple[SequenceBatch, CohortInfo]:
     """Per-subject (code, timestamp) streams padded to a common length.
 
-    History shapes: a single decoy era of ``decoy_fraction`` followed by
-    true-class events; (``cycle_eras``) one era per class in random order
-    with the label set by the final era; or (``class_timing``) a
+    Every event's code is drawn from the subject's class profile.  Gaps
+    are uniform in [gap_low, gap_high], or (``class_timing``) follow a
     class-dependent arrival process, where odd classes arrive in tight
     bursts and even ones uniformly, so the label is carried by the gap
     structure rather than by aggregate code counts alone.
@@ -234,8 +223,6 @@ def gen_cohort(spec: EventCohortSpec) -> tuple[SequenceBatch, CohortInfo]:
     codes = np.zeros((n, vmax), dtype=np.int64)
     timestamps = np.zeros((n, vmax), dtype=np.int64)
     valid = np.zeros((n, vmax))
-    decoys = np.full(n, -1, dtype=np.int64)
-    last_era_start = np.zeros(n, dtype=np.int64) if spec.cycle_eras else None
 
     for i in range(n):
         r = rng.child(f"subject{i}")
@@ -248,37 +235,9 @@ def gen_cohort(spec: EventCohortSpec) -> tuple[SequenceBatch, CohortInfo]:
                 gaps = r.child("gaps").integers(UNIFORM_GAPS[0], UNIFORM_GAPS[1] + 1, (m,))
         else:
             gaps = r.child("gaps").integers(spec.gap_low, spec.gap_high + 1, (m,))
-        draws = np.empty(m, dtype=np.int64)
-        if spec.cycle_eras:
-            order = list(r.child("order").permutation(spec.classes - 1))
-            order = [k if k < c else k + 1 for k in order] + [c]
-            # random era shares, the last era at least a fifth of the stream
-            shares = r.child("shares").uniform((spec.classes,), 0.5, 1.5)
-            shares = shares / shares.sum()
-            edges = np.floor(np.cumsum(shares)[:-1] * m).astype(int)
-            edges = np.clip(edges, 1, m - 1)
-            bounds = [0] + sorted(set(edges.tolist())) + [m]
-            while len(bounds) < spec.classes + 1:
-                bounds.insert(1, bounds[1])
-            for era_idx, cls in enumerate(order):
-                lo, hi = bounds[era_idx], bounds[era_idx + 1]
-                if hi > lo:
-                    draws[lo:hi] = r.child(f"era{era_idx}").choice_p(spec.vocab, profiles[cls], (hi - lo,))
-                if spec.era_gap and era_idx > 0 and lo < m:
-                    gaps[lo] += spec.era_gap
-            last_era_start[i] = bounds[-2]
-        else:
-            n_decoy = int(np.floor(spec.decoy_fraction * m))
-            if n_decoy > 0 and spec.classes > 1:
-                choices = [k for k in range(spec.classes) if k != c]
-                decoy = choices[int(r.child("decoy").integers(0, len(choices)))]
-                decoys[i] = decoy
-                draws[:n_decoy] = r.child("early").choice_p(spec.vocab, profiles[decoy], (n_decoy,))
-            if spec.era_gap and n_decoy > 0:
-                gaps[n_decoy] += spec.era_gap
-            draws[n_decoy:] = r.child("late").choice_p(spec.vocab, profiles[c], (m - n_decoy,))
         ts = np.cumsum(gaps)
-        codes[i, :m] = draws
+        # the child tags name the streams, so renaming one redraws every cohort
+        codes[i, :m] = r.child("late").choice_p(spec.vocab, profiles[c], (m,))
         timestamps[i, :m] = ts
         valid[i, :m] = 1.0
         # pad timestamps keep strictly increasing
@@ -287,23 +246,16 @@ def gen_cohort(spec: EventCohortSpec) -> tuple[SequenceBatch, CohortInfo]:
     values = np.eye(spec.vocab)[codes]
     batch = SequenceBatch(values=values, timestamps=timestamps, codes=codes, valid=valid, labels=labels)
     prior = np.bincount(labels, minlength=spec.classes) / n
-    return batch, CohortInfo(
-        profiles=profiles,
-        decoy_fraction=spec.decoy_fraction,
-        class_prior=prior,
-        decoys=decoys,
-        last_era_start=last_era_start,
-        class_timing=spec.class_timing,
-    )
+    return batch, CohortInfo(profiles=profiles, class_prior=prior, class_timing=spec.class_timing)
 
 
 def bayes_predict(batch: SequenceBatch, info: CohortInfo) -> Array:
     """Exact Bayes rule under the known generator, by enumeration.
 
-    Decoy cohorts marginalize the per-subject decoy class: the
-    log-likelihood of a stream under (class c, decoy c') scores early
-    events against c' and late events against c.  Cycled cohorts score the
-    final era (whose start the generator recorded) against each profile.
+    Each class scores its prior plus the log-likelihood of the stream's
+    codes under its profile.  Under ``class_timing`` only the classes whose
+    arrival process could have produced the stream's gaps compete: bursty
+    gaps for odd classes, uniform ones for even classes.
     """
     n, vmax = batch.codes.shape
     classes = info.profiles.shape[0]
@@ -316,33 +268,10 @@ def bayes_predict(batch: SequenceBatch, info: CohortInfo) -> Array:
         if info.class_timing:
             gaps = np.diff(batch.timestamps[i, :m], prepend=0)
             bursty = bool(np.any(gaps == BURST_INNER_GAP) or np.any(gaps >= BURST_BETWEEN_GAPS[0]))
-            for c in range(classes):
-                if (c % 2 == 1) != bursty:
-                    continue
-                post[c] = np.log(max(info.class_prior[c], 1e-300)) + logp[c, seq].sum()
-            preds[i] = int(np.argmax(post))
-            continue
-        if info.last_era_start is not None:
-            late = seq[int(info.last_era_start[i]) :]
-            for c in range(classes):
-                post[c] = np.log(max(info.class_prior[c], 1e-300)) + logp[c, late].sum()
-            preds[i] = int(np.argmax(post))
-            continue
-        n_decoy = int(np.floor(info.decoy_fraction * m))
-        early, late = seq[:n_decoy], seq[n_decoy:]
         for c in range(classes):
-            late_ll = logp[c, late].sum()
-            if n_decoy == 0 or classes == 1:
-                post[c] = np.log(max(info.class_prior[c], 1e-300)) + late_ll
-            else:
-                mix = []
-                for cp in range(classes):
-                    if cp == c:
-                        continue
-                    mix.append(logp[cp, early].sum())
-                mix = np.asarray(mix)
-                mmax = mix.max()
-                post[c] = np.log(max(info.class_prior[c], 1e-300)) + late_ll + mmax + np.log(np.mean(np.exp(mix - mmax)))
+            if info.class_timing and (c % 2 == 1) != bursty:
+                continue
+            post[c] = np.log(max(info.class_prior[c], 1e-300)) + logp[c, seq].sum()
         preds[i] = int(np.argmax(post))
     return preds
 

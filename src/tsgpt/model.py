@@ -48,14 +48,13 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .convolution import ConvDecode, ConvSubsampler, TemporalConvModule, subsampled_length
+from .convolution import ConvDecode, ConvSubsampler, TemporalConvModule, _uniform_init, subsampled_length
 from .datagen import SequenceBatch
 from .errors import CheckpointError, ConfigError, DataError, InputError, ShapeError, TaskError
 from .positional import RotaryAngles, default_gammas, project_heads, rotate_array, rotation_tables, xpos_qk
 from .retention import (
     ChunkPlan,
     DecayMask,
-    RetentionState,
     _decay_factor,
     retention_chunkwise,
     retention_parallel,
@@ -175,57 +174,9 @@ class ModelConfig:
         return hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def multihead_retention(
-    x,
-    w_q,
-    w_k,
-    w_v,
-    w_out,
-    b_out,
-    positions: np.ndarray,
-    angles: RotaryAngles,
-    gammas,
-    norm_gain,
-    norm_bias,
-    form: str | None = None,
-    chunk_size: int = 64,
-    apply_rotation: bool = True,
-    residual=None,
-):
-    """Per-head rotary q/k, retention, head concat, per-token layer norm
-    (``norm_gain``, ``norm_bias``: [h*d_v]), output projection, plus
-    ``residual`` when it is given.
-
-    ``form`` None (or "chunkwise") runs the chunk-wise form; "recurrent"
-    and "parallel" select the other two.  x: [..., L, d_model]; w_q/w_k:
-    [d_model, h*d_q]; w_v: [d_model, h*d_v]; w_out: [h*d_v, d_model].  Head
-    count comes from len(gammas).  q, k and v are one :func:`project_heads`
-    node each and the glue after the retention kernel one
-    :func:`retention_output` node; the kernel runs on the whole batch.
-    Returns (out [..., L, d_model], state), the retention state after the
-    last token (None under the parallel form).
-    """
-    gammas = np.asarray(gammas, dtype=np.float64)
-    heads = gammas.shape[0]
-    q, k = xpos_qk(x, w_q, w_k, positions, angles, heads, apply_rotation=apply_rotation)
-    v = project_heads(x, w_v, heads)
-    L = q.shape[-2]
-
-    state = None
-    if form is None or form == "chunkwise":
-        out, state = retention_chunkwise(q, k, v, positions, gammas, ChunkPlan.build(L, chunk_size))
-    elif form == "recurrent":
-        out, state = retention_recurrent(q, k, v, positions, gammas)
-    elif form == "parallel":
-        out = retention_parallel(q, k, v, DecayMask.build(gammas, timestamps=positions))
-    else:
-        raise ConfigError(f"unknown retention form {form!r}")
-    return retention_output(out, norm_gain, norm_bias, w_out, b_out, residual), state
-
-
-def retention_output(ret, gain, bias, w_o, b_o, residual=None) -> Tensor:
-    """``linear(layer_norm(merged heads of ret, gain, bias), w_o, b_o)``,
-    plus ``residual`` when it is given, as one tape node.
+def retention_output(ret, gain, bias, w_o, b_o, residual) -> Tensor:
+    """``residual + linear(layer_norm(merged heads of ret, gain, bias), w_o,
+    b_o)`` as one tape node.
 
     ret: [..., h, L, dv] -> [..., L, d_out].  The value is bitwise that of
     the composite (swapaxes, reshape, layer norm, linear, add).  The node
@@ -239,7 +190,7 @@ def retention_output(ret, gain, bias, w_o, b_o, residual=None) -> Tensor:
     r4 = rv.reshape((-1,) + rv.shape[-3:])
     N, h, L, dv = r4.shape
     width, d = h * dv, wv.shape[-1]
-    res = None if residual is None else _val(residual).reshape((N, L, d))
+    res = _val(residual).reshape((N, L, d))
     blocks = row_blocks(N, L * max(width, d))
     out = np.empty((N, L, d))
 
@@ -249,10 +200,7 @@ def retention_output(ret, gain, bias, w_o, b_o, residual=None) -> Tensor:
     for b in blocks:
         y = merged_norm(b)[0] @ wv
         y += ov
-        if res is None:
-            out[b] = y
-        else:
-            np.add(res[b], y, out=out[b])
+        np.add(res[b], y, out=out[b])
 
     def back(g):
         g3 = g.reshape((N, L, d))
@@ -278,9 +226,8 @@ def retention_output(ret, gain, bias, w_o, b_o, residual=None) -> Tensor:
 
 
 def feed_forward(x, ln_gain, ln_bias, w1, b1, w2, b2) -> Tensor:
-    """``x + linear(linear(layer_norm(x, ln_gain, ln_bias), w1, b1,
-    swish_out=True), w2, b2)`` as one tape node, bitwise the four-node
-    composite.
+    """``x + linear(swish(linear(layer_norm(x, ln_gain, ln_bias), w1, b1)),
+    w2, b2)`` as one tape node, bitwise the five-node composite.
 
     x: [..., L, d].  Both directions run one block of whole batch rows at a
     time (:func:`~tsgpt.tensor.row_blocks`, sized by the hidden width).  When
@@ -348,27 +295,22 @@ class DecoderLayer:
         d, h = cfg.d_model, cfg.heads
         wq = h * cfg.d_q
         wv = h * cfg.d_v
-
-        def u(tag, shape, fan_in):
-            bound = 1.0 / np.sqrt(fan_in)
-            return Tensor(rng.child(tag).uniform(shape, -bound, bound))
-
         self.ln1_gain = Tensor(np.ones(d))
         self.ln1_bias = Tensor(np.zeros(d))
-        self.w_q = u("w_q", (d, wq), d)
-        self.w_k = u("w_k", (d, wq), d)
-        self.w_v = u("w_v", (d, wv), d)
+        self.w_q = _uniform_init(rng.child("w_q"), (d, wq), d)
+        self.w_k = _uniform_init(rng.child("w_k"), (d, wq), d)
+        self.w_v = _uniform_init(rng.child("w_v"), (d, wv), d)
         self.ret_gain = Tensor(np.ones(wv))
         self.ret_bias = Tensor(np.zeros(wv))
-        self.w_o = u("w_o", (wv, d), wv)
+        self.w_o = _uniform_init(rng.child("w_o"), (wv, d), wv)
         self.b_o = Tensor(np.zeros(d))
         self.tconv = None if cfg.no_temporal_conv else TemporalConvModule(d, cfg.conv_kernel, rng.child("tconv"))
         self.ln2_gain = Tensor(np.ones(d))
         self.ln2_bias = Tensor(np.zeros(d))
         f = FFN_EXPANSION * d
-        self.ffn_w1 = u("ffn_w1", (d, f), d)
+        self.ffn_w1 = _uniform_init(rng.child("ffn_w1"), (d, f), d)
         self.ffn_b1 = Tensor(np.zeros(f))
-        self.ffn_w2 = u("ffn_w2", (f, d), f)
+        self.ffn_w2 = _uniform_init(rng.child("ffn_w2"), (f, d), f)
         self.ffn_b2 = Tensor(np.zeros(d))
         self.angles = RotaryAngles(cfg.d_q)
         self.gammas = cfg.gammas
@@ -398,13 +340,30 @@ class DecoderLayer:
     # -- retention sublayer -------------------------------------------------
 
     def _retention_inner(self, h: Tensor, x: Tensor, positions: np.ndarray, form: str | None):
-        """``x`` plus the retention sublayer run on ``h``, its normalized input."""
+        """``x`` plus the retention sublayer run on ``h``, its normalized input.
+
+        Rotary q/k and v are one :func:`project_heads` node each; retention
+        runs on the whole batch, chunk-wise for ``form`` None (or
+        "chunkwise"), or in the "recurrent" or "parallel" reference form;
+        head merge, layer norm, output projection and the residual add are
+        one :func:`retention_output` node.  Returns (out [..., L, d_model],
+        the retention state after the last token, None under the parallel
+        form).
+        """
         cfg = self.cfg
-        return multihead_retention(
-            h, self.w_q, self.w_k, self.w_v, self.w_o, self.b_o,
-            positions, self.angles, self.gammas, self.ret_gain, self.ret_bias,
-            form=form, chunk_size=cfg.chunk_size, apply_rotation=not cfg.no_rotation, residual=x,
-        )
+        q, k = xpos_qk(h, self.w_q, self.w_k, positions, self.angles, cfg.heads, apply_rotation=not cfg.no_rotation)
+        v = project_heads(h, self.w_v, cfg.heads)
+        state = None
+        if form is None or form == "chunkwise":
+            plan = ChunkPlan.build(q.shape[-2], cfg.chunk_size)
+            out, state = retention_chunkwise(q, k, v, positions, self.gammas, plan)
+        elif form == "recurrent":
+            out, state = retention_recurrent(q, k, v, positions, self.gammas)
+        elif form == "parallel":
+            out = retention_parallel(q, k, v, DecayMask.build(self.gammas, timestamps=positions))
+        else:
+            raise ConfigError(f"unknown retention form {form!r}")
+        return retention_output(out, self.ret_gain, self.ret_bias, self.w_o, self.b_o, x), state
 
     def _ffn(self, x: Tensor) -> Tensor:
         """``x`` plus the pre-norm feed-forward of ``x``: one node."""
@@ -481,16 +440,16 @@ class LayerDecode:
         "ret_gain", "ret_bias", "w_o", "b_o", "conv", "ln2_gain", "ln2_bias", "ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2",
     )
 
-    def __init__(self, layer: DecoderLayer, state: RetentionState, conv_buf: np.ndarray | None):
+    def __init__(self, layer: DecoderLayer, s: np.ndarray, conv_buf: np.ndarray | None):
         cfg = layer.cfg
-        B = state.s.shape[0]
+        B = s.shape[0]
         self.ln1_gain, self.ln1_bias = layer.ln1_gain.value, layer.ln1_bias.value
         self.w_qkv = np.concatenate([layer.w_q.value, layer.w_k.value, layer.w_v.value], axis=1)
         self.qk_width = cfg.heads * cfg.d_q
         self.qk_shape = (B, 1, cfg.heads, cfg.d_q)
         self.v_shape = (B, 1, cfg.heads, cfg.d_v)
         self.r_shape = (B, 1, cfg.heads * cfg.d_v)
-        self.s = state.s.copy()
+        self.s = s.copy()
         self.fac = _decay_factor(layer.gammas, 1)
         self.ret_gain, self.ret_bias = layer.ret_gain.value, layer.ret_bias.value
         self.w_o, self.b_o = layer.w_o.value, layer.b_o.value
@@ -507,24 +466,19 @@ class Model:
         self.cfg = config
         rng = Rng(config.seed).child("init")
         V, D = config.n_inputs, config.d_model
-
-        def u(tag, shape, fan_in):
-            bound = 1.0 / np.sqrt(fan_in)
-            return Tensor(rng.child(tag).uniform(shape, -bound, bound))
-
         self.subsampler = None if config.no_subsampler else ConvSubsampler(V, rng.child("subsampler"))
-        self.w_in = u("w_in", (V, D), V)
+        self.w_in = _uniform_init(rng.child("w_in"), (V, D), V)
         self.b_in = Tensor(np.zeros(D))
-        self.sos = u("sos", (1, 1, D), D)
+        self.sos = _uniform_init(rng.child("sos"), (1, 1, D), D)
         self.layers = [DecoderLayer(config, rng.child(f"layer{i}")) for i in range(config.layers)]
         if config.head_kind == "next_token":
-            self.w_head = u("w_head", (D, V), D)
+            self.w_head = _uniform_init(rng.child("w_head"), (D, V), D)
             self.b_head = Tensor(np.zeros(V))
         elif config.head_kind == "classification":
-            self.w_head = u("w_head", (D, config.n_classes), D)
+            self.w_head = _uniform_init(rng.child("w_head"), (D, config.n_classes), D)
             self.b_head = Tensor(np.zeros(config.n_classes))
         else:
-            self.w_head = u("w_head", (D, 1), D)
+            self.w_head = _uniform_init(rng.child("w_head"), (D, 1), D)
             self.b_head = Tensor(np.zeros(1))
 
     # -- parameters and state ------------------------------------------------
@@ -620,7 +574,6 @@ class Model:
             x, st = layer.forward(x, pos, train=train, form=form, valid=valid, capture=cap)
             if want_states:
                 states.append(st)
-            del st  # an unused state would hold its part of the tape through the next layer
         return (x, states, pos) if want_states else x
 
     @_untaped_in_eval

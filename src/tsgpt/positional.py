@@ -10,8 +10,8 @@ decay matrix, which is algebraically the same thing for every q-k product.
 The projection to heads and the rotation are one tape node per projection
 (:func:`project_heads`): it keeps its input and the cos/sin tables, not
 the product, the head split or the rotated copy, and runs one block of
-whole batch rows at a time.  :func:`rotate` is the same rotation as an op
-of its own.
+whole batch rows at a time.  :func:`rotate_array` is the rotation's one
+arithmetic, which the decode step also runs.
 """
 
 from __future__ import annotations
@@ -53,36 +53,13 @@ def rotation_tables(positions: Array, angles: RotaryAngles) -> tuple[Array, Arra
     return np.cos(ang), np.sin(ang)
 
 
-def rotate(x, positions: Array, angles: RotaryAngles) -> Tensor:
-    """Rotate consecutive feature pairs (2i-1, 2i) by position * theta_i.
-
-    x has shape [..., L, d] with d even; ``positions`` is an integer vector
-    of length L (negative values are fine), or [B, L] for per-sequence
-    positions against x shaped [B, heads, L, d].  Each pair is rotated in
-    its own plane, so per-pair norms are preserved.  One tape node: the
-    backward applies the transposed rotation (angle -position * theta_i).
-    """
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    d = x.shape[-1]
-    if d != angles.head_dim:
-        raise ConfigError(f"rotate: x last dim {d} != angles head_dim {angles.head_dim}")
-    positions = np.asarray(positions)
-    if positions.ndim not in (1, 2) or positions.shape[-1] != x.shape[-2]:
-        raise InputError(f"rotate: need {x.shape[-2]} positions, got shape {positions.shape}")
-    cos, sin = rotation_tables(positions, angles)  # [..., L, d/2]
-    if positions.ndim == 2:
-        cos, sin = cos[:, None, :, :], sin[:, None, :, :]  # room for the head axis
-
-    def back(g):
-        _accum(x, rotate_array(g, cos, -sin), own=True)
-
-    return Tensor(rotate_array(x.value, cos, sin), (x,), back)
-
-
 def rotate_array(x: Array, cos: Array, sin: Array, out: Array | None = None) -> Array:
-    """The arithmetic of :func:`rotate` on a plain array, given its cos/sin
-    tables: per pair, (even * cos + odd * -sin, even * sin + odd * cos).
-    Written into ``out`` (an array of x's shape) when it is given."""
+    """Rotate consecutive feature pairs (2i-1, 2i) of x [..., d] by the
+    angles whose :func:`rotation_tables` are given (broadcasting against
+    [..., d/2]): per pair, (even * cos + odd * -sin, even * sin + odd * cos).
+    Each pair turns in its own plane, so per-pair norms are preserved, and
+    ``-sin`` turns it back.  Written into ``out`` (an array of x's shape)
+    when it is given."""
     pairs = x.reshape(x.shape[:-1] + (-1, 2))
     even, odd = pairs[..., 0], pairs[..., 1]
     res = np.empty_like(pairs) if out is None else out.reshape(pairs.shape)
@@ -137,9 +114,9 @@ def project_heads(x, w, heads: int, cos: Array | None = None, sin: Array | None 
     against x [B, L, d]).
 
     One tape node whose value is bitwise that of matmul, reshape, swapaxes
-    and :func:`rotate` run in turn, as a contiguous array.  It keeps only
-    its input and the tables: the backward rotates the gradient back and
-    needs no forward intermediate.  Both directions run one block of whole
+    and a rotation by :func:`rotate_array` run in turn, as a contiguous
+    array.  It keeps only its input and the tables: the backward rotates
+    the gradient back and needs no forward intermediate.  Both directions run one block of whole
     batch rows at a time (:func:`~tsgpt.tensor.row_blocks`).
     """
     xv, wv = _val(x), _val(w)

@@ -12,8 +12,9 @@ et al. arXiv 2312.06635 §4, and RetNet's chunk-wise form).  The recurrent form
 carries a d_k x d_v state one step at a time; the model's one-token decode
 step (``DecoderLayer.step``) runs its update on plain arrays.  The parallel
 form materializes the full decay matrix D and is kept as the reference the
-other two are checked against.  The state the sequence forms return is a
-plain array on no tape.
+other two are checked against.  The chunk-wise and recurrent forms start
+from a zero state and return the state after their last token as a plain
+array on no tape, which the decode step carries on.
 
 Cross-chunk decays are defined in timestamp space
 (gamma^(t - t_last_of_previous_chunk)), the unique choice that keeps the
@@ -92,15 +93,6 @@ class DecayMask:
         return self.matrix.shape[-1]
 
 
-@dataclass
-class RetentionState:
-    """Running per-head summary sum_m gamma^(t_last - t_m) k_m^T v_m, a
-    plain array on no tape."""
-
-    s: Array
-    last_t: Array | int
-
-
 @dataclass(frozen=True)
 class ChunkPlan:
     """Chunk boundaries for the chunk-wise form; the last chunk may be ragged."""
@@ -164,15 +156,12 @@ def retention_parallel(q, k, v, mask: DecayMask) -> Tensor:
     return matmul(mul(scores, mask.matrix), v)
 
 
-def retention_recurrent(
-    q,
-    k,
-    v,
-    timestamps,
-    gamma,
-    initial: RetentionState | None = None,
-) -> tuple[Tensor, RetentionState]:
-    """Step-by-step form: s_n = gamma^dt s_(n-1) + k_n^T v_n, out_n = q_n s_n."""
+def retention_recurrent(q, k, v, timestamps, gamma) -> tuple[Tensor, Array]:
+    """Step-by-step form: s_n = gamma^dt s_(n-1) + k_n^T v_n, out_n = q_n s_n.
+
+    Returns (out, s): s is the state after the last token, the running
+    per-head summary sum_m gamma^(t_last - t_m) k_m^T v_m as a plain array.
+    """
     q = q if isinstance(q, Tensor) else Tensor(q)
     k = k if isinstance(k, Tensor) else Tensor(k)
     v = v if isinstance(v, Tensor) else Tensor(v)
@@ -181,13 +170,8 @@ def retention_recurrent(
     if t.shape[-1] != L:
         raise InputError(f"timestamps length {t.shape[-1]} != sequence length {L}")
 
-    if initial is None:
-        s = Tensor(np.zeros(q.shape[:-2] + (q.shape[-1], v.shape[-1])))
-        last_t = t[..., 0]
-    else:
-        s = initial.s
-        last_t = np.asarray(initial.last_t)
-
+    s = Tensor(np.zeros(q.shape[:-2] + (q.shape[-1], v.shape[-1])))
+    last_t = t[..., 0]
     outs = []
     for n in range(L):
         t_n = t[..., n]
@@ -197,26 +181,19 @@ def retention_recurrent(
         outs.append(matmul(q[..., n : n + 1, :], s))
         last_t = t_n
     out = concat(outs, axis=-2)
-    return out, RetentionState(_val(s), np.asarray(last_t))
+    return out, _val(s)
 
 
-def retention_chunkwise(
-    q,
-    k,
-    v,
-    timestamps,
-    gamma,
-    plan: ChunkPlan,
-    initial: RetentionState | None = None,
-) -> tuple[Tensor, RetentionState]:
+def retention_chunkwise(q, k, v, timestamps, gamma, plan: ChunkPlan) -> tuple[Tensor, Array]:
     """Parallel within chunks, recurrent across them; equals the other forms.
 
     Per chunk: intra-chunk term (q_c k_c^T . D_c) v_c plus inter-chunk term
     (q_c s) scaled row-wise by zeta; the state update weights the chunk's
     k^T v rows by the last row of its decay matrix and carries the previous
-    state decayed by the chunk's total timestamp span.  Without an
-    ``initial`` state the first chunk has no inter-chunk term, so a sequence
-    that fits in one chunk runs exactly the parallel form's arithmetic.
+    state decayed by the chunk's total timestamp span.  The first chunk has
+    no inter-chunk term, so a sequence that fits in one chunk runs exactly
+    the parallel form's arithmetic.  Returns (out, s), s being the state
+    after the last token as a plain array.
 
     One tape node over (q, k, v).  The forward runs on arrays and keeps each
     chunk's incoming state; a chunk reuses the previous decay mask when its
@@ -224,7 +201,7 @@ def retention_chunkwise(
     chunks in reverse, carrying dS (0 after the last chunk): with
     dP = (dO v^T) . D, dq = dP k + (zeta dO) s_prev^T, dk = dP^T q +
     (tail v) dS^T, dv = (q k^T . D)^T dO + tail (k dS) and
-    dS_prev = q^T (zeta dO) + gamma^span dS.  ``initial`` is a constant.
+    dS_prev = q^T (zeta dO) + gamma^span dS.
     """
     qv, kv, vv = _val(q), _val(k), _val(v)
     L = qv.shape[-2]
@@ -235,7 +212,7 @@ def retention_chunkwise(
         raise InputError(f"timestamps length {t.shape[-1]} != sequence length {L}")
     batched = t.ndim == 2
 
-    s, prev_last = (None, None) if initial is None else (_val(initial.s), np.asarray(initial.last_t))
+    s = prev_last = None
     out, chunks, mask, rel_prev = None, [], None, None
     for lo, hi in zip(plan.boundaries[:-1], plan.boundaries[1:]):
         t_c = t[..., lo:hi]
@@ -290,4 +267,4 @@ def retention_chunkwise(
                 _accum(x, _unbroadcast(d, x.shape), own=True)
 
     parents = tuple(x for x in (q, k, v) if isinstance(x, Tensor))
-    return Tensor(out, parents, back), RetentionState(s, np.asarray(prev_last))
+    return Tensor(out, parents, back), s

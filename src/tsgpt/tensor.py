@@ -6,10 +6,10 @@ the recorded graph once in reverse topological order and consumes it: each
 node's gradient, closure and parents are freed once its closure has run,
 so afterwards only leaves (parameters and inputs) carry ``.grad``.  The
 tape is rebuilt on every forward pass (define-by-run).  Layer norm and a
-linear layer (``x @ w + b``, optionally through swish) are each one fused
-op with an analytic backward, as are, in their modules, the temporal
-convolution block, chunk-wise retention, the per-head projections and the
-retention output and feed-forward sublayers.  A slice adds to its parent's
+linear layer (``x @ w + b``) are each one fused op with an analytic
+backward, as are, in their modules, the temporal convolution block,
+chunk-wise retention, the per-head projections and the retention output
+and feed-forward sublayers.  A slice adds to its parent's
 ``.grad`` in place.
 
 Two rules keep a train step from churning the heap:
@@ -242,15 +242,15 @@ def swish(x) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def tsum(x, axis=None, keepdims=False) -> Tensor:
+def tsum(x, axis=None) -> Tensor:
     xv = _val(x)
-    out = xv.sum(axis=axis, keepdims=keepdims)
+    out = xv.sum(axis=axis)
 
     def back(g):
         if not isinstance(x, Tensor):
             return
         gg = np.asarray(g)
-        if axis is not None and not keepdims:
+        if axis is not None:
             axes = axis if isinstance(axis, tuple) else (axis,)
             gg = np.expand_dims(gg, tuple(a % xv.ndim for a in axes))
         _accum(x, np.broadcast_to(gg, xv.shape))
@@ -258,14 +258,14 @@ def tsum(x, axis=None, keepdims=False) -> Tensor:
     return Tensor(out, (x,) if isinstance(x, Tensor) else (), back)
 
 
-def tmean(x, axis=None, keepdims=False) -> Tensor:
+def tmean(x, axis=None) -> Tensor:
     xv = _val(x)
     if axis is None:
         n = xv.size
     else:
         axes = axis if isinstance(axis, tuple) else (axis,)
         n = int(np.prod([xv.shape[a] for a in axes]))
-    return mul(tsum(x, axis=axis, keepdims=keepdims), 1.0 / n)
+    return mul(tsum(x, axis=axis), 1.0 / n)
 
 
 def swapaxes(x, a1: int, a2: int) -> Tensor:
@@ -356,12 +356,10 @@ def matmul(a, b) -> Tensor:
     return Tensor(out, parents, back)
 
 
-def linear(x, w, b, swish_out: bool = False) -> Tensor:
-    """``add(matmul(x, w), b)``, through :func:`swish` when ``swish_out``, as
-    one node whose values and gradients are bitwise theirs.  The product
-    takes the bias and the activation in place; the tape keeps neither the
-    bias-free product nor the pre-activation, only the output and, with
-    ``swish_out``, the sigmoid, from which the backward forms swish's slope."""
+def linear(x, w, b) -> Tensor:
+    """``add(matmul(x, w), b)`` as one node whose values and gradients are
+    bitwise theirs.  The product takes the bias in place, so the tape keeps
+    no bias-free copy of it."""
     xv, wv, bv = _val(x), _val(w), _val(b)
     _check_matmul(xv, wv, "linear")
     out = xv @ wv
@@ -369,14 +367,8 @@ def linear(x, w, b, swish_out: bool = False) -> Tensor:
         out += bv
     except ValueError:
         raise ShapeError(f"linear: bias {bv.shape} does not broadcast to the product {out.shape}")
-    s = None
-    if swish_out:
-        s = _sigmoid(out)
-        out *= s
 
     def back(g):
-        if s is not None:
-            g = swish_grad_array(g, out, s)
         if isinstance(x, Tensor):
             _accum(x, _unbroadcast(g @ np.swapaxes(wv, -1, -2), xv.shape), own=True)
         if isinstance(w, Tensor):

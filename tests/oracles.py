@@ -3,25 +3,18 @@ retention loop recorded op by op as the fused op's gradient oracle, the
 temporal convolution block as six Tensor ops (with the depth-wise
 convolution and batch norm ops it needs) as that fused block's oracle, the
 retention projections, the retention output glue and the feed-forward as
-the composites of Tensor ops their fused nodes replace (with the head split
-and merge they need), a taped decoder-stack oracle for eval encodes, and
-two oracles for streaming generation: re-encoding the whole prefix per
-token, and the recurrent decode step run through the Tensor ops.  The
+the composites of Tensor ops their fused nodes replace (with the rotation,
+head split and merge ops they need), a taped decoder-stack oracle for eval
+encodes, and two oracles for streaming generation: re-encoding the whole
+prefix per token, and the recurrent decode step run through the Tensor ops.  The
 plain-expression forms of the in-place kernels (swish, its slope, layer
 norm and its gradient) are kept as their bitwise references, beside a
 check that gradients own their memory."""
 
 import numpy as np
 
-from tsgpt.positional import rotate
-from tsgpt.retention import (
-    DecayMask,
-    RetentionState,
-    _check_timestamps,
-    _decay_factor,
-    _decay_rows,
-    retention_recurrent,
-)
+from tsgpt.positional import rotate_array, rotation_tables
+from tsgpt.retention import DecayMask, _check_timestamps, _decay_factor, _decay_rows
 from tsgpt.errors import ShapeError, StateError
 from tsgpt.tensor import (
     BATCH_NORM_EPS,
@@ -87,7 +80,8 @@ def swish_grad_reference(g, xv, s):
 
 
 def linear_swish_grad_reference(g, out, s):
-    """The fused linear layer's swish slope, from its output, as a plain expression."""
+    """Swish's slope formed from its output, as the fused feed-forward forms
+    it, as a plain expression."""
     return g * (s + out * (1.0 - s))
 
 
@@ -118,7 +112,7 @@ def assert_grads_own_memory(tensors) -> None:
         assert not any(np.shares_memory(g, t.value) for t in tensors)
 
 
-def retention_chunkwise_taped(q, k, v, timestamps, gamma, plan, initial=None):
+def retention_chunkwise_taped(q, k, v, timestamps, gamma, plan):
     """Oracle for ``retention_chunkwise``: the same per-chunk loop recorded
     op by op on the tape (slices, matmuls, masks, state updates), so its
     gradients come from the generic ops' backwards."""
@@ -126,7 +120,7 @@ def retention_chunkwise_taped(q, k, v, timestamps, gamma, plan, initial=None):
     L = q.shape[-2]
     t = np.arange(L, dtype=np.int64) if timestamps is None else _check_timestamps(timestamps)
     batched = t.ndim == 2
-    s, prev_last = (None, None) if initial is None else (initial.s, np.asarray(initial.last_t))
+    s = prev_last = None
     outs = []
     for lo, hi in zip(plan.boundaries[:-1], plan.boundaries[1:]):
         t_c = t[..., lo:hi]
@@ -143,7 +137,7 @@ def retention_chunkwise_taped(q, k, v, timestamps, gamma, plan, initial=None):
         s = chunk_s if s is None else add(chunk_s, mul(s, _decay_factor(gamma, last - prev_last)))
         prev_last = last
     out = outs[0] if len(outs) == 1 else concat(outs, axis=-2)
-    return out, RetentionState(s, np.asarray(prev_last))
+    return out, s
 
 
 def depthwise_conv1d(x, w) -> Tensor:
@@ -296,6 +290,23 @@ def merge_heads(x: Tensor) -> Tensor:
     return reshape(y, lead + (y.shape[-2] * y.shape[-1],))
 
 
+def rotate(x, positions, angles) -> Tensor:
+    """Rotate consecutive feature pairs (2i-1, 2i) of x [..., L, d] by
+    position * theta_i as one Tensor op: ``positions`` is [L] (negative
+    values are fine), or [B, L] against x [B, heads, L, d].  The backward
+    applies the transposed rotation (angle -position * theta_i)."""
+    x = x if isinstance(x, Tensor) else Tensor(x)
+    positions = np.asarray(positions)
+    cos, sin = rotation_tables(positions, angles)  # [..., L, d/2]
+    if positions.ndim == 2:
+        cos, sin = cos[:, None, :, :], sin[:, None, :, :]  # room for the head axis
+
+    def back(g):
+        _accum(x, rotate_array(g, cos, -sin), own=True)
+
+    return Tensor(rotate_array(x.value, cos, sin), (x,), back)
+
+
 def project_heads_taped(x, w, heads: int, positions=None, angles=None) -> Tensor:
     """Oracle for ``positional.project_heads``: matmul, head split and, when
     ``positions`` are given, ``rotate``, as recorded Tensor ops."""
@@ -303,17 +314,16 @@ def project_heads_taped(x, w, heads: int, positions=None, angles=None) -> Tensor
     return p if positions is None else rotate(p, positions, angles)
 
 
-def retention_output_taped(ret, gain, bias, w_o, b_o, residual=None) -> Tensor:
+def retention_output_taped(ret, gain, bias, w_o, b_o, residual) -> Tensor:
     """Oracle for ``model.retention_output``: head merge, layer norm, output
     projection and residual add as recorded Tensor ops."""
-    r = linear(layer_norm(merge_heads(ret), gain, bias), w_o, b_o)
-    return r if residual is None else add(residual, r)
+    return add(residual, linear(layer_norm(merge_heads(ret), gain, bias), w_o, b_o))
 
 
 def feed_forward_taped(x, ln_gain, ln_bias, w1, b1, w2, b2) -> Tensor:
     """Oracle for ``model.feed_forward``: layer norm, the two linear layers
-    (swish after the first) and the residual add as four recorded nodes."""
-    h = linear(layer_norm(x, ln_gain, ln_bias), w1, b1, swish_out=True)
+    (swish after the first) and the residual add as five recorded nodes."""
+    h = swish(linear(layer_norm(x, ln_gain, ln_bias), w1, b1))
     return add(x, linear(h, w2, b2))
 
 
@@ -328,22 +338,23 @@ def _tconv_tensor_step(m, x_t: Tensor, buf):
     return add(x_t, swish(h)), window[:, 1:, :]
 
 
-def _layer_tensor_step(layer, x_t: Tensor, position: int, state: RetentionState, buf):
+def _layer_tensor_step(layer, x_t: Tensor, position: int, s, buf):
     """``DecoderLayer.step`` through the Tensor ops: rotary q/k, one
-    recurrent retention update, the temporal block and the feed-forward."""
+    recurrent retention update of the state ``s`` over a unit step, the
+    temporal block and the feed-forward."""
     cfg = layer.cfg
     pos = np.array([position], dtype=np.int64)
     h = layer_norm(x_t, layer.ln1_gain, layer.ln1_bias)
     rot = () if cfg.no_rotation else (pos, layer.angles)
     q, k = (project_heads_taped(h, w, cfg.heads, *rot) for w in (layer.w_q, layer.w_k))
     v = project_heads_taped(h, layer.w_v, cfg.heads)
-    out, state = retention_recurrent(q, k, v, pos, layer.gammas, initial=state)
-    r = layer_norm(merge_heads(out), layer.ret_gain, layer.ret_bias)
+    s = add(mul(s, _decay_factor(layer.gammas, 1)), matmul(swapaxes(k, -1, -2), v))
+    r = layer_norm(merge_heads(matmul(q, s)), layer.ret_gain, layer.ret_bias)
     x = add(x_t, add(matmul(r, layer.w_o), layer.b_o))
     if layer.tconv is not None:
         x, buf = _tconv_tensor_step(layer.tconv, x, buf)
     ffn = (layer.ln2_gain, layer.ln2_bias, layer.ffn_w1, layer.ffn_b1, layer.ffn_w2, layer.ffn_b2)
-    return feed_forward_taped(x, *ffn), state, buf
+    return feed_forward_taped(x, *ffn), s, buf
 
 
 def generate_by_tensor_steps(model, prompt, horizon: int) -> np.ndarray:

@@ -15,7 +15,7 @@ from tsgpt.experiments import (
     irregular_classification_experiment,
 )
 from tsgpt.model import Model, ModelConfig
-from tsgpt.positional import RotaryAngles, rotate, xpos_qk
+from tsgpt.positional import RotaryAngles, rotate_array, rotation_tables, xpos_qk
 from tsgpt.retention import (
     ChunkPlan,
     DecayMask,
@@ -75,11 +75,12 @@ def test_criterion_3_xpos_shift_invariance():
         # positional factor isolated: fixed content rotated to every (n, m)
         q0 = rng.normal((1, d))
         k0 = rng.normal((1, d))
+        cos, sin = rotation_tables(np.arange(L), angles)
         table = np.zeros((L, L))
         for n in range(L):
             for m in range(L):
-                qn = rotate(Tensor(q0), np.array([n]), angles).value
-                km = rotate(Tensor(k0), np.array([m]), angles).value
+                qn = rotate_array(q0, cos[n : n + 1], sin[n : n + 1])
+                km = rotate_array(k0, cos[m : m + 1], sin[m : m + 1])
                 table[n, m] = float((qn * km).sum())
         for rel in range(-(L - 1), L):
             diag = np.diagonal(table, offset=-rel)

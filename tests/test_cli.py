@@ -398,6 +398,38 @@ def test_mistyped_command_config_field_exits_two(tmp_path, capsys, command, fiel
     assert err.startswith("error: ") and next(iter(fields)) in err
 
 
+@pytest.mark.parametrize("command, fields, flags", [
+    ("finetune", {"n_classes": 1}, []),
+    ("forecast", {}, ["--prompt-tokens", "-3"]),
+    ("forecast", {"prompt_tokens": 0}, []),
+    ("finetune", {"subset_fraction": -0.5}, []),
+    ("finetune", {"subset_fraction": 0}, []),
+], ids=["n_classes_at_largest_label", "prompt_tokens_negative_flag", "prompt_tokens_zero",
+        "subset_fraction_negative", "subset_fraction_zero"])
+def test_out_of_range_command_config_field_exits_two(tmp_path, capsys, command, fields, flags):
+    """A value of the right type outside the range the command can use is a
+    usage error, not a traceback or a silent misread."""
+    if command == "finetune":  # a binary cohort and a backbone for it
+        batch, _ = gen_cohort(EventCohortSpec(vocab=6, classes=2, subjects=30, min_events=10, max_events=12, seed=1))
+        assert batch.labels.max() == 1
+        data, ckpt = tmp_path / "cohort.jsonl", tmp_path / "model.ckpt"
+        write_cohort_jsonl(data, batch)
+        Model(ModelConfig(**dict(TINY_MODEL, n_inputs=6, discrete=True))).save(ckpt)
+        base = {"head": "classification", "train": {"epochs": 1}, "data": str(data)}
+        flags = flags + ["--checkpoint", str(ckpt)]
+    else:
+        m = Model(ModelConfig(**TINY_MODEL))
+        m.encode(SequenceBatch(values=Rng(1).normal((2, 16, 1))), train=True)  # batch-norm statistics
+        data, ckpt = tmp_path / "sig.ndar", tmp_path / "model.ckpt"
+        m.save(ckpt)
+        save_tensor(data, Rng(2).normal((2, 32, 1)))
+        base = {"checkpoint": str(ckpt), "data": str(data), "horizon": 2}
+    cfg = write_json(tmp_path / "cmd.json", dict(base, **fields))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and next(iter(fields), "prompt_tokens") in err
+
+
 @pytest.mark.parametrize("lengths", ["64,abc", "16,32,64,1.5", "0,16,32,64"])
 def test_bench_malformed_lengths_exit_two(tmp_path, capsys, lengths):
     assert main(["bench", "--lengths", lengths, "--out", str(tmp_path / "b")]) == 2

@@ -154,52 +154,46 @@ def test_full_stack_three_forms_agree():
     assert np.max(np.abs(m.encode(cohort).value - ref)) < 1e-9
 
 
+def _layer_with(cfg, rng, gammas=None):
+    """A decoder layer whose parameters are all random draws."""
+    layer = DecoderLayer(cfg, Rng(0))
+    for _, p in layer.named_params():
+        p.value = rng.normal(p.value.shape)
+    if gammas is not None:
+        layer.gammas = gammas
+    return layer
+
+
 def test_multihead_retention_single_head_reduces_to_parallel_compose():
-    from tsgpt.model import multihead_retention
-    from tsgpt.positional import RotaryAngles
+    from tsgpt.positional import rotate_array
     from tsgpt.retention import DecayMask, retention_parallel
-    from tsgpt.tensor import Tensor, layer_norm_array
+    from tsgpt.tensor import layer_norm_array
 
     rng = Rng(41)
-    L, D, dh = 6, 4, 4
+    L, D = 6, 4
+    layer = _layer_with(tiny_cfg(heads=1, d_q=D, d_v=D, gamma=0.9), rng)
     x = rng.normal((1, L, D))
-    wq, wk, wv = rng.normal((D, dh)), rng.normal((D, dh)), rng.normal((D, dh))
-    wo, bo = rng.normal((dh, D)), rng.normal((D,))
+    h = rng.normal((1, L, D))
     positions = np.arange(L)
-    angles = RotaryAngles(dh)
-    gain, bias = rng.normal((dh,)), rng.normal((dh,))
-    out, _ = multihead_retention(
-        Tensor(x), Tensor(wq), Tensor(wk), Tensor(wv), Tensor(wo), Tensor(bo),
-        positions, angles, np.array([0.9]), Tensor(gain), Tensor(bias), form="chunkwise", chunk_size=64,
-    )
-    # manual composition: rotate projections, one parallel head, layer norm, project out
-    from tsgpt.positional import rotate
-
-    q = rotate(Tensor(x @ wq), positions, angles)
-    k = rotate(Tensor(x @ wk), positions, angles)
-    ret = retention_parallel(q, k, Tensor(x @ wv), DecayMask.build(0.9, length=L))
-    want = layer_norm_array(ret.value, gain, bias)[0] @ wo + bo
+    out, _ = layer._retention_inner(Tensor(h), Tensor(x), positions, "chunkwise")
+    # manual composition: rotate projections, one parallel head, layer norm, project out, residual
+    cos, sin = rotation_tables(positions, RotaryAngles(D))
+    q = rotate_array(h @ layer.w_q.value, cos, sin)
+    k = rotate_array(h @ layer.w_k.value, cos, sin)
+    ret = retention_parallel(q, k, h @ layer.w_v.value, DecayMask.build(0.9, length=L))
+    want = x + layer_norm_array(ret.value, layer.ret_gain.value, layer.ret_bias.value)[0] @ layer.w_o.value
+    want += layer.b_o.value
     assert np.max(np.abs(out.value - want)) < 1e-12
 
 
 def test_multihead_retention_three_forms_pairwise():
-    from tsgpt.model import multihead_retention
-    from tsgpt.positional import RotaryAngles
-    from tsgpt.tensor import Tensor
-
     rng = Rng(42)
-    L, D, h, dh = 11, 8, 2, 4
-    x = Tensor(rng.normal((2, L, D)))
-    wq, wk = Tensor(rng.normal((D, h * dh))), Tensor(rng.normal((D, h * dh)))
-    wv, wo, bo = Tensor(rng.normal((D, h * dh))), Tensor(rng.normal((h * dh, D))), Tensor(rng.normal((D,)))
-    gammas = np.array([0.95, 0.8])
-    gain, bias = Tensor(rng.normal((h * dh,))), Tensor(rng.normal((h * dh,)))
+    L, h, dh = 11, 2, 4
+    layer = _layer_with(tiny_cfg(heads=h, d_q=dh, d_v=dh, chunk_size=4), rng, gammas=np.array([0.95, 0.8]))
+    x = Tensor(rng.normal((2, L, h * dh)))
     outs = {}
     for form in ("parallel", "recurrent", "chunkwise"):
-        out, _ = multihead_retention(
-            x, wq, wk, wv, wo, bo, np.arange(L), RotaryAngles(dh), gammas, gain, bias,
-            form=form, chunk_size=4,
-        )
+        out, _ = layer._retention_inner(x, x, np.arange(L), form)
         outs[form] = out.value
     assert np.max(np.abs(outs["parallel"] - outs["recurrent"])) < 1e-9
     assert np.max(np.abs(outs["parallel"] - outs["chunkwise"])) < 1e-9
@@ -276,17 +270,6 @@ def test_fused_glue_equals_composite_oracle(kind, case, monkeypatch):
     for a, b in zip(*ins):
         assert rel_err(a.grad, b.grad) < 1e-12
     assert_grads_own_memory(ins[0])
-
-
-def test_retention_output_without_residual_equals_oracle():
-    arrays, weights, _, _ = _glue_inputs("b1", "retention_output")
-    ins = [[Tensor(a) for a in arrays[:-1]] for _ in range(2)]
-    outs = [retention_output(*ins[0]), retention_output_taped(*ins[1])]
-    assert outs[0].value.tobytes() == outs[1].value.tobytes()
-    for o in outs:
-        backward(tsum(mul(o, weights)))
-    for a, b in zip(*ins):
-        assert rel_err(a.grad, b.grad) < 1e-12
 
 
 @pytest.mark.parametrize("kind", list(GLUE_NODES))

@@ -5,10 +5,15 @@ from hypothesis import strategies as st
 
 from tsgpt import tensor
 from tsgpt.errors import ConfigError, InputError
-from tsgpt.positional import RotaryAngles, default_gammas, project_heads, rotate, xpos_qk
+from tsgpt.positional import RotaryAngles, default_gammas, project_heads, rotate_array, rotation_tables, xpos_qk
 from tsgpt.tensor import Rng, Tensor, backward, mul, no_grad, tsum
 
-from oracles import finite_diff_grad, merge_heads, project_heads_taped, rel_err, split_heads
+from oracles import finite_diff_grad, merge_heads, project_heads_taped, rel_err, rotate, split_heads
+
+
+def _rotated(x, positions, angles):
+    """x [L, d] rotated by ``positions`` [L]: the arithmetic ``project_heads`` runs."""
+    return rotate_array(x, *rotation_tables(np.asarray(positions), angles))
 
 
 def test_theta_schedule_formula_and_monotonicity():
@@ -28,15 +33,15 @@ def test_odd_head_dim_rejected():
 
 def test_rotate_position_zero_is_identity():
     x = Rng(1).normal((5, 8))
-    out = rotate(Tensor(x), np.zeros(5, dtype=int), RotaryAngles(8))
-    np.testing.assert_array_equal(out.value, x)
+    out = _rotated(x, np.zeros(5, dtype=int), RotaryAngles(8))
+    np.testing.assert_array_equal(out, x)
 
 
 def test_rotate_quarter_turn():
     ang = RotaryAngles(2)
     object.__setattr__(ang, "thetas", np.array([np.pi / 2]))
-    out = rotate(Tensor(np.array([[1.0, 0.0]])), np.array([1]), ang)
-    assert np.max(np.abs(out.value - np.array([[0.0, 1.0]]))) < 1e-12
+    out = _rotated(np.array([[1.0, 0.0]]), np.array([1]), ang)
+    assert np.max(np.abs(out - np.array([[0.0, 1.0]]))) < 1e-12
 
 
 def test_rotate_shift_invariance_oracle():
@@ -46,16 +51,9 @@ def test_rotate_shift_invariance_oracle():
     k = rng.normal((1, 6))
     ang = RotaryAngles(6)
     n, m = 5, 2
-    base = float(
-        (rotate(Tensor(q), np.array([n]), ang).value * rotate(Tensor(k), np.array([m]), ang).value).sum()
-    )
+    base = float((_rotated(q, [n], ang) * _rotated(k, [m], ang)).sum())
     for s in range(-3, 4):
-        shifted = float(
-            (
-                rotate(Tensor(q), np.array([n + s]), ang).value
-                * rotate(Tensor(k), np.array([m + s]), ang).value
-            ).sum()
-        )
+        shifted = float((_rotated(q, [n + s], ang) * _rotated(k, [m + s], ang)).sum())
         assert abs(base - shifted) < 1e-10
 
 
@@ -63,7 +61,7 @@ def test_rotate_norm_preservation():
     rng = Rng(3)
     x = rng.normal((7, 12))
     for pos in ([0, 1, 5, 9, 100, 1000, 54321],):
-        out = rotate(Tensor(x), np.array(pos), RotaryAngles(12)).value
+        out = _rotated(x, pos, RotaryAngles(12))
         np.testing.assert_allclose(
             np.linalg.norm(out, axis=-1), np.linalg.norm(x, axis=-1), atol=1e-10, rtol=0
         )
@@ -74,7 +72,7 @@ def test_rotate_norm_preservation():
 def test_rotate_norm_preserved_property(p0, half):
     d = 2 * half
     x = Rng(17).normal((3, d))
-    out = rotate(Tensor(x), np.array([p0, p0 + 1, p0 + 7]), RotaryAngles(d)).value
+    out = _rotated(x, [p0, p0 + 1, p0 + 7], RotaryAngles(d))
     assert np.max(np.abs(np.linalg.norm(out, axis=-1) - np.linalg.norm(x, axis=-1))) < 1e-10
 
 

@@ -7,7 +7,6 @@ from tsgpt.errors import ConfigError, InputError
 from tsgpt.retention import (
     ChunkPlan,
     DecayMask,
-    RetentionState,
     retention_chunkwise,
     retention_parallel,
     retention_recurrent,
@@ -166,7 +165,8 @@ def test_recurrent_one_gap_hand_case():
     assert out.value[0, 0] == 2.0
     # step 2: s scaled by gamma^gap, k2 = v2 = 0, out2 = gamma^gap * 2
     assert abs(out.value[1, 0] - gamma**gap * 2.0) < 1e-15
-    assert state.last_t == 1 + gap
+    # and the state leaving step 2 is k1^T v1 decayed over the gap
+    np.testing.assert_array_equal(state, [[gamma**gap * 2.0, 0.0], [0.0, 0.0]])
 
 
 def test_recurrent_irregular_equals_parallel_with_irregular_mask():
@@ -189,20 +189,7 @@ def test_recurrent_state_closed_form():
     want = np.zeros((dk, dv))
     for m in range(L):
         want += g ** (t[-1] - t[m]) * np.outer(k[m], v[m])
-    assert np.max(np.abs(state.s - want)) < 1e-10
-
-
-def test_recurrent_streaming_continuation():
-    rng = Rng(9)
-    L = 10
-    q, k, v = _qkv(rng, (), L, 4, 4)
-    t = _irregular_ts(rng, L)
-    full, full_state = retention_recurrent(q, k, v, t, 0.9)
-    first, st1 = retention_recurrent(q[:6], k[:6], v[:6], t[:6], 0.9)
-    second, st2 = retention_recurrent(q[6:], k[6:], v[6:], t[6:], 0.9, initial=st1)
-    glued = np.concatenate([first.value, second.value], axis=0)
-    assert np.max(np.abs(glued - full.value)) < 1e-12
-    assert np.max(np.abs(st2.s - full_state.s)) < 1e-12
+    assert np.max(np.abs(state - want)) < 1e-10
 
 
 def test_recurrent_rejects_decreasing_timestamps():
@@ -250,7 +237,7 @@ def test_chunkwise_unit_chunks_equal_recurrent():
     rec, rst = retention_recurrent(q, k, v, t, 0.9)
     out, cst = retention_chunkwise(q, k, v, t, 0.9, ChunkPlan.build(L, 1))
     assert np.max(np.abs(out.value - rec.value)) < 1e-12
-    assert np.max(np.abs(cst.s - rst.s)) < 1e-12
+    assert np.max(np.abs(cst - rst)) < 1e-12
 
 
 @pytest.mark.parametrize("irregular", [False, True])
@@ -262,18 +249,7 @@ def test_chunkwise_ragged_matches_recurrent(irregular):
     rec, rst = retention_recurrent(q, k, v, t, 0.9)
     out, cst = retention_chunkwise(q, k, v, t, 0.9, ChunkPlan.build(L, B))
     assert np.max(np.abs(out.value - rec.value)) < 1e-9
-    assert np.max(np.abs(cst.s - rst.s)) < 1e-9
-
-
-def test_chunkwise_with_initial_state_continuation():
-    rng = Rng(14)
-    L = 12
-    q, k, v = _qkv(rng, (), L, 4, 4)
-    t = _irregular_ts(rng, L)
-    full, _ = retention_recurrent(q, k, v, t, 0.9)
-    _, st1 = retention_chunkwise(q[:5], k[:5], v[:5], t[:5], 0.9, ChunkPlan.build(5, 3))
-    second, _ = retention_chunkwise(q[5:], k[5:], v[5:], t[5:], 0.9, ChunkPlan.build(7, 3), initial=st1)
-    assert np.max(np.abs(second.value - full.value[5:])) < 1e-10
+    assert np.max(np.abs(cst - rst)) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -363,60 +339,54 @@ def test_retention_gradients_flow_through_all_forms():
 # ---------------------------------------------------------------------------
 
 FUSED_CASES = {
-    # name: (per-sequence timestamps, L, chunk_size, with an initial state)
-    "shared_ragged": (False, 7, 3, False),
-    "batched_ragged": (True, 7, 3, False),
-    "shared_single_chunk": (False, 6, 64, False),
-    "batched_single_chunk": (True, 6, 64, False),
-    "shared_unit_chunks": (False, 5, 1, False),
-    "batched_unit_chunks": (True, 5, 1, False),
-    "shared_initial": (False, 7, 3, True),
-    "batched_initial": (True, 7, 3, True),
+    # name: (per-sequence timestamps, L, chunk_size)
+    "shared_ragged": (False, 7, 3),
+    "batched_ragged": (True, 7, 3),
+    "shared_single_chunk": (False, 6, 64),
+    "batched_single_chunk": (True, 6, 64),
+    "shared_unit_chunks": (False, 5, 1),
+    "batched_unit_chunks": (True, 5, 1),
 }
 
 
 def _fused_case(name):
-    batched, L, chunk, with_initial = FUSED_CASES[name]
+    batched, L, chunk = FUSED_CASES[name]
     rng = Rng(31)
     B, h, d = 2, 3, 3
     q, k, v = _qkv(rng, (B, h), L, d, d)
     gaps = rng.integers(0, 4, (B, L) if batched else (L,))  # 0 gaps: equal timestamps
     t = np.cumsum(gaps, axis=-1).astype(np.int64) + 2
-    initial = None
-    if with_initial:
-        initial = RetentionState(rng.normal((B, h, d, d)), np.ones(B, dtype=np.int64) if batched else 1)
     weights = rng.normal((B, h, L, d))
-    return (q, k, v), t, np.array([1.0, 0.9, 0.6]), ChunkPlan.build(L, chunk), initial, weights
+    return (q, k, v), t, np.array([1.0, 0.9, 0.6]), ChunkPlan.build(L, chunk), weights
 
 
-def _fused_loss(fn, arrays, t, gammas, plan, initial, weights):
+def _fused_loss(fn, arrays, t, gammas, plan, weights):
     tensors = [Tensor(a) for a in arrays]
-    out, state = fn(*tensors, t, gammas, plan, initial=initial)
+    out, state = fn(*tensors, t, gammas, plan)
     return tsum(mul(out, weights)), out, state, tensors
 
 
 @pytest.mark.parametrize("name", sorted(FUSED_CASES))
 def test_chunkwise_fused_gradient_matches_finite_differences(name):
-    arrays, t, gammas, plan, initial, weights = _fused_case(name)
-    loss, out, _, tensors = _fused_loss(retention_chunkwise, arrays, t, gammas, plan, initial, weights)
+    arrays, t, gammas, plan, weights = _fused_case(name)
+    loss, out, _, tensors = _fused_loss(retention_chunkwise, arrays, t, gammas, plan, weights)
     assert out._parents == tuple(tensors)  # one tape node over (q, k, v)
     backward(loss)
     for arr, tsr in zip(arrays, tensors):
         fd = finite_diff_grad(
-            lambda: _fused_loss(retention_chunkwise, arrays, t, gammas, plan, initial, weights)[0].value, arr)
+            lambda: _fused_loss(retention_chunkwise, arrays, t, gammas, plan, weights)[0].value, arr)
         assert rel_err(tsr.grad, fd) < 1e-7, name
 
 
 @pytest.mark.parametrize("name", sorted(FUSED_CASES))
 def test_chunkwise_fused_equals_taped_oracle(name):
-    arrays, t, gammas, plan, initial, weights = _fused_case(name)
-    loss, out, state, tensors = _fused_loss(retention_chunkwise, arrays, t, gammas, plan, initial, weights)
+    arrays, t, gammas, plan, weights = _fused_case(name)
+    loss, out, state, tensors = _fused_loss(retention_chunkwise, arrays, t, gammas, plan, weights)
     ref_loss, ref_out, ref_state, ref_tensors = _fused_loss(
-        retention_chunkwise_taped, arrays, t, gammas, plan, initial, weights)
+        retention_chunkwise_taped, arrays, t, gammas, plan, weights)
     np.testing.assert_array_equal(out.value, ref_out.value)
-    np.testing.assert_array_equal(state.s, ref_state.s.value)
-    np.testing.assert_array_equal(state.last_t, ref_state.last_t)
-    assert type(state.s) is np.ndarray  # the returned state carries no tape
+    np.testing.assert_array_equal(state, ref_state.value)
+    assert type(state) is np.ndarray  # the returned state carries no tape
     backward(loss)
     backward(ref_loss)
     for got, want in zip(tensors, ref_tensors):

@@ -187,7 +187,7 @@ def test_gradients_matmul_and_shapes(seed):
     _fd_check(lambda x: T.tsum(reshape(x, (6, 4))), [a])
     _fd_check(lambda x: T.tsum(T.mul(x[..., 1:3, :], x[..., 1:3, :])), [a])
     _fd_check(lambda x, y: T.tsum(T.concat([x, T.matmul(x, T.matmul(y, T.swapaxes(y, -1, -2)))], axis=-1)), [a, b])
-    _fd_check(lambda x: T.tsum(T.broadcast_to(T.tsum(x, axis=1, keepdims=True), x.shape)), [a])
+    _fd_check(lambda x: T.tsum(T.broadcast_to(T.tsum(x, axis=1)[:, None], x.shape)), [a])
 
 
 @pytest.mark.parametrize("seed", [6, 7, 8])
@@ -229,27 +229,25 @@ def test_gradients_norms_and_convs(seed):
     _fd_check(lambda a, g, b: T.tsum(batch_norm(a, g, b, running, train=False)), [x, gain, bias])
 
 
-@pytest.mark.parametrize("swish_out", [False, True])
-def test_linear_is_the_composite_bitwise_in_one_node(swish_out):
+def test_linear_is_the_composite_bitwise_in_one_node():
     rng = T.Rng(10)
     x, w, b, weights = rng.normal((2, 5, 4)), rng.normal((4, 6)), rng.normal((6,)), rng.normal((2, 5, 6))
 
     def composite(a, wt, bt):
-        out = T.add(T.matmul(a, wt), bt)
-        return T.swish(out) if swish_out else out
+        return T.add(T.matmul(a, wt), bt)
 
     fused = [Tns(v) for v in (x, w, b)]
     ref = [Tns(v) for v in (x, w, b)]
-    out = T.linear(*fused, swish_out=swish_out)
+    out = T.linear(*fused)
     assert out._parents == tuple(fused)
     np.testing.assert_array_equal(out.value, composite(*ref).value)
     with T.no_grad():
-        np.testing.assert_array_equal(T.linear(*fused, swish_out=swish_out).value, out.value)
+        np.testing.assert_array_equal(T.linear(*fused).value, out.value)
     T.backward(T.tsum(T.mul(out, weights)))
     T.backward(T.tsum(T.mul(composite(*ref), weights)))
     for f, r in zip(fused, ref):
         np.testing.assert_array_equal(f.grad, r.grad)
-    _fd_check(lambda a, wt, bt: T.tsum(T.mul(T.linear(a, wt, bt, swish_out=swish_out), weights)), [x, w, b])
+    _fd_check(lambda a, wt, bt: T.tsum(T.mul(T.linear(a, wt, bt), weights)), [x, w, b])
     with pytest.raises(ShapeError, match="linear: inner dims differ"):
         T.linear(Tns(x), Tns(w.T), Tns(b))
     for bad in (np.ones(7), np.ones((3, 2, 5, 6))):
@@ -357,14 +355,12 @@ def test_in_place_kernels_are_their_plain_expressions_bitwise(shape):
 
     w, b = T.Rng(24).normal((shape[-1], 24)), T.Rng(25).normal((24,))
     xt, wt, bt = Tns(x), Tns(w), Tns(b)
-    y = T.linear(xt, wt, bt, swish_out=True)
-    ref_y, ref_s = swish_reference(x @ w + b)
-    assert y.value.tobytes() == ref_y.tobytes()
+    y = T.linear(xt, wt, bt)
+    assert y.value.tobytes() == (x @ w + b).tobytes()
     gy = T.Rng(26).normal(y.shape)
     T.backward(T.tsum(T.mul(y, gy)))
-    slope = linear_swish_grad_reference(gy, ref_y, ref_s)
-    assert xt.grad.tobytes() == (slope @ w.T).tobytes()
-    assert bt.grad.tobytes() == slope.sum(axis=(0, 1)).tobytes()
+    assert xt.grad.tobytes() == (gy @ w.T).tobytes()
+    assert bt.grad.tobytes() == gy.sum(axis=(0, 1)).tobytes()
 
 
 def _traced(build):
@@ -383,9 +379,10 @@ def test_linear_and_layer_norm_forwards_allocate_only_what_they_keep():
     rng = T.Rng(27)
     x, w, b = Tns(rng.normal((8, 1025, 32))), Tns(rng.normal((32, 128))), Tns(rng.normal((128,)))
     full = 8 * 1025 * 128 * 8
-    y, peak, held = _traced(lambda: T.linear(x, w, b, swish_out=True))
-    assert held >= 2 * full  # the output and the sigmoid
-    assert peak - held < 4096
+    y, peak, held = _traced(lambda: T.linear(x, w, b))
+    assert full <= held < 2 * full  # the output, and no bias-free copy of it
+    # the in-place bias add borrows one ufunc buffer of numpy's, a fixed size
+    assert peak - held < 8 * np.getbufsize() + 4096
     rows = 8 * 1025 * 8  # one row statistic: the means and inv are this size
     y, peak, held = _traced(lambda: T.layer_norm(x, Tns(np.ones(32)), Tns(np.zeros(32))))
     assert 4 * rows * 8 <= held < 2 * 4 * rows * 8  # the output; xhat is recomputed in the backward
