@@ -14,8 +14,11 @@ What is compared, for ``extrapolation_model``, its vanilla variant and
 ``irregular_model``: the loss and every gradient of three Adam steps and
 the parameters after them, the eval encode and batch-norm statistics, a
 16-token ``generate`` at B=1 and B=8 (the signal models), and the
-classifier's gradients and logits over two steps.  Also the checkpoint
-bytes of a fresh model, and for seven cohort specs (criterion 7's, the
+classifier's gradients and logits over two steps.  At the benchmark's
+``cohort`` shape (the 400-subject cohort of seed 1, ``irregular_model(1)``):
+the loss and gradients of a B=16 next-token train step, those of a B=16
+classifier step, and the classifier's logits over all 400 subjects.  Also
+the checkpoint bytes of a fresh model, and for seven cohort specs (criterion 7's, the
 benchmark's seeds 1, 13, 301 and 901, the default spec and a 5-class
 ``class_timing`` spec) every array of the cohort and ``bayes_predict``.
 """
@@ -94,6 +97,14 @@ def dump(path: str, src: str) -> None:
     _model_arrays("extrapolation", extrapolation_model(1, vanilla=False), signal, out)
     _model_arrays("vanilla", extrapolation_model(1, vanilla=True), signal, out)
     _model_arrays("irregular", irregular_model(1, no_decay=False), events, out)
+
+    cohort400, _ = dg.gen_cohort(replace(irregular_cohort_spec(), seed=1))
+    first16 = cohort400.take(np.arange(16))
+    cfg = irregular_model(1, no_decay=False)
+    _train(Model(cfg), first16, 1, out, "cohort400/train")
+    clf = Model(replace(cfg, head_kind="classification"))
+    _train(clf, first16, 1, out, "cohort400/classifier")
+    out["cohort400/classifier/logits"] = clf.classify_logits(cohort400, train=False).value
 
     with tempfile.TemporaryDirectory() as tmp:
         ckpt = os.path.join(tmp, "fresh.ckpt")

@@ -82,7 +82,7 @@ def _run_once(mechanism: str, q, k, v, gamma, chunk_size: int) -> None:
     elif mechanism == "recurrent":
         retention_recurrent(Tensor(q), Tensor(k), Tensor(v), None, gamma)
     elif mechanism == "chunkwise":
-        retention_chunkwise(Tensor(q), Tensor(k), Tensor(v), None, gamma, ChunkPlan.build(L, chunk_size))
+        retention_chunkwise(Tensor(q), Tensor(k), Tensor(v), ChunkPlan.build(np.arange(L), gamma, chunk_size))
     elif mechanism == "attention":
         softmax_attention(q, k, v)
     else:

@@ -544,7 +544,7 @@ def cmd_selftest(args) -> int:
     ts = np.cumsum(rng.integers(1, 5, (12,))).astype(np.int64)
     par = retention_parallel(Tensor(q), Tensor(k), Tensor(v), DecayMask.build(0.9, timestamps=ts)).value
     rec, _ = retention_recurrent(Tensor(q), Tensor(k), Tensor(v), ts, 0.9)
-    chk, _ = retention_chunkwise(Tensor(q), Tensor(k), Tensor(v), ts, 0.9, ChunkPlan.build(12, 5))
+    chk, _ = retention_chunkwise(Tensor(q), Tensor(k), Tensor(v), ChunkPlan.build(ts, 0.9, 5))
     checks.append(("retention-three-form-equivalence", float(max(np.max(np.abs(par - rec.value)), np.max(np.abs(par - chk.value)))) < 1e-9))
 
     # irregular reduction is bitwise

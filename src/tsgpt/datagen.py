@@ -395,9 +395,11 @@ def _json_int(x, what: str) -> int:
 def read_cohort_jsonl(path, vocab: int) -> SequenceBatch:
     """Read :func:`write_cohort_jsonl` output.  A line that is not a JSON
     subject with ``events`` pairs and a ``label``, a code, timestamp or label
-    that is not a 64-bit JSON integer, a negative label, a subject without
-    events, a last timestamp whose padding steps would pass int64 and a
-    code outside [0, vocab) raise DataError."""
+    that is not a 64-bit JSON integer, a timestamp below 1 (the model's
+    start token sits at 0), timestamps that are not strictly increasing, a
+    negative label, a subject without events, a last timestamp whose padding
+    steps would pass int64 and a code outside [0, vocab) raise DataError;
+    errors of one line name the file and the line."""
     subjects = []
     lineno = 0
     try:
@@ -409,7 +411,12 @@ def read_cohort_jsonl(path, vocab: int) -> SequenceBatch:
                     if label < 0:
                         raise ValueError(f"label {label} is negative")
                     codes = [_json_int(c, "code") for c, _ in ev]
-                    subjects.append((codes, [_json_int(t, "timestamp") for _, t in ev], label))
+                    times = [_json_int(t, "timestamp") for _, t in ev]
+                    if times and times[0] < 1:
+                        raise ValueError(f"timestamp {times[0]} is below 1 (the start token sits at 0)")
+                    if any(b <= a for a, b in zip(times, times[1:])):
+                        raise ValueError("timestamps are not strictly increasing")
+                    subjects.append((codes, times, label))
     except (ValueError, KeyError, TypeError) as e:
         raise DataError(f"{path}: malformed cohort line {lineno}: {type(e).__name__}: {e}")
     if not subjects:

@@ -22,7 +22,11 @@ one block of whole batch rows at a time; the retention kernel between them
 runs on the whole batch.  No block splits a row, so each row's outputs are
 bitwise the same in any batch.
 
-Sequences always run through chunk-wise retention.  One-token continuation
+Sequences always run through chunk-wise retention.  What the layers read
+of the positions (the cos/sin rotation tables and the chunk-wise decay
+masks and rows, :class:`Geometry`) depends on the positions and gammas
+alone, so :meth:`Model.encode` builds it once and every layer reads it; it
+lives as long as that encode's graph.  One-token continuation
 (:meth:`DecoderLayer.step`, the decode step of :meth:`Model.generate`) runs
 the recurrent form on plain numpy arrays: the same float operations, in
 the same order, as the Tensor ops, with no ``Tensor`` built per layer.
@@ -94,6 +98,7 @@ FFN_EXPANSION = 4  # feed-forward width per model width
 # whole batch's has at most this many elements (4 MB), where recomputing it
 # costs more time than keeping it costs memory; larger batches recompute it.
 FFN_KEEP_ELEMENTS = 1 << 19
+RETENTION_FORMS = ("chunkwise", "recurrent", "parallel")
 
 
 def _untaped_in_eval(method):
@@ -172,6 +177,44 @@ class ModelConfig:
         for k in ("head_kind", "n_classes", "seed"):
             d.pop(k)
         return hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()[:16]
+
+
+@dataclass(frozen=True)
+class Geometry:
+    """What every layer of one encode reads of its positions, built once by
+    :meth:`build` from the positions and ``cfg.gammas`` and kept only by
+    that encode's graph, never across calls.  ``tables`` are the cos/sin
+    rotation tables (None under ``no_rotation``); ``decay`` is the retention
+    form's decay geometry: a :class:`~tsgpt.retention.ChunkPlan` for the
+    chunk-wise form, the full :class:`~tsgpt.retention.DecayMask` for the
+    parallel reference, None for the recurrent reference, which reads
+    ``positions`` and ``gammas``."""
+
+    form: str
+    positions: np.ndarray
+    gammas: np.ndarray
+    tables: tuple[np.ndarray, np.ndarray] | None
+    decay: ChunkPlan | DecayMask | None
+
+    @classmethod
+    def build(cls, cfg: ModelConfig, positions: np.ndarray, form: str | None = None) -> "Geometry":
+        """``positions`` [L] or [B, L] include the start token's; ``form``
+        None (or "chunkwise") is the chunk-wise form."""
+        form = form or "chunkwise"
+        if form not in RETENTION_FORMS:
+            raise ConfigError(f"unknown retention form {form!r}")
+        if positions.shape[-1] > 1 and np.any(np.diff(positions, axis=-1) <= 0):
+            raise InputError("positions must be strictly increasing (the start token sits at 0)")
+        tables = None
+        if not cfg.no_rotation:
+            cos, sin = rotation_tables(positions, RotaryAngles(cfg.d_q))
+            tables = (cos, sin) if positions.ndim == 1 else (cos[:, None], sin[:, None])  # room for the head axis
+        gammas, decay = cfg.gammas, None
+        if form == "chunkwise":
+            decay = ChunkPlan.build(positions, gammas, cfg.chunk_size)
+        elif form == "parallel":
+            decay = DecayMask.build(gammas, timestamps=positions)
+        return cls(form, positions, gammas, tables, decay)
 
 
 def retention_output(ret, gain, bias, w_o, b_o, residual) -> Tensor:
@@ -312,8 +355,6 @@ class DecoderLayer:
         self.ffn_b1 = Tensor(np.zeros(f))
         self.ffn_w2 = _uniform_init(rng.child("ffn_w2"), (f, d), f)
         self.ffn_b2 = Tensor(np.zeros(d))
-        self.angles = RotaryAngles(cfg.d_q)
-        self.gammas = cfg.gammas
 
     def named_params(self) -> list[tuple[str, Tensor]]:
         out = [
@@ -339,30 +380,26 @@ class DecoderLayer:
 
     # -- retention sublayer -------------------------------------------------
 
-    def _retention_inner(self, h: Tensor, x: Tensor, positions: np.ndarray, form: str | None):
+    def _retention_inner(self, h: Tensor, x: Tensor, geo: Geometry):
         """``x`` plus the retention sublayer run on ``h``, its normalized input.
 
-        Rotary q/k and v are one :func:`project_heads` node each; retention
-        runs on the whole batch, chunk-wise for ``form`` None (or
-        "chunkwise"), or in the "recurrent" or "parallel" reference form;
-        head merge, layer norm, output projection and the residual add are
-        one :func:`retention_output` node.  Returns (out [..., L, d_model],
-        the retention state after the last token, None under the parallel
-        form).
+        Rotary q/k and v are one :func:`project_heads` node each, rotated by
+        ``geo``'s tables; retention runs on the whole batch in ``geo``'s
+        form (chunk-wise, or the "recurrent" or "parallel" reference) on its
+        decay geometry; head merge, layer norm, output projection and the
+        residual add are one :func:`retention_output` node.  Returns (out
+        [..., L, d_model], the retention state after the last token, None
+        under the parallel form).
         """
         cfg = self.cfg
-        q, k = xpos_qk(h, self.w_q, self.w_k, positions, self.angles, cfg.heads, apply_rotation=not cfg.no_rotation)
+        q, k = xpos_qk(h, self.w_q, self.w_k, geo.tables, cfg.heads)
         v = project_heads(h, self.w_v, cfg.heads)
-        state = None
-        if form is None or form == "chunkwise":
-            plan = ChunkPlan.build(q.shape[-2], cfg.chunk_size)
-            out, state = retention_chunkwise(q, k, v, positions, self.gammas, plan)
-        elif form == "recurrent":
-            out, state = retention_recurrent(q, k, v, positions, self.gammas)
-        elif form == "parallel":
-            out = retention_parallel(q, k, v, DecayMask.build(self.gammas, timestamps=positions))
+        if geo.form == "chunkwise":
+            out, state = retention_chunkwise(q, k, v, geo.decay)
+        elif geo.form == "recurrent":
+            out, state = retention_recurrent(q, k, v, geo.positions, geo.gammas)
         else:
-            raise ConfigError(f"unknown retention form {form!r}")
+            out, state = retention_parallel(q, k, v, geo.decay), None
         return retention_output(out, self.ret_gain, self.ret_bias, self.w_o, self.b_o, x), state
 
     def _ffn(self, x: Tensor) -> Tensor:
@@ -372,15 +409,15 @@ class DecoderLayer:
     def forward(
         self,
         x: Tensor,
-        positions: np.ndarray,
+        geo: Geometry,
         train: bool,
-        form: str | None = None,
         valid: np.ndarray | None = None,
         capture: dict | None = None,
     ):
-        """Whole-sequence pass; returns (x, retention state after the last
-        token), the state being None under the parallel reference form."""
-        x, state = self._retention_inner(layer_norm(x, self.ln1_gain, self.ln1_bias), x, positions, form)
+        """Whole-sequence pass over the positions ``geo`` was built for;
+        returns (x, retention state after the last token), the state being
+        None under the parallel reference form."""
+        x, state = self._retention_inner(layer_norm(x, self.ln1_gain, self.ln1_bias), x, geo)
         if self.tconv is not None:
             x = self.tconv.forward(x, train=train, valid=valid, capture=capture)
         return self._ffn(x), state
@@ -450,7 +487,7 @@ class LayerDecode:
         self.v_shape = (B, 1, cfg.heads, cfg.d_v)
         self.r_shape = (B, 1, cfg.heads * cfg.d_v)
         self.s = s.copy()
-        self.fac = _decay_factor(layer.gammas, 1)
+        self.fac = _decay_factor(cfg.gammas, 1)
         self.ret_gain, self.ret_bias = layer.ret_gain.value, layer.ret_bias.value
         self.w_o, self.b_o = layer.w_o.value, layer.b_o.value
         self.conv = None if layer.tconv is None else ConvDecode(layer.tconv, conv_buf)
@@ -551,8 +588,9 @@ class Model:
         """Hidden states [B, L+1, d_model]: position 0 is the start token.
 
         ``form`` None runs chunk-wise retention; "parallel" or "recurrent"
-        selects a reference form.  ``want_states`` also returns each
-        layer's retention state and the positions, for continuation.
+        selects a reference form.  The layers share one :class:`Geometry`
+        of the positions.  ``want_states`` also returns each layer's
+        retention state and the positions, for continuation.
         """
         feats, positions = self._token_features(batch)
         B = feats.shape[0]
@@ -565,13 +603,14 @@ class Model:
         valid = batch.valid
         if valid is not None:
             valid = np.concatenate([np.ones((B, 1)), np.asarray(valid, dtype=np.float64)], axis=1)
+        geo = Geometry.build(self.cfg, pos, form) if self.layers else None
         states = []
         for layer in self.layers:
             cap = None
             if capture is not None:
                 cap = {}
                 capture.append(cap)
-            x, st = layer.forward(x, pos, train=train, form=form, valid=valid, capture=cap)
+            x, st = layer.forward(x, geo, train=train, valid=valid, capture=cap)
             if want_states:
                 states.append(st)
         return (x, states, pos) if want_states else x

@@ -10,7 +10,10 @@ decay matrix, which is algebraically the same thing for every q-k product.
 The projection to heads and the rotation are one tape node per projection
 (:func:`project_heads`): it keeps its input and the cos/sin tables, not
 the product, the head split or the rotated copy, and runs one block of
-whole batch rows at a time.  :func:`rotate_array` is the rotation's one
+whole batch rows at a time.  :func:`xpos_qk` takes the tables, not the
+positions: the model builds them once per encode with
+:func:`rotation_tables` (checking the positions there) and every layer
+rotates by the same ones.  :func:`rotate_array` is the rotation's one
 arithmetic, which the decode step also runs.
 """
 
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError
 from .tensor import Tensor, _accum, _check_matmul, _val, as_f64, row_blocks, weight_grad
 
 Array = np.ndarray
@@ -68,42 +71,25 @@ def rotate_array(x: Array, cos: Array, sin: Array, out: Array | None = None) -> 
     return res.reshape(x.shape)
 
 
-def xpos_qk(
-    x,
-    w_q,
-    w_k,
-    positions: Array,
-    angles: RotaryAngles,
-    heads: int,
-    apply_rotation: bool = True,
-) -> tuple[Tensor, Tensor]:
+def xpos_qk(x, w_q, w_k, tables: tuple[Array, Array] | None, heads: int) -> tuple[Tensor, Tensor]:
     """Project to per-head queries/keys and apply the positional rotation.
 
     x: [..., L, d_model] with d_model = heads * head_dim; w_q, w_k:
-    [d_model, heads * head_dim].  Returns (q, k), each
-    [..., heads, L, head_dim], one :func:`project_heads` node each, sharing
-    one pair of cos/sin tables.  Keys rotate by +m: the conjugate in the
-    rotary formulation is supplied by the q.k inner product itself, which
-    is what makes the product depend on n - m only.  No decay is applied
-    here: the retention stage applies it.
+    [d_model, heads * head_dim].  ``tables`` is the (cos, sin) pair of
+    :func:`rotation_tables` for the positions ([L, head_dim/2], or
+    [B, 1, L, head_dim/2] for per-sequence positions), or None for no
+    rotation.  Returns (q, k), each [..., heads, L, head_dim], one
+    :func:`project_heads` node each, sharing the tables.  Keys rotate by +m:
+    the conjugate in the rotary formulation is supplied by the q.k inner
+    product itself, which is what makes the product depend on n - m only.
+    No decay is applied here: the retention stage applies it.
     """
-    positions = np.asarray(positions)
-    if positions.ndim not in (1, 2):
-        raise InputError(f"xpos_qk: positions must be [L] or [B, L], got {positions.shape}")
-    if positions.shape[-1] != _val(x).shape[-2]:
-        raise InputError(f"xpos_qk: need {_val(x).shape[-2]} positions, got shape {positions.shape}")
-    if positions.shape[-1] > 1 and np.any(np.diff(positions, axis=-1) <= 0):
-        raise InputError("xpos_qk: positions must be strictly increasing")
     width = _val(w_q).shape[-1]
     if width % heads != 0:
         raise ConfigError(f"xpos_qk: projection width {width} not divisible by {heads} heads")
-    cos = sin = None
-    if apply_rotation:
-        if angles.head_dim != width // heads:
-            raise ConfigError(f"xpos_qk: angles built for dim {angles.head_dim}, heads need {width // heads}")
-        cos, sin = rotation_tables(positions, angles)
-        if positions.ndim == 2:
-            cos, sin = cos[:, None], sin[:, None]  # room for the head axis
+    cos, sin = (None, None) if tables is None else tables
+    if cos is not None and 2 * cos.shape[-1] != width // heads:
+        raise ConfigError(f"xpos_qk: tables built for dim {2 * cos.shape[-1]}, heads need {width // heads}")
     return project_heads(x, w_q, heads, cos, sin), project_heads(x, w_k, heads, cos, sin)
 
 

@@ -16,6 +16,12 @@ other two are checked against.  The chunk-wise and recurrent forms start
 from a zero state and return the state after their last token as a plain
 array on no tape, which the decode step carries on.
 
+The chunk-wise kernel builds no geometry: it reads a :class:`ChunkPlan`,
+which holds each chunk's decay mask and decay rows and depends on the
+timestamps and gammas alone (RetNet, arXiv 2307.08621), so one plan serves
+every layer of an encode.  The model builds it once per encode and keeps it
+no longer than that encode's graph.
+
 Cross-chunk decays are defined in timestamp space
 (gamma^(t - t_last_of_previous_chunk)), the unique choice that keeps the
 chunk-wise form exactly equal to the recurrent one under irregular gaps;
@@ -31,6 +37,7 @@ per-sequence timestamps are [B, L], in which case lead must be (B, heads).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,24 +100,6 @@ class DecayMask:
         return self.matrix.shape[-1]
 
 
-@dataclass(frozen=True)
-class ChunkPlan:
-    """Chunk boundaries for the chunk-wise form; the last chunk may be ragged."""
-
-    boundaries: tuple[int, ...]
-
-    @classmethod
-    def build(cls, length: int, chunk_size: int) -> "ChunkPlan":
-        if chunk_size <= 0:
-            raise ConfigError(f"chunk_size must be >= 1, got {chunk_size}")
-        if length < 0:
-            raise InputError(f"length must be >= 0, got {length}")
-        bounds = list(range(0, length, chunk_size)) + [length]
-        if len(bounds) >= 2 and bounds[-1] == bounds[-2]:
-            bounds.pop()
-        return cls(tuple(bounds))
-
-
 def _decay_factor(gamma, exponent) -> Array:
     """gamma ** exponent shaped to broadcast against lead dims + (d_k, d_v).
 
@@ -140,6 +129,59 @@ def _decay_rows(gamma, exponents, batched: bool) -> Array:
     else:
         d = g**e
     return d[..., None]
+
+
+class Chunk(NamedTuple):
+    """Rows [lo, hi) of a sequence and the decays the chunk-wise form
+    applies to them: the chunk's decay mask D_c, ``zeta`` (rows
+    gamma^(t - t_last of the previous chunk)) and ``fac`` (gamma^span of
+    this chunk's last timestamp over the previous one's), both None on the
+    first chunk, and ``tail`` (rows gamma^(t_last - t))."""
+
+    lo: int
+    hi: int
+    mask: Array
+    zeta: Array | None
+    tail: Array
+    fac: Array | None
+
+
+@dataclass(frozen=True)
+class ChunkPlan:
+    """What :func:`retention_chunkwise` reads of a sequence's geometry, one
+    :class:`Chunk` per ``chunk_size`` rows (the last may be ragged).  It is
+    a function of the timestamps and gammas only, so every layer of one
+    encode reads the same plan."""
+
+    length: int
+    chunks: tuple[Chunk, ...]
+
+    @classmethod
+    def build(cls, timestamps, gamma, chunk_size: int) -> "ChunkPlan":
+        """Plan for timestamps [L] or [B, L], validated once here.  A chunk
+        reuses the previous chunk's mask when its timestamps relative to its
+        first one repeat (every full chunk of a regular sequence)."""
+        if chunk_size <= 0:
+            raise ConfigError(f"chunk_size must be >= 1, got {chunk_size}")
+        t = _check_timestamps(timestamps)
+        L = t.shape[-1]
+        batched = t.ndim == 2
+        chunks, mask, rel_prev, prev_last = [], None, None, None
+        for lo in range(0, L, chunk_size):
+            hi = min(lo + chunk_size, L)
+            t_c = t[..., lo:hi]
+            rel = t_c - t_c[..., :1]
+            if mask is None or not np.array_equal(rel, rel_prev):
+                mask, rel_prev = DecayMask.build(gamma, timestamps=t_c).matrix, rel
+            last = t_c[..., -1]
+            zeta = fac = None
+            if prev_last is not None:
+                zeta = _decay_rows(gamma, t_c - prev_last[..., None], batched)
+                fac = _decay_factor(gamma, last - prev_last)
+            tail = _decay_rows(gamma, last[..., None] - t_c, batched)
+            chunks.append(Chunk(lo, hi, mask, zeta, tail, fac))
+            prev_last = last
+        return cls(L, tuple(chunks))
 
 
 def retention_parallel(q, k, v, mask: DecayMask) -> Tensor:
@@ -184,70 +226,55 @@ def retention_recurrent(q, k, v, timestamps, gamma) -> tuple[Tensor, Array]:
     return out, _val(s)
 
 
-def retention_chunkwise(q, k, v, timestamps, gamma, plan: ChunkPlan) -> tuple[Tensor, Array]:
+def retention_chunkwise(q, k, v, plan: ChunkPlan) -> tuple[Tensor, Array]:
     """Parallel within chunks, recurrent across them; equals the other forms.
 
-    Per chunk: intra-chunk term (q_c k_c^T . D_c) v_c plus inter-chunk term
-    (q_c s) scaled row-wise by zeta; the state update weights the chunk's
-    k^T v rows by the last row of its decay matrix and carries the previous
-    state decayed by the chunk's total timestamp span.  The first chunk has
-    no inter-chunk term, so a sequence that fits in one chunk runs exactly
-    the parallel form's arithmetic.  Returns (out, s), s being the state
-    after the last token as a plain array.
+    Per chunk of ``plan``: intra-chunk term (q_c k_c^T . D_c) v_c plus
+    inter-chunk term (q_c s) scaled row-wise by zeta; the state update
+    weights the chunk's k^T v rows by tail (the last row of its decay
+    matrix) and carries the previous state decayed by fac, the chunk's
+    total timestamp span.  The first chunk has no inter-chunk term, so a
+    sequence that fits in one chunk runs exactly the parallel form's
+    arithmetic.  Returns (out, s), s being the state after the last token
+    as a plain array.
 
     One tape node over (q, k, v).  The forward runs on arrays and keeps each
-    chunk's incoming state; a chunk reuses the previous decay mask when its
-    timestamps relative to its first one repeat.  The backward sweeps the
-    chunks in reverse, carrying dS (0 after the last chunk): with
-    dP = (dO v^T) . D, dq = dP k + (zeta dO) s_prev^T, dk = dP^T q +
-    (tail v) dS^T, dv = (q k^T . D)^T dO + tail (k dS) and
-    dS_prev = q^T (zeta dO) + gamma^span dS.
+    chunk's incoming state.  The backward sweeps the chunks in reverse,
+    carrying dS (0 after the last chunk): with dP = (dO v^T) . D,
+    dq = dP k + (zeta dO) s_prev^T, dk = dP^T q + (tail v) dS^T,
+    dv = (q k^T . D)^T dO + tail (k dS) and dS_prev = q^T (zeta dO) + fac dS.
     """
     qv, kv, vv = _val(q), _val(k), _val(v)
     L = qv.shape[-2]
-    if plan.boundaries[-1] != L:
-        raise InputError(f"chunk plan covers length {plan.boundaries[-1]}, sequence has {L}")
-    t = np.arange(L, dtype=np.int64) if timestamps is None else _check_timestamps(timestamps)
-    if t.shape[-1] != L:
-        raise InputError(f"timestamps length {t.shape[-1]} != sequence length {L}")
-    batched = t.ndim == 2
+    if plan.length != L:
+        raise InputError(f"chunk plan covers length {plan.length}, sequence has {L}")
 
-    s = prev_last = None
-    out, chunks, mask, rel_prev = None, [], None, None
-    for lo, hi in zip(plan.boundaries[:-1], plan.boundaries[1:]):
-        t_c = t[..., lo:hi]
+    s = out = None
+    s_in = []  # the state entering each chunk
+    for lo, hi, mask, zeta, tail, fac in plan.chunks:
         q_c, k_c, v_c = as_f64(qv[..., lo:hi, :]), as_f64(kv[..., lo:hi, :]), as_f64(vv[..., lo:hi, :])
         k_t = as_f64(np.swapaxes(k_c, -1, -2))
-        rel = t_c - t_c[..., :1]
-        if mask is None or not np.array_equal(rel, rel_prev):
-            mask, rel_prev = DecayMask.build(gamma, timestamps=t_c).matrix, rel
-
         out_c = q_c @ k_t
         out_c *= mask
         out_c = out_c @ v_c
-        zeta = fac = None
         if s is not None:
-            zeta = _decay_rows(gamma, t_c - prev_last[..., None], batched)
             out_c = out_c + (q_c @ s) * zeta
         if out is None:
             out = np.empty(out_c.shape[:-2] + (L, out_c.shape[-1]))
         out[..., lo:hi, :] = out_c
 
-        last = t_c[..., -1]
-        tail = _decay_rows(gamma, last[..., None] - t_c, batched)
         chunk_s = k_t @ (v_c * tail)
         if s is not None:
-            fac = _decay_factor(gamma, last - prev_last)
             chunk_s = chunk_s + s * fac
-        chunks.append((lo, hi, mask, zeta, tail, fac, s))
-        s, prev_last = chunk_s, last
+        s_in.append(s)
+        s = chunk_s
 
     def back(g):
         dq = np.empty(g.shape[:-1] + qv.shape[-1:])
         dk = np.empty(g.shape[:-1] + kv.shape[-1:])
         dv = np.empty(g.shape)
         ds = None  # gradient of the state leaving the current chunk
-        for lo, hi, mask_c, zeta_c, tail_c, fac_c, s_prev in reversed(chunks):
+        for (lo, hi, mask_c, zeta_c, tail_c, fac_c), s_prev in zip(reversed(plan.chunks), reversed(s_in)):
             q_c, k_c, v_c, g_c = (as_f64(x[..., lo:hi, :]) for x in (qv, kv, vv, g))
             dp = (g_c @ np.swapaxes(v_c, -1, -2)) * mask_c
             dq_c = dp @ k_c

@@ -13,7 +13,8 @@ check that gradients own their memory."""
 
 import numpy as np
 
-from tsgpt.positional import rotate_array, rotation_tables
+from tsgpt.model import Geometry
+from tsgpt.positional import RotaryAngles, rotate_array, rotation_tables
 from tsgpt.retention import DecayMask, _check_timestamps, _decay_factor, _decay_rows
 from tsgpt.errors import ShapeError, StateError
 from tsgpt.tensor import (
@@ -112,17 +113,20 @@ def assert_grads_own_memory(tensors) -> None:
         assert not any(np.shares_memory(g, t.value) for t in tensors)
 
 
-def retention_chunkwise_taped(q, k, v, timestamps, gamma, plan):
-    """Oracle for ``retention_chunkwise``: the same per-chunk loop recorded
-    op by op on the tape (slices, matmuls, masks, state updates), so its
-    gradients come from the generic ops' backwards."""
+def retention_chunkwise_taped(q, k, v, timestamps, gamma, chunk_size: int):
+    """Oracle for ``retention_chunkwise`` over a ``ChunkPlan`` of the same
+    timestamps, gammas and chunk size: the per-chunk loop recorded op by op
+    on the tape (slices, matmuls, masks, state updates), each chunk's decays
+    built from its own timestamps, so its gradients come from the generic
+    ops' backwards."""
     q, k, v = (x if isinstance(x, Tensor) else Tensor(x) for x in (q, k, v))
     L = q.shape[-2]
-    t = np.arange(L, dtype=np.int64) if timestamps is None else _check_timestamps(timestamps)
+    t = _check_timestamps(timestamps)
     batched = t.ndim == 2
     s = prev_last = None
     outs = []
-    for lo, hi in zip(plan.boundaries[:-1], plan.boundaries[1:]):
+    for lo in range(0, L, chunk_size):
+        hi = min(lo + chunk_size, L)
         t_c = t[..., lo:hi]
         q_c, k_c, v_c = q[..., lo:hi, :], k[..., lo:hi, :], v[..., lo:hi, :]
         mask_c = DecayMask.build(gamma, timestamps=t_c)
@@ -244,8 +248,9 @@ def taped_stack(model, feats: np.ndarray, pos: np.ndarray, valid=None, form=None
     B = feats.shape[0]
     emb = add(matmul(Tensor(feats), model.w_in), model.b_in)
     x = concat([broadcast_to(model.sos, (B, 1, model.cfg.d_model)), emb], axis=1)
+    geo = Geometry.build(model.cfg, pos, form)
     for layer in model.layers:
-        x, _ = layer.forward(x, pos, train=False, form=form, valid=valid)
+        x, _ = layer.forward(x, geo, train=False, valid=valid)
     return x
 
 
@@ -345,10 +350,10 @@ def _layer_tensor_step(layer, x_t: Tensor, position: int, s, buf):
     cfg = layer.cfg
     pos = np.array([position], dtype=np.int64)
     h = layer_norm(x_t, layer.ln1_gain, layer.ln1_bias)
-    rot = () if cfg.no_rotation else (pos, layer.angles)
+    rot = () if cfg.no_rotation else (pos, RotaryAngles(cfg.d_q))
     q, k = (project_heads_taped(h, w, cfg.heads, *rot) for w in (layer.w_q, layer.w_k))
     v = project_heads_taped(h, layer.w_v, cfg.heads)
-    s = add(mul(s, _decay_factor(layer.gammas, 1)), matmul(swapaxes(k, -1, -2), v))
+    s = add(mul(s, _decay_factor(cfg.gammas, 1)), matmul(swapaxes(k, -1, -2), v))
     r = layer_norm(merge_heads(matmul(q, s)), layer.ret_gain, layer.ret_bias)
     x = add(x_t, add(matmul(r, layer.w_o), layer.b_o))
     if layer.tconv is not None:

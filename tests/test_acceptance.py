@@ -50,8 +50,9 @@ def test_criterion_1_three_form_equivalence():
                 par = retention_parallel(Tensor(q), Tensor(k), Tensor(v), mask).value
                 rec, _ = retention_recurrent(Tensor(q), Tensor(k), Tensor(v), ts, gamma)
                 worst = max(worst, float(np.max(np.abs(par - rec.value))))
+                t = np.arange(L) if ts is None else ts
                 for B in chunk_sizes:
-                    chk, _ = retention_chunkwise(Tensor(q), Tensor(k), Tensor(v), ts, gamma, ChunkPlan.build(L, B))
+                    chk, _ = retention_chunkwise(Tensor(q), Tensor(k), Tensor(v), ChunkPlan.build(t, gamma, B))
                     worst = max(worst, float(np.max(np.abs(par - chk.value))))
     assert worst < 1e-9, worst
     _report(1, f"three retention forms agree to {worst:.2e} over L<=256, B in {chunk_sizes}, 5 seeds")
@@ -91,7 +92,7 @@ def test_criterion_3_xpos_shift_invariance():
         x = np.tile(row, (L, 1))
         wq = rng.normal((2 * d, d))
         wk = rng.normal((2 * d, d))
-        q, k = xpos_qk(Tensor(x), wq, wk, np.arange(L), angles, 1)
+        q, k = xpos_qk(Tensor(x), wq, wk, (cos, sin), 1)
         qv, kv = q.value[0], k.value[0]
         scores = qv @ kv.T
         for rel in range(-(L - 1), L):

@@ -488,9 +488,13 @@ def test_malformed_signal_spec_exits_two(tmp_path, capsys, spec):
     '{"id": 9, "events": [[1, 1], [2, 9223372036854775807]], "label": 1}',  # padding would pass int64
     '{"id": 9, "events": [[1, 1], [2, 3]], "label": 1.9}',  # a float label
     '{"id": 9, "events": [[1, 1], [2, 3]], "label": -3}',  # a negative label
+    '{"id": 9, "events": [[1, -5], [2, 3]], "label": 1}',  # a negative timestamp
+    '{"id": 9, "events": [[1, 0], [2, 3]], "label": 1}',  # a timestamp at the start token's 0
+    '{"id": 9, "events": [[1, 3], [2, 3]], "label": 1}',  # a repeated timestamp
+    '{"id": 9, "events": [[1, 5], [2, 3]], "label": 1}',  # a decreasing timestamp
 ], ids=["negative_code", "code_at_vocab", "malformed_json", "no_events", "no_label", "empty_events", "short_event",
         "float_code", "bool_code", "string_code", "float_timestamp", "int64_overflow_timestamp", "int64_padding_overflow", "float_label",
-        "negative_label"])
+        "negative_label", "negative_timestamp", "zero_timestamp", "repeated_timestamp", "decreasing_timestamp"])
 def test_malformed_cohort_file_exits_three(tmp_path, capsys, line):
     data = tmp_path / "cohort.jsonl"
     cohort, _ = gen_cohort(EventCohortSpec(vocab=4, subjects=10, min_events=10, max_events=12, seed=1))

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import tracemalloc
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -13,8 +14,9 @@ from tsgpt.convolution import TemporalConvModule, subsampled_length
 from tsgpt.datagen import EventCohortSpec, SequenceBatch, SignalSpec, gen_cohort, gen_signal
 from tsgpt.errors import CheckpointError, ConfigError, ContractError, InputError, TaskError
 from tsgpt.experiments import VANILLA_FLAGS, extrapolation_model, irregular_cohort_spec, irregular_model
-from tsgpt.model import DecoderLayer, Model, ModelConfig, feed_forward, pooled_tokens, retention_output
+from tsgpt.model import DecoderLayer, Geometry, Model, ModelConfig, feed_forward, pooled_tokens, retention_output
 from tsgpt.positional import RotaryAngles, rotation_tables
+from tsgpt.retention import ChunkPlan, DecayMask
 from tsgpt.tensor import BLOCK_ELEMENTS, Rng, Tensor, backward, mul, no_grad, tsum, zero_grads
 from tsgpt.training import OptimState, adam_step
 
@@ -154,19 +156,17 @@ def test_full_stack_three_forms_agree():
     assert np.max(np.abs(m.encode(cohort).value - ref)) < 1e-9
 
 
-def _layer_with(cfg, rng, gammas=None):
+def _layer_with(cfg, rng):
     """A decoder layer whose parameters are all random draws."""
     layer = DecoderLayer(cfg, Rng(0))
     for _, p in layer.named_params():
         p.value = rng.normal(p.value.shape)
-    if gammas is not None:
-        layer.gammas = gammas
     return layer
 
 
 def test_multihead_retention_single_head_reduces_to_parallel_compose():
     from tsgpt.positional import rotate_array
-    from tsgpt.retention import DecayMask, retention_parallel
+    from tsgpt.retention import retention_parallel
     from tsgpt.tensor import layer_norm_array
 
     rng = Rng(41)
@@ -175,7 +175,7 @@ def test_multihead_retention_single_head_reduces_to_parallel_compose():
     x = rng.normal((1, L, D))
     h = rng.normal((1, L, D))
     positions = np.arange(L)
-    out, _ = layer._retention_inner(Tensor(h), Tensor(x), positions, "chunkwise")
+    out, _ = layer._retention_inner(Tensor(h), Tensor(x), Geometry.build(layer.cfg, positions, "chunkwise"))
     # manual composition: rotate projections, one parallel head, layer norm, project out, residual
     cos, sin = rotation_tables(positions, RotaryAngles(D))
     q = rotate_array(h @ layer.w_q.value, cos, sin)
@@ -189,11 +189,16 @@ def test_multihead_retention_single_head_reduces_to_parallel_compose():
 def test_multihead_retention_three_forms_pairwise():
     rng = Rng(42)
     L, h, dh = 11, 2, 4
-    layer = _layer_with(tiny_cfg(heads=h, d_q=dh, d_v=dh, chunk_size=4), rng, gammas=np.array([0.95, 0.8]))
+    layer = _layer_with(tiny_cfg(heads=h, d_q=dh, d_v=dh, chunk_size=4), rng)
     x = Tensor(rng.normal((2, L, h * dh)))
+    # a geometry with faster decays than the config's schedule
+    pos, gammas = np.arange(L), np.array([0.95, 0.8])
+    tables = rotation_tables(pos, RotaryAngles(dh))
+    decay = {"parallel": DecayMask.build(gammas, timestamps=pos), "recurrent": None,
+             "chunkwise": ChunkPlan.build(pos, gammas, 4)}
     outs = {}
     for form in ("parallel", "recurrent", "chunkwise"):
-        out, _ = layer._retention_inner(x, x, np.arange(L), form)
+        out, _ = layer._retention_inner(x, x, Geometry(form, pos, gammas, tables, decay[form]))
         outs[form] = out.value
     assert np.max(np.abs(outs["parallel"] - outs["recurrent"])) < 1e-9
     assert np.max(np.abs(outs["parallel"] - outs["chunkwise"])) < 1e-9
@@ -555,6 +560,60 @@ def test_benchmark_traced_entry_points_exist_and_retention_sees_the_whole_batch(
     B, L = batch.values.shape[0], batch.values.shape[1] + 1
     cfg = m.cfg
     assert calls == [((B, cfg.heads, L, cfg.d_q), (B, cfg.heads, L, cfg.d_q), (B, cfg.heads, L, cfg.d_v))] * cfg.layers
+
+
+def test_encode_builds_its_geometry_once_for_all_layers(monkeypatch):
+    """Every layer of one encode reads the same decay masks and rotation
+    tables: a 3-layer encode builds as many as one layer needs."""
+    import tsgpt.positional as tp
+
+    counts = {"mask": 0, "tables": 0}
+    build, tables = DecayMask.build.__func__, tp.rotation_tables
+
+    def counted_build(cls, *args, **kwargs):
+        counts["mask"] += 1
+        return build(cls, *args, **kwargs)
+
+    def counted_tables(*args):
+        counts["tables"] += 1
+        return tables(*args)
+
+    monkeypatch.setattr(DecayMask, "build", classmethod(counted_build))
+    for module in (tp, tm):  # wherever the package looks the tables up
+        monkeypatch.setattr(module, "rotation_tables", counted_tables)
+    cohort = padded_cohort()
+    m = Model(tiny_cfg(layers=3, n_inputs=6, discrete=True, no_subsampler=True))
+    assert cohort.values.shape[1] + 1 <= m.cfg.chunk_size  # one chunk: one mask
+    m.encode(cohort, train=True)
+    assert counts == {"mask": 1, "tables": 1}
+    counts.update(mask=0, tables=0)
+    # regular, 1025 positions in chunks of 64: 16 full chunks share one mask, the last needs its own
+    m = Model(tiny_cfg(layers=3, n_inputs=1, no_subsampler=True))
+    m.encode(SequenceBatch(values=Rng(3).normal((1, 1024, 1))), train=True)
+    assert counts == {"mask": 2, "tables": 1}
+
+
+def test_no_geometry_outlives_its_encode(monkeypatch):
+    """The decay mask lives as long as the encode's graph: a train loss's
+    tape keeps it until its backward has run, and an eval classify drops it
+    on return."""
+    masks = []
+    build = DecayMask.build.__func__
+
+    def kept_build(cls, *args, **kwargs):
+        mask = build(cls, *args, **kwargs)
+        masks.append(weakref.ref(mask.matrix))
+        return mask
+
+    monkeypatch.setattr(DecayMask, "build", classmethod(kept_build))
+    cohort = padded_cohort()
+    m = Model(tiny_cfg(n_inputs=6, discrete=True, no_subsampler=True, head_kind="classification"))
+    loss = m.classification_loss(cohort, train=True)
+    assert len(masks) == 1 and masks[0]() is not None
+    backward(loss)
+    assert masks[0]() is None
+    m.classify_logits(cohort, train=False)
+    assert len(masks) == 2 and masks[1]() is None
 
 
 @pytest.mark.parametrize("head", ["next_token", "classification"])

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsgpt import tensor
+from tsgpt.datagen import SequenceBatch
 from tsgpt.errors import ConfigError, InputError
+from tsgpt.model import Geometry, Model, ModelConfig
 from tsgpt.positional import RotaryAngles, default_gammas, project_heads, rotate_array, rotation_tables, xpos_qk
 from tsgpt.tensor import Rng, Tensor, backward, mul, no_grad, tsum
 
@@ -100,11 +102,13 @@ def test_default_gammas_formula():
     assert default_gammas(4).tolist() == want
 
 
+def _tables(positions, angles):
+    return rotation_tables(np.asarray(positions), angles)
+
+
 def test_xpos_qk_single_token_identity_weights():
     x = Rng(2).normal((1, 4))
-    q, k = xpos_qk(
-        Tensor(x), np.eye(4), np.eye(4), np.array([0]), RotaryAngles(4), 1
-    )
+    q, k = xpos_qk(Tensor(x), np.eye(4), np.eye(4), _tables([0], RotaryAngles(4)), 1)
     assert q.shape == (1, 1, 4)
     np.testing.assert_allclose(q.value[0], x, atol=1e-15)
     np.testing.assert_allclose(k.value[0], x, atol=1e-15)
@@ -114,9 +118,7 @@ def test_xpos_qk_distance_two_quarter_turn():
     ang = RotaryAngles(2)
     object.__setattr__(ang, "thetas", np.array([np.pi / 2]))
     x = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
-    q, k = xpos_qk(
-        Tensor(x), np.eye(2), np.eye(2), np.arange(4), ang, 1
-    )
+    q, k = xpos_qk(Tensor(x), np.eye(2), np.eye(2), _tables(np.arange(4), ang), 1)
     score = float((q.value[0, 3] * k.value[0, 1]).sum())
     assert abs(score - np.cos(np.pi)) < 1e-12
 
@@ -129,9 +131,7 @@ def test_xpos_inner_product_depends_only_on_relative_distance(d):
     x = rng.normal((L, 2 * d))
     wq = rng.normal((2 * d, d))
     wk = rng.normal((2 * d, d))
-    q, k = xpos_qk(
-        Tensor(x), wq, wk, np.arange(L), RotaryAngles(d), 1
-    )
+    q, k = xpos_qk(Tensor(x), wq, wk, _tables(np.arange(L), RotaryAngles(d)), 1)
     qv, kv = q.value[0], k.value[0]
     # oracle: unrotated projections evaluated at each relative distance
     base_q, base_k = x @ wq, x @ wk
@@ -156,9 +156,7 @@ def test_xpos_shift_invariance_with_identical_content():
         x = np.tile(row, (L, 1))
         wq = rng.normal((2 * d, d))
         wk = rng.normal((2 * d, d))
-        q, k = xpos_qk(
-            Tensor(x), wq, wk, np.arange(L), RotaryAngles(d), 1
-        )
+        q, k = xpos_qk(Tensor(x), wq, wk, _tables(np.arange(L), RotaryAngles(d)), 1)
         qv, kv = q.value[0], k.value[0]
         for rel in range(0, L):
             scores = [float(qv[n] @ kv[n - rel]) for n in range(rel, L)]
@@ -166,16 +164,23 @@ def test_xpos_shift_invariance_with_identical_content():
 
 
 def test_xpos_rejects_nonincreasing_positions():
-    x = Tensor(Rng(4).normal((3, 4)))
-    with pytest.raises(InputError):
-        xpos_qk(x, np.eye(4), np.eye(4), np.array([0, 2, 2]), RotaryAngles(4), 1)
+    """The positions are checked where an encode builds its rotation tables."""
+    cfg = ModelConfig(d_q=4, heads=1, n_inputs=2, discrete=True, no_subsampler=True)
+    with pytest.raises(InputError, match="strictly increasing"):
+        Geometry.build(cfg, np.array([0, 2, 2]))
+    batch = SequenceBatch(values=np.zeros((1, 2, 2)), timestamps=np.array([[0, 3]]))  # 0 is the start token's
+    with pytest.raises(InputError, match="strictly increasing"):
+        Model(cfg).encode(batch)
 
 
 def test_xpos_rejects_indivisible_head_split():
     x = Tensor(Rng(5).normal((3, 6)))
     w = Rng(6).normal((6, 5))  # width 5 cannot split across 2 heads
     with pytest.raises(ConfigError):
-        xpos_qk(x, w, w, np.arange(3), RotaryAngles(2), 2)
+        xpos_qk(x, w, w, _tables(np.arange(3), RotaryAngles(2)), 2)
+    w = Rng(6).normal((6, 4))
+    with pytest.raises(ConfigError, match="tables built for dim 4"):
+        xpos_qk(x, w, w, _tables(np.arange(3), RotaryAngles(4)), 2)
 
 
 def test_merge_heads_roundtrip():
@@ -221,7 +226,10 @@ def _project(x, w, heads, dh, positions, taped=False):
         return project_heads_taped(x, w, heads, positions, angles)
     if positions is None:
         return project_heads(x, w, heads)
-    return xpos_qk(x, w, w, positions, angles, heads)[0]
+    cos, sin = _tables(positions, angles)
+    if positions.ndim == 2:
+        cos, sin = cos[:, None], sin[:, None]  # room for the head axis
+    return xpos_qk(x, w, w, (cos, sin), heads)[0]
 
 
 @pytest.mark.parametrize("case", list(PROJECTION_CASES))
@@ -263,7 +271,7 @@ def test_xpos_qk_shares_its_tables_and_keeps_only_its_input():
     product, head split or rotation of them."""
     rng = Rng(61)
     x, wq, wk = Tensor(rng.normal((2, 5, 4))), Tensor(rng.normal((4, 4))), Tensor(rng.normal((4, 4)))
-    q, k = xpos_qk(x, wq, wk, np.arange(5), RotaryAngles(2), 2)
+    q, k = xpos_qk(x, wq, wk, _tables(np.arange(5), RotaryAngles(2)), 2)
     assert q._parents == (x, wq) and k._parents == (x, wk)
     cells = [c.cell_contents for c in q._backward.__closure__]
     kept = [c for c in cells if isinstance(c, np.ndarray) and c.size >= x.value.size]

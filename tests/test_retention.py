@@ -7,6 +7,8 @@ from tsgpt.errors import ConfigError, InputError
 from tsgpt.retention import (
     ChunkPlan,
     DecayMask,
+    _decay_factor,
+    _decay_rows,
     retention_chunkwise,
     retention_parallel,
     retention_recurrent,
@@ -28,6 +30,12 @@ def _irregular_ts(rng, L, batch=None):
     shape = (L,) if batch is None else (batch, L)
     gaps = rng.integers(1, 7, shape)
     return np.cumsum(gaps, axis=-1).astype(np.int64)
+
+
+def _chunkwise(q, k, v, t, gamma, chunk_size):
+    """The chunk-wise form over timestamps ``t`` (None: 0 .. L-1)."""
+    t = np.arange(np.shape(q)[-2]) if t is None else t
+    return retention_chunkwise(q, k, v, ChunkPlan.build(t, gamma, chunk_size))
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +212,48 @@ def test_recurrent_rejects_decreasing_timestamps():
 # ---------------------------------------------------------------------------
 
 
+def _bounds(plan):
+    return [(c.lo, c.hi) for c in plan.chunks]
+
+
 def test_chunk_plan_boundaries():
-    assert ChunkPlan.build(10, 4).boundaries == (0, 4, 8, 10)
-    assert ChunkPlan.build(8, 4).boundaries == (0, 4, 8)
-    assert ChunkPlan.build(3, 64).boundaries == (0, 3)
+    assert _bounds(ChunkPlan.build(np.arange(10), 0.9, 4)) == [(0, 4), (4, 8), (8, 10)]
+    assert _bounds(ChunkPlan.build(np.arange(8), 0.9, 4)) == [(0, 4), (4, 8)]
+    assert _bounds(ChunkPlan.build(np.arange(3), 0.9, 64)) == [(0, 3)]
     with pytest.raises(ConfigError):
-        ChunkPlan.build(8, 0)
+        ChunkPlan.build(np.arange(8), 0.9, 0)
+    with pytest.raises(InputError):
+        ChunkPlan.build(np.array([3, 2, 1]), 0.9, 2)
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_chunk_plan_arrays_are_the_per_chunk_builds_bitwise(batched):
+    """Each chunk's mask, zeta, tail and span factor are bitwise what
+    ``DecayMask.build``, ``_decay_rows`` and ``_decay_factor`` give for that
+    chunk's timestamps alone."""
+    rng = Rng(14)
+    t = _irregular_ts(rng, 11, batch=3 if batched else None)
+    gammas = np.array([0.98, 0.9])
+    plan = ChunkPlan.build(t, gammas, 4)
+    assert plan.length == 11 and _bounds(plan) == [(0, 4), (4, 8), (8, 11)]
+    prev = None
+    for c in plan.chunks:
+        t_c = t[..., c.lo : c.hi]
+        last = t_c[..., -1]
+        assert c.mask.tobytes() == DecayMask.build(gammas, timestamps=t_c).matrix.tobytes()
+        assert c.tail.tobytes() == _decay_rows(gammas, last[..., None] - t_c, batched).tobytes()
+        if prev is None:
+            assert c.zeta is None and c.fac is None
+        else:
+            assert c.zeta.tobytes() == _decay_rows(gammas, t_c - prev[..., None], batched).tobytes()
+            assert c.fac.tobytes() == _decay_factor(gammas, last - prev).tobytes()
+        prev = last
+
+
+def test_chunk_plan_shares_a_mask_between_chunks_of_equal_relative_timestamps():
+    plan = ChunkPlan.build(np.arange(1, 11), 0.9, 4)  # chunks 1..4, 5..8, 9..10
+    assert plan.chunks[1].mask is plan.chunks[0].mask
+    assert plan.chunks[2].mask.shape == (2, 2)
 
 
 def test_chunkwise_single_chunk_equals_parallel():
@@ -219,13 +263,13 @@ def test_chunkwise_single_chunk_equals_parallel():
     for L in (1, 7, 61):
         q, k, v = _qkv(rng, (), L, 4, 4)
         par = retention_parallel(q, k, v, DecayMask.build(0.9, length=L)).value
-        out, _ = retention_chunkwise(q, k, v, None, 0.9, ChunkPlan.build(L, 64))
+        out, _ = _chunkwise(q, k, v, None, 0.9, 64)
         np.testing.assert_array_equal(out.value, par)
 
         q, k, v = _qkv(rng, (3, 2), L, 4, 4)
         t = _irregular_ts(rng, L, batch=3)
         par = retention_parallel(q, k, v, DecayMask.build(gammas, timestamps=t)).value
-        out, _ = retention_chunkwise(q, k, v, t, gammas, ChunkPlan.build(L, 64))
+        out, _ = _chunkwise(q, k, v, t, gammas, 64)
         np.testing.assert_array_equal(out.value, par)
 
 
@@ -235,7 +279,7 @@ def test_chunkwise_unit_chunks_equal_recurrent():
     q, k, v = _qkv(rng, (), L, 4, 4)
     t = _irregular_ts(rng, L)
     rec, rst = retention_recurrent(q, k, v, t, 0.9)
-    out, cst = retention_chunkwise(q, k, v, t, 0.9, ChunkPlan.build(L, 1))
+    out, cst = _chunkwise(q, k, v, t, 0.9, 1)
     assert np.max(np.abs(out.value - rec.value)) < 1e-12
     assert np.max(np.abs(cst - rst)) < 1e-12
 
@@ -247,7 +291,7 @@ def test_chunkwise_ragged_matches_recurrent(irregular):
     q, k, v = _qkv(rng, (), L, 4, 4)
     t = _irregular_ts(rng, L) if irregular else None
     rec, rst = retention_recurrent(q, k, v, t, 0.9)
-    out, cst = retention_chunkwise(q, k, v, t, 0.9, ChunkPlan.build(L, B))
+    out, cst = _chunkwise(q, k, v, t, 0.9, B)
     assert np.max(np.abs(out.value - rec.value)) < 1e-9
     assert np.max(np.abs(cst - rst)) < 1e-9
 
@@ -267,7 +311,7 @@ def test_three_forms_agree_batched_multihead(irregular):
     mask = DecayMask.build(gammas, length=L) if t is None else DecayMask.build(gammas, timestamps=t)
     par = retention_parallel(q, k, v, mask).value
     rec, _ = retention_recurrent(q, k, v, t, gammas)
-    chk, _ = retention_chunkwise(q, k, v, t, gammas, ChunkPlan.build(L, 6))
+    chk, _ = _chunkwise(q, k, v, t, gammas, 6)
     assert np.max(np.abs(par - rec.value)) < 1e-9
     assert np.max(np.abs(par - chk.value)) < 1e-9
 
@@ -320,7 +364,7 @@ def test_retention_gradients_flow_through_all_forms():
         elif form == "recurrent":
             out, _ = retention_recurrent(qt, kt, vt, t, 0.9)
         else:
-            out, _ = retention_chunkwise(qt, kt, vt, t, 0.9, ChunkPlan.build(L, 2))
+            out, _ = _chunkwise(qt, kt, vt, t, 0.9, 2)
         loss = tsum(mul(out, out))
         if want_tensors:
             return loss, (qt, kt, vt)
@@ -357,33 +401,34 @@ def _fused_case(name):
     gaps = rng.integers(0, 4, (B, L) if batched else (L,))  # 0 gaps: equal timestamps
     t = np.cumsum(gaps, axis=-1).astype(np.int64) + 2
     weights = rng.normal((B, h, L, d))
-    return (q, k, v), t, np.array([1.0, 0.9, 0.6]), ChunkPlan.build(L, chunk), weights
+    return (q, k, v), t, np.array([1.0, 0.9, 0.6]), chunk, weights
 
 
-def _fused_loss(fn, arrays, t, gammas, plan, weights):
+def _fused_loss(fn, arrays, t, gammas, chunk, weights):
+    """Loss of ``_chunkwise`` or ``retention_chunkwise_taped`` (same arguments)."""
     tensors = [Tensor(a) for a in arrays]
-    out, state = fn(*tensors, t, gammas, plan)
+    out, state = fn(*tensors, t, gammas, chunk)
     return tsum(mul(out, weights)), out, state, tensors
 
 
 @pytest.mark.parametrize("name", sorted(FUSED_CASES))
 def test_chunkwise_fused_gradient_matches_finite_differences(name):
-    arrays, t, gammas, plan, weights = _fused_case(name)
-    loss, out, _, tensors = _fused_loss(retention_chunkwise, arrays, t, gammas, plan, weights)
+    arrays, t, gammas, chunk, weights = _fused_case(name)
+    loss, out, _, tensors = _fused_loss(_chunkwise, arrays, t, gammas, chunk, weights)
     assert out._parents == tuple(tensors)  # one tape node over (q, k, v)
     backward(loss)
     for arr, tsr in zip(arrays, tensors):
         fd = finite_diff_grad(
-            lambda: _fused_loss(retention_chunkwise, arrays, t, gammas, plan, weights)[0].value, arr)
+            lambda: _fused_loss(_chunkwise, arrays, t, gammas, chunk, weights)[0].value, arr)
         assert rel_err(tsr.grad, fd) < 1e-7, name
 
 
 @pytest.mark.parametrize("name", sorted(FUSED_CASES))
 def test_chunkwise_fused_equals_taped_oracle(name):
-    arrays, t, gammas, plan, weights = _fused_case(name)
-    loss, out, state, tensors = _fused_loss(retention_chunkwise, arrays, t, gammas, plan, weights)
+    arrays, t, gammas, chunk, weights = _fused_case(name)
+    loss, out, state, tensors = _fused_loss(_chunkwise, arrays, t, gammas, chunk, weights)
     ref_loss, ref_out, ref_state, ref_tensors = _fused_loss(
-        retention_chunkwise_taped, arrays, t, gammas, plan, weights)
+        retention_chunkwise_taped, arrays, t, gammas, chunk, weights)
     np.testing.assert_array_equal(out.value, ref_out.value)
     np.testing.assert_array_equal(state, ref_state.value)
     assert type(state) is np.ndarray  # the returned state carries no tape
