@@ -17,7 +17,11 @@ the parameters after them, the eval encode and batch-norm statistics, a
 classifier's gradients and logits over two steps.  At the benchmark's
 ``cohort`` shape (the 400-subject cohort of seed 1, ``irregular_model(1)``):
 the loss and gradients of a B=16 next-token train step, those of a B=16
-classifier step, and the classifier's logits over all 400 subjects.  Also
+classifier step, and the classifier's logits over all 400 subjects.  At the benchmark's
+``pretrain-long`` shape (``extrapolation_model(1)`` on signals of 1024
+tokens, where every blocked node's blocks are single rows large enough to
+run on two threads): the loss and gradients of a B=8 train step, a B=8
+eval encode, and those of a B=2 classifier step.  Also
 the checkpoint bytes of a fresh model, and for seven cohort specs (criterion 7's, the
 benchmark's seeds 1, 13, 301 and 901, the default spec and a 5-class
 ``class_timing`` spec) every array of the cohort and ``bayes_predict``.
@@ -77,6 +81,14 @@ def _model_arrays(name: str, cfg, batch, out: dict) -> None:
     out[f"{name}/classifier/logits"] = clf.classify_logits(batch, train=False).value
 
 
+def _labelled(values: np.ndarray):
+    """A batch of signals labelled 1 where the last 16 values' mean exceeds the first 16's."""
+    from tsgpt.datagen import SequenceBatch
+
+    labels = (values[:, -16:, 0].mean(axis=1) > values[:, :16, 0].mean(axis=1)).astype(np.int64)
+    return SequenceBatch(values=values, labels=labels)
+
+
 def dump(path: str, src: str) -> None:
     """Compute every compared array with ``tsgpt`` from ``src``; save to ``path``."""
     import tsgpt
@@ -89,9 +101,7 @@ def dump(path: str, src: str) -> None:
     out: dict[str, np.ndarray] = {}
 
     full, _ = dg.gen_signal(replace(extrapolation_signal(1), length=96, n_sequences=8))
-    values = full.values
-    labels = (values[:, -16:, 0].mean(axis=1) > values[:, :16, 0].mean(axis=1)).astype(np.int64)
-    signal = dg.SequenceBatch(values=values, labels=labels)
+    signal = _labelled(full.values)
     cohort, _ = dg.gen_cohort(irregular_cohort_spec())
     events = cohort.take(np.arange(16))
     _model_arrays("extrapolation", extrapolation_model(1, vanilla=False), signal, out)
@@ -105,6 +115,12 @@ def dump(path: str, src: str) -> None:
     clf = Model(replace(cfg, head_kind="classification"))
     _train(clf, first16, 1, out, "cohort400/classifier")
     out["cohort400/classifier/logits"] = clf.classify_logits(cohort400, train=False).value
+
+    long, _ = dg.gen_signal(replace(extrapolation_signal(1), length=1024, n_sequences=8))
+    model = Model(extrapolation_model(1, vanilla=False))
+    _train(model, long, 1, out, "long/train")
+    out["long/encode"] = model.encode(long, train=False).value
+    _train(model.with_head("classification", n_classes=2), _labelled(long.values[:2]), 1, out, "long/classifier")
 
     with tempfile.TemporaryDirectory() as tmp:
         ckpt = os.path.join(tmp, "fresh.ckpt")

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from . import datagen as dg
+from . import tensor
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -118,13 +119,15 @@ def _git_describe() -> str:
 
 def _environment() -> dict:
     """What a run's timings depend on beyond the code: interpreter, numpy
-    and its BLAS, the host's CPU count and its load averages (1, 5, 15 min)."""
+    and its BLAS, the host's CPU count, the threads the blocked kernels may
+    run on and the load averages (1, 5, 15 min)."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "cpu_count": os.cpu_count(),
+        "block_threads": tensor.BLOCK_THREADS,
         "loadavg": list(os.getloadavg()),
     }
 

@@ -9,8 +9,8 @@ point-wise stage that never mixes timesteps, then batch norm and swish.
 Batch-norm statistics are batch global during training; causality is
 exact in eval mode, which is the mode autoregressive decoding runs in.
 The block is one tape node with an analytic backward; both directions run
-one block of whole batch rows at a time (:func:`~tsgpt.tensor.row_blocks`), so that the
-depth-wise taps work on arrays that stay in cache.
+one block of whole batch rows at a time (:func:`~tsgpt.tensor.map_blocks`),
+so that the depth-wise taps work on arrays that stay in cache.
 """
 
 from __future__ import annotations
@@ -25,13 +25,16 @@ from .tensor import (
     Rng,
     Tensor,
     _accum,
+    add_partials,
     as_f64,
     batch_norm_eval_array,
     batch_norm_eval_scale,
+    block_threads,
     conv1d,
     grad_enabled,
     layer_norm_array,
     layer_norm_grad_array,
+    map_blocks,
     row_blocks,
     swish,
     swish_array,
@@ -119,28 +122,30 @@ class TemporalConvModule:
         kernel-1 depth-wise inputs, zero-padded in front.  The tape keeps the
         padded layer-norm output, the depth-wise output, the normalized
         point-wise output and swish's sigmoid (the backward recomputes the
-        layer norm); under :func:`no_grad` only the output spans the batch."""
+        layer norm); under :func:`no_grad` only the output spans the batch.
+        Blocks run on up to two threads (:func:`~tsgpt.tensor.map_blocks`),
+        each with its own block-sized scratch, allocated here."""
         x = x if isinstance(x, Tensor) else Tensor(x)
         xv, params = x.value, self.named_params()
         gl, bl, wd, wp, gb, bb = (p.value for _, p in params)
         B, L, d = xv.shape
         k, keep, taps = self.kernel, grad_enabled(), np.ascontiguousarray(wd.T)
         blocks = row_blocks(B, L * d)
-        rows = blocks[0].stop
-        hp = np.zeros((B if keep else rows, L + k - 1, d))  # layer norm after k-1 zero rows
-        dw = np.empty((B if keep else rows, L, d))
-        tmp = np.empty((rows, L, d))
+        rows, threads = blocks[0].stop, block_threads(blocks, L * d)
+        hp = np.zeros((B if keep else threads * rows, L + k - 1, d))  # layer norm after k-1 zero rows
+        dw = np.empty((B if keep else threads * rows, L, d))
+        tmp = np.empty((threads, rows, L, d))
         xhat = np.empty_like(xv) if keep or train else None
         s = np.empty_like(xv) if keep or train else None  # train: the statistics' products first
         out = np.empty_like(xv)
         buf = np.empty((B, k - 1, d))
 
-        def point_wise(b: slice) -> np.ndarray:  # layer norm, depth-wise and point-wise stages of one block
+        def point_wise(b: slice, slot: int) -> np.ndarray:  # layer norm, depth-wise and point-wise stages of one block
             n = b.stop - b.start
-            at = b if keep else slice(0, n)
+            at = b if keep else slice(slot * rows, slot * rows + n)
             hp[at, k - 1 :] = layer_norm_array(xv[b], gl, bl)[0]
             buf[b] = hp[at, L:]
-            _taps(hp[at], taps, dw[at], tmp[:n])
+            _taps(hp[at], taps, dw[at], tmp[slot, :n])
             return dw[at] @ wp
 
         if train:
@@ -148,8 +153,11 @@ class TemporalConvModule:
             count = float(w.sum())
             if count <= 0:
                 raise StateError("batch_norm: empty valid mask")
-            for b in blocks:
-                xhat[b] = point_wise(b)
+
+            def stage(b: slice, slot: int) -> None:
+                xhat[b] = point_wise(b, slot)
+
+            map_blocks(stage, blocks, L * d)
             mu = np.multiply(xhat, w, out=s).sum(axis=(0, 1)) * (1.0 / count)
             xhat -= mu
             var = np.multiply(np.multiply(xhat, xhat, out=s), w, out=s).sum(axis=(0, 1)) * (1.0 / count)
@@ -158,50 +166,60 @@ class TemporalConvModule:
             st, m, first = self.bn_state, BATCH_NORM_MOMENTUM, self.bn_state.running_mean is None
             st.running_mean = mu if first else (1.0 - m) * st.running_mean + m * mu
             st.running_var = var if first else (1.0 - m) * st.running_var + m * var
-        for b in blocks:
+        else:
+            inv = batch_norm_eval_scale(self.bn_state)
+
+        def activate(b: slice, slot: int) -> None:
             if train:
                 h = xhat[b] * gb + bb
             else:
-                h, xh, inv = batch_norm_eval_array(point_wise(b), gb, bb, self.bn_state)
+                h, xh, _ = batch_norm_eval_array(point_wise(b, slot), gb, bb, self.bn_state)
                 if keep:
                     xhat[b] = xh
             h, sig = swish_array(h)
             np.add(xv[b], h, out=out[b])
             if keep:
                 s[b] = sig
+
+        map_blocks(activate, blocks, L * d)
         if capture is not None:
             capture["dw_input"] = buf
         if not keep:
             return Tensor(out)
 
         def back(g):
-            g_lg, g_lb, g_wd, g_wp, g_gb, g_bb = (np.zeros_like(v) for v in (gl, bl, wd, wp, gb, bb))
-            for b in blocks:  # through swish; s becomes the gradient at the batch-norm output
+            sums = g_lg, g_lb, g_wd, g_wp, g_gb, g_bb = tuple(np.zeros_like(v) for v in (gl, bl, wd, wp, gb, bb))
+
+            def through_swish(b: slice, _slot: int) -> tuple:  # s becomes the gradient at the batch-norm output
                 sb, xb = s[b], xhat[b]
                 np.multiply(g[b], sb + (xb * gb + bb) * sb * (1.0 - sb), out=sb)
-                g_gb += np.einsum("blc,blc->c", sb, xb)
-                g_bb += sb.sum(axis=(0, 1))
+                return np.einsum("blc,blc->c", sb, xb), sb.sum(axis=(0, 1))
+
+            add_partials((g_gb, g_bb), map_blocks(through_swish, blocks, L * d))
             if train:  # through the batch mean and variance, both weighted by w
                 m_b, m_x = g_bb * gb * (1.0 / count), g_gb * gb * (1.0 / count)
             x.grad = np.zeros_like(xv) if x.grad is None else x.grad
-            gpad = np.zeros((rows, L + k - 1, d))  # the point-wise input's gradient, k-1 zero rows after
-            for b in blocks:
+            gpad = np.zeros((threads, rows, L + k - 1, d))  # the point-wise input's gradient, k-1 zero rows after
+
+            def stages(b: slice, slot: int) -> tuple:
                 n = b.stop - b.start
                 gy = s[b] * gb
                 if train:
                     gy -= w[b] * (m_b + xhat[b] * m_x)
                 gy *= inv
-                g_wp += np.tensordot(dw[b], gy, axes=([0, 1], [0, 1]))
-                gd = gpad[:n]
+                p_wp = np.tensordot(dw[b], gy, axes=([0, 1], [0, 1]))
+                gd = gpad[slot, :n]
                 np.matmul(gy, wp.T, out=gd[:, :L])
+                p_wd = np.empty_like(wd)
                 for j in range(k):
-                    g_wd[:, j] += np.einsum("blc,blc->c", gd[:, :L], hp[b, j : j + L])
-                _taps(gd, taps[::-1], gy, tmp[:n])  # gy: now the layer-norm output's gradient
+                    p_wd[:, j] = np.einsum("blc,blc->c", gd[:, :L], hp[b, j : j + L])
+                _taps(gd, taps[::-1], gy, tmp[slot, :n])  # gy: now the layer-norm output's gradient
                 _, xh, iv = layer_norm_array(xv[b], gl, bl)
-                g_lg += np.einsum("blc,blc->c", gy, xh)
-                g_lb += gy.sum(axis=(0, 1))
                 x.grad[b] += g[b] + layer_norm_grad_array(gy, xh, iv, gl)
-            for (_, p), gp in zip(params, (g_lg, g_lb, g_wd, g_wp, g_gb, g_bb)):
+                return np.einsum("blc,blc->c", gy, xh), gy.sum(axis=(0, 1)), p_wd, p_wp
+
+            add_partials((g_lg, g_lb, g_wd, g_wp), map_blocks(stages, blocks, L * d))
+            for (_, p), gp in zip(params, sums):
                 _accum(p, gp, own=True)
 
         return Tensor(out, (x,) + tuple(p for _, p in params), back)

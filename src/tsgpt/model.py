@@ -13,14 +13,17 @@ learned target would collapse to a constant.  Event streams keep a
 cross-entropy objective over the code vocabulary and bypass the tokenizer.
 
 In training, each sublayer's glue is one tape node that keeps its inputs:
-q, k and v are one :func:`~tsgpt.positional.project_heads` node each, the
+the start token and the input projection are one :func:`embed` node, q,
+k and v are one :func:`~tsgpt.positional.project_heads` node each, the
 head merge, norm, output projection and residual after the retention
 kernel are one :func:`retention_output` node, and the pre-norm
 feed-forward with its residual is one :func:`feed_forward` node.  Their
 backwards recompute what they need (the feed-forward only above a size),
-one block of whole batch rows at a time; the retention kernel between them
-runs on the whole batch.  No block splits a row, so each row's outputs are
-bitwise the same in any batch.
+one block of whole batch rows at a time, on the calling thread and one
+worker (:func:`~tsgpt.tensor.map_blocks`); the retention kernel between
+them runs on the whole batch, on the calling thread.  No block splits a
+row, so each row's outputs are bitwise the same in any batch and on any
+number of threads.
 
 Sequences always run through chunk-wise retention.  What the layers read
 of the positions (the cos/sin rotation tables and the chunk-wise decay
@@ -69,14 +72,15 @@ from .tensor import (
     Tensor,
     _accum,
     _sigmoid,
+    _unbroadcast,
     _val,
-    broadcast_to,
-    concat,
+    add_partials,
     layer_norm,
     layer_norm_array,
     layer_norm_grad_array,
     linear,
     log_softmax,
+    map_blocks,
     mul,
     no_grad,
     grad_enabled,
@@ -188,7 +192,9 @@ class Geometry:
     form's decay geometry: a :class:`~tsgpt.retention.ChunkPlan` for the
     chunk-wise form, the full :class:`~tsgpt.retention.DecayMask` for the
     parallel reference, None for the recurrent reference, which reads
-    ``positions`` and ``gammas``."""
+    ``positions`` and ``gammas``.  When every head has the same gamma, the
+    decay geometry is built for that one gamma: its masks have one head
+    plane, which broadcasts over the heads."""
 
     form: str
     positions: np.ndarray
@@ -210,11 +216,40 @@ class Geometry:
             cos, sin = rotation_tables(positions, RotaryAngles(cfg.d_q))
             tables = (cos, sin) if positions.ndim == 1 else (cos[:, None], sin[:, None])  # room for the head axis
         gammas, decay = cfg.gammas, None
+        shared = gammas[0] if np.all(gammas == gammas[0]) else gammas
         if form == "chunkwise":
-            decay = ChunkPlan.build(positions, gammas, cfg.chunk_size)
+            decay = ChunkPlan.build(positions, shared, cfg.chunk_size)
         elif form == "parallel":
-            decay = DecayMask.build(gammas, timestamps=positions)
+            decay = DecayMask.build(shared, timestamps=positions)
         return cls(form, positions, gammas, tables, decay)
+
+
+def embed(feats, w_in, b_in, sos) -> Tensor:
+    """The start token ``sos`` [1, 1, d] followed by ``feats @ w_in + b_in``
+    (feats [B, L, V]): [B, L+1, d] as one tape node that keeps only its
+    inputs.  Value and gradients are bitwise those of the start token
+    broadcast to [B, 1, d] and concatenated with :func:`linear`: the same
+    products, the bias added in place, and the same sums over the batch."""
+    fv, wv, bv, sv = (_val(t) for t in (feats, w_in, b_in, sos))
+    B, L, _ = fv.shape
+    out = np.empty((B, L + 1, wv.shape[-1]))
+    out[:, :1] = sv
+    emb = out[:, 1:]
+    np.matmul(fv, wv, out=emb)
+    emb += bv
+
+    def back(g):
+        g_emb = g[:, 1:]
+        if isinstance(feats, Tensor):
+            _accum(feats, g_emb @ wv.T, own=True)
+        if isinstance(w_in, Tensor):
+            _accum(w_in, _unbroadcast(np.swapaxes(fv, -1, -2) @ g_emb, wv.shape), own=True)
+        if isinstance(b_in, Tensor):
+            _accum(b_in, _unbroadcast(g_emb, bv.shape))
+        if isinstance(sos, Tensor):
+            _accum(sos, _unbroadcast(g[:, :1], sv.shape))
+
+    return Tensor(out, tuple(t for t in (feats, w_in, b_in, sos) if isinstance(t, Tensor)), back)
 
 
 def retention_output(ret, gain, bias, w_o, b_o, residual) -> Tensor:
@@ -225,7 +260,7 @@ def retention_output(ret, gain, bias, w_o, b_o, residual) -> Tensor:
     the composite (swapaxes, reshape, layer norm, linear, add).  The node
     keeps only its inputs; the backward recomputes the merged heads and
     their layer norm.  Both directions run one block of whole batch rows at
-    a time (:func:`~tsgpt.tensor.row_blocks`).
+    a time (:func:`~tsgpt.tensor.map_blocks`).
     """
     rv, gv, bv, wv, ov = (_val(t) for t in (ret, gain, bias, w_o, b_o))
     if rv.shape[-3] * rv.shape[-1] != wv.shape[0]:
@@ -234,30 +269,34 @@ def retention_output(ret, gain, bias, w_o, b_o, residual) -> Tensor:
     N, h, L, dv = r4.shape
     width, d = h * dv, wv.shape[-1]
     res = _val(residual).reshape((N, L, d))
-    blocks = row_blocks(N, L * max(width, d))
+    row = L * max(width, d)
+    blocks = row_blocks(N, row)
     out = np.empty((N, L, d))
 
     def merged_norm(b: slice):
         return layer_norm_array(r4[b].swapaxes(1, 2).reshape((-1, L, width)), gv, bv)
 
-    for b in blocks:
+    def project(b: slice, _slot: int) -> None:
         y = merged_norm(b)[0] @ wv
         y += ov
         np.add(res[b], y, out=out[b])
 
+    map_blocks(project, blocks, row)
+
     def back(g):
         g3 = g.reshape((N, L, d))
-        g_g, g_b, g_w, g_o = (np.zeros_like(a) for a in (gv, bv, wv, ov))
+        sums = g_o, g_w, g_g, g_b = tuple(np.zeros_like(a) for a in (ov, wv, gv, bv))
         g_r = np.empty_like(r4)
-        for b in blocks:
+
+        def grads(b: slice, _slot: int) -> tuple:
             normed, xhat, inv = merged_norm(b)
             gb = g3[b]
-            g_o += gb.sum(axis=(0, 1))
-            g_w += weight_grad(normed, gb)
             gn = gb @ wv.T
-            g_g += np.einsum("blc,blc->c", gn, xhat)
-            g_b += gn.sum(axis=(0, 1))
             g_r[b] = layer_norm_grad_array(gn, xhat, inv, gv).reshape((-1, L, h, dv)).swapaxes(1, 2)
+            g_xhat = np.einsum("blc,blc->c", gn, xhat)
+            return gb.sum(axis=(0, 1)), weight_grad(normed, gb), g_xhat, gn.sum(axis=(0, 1))
+
+        add_partials(sums, map_blocks(grads, blocks, row))
         for t, gt in ((gain, g_g), (bias, g_b), (w_o, g_w), (b_o, g_o), (ret, g_r.reshape(rv.shape))):
             if isinstance(t, Tensor):
                 _accum(t, gt, own=True)
@@ -273,10 +312,12 @@ def feed_forward(x, ln_gain, ln_bias, w1, b1, w2, b2) -> Tensor:
     w2, b2)`` as one tape node, bitwise the five-node composite.
 
     x: [..., L, d].  Both directions run one block of whole batch rows at a
-    time (:func:`~tsgpt.tensor.row_blocks`, sized by the hidden width).  When
+    time (:func:`~tsgpt.tensor.map_blocks`, sized by the hidden width).  When
     the whole batch's hidden activation has more than ``FFN_KEEP_ELEMENTS``
     elements, the node keeps only its inputs and the backward recomputes
-    each block's layer norm and hidden activation; otherwise it keeps them.
+    each block's layer norm and hidden activation; otherwise it keeps them,
+    and the forward runs on the calling thread alone, since no array the
+    node keeps may be made on the worker.
     """
     xv = _val(x)
     params = (ln_gain, ln_bias, w1, b1, w2, b2)
@@ -284,7 +325,8 @@ def feed_forward(x, ln_gain, ln_bias, w1, b1, w2, b2) -> Tensor:
     L, d = xv.shape[-2:]
     f = w1v.shape[-1]
     x3 = xv.reshape((-1, L, d))
-    blocks = row_blocks(x3.shape[0], L * f)
+    row = L * f
+    blocks = row_blocks(x3.shape[0], row)
     out = np.empty_like(x3)
 
     def hidden(b: slice):  # layer norm, then the first linear layer through swish
@@ -295,32 +337,39 @@ def feed_forward(x, ln_gain, ln_bias, w1, b1, w2, b2) -> Tensor:
         a *= s
         return h, xhat, inv, a, s
 
-    keep = grad_enabled() and x3.shape[0] * L * f <= FFN_KEEP_ELEMENTS
-    kept = []
-    for b in blocks:
+    def forward(b: slice, keep: bool):
         hb = hidden(b)
         y = hb[3] @ w2v
         y += b2v
         np.add(x3[b], y, out=out[b])
-        if keep:
-            kept.append(hb)
+        return hb if keep else None
+
+    kept = None  # each block's hidden(b), by the block's first row
+    if grad_enabled() and x3.shape[0] * L * f <= FFN_KEEP_ELEMENTS:
+        kept = {b.start: forward(b, True) for b in blocks}
+    else:
+        map_blocks(lambda b, _slot: forward(b, False), blocks, row)
 
     def back(g):
         g3 = g.reshape(x3.shape)
-        grads = [np.zeros_like(v) for v in (gl, bl, w1v, b1v, w2v, b2v)]
-        g_lg, g_lb, g_w1, g_b1, g_w2, g_b2 = grads
-        for b, (h, xhat, inv, a, s) in zip(blocks, kept or map(hidden, blocks)):
+        sums = tuple(np.zeros_like(v) for v in (gl, bl, w1v, b1v, w2v, b2v))
+
+        def grads(b: slice, _slot: int) -> tuple:
+            h, xhat, inv, a, s = hidden(b) if kept is None else kept[b.start]
             gb = g3[b]
-            g_b2 += gb.sum(axis=(0, 1))
-            g_w2 += weight_grad(a, gb)
+            p_b2 = gb.sum(axis=(0, 1))
+            p_w2 = weight_grad(a, gb)
             ga = swish_grad_array(gb @ w2v.T, a, s)
-            g_b1 += ga.sum(axis=(0, 1))
-            g_w1 += weight_grad(h, ga)
+            p_b1 = ga.sum(axis=(0, 1))
+            p_w1 = weight_grad(h, ga)
             gh = ga @ w1v.T
-            g_lg += np.einsum("blc,blc->c", gh, xhat)
-            g_lb += gh.sum(axis=(0, 1))
+            p_lg = np.einsum("blc,blc->c", gh, xhat)
+            p_lb = gh.sum(axis=(0, 1))
             gb += layer_norm_grad_array(gh, xhat, inv, gl)  # g becomes the input's gradient
-        for p, gp in zip(params, grads):
+            return p_lg, p_lb, p_w1, p_b1, p_w2, p_b2
+
+        add_partials(sums, map_blocks(grads, blocks, row))
+        for p, gp in zip(params, sums):
             if isinstance(p, Tensor):
                 _accum(p, gp, own=True)
         if isinstance(x, Tensor):
@@ -594,8 +643,7 @@ class Model:
         """
         feats, positions = self._token_features(batch)
         B = feats.shape[0]
-        emb = linear(feats, self.w_in, self.b_in)
-        x = concat([broadcast_to(self.sos, (B, 1, self.cfg.d_model)), emb], axis=1)
+        x = embed(feats, self.w_in, self.b_in, self.sos)
         if positions.ndim == 1:
             pos = np.concatenate([[0], positions]).astype(np.int64)
         else:

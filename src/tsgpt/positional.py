@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .tensor import Tensor, _accum, _check_matmul, _val, as_f64, row_blocks, weight_grad
+from .tensor import Tensor, _accum, _check_matmul, _val, add_partials, as_f64, map_blocks, row_blocks, weight_grad
 
 Array = np.ndarray
 
@@ -102,8 +102,9 @@ def project_heads(x, w, heads: int, cos: Array | None = None, sin: Array | None 
     One tape node whose value is bitwise that of matmul, reshape, swapaxes
     and a rotation by :func:`rotate_array` run in turn, as a contiguous
     array.  It keeps only its input and the tables: the backward rotates
-    the gradient back and needs no forward intermediate.  Both directions run one block of whole
-    batch rows at a time (:func:`~tsgpt.tensor.row_blocks`).
+    the gradient back and needs no forward intermediate.  Both directions
+    run one block of whole batch rows at a time
+    (:func:`~tsgpt.tensor.map_blocks`).
     """
     xv, wv = _val(x), _val(w)
     _check_matmul(xv, wv, "project_heads")
@@ -117,25 +118,29 @@ def project_heads(x, w, heads: int, cos: Array | None = None, sin: Array | None 
     def table(t: Array, b: slice) -> Array:
         return t[b] if t.ndim == 4 else t
 
-    for b in blocks:
+    def project(b: slice, _slot: int) -> None:
         p = (x3[b] @ wv).reshape((-1, L, heads, dh)).swapaxes(1, 2)
         if cos is None:
             out[b] = p
         else:
             rotate_array(p, table(cos, b), table(sin, b), out=out[b])
 
+    map_blocks(project, blocks, L * n)
+
     def back(g):
         g4 = g.reshape((N, heads, L, dh))
         gx = np.empty_like(x3) if isinstance(x, Tensor) else None
         gw = np.zeros_like(wv) if isinstance(w, Tensor) else None
         neg_sin = None if sin is None else -sin
-        for b in blocks:
+
+        def grads(b: slice, _slot: int) -> tuple:
             gb = g4[b] if cos is None else rotate_array(g4[b], table(cos, b), table(neg_sin, b))
             gp = gb.swapaxes(1, 2).reshape((-1, L, n))
             if gx is not None:
                 np.matmul(gp, wv.T, out=gx[b])
-            if gw is not None:
-                gw += weight_grad(x3[b], gp)
+            return () if gw is None else (weight_grad(x3[b], gp),)
+
+        add_partials((gw,), map_blocks(grads, blocks, L * n))
         if gx is not None:
             _accum(x, gx.reshape(xv.shape), own=True)
         if gw is not None:

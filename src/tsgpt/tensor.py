@@ -19,6 +19,16 @@ Two rules keep a train step from churning the heap:
   in-place operator), or into a temporary of one block of batch rows
   (:func:`row_blocks`), in the order and with the operands the plain
   expression would use, so the results are bitwise the same.
+- The blocks of a large kernel run on the calling thread and one worker
+  thread (:func:`map_blocks`), and the worker keeps nothing.  A block run
+  there allocates only temporaries it frees before it returns, and returns
+  at most parameter-sized partials, which the caller sums in block order.
+  Everything that outlives the kernel call (its output, its input
+  gradient, what its backward keeps) is a slice of an array the caller
+  allocated, or is made on the caller.  glibc gives each thread its own
+  malloc arena: memory freed into the worker's is not reused by the
+  caller, so an array the worker made and the caller kept past the call
+  would add its size to the process's peak.
 - A tensor's first gradient is adopted, not copied, when the caller
   passes ``own=True`` to :func:`_accum`: the caller guarantees that the
   array is C-contiguous and that nothing else refers to it or will write
@@ -39,7 +49,10 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import math
+import os
+import queue
 import struct
+import threading
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -55,6 +68,11 @@ _grad_enabled = True
 BLOCK_ELEMENTS = 1 << 15
 
 
+# Threads a blocked kernel may run on: the calling thread, plus one worker
+# when the process may use two cores or more.
+BLOCK_THREADS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+
+
 def row_blocks(batch: int, row_elements: int) -> list[slice]:
     """Blocks of whole batch rows, each as many rows as keep an array of
     ``row_elements`` elements per row within ``BLOCK_ELEMENTS`` (at least
@@ -63,6 +81,97 @@ def row_blocks(batch: int, row_elements: int) -> list[slice]:
     depend on the rows beside it."""
     rows = min(batch, max(1, BLOCK_ELEMENTS // row_elements))
     return [slice(lo, min(lo + rows, batch)) for lo in range(0, batch, rows)]
+
+
+def block_threads(blocks: list[slice], row_elements: int) -> int:
+    """How many threads :func:`map_blocks` runs ``blocks`` (of rows of
+    ``row_elements`` elements) on: 2, the caller and the worker, when
+    ``BLOCK_THREADS`` allows it, there are two blocks or more and a block
+    holds at least ``BLOCK_ELEMENTS`` elements; else 1.  Below that size
+    handing a block to the worker costs more than it saves."""
+    rows = blocks[0].stop - blocks[0].start
+    return 2 if BLOCK_THREADS >= 2 and len(blocks) >= 2 and rows * row_elements >= BLOCK_ELEMENTS else 1
+
+
+def map_blocks(fn, blocks: list[slice], row_elements: int) -> list:
+    """``[fn(b, slot) for b in blocks]``, run on :func:`block_threads`
+    threads: slot 0 is the calling thread and slot 1 the worker, so that
+    ``fn`` can pick a scratch buffer of its own.  Each thread takes the
+    next block not yet taken.  No block reads another's rows, and the
+    results come back in block order for the caller to sum, so nothing
+    depends on which thread ran which block.  What ``fn`` may allocate is
+    in the module docstring.  An exception in either thread is raised
+    here once both have stopped."""
+    if block_threads(blocks, row_elements) < 2:
+        return [fn(b, 0) for b in blocks]
+    results = [None] * len(blocks)
+    taken, lock = 0, threading.Lock()
+    failed: list[BaseException] = []
+    done = threading.Event()
+
+    def drain(slot: int) -> None:
+        nonlocal taken
+        while True:
+            with lock:
+                i, taken = taken, taken + 1
+            if i >= len(blocks) or failed:
+                return
+            results[i] = fn(blocks[i], slot)
+
+    def work() -> None:
+        try:
+            drain(1)
+        except BaseException as e:
+            failed.append(e)
+        finally:
+            done.set()
+
+    _worker_jobs().put(work)
+    try:
+        drain(0)
+    except BaseException as e:
+        failed.append(e)  # the worker takes no further block
+        raise
+    finally:
+        done.wait()
+    if failed:
+        raise failed[0]
+    return results
+
+
+def add_partials(sums: Sequence[Array], partials: list) -> None:
+    """Add each block's partials (a tuple per block, as :func:`map_blocks`
+    returns them) into the matching arrays of ``sums``, in block order: the
+    order a loop over the blocks would add them in."""
+    for parts in partials:
+        for total, part in zip(sums, parts):
+            total += part
+
+
+_jobs: queue.SimpleQueue | None = None
+
+
+def _worker_jobs() -> queue.SimpleQueue:
+    """The worker's job queue.  The first call starts the worker: a daemon
+    thread that runs each job put on the queue, in turn."""
+    global _jobs
+    if _jobs is None:
+        _jobs = queue.SimpleQueue()
+        threading.Thread(target=_serve, args=(_jobs,), name="tsgpt-blocks", daemon=True).start()
+    return _jobs
+
+
+def _serve(jobs: queue.SimpleQueue) -> None:
+    while True:
+        jobs.get()()
+
+
+def _forget_worker() -> None:
+    global _jobs
+    _jobs = None
+
+
+os.register_at_fork(after_in_child=_forget_worker)  # a forked child has no worker thread
 
 
 @contextlib.contextmanager
@@ -316,17 +425,6 @@ def concat(parts: Sequence, axis: int = 0) -> Tensor:
     return Tensor(out, tuple(p for p in parts if isinstance(p, Tensor)), back)
 
 
-def broadcast_to(x, shape) -> Tensor:
-    xv = _val(x)
-    out = np.broadcast_to(xv, shape).copy()
-
-    def back(g):
-        if isinstance(x, Tensor):
-            _accum(x, _unbroadcast(g, xv.shape))
-
-    return Tensor(out, (x,) if isinstance(x, Tensor) else (), back)
-
-
 # ---------------------------------------------------------------------------
 # matmul
 # ---------------------------------------------------------------------------
@@ -415,28 +513,45 @@ def layer_norm_array(xv: Array, gv: Array, bv: Array) -> tuple[Array, Array, Arr
 def layer_norm(x, gain, bias) -> Tensor:
     """Normalize over the last axis, then apply a learnable affine.  The
     node keeps only its inputs: the backward recomputes ``xhat`` and ``inv``
-    with :func:`layer_norm_array`, bitwise the forward's.  The forward runs
-    one block of rows at a time (:func:`row_blocks`; a leading axis of a
-    [B, L, n] input is its batch), so it allocates only its output beyond
-    one block's temporaries."""
+    with :func:`layer_norm_array`, bitwise the forward's.  Both directions
+    run one block of rows at a time (:func:`map_blocks`; a leading axis of
+    a [B, L, n] input is its batch), so the forward allocates only its
+    output beyond the blocks' temporaries.  The backward writes ``g * xhat``
+    into one array and sums it over the whole batch afterwards, so the gain
+    gradient is summed in the order of the unblocked expression."""
     xv, gv, bv = _val(x), _val(gain), _val(bias)
     x3 = xv.reshape((-1,) + xv.shape[-2:]) if xv.ndim > 1 else xv.reshape((1, 1, -1))
+    row = x3[0].size
+    blocks = row_blocks(x3.shape[0], row)
     out = np.empty(x3.shape)
-    for b in row_blocks(x3.shape[0], x3[0].size):
+
+    def norm(b: slice, _slot: int) -> None:
         out[b] = layer_norm_array(x3[b], gv, bv)[0]
-    out = out.reshape(xv.shape)
+
+    map_blocks(norm, blocks, row)
     parents = tuple(t for t in (x, gain, bias) if isinstance(t, Tensor))
 
     def back(g):
-        _, xhat, inv = layer_norm_array(xv, gv, bv)
-        if isinstance(gain, Tensor):
-            _accum(gain, _unbroadcast(g * xhat, gv.shape), own=True)
+        g3 = g.reshape(x3.shape)
+        g_xhat = np.empty(x3.shape) if isinstance(gain, Tensor) else None
+        gx = np.empty(x3.shape) if isinstance(x, Tensor) else None
+
+        def grads(b: slice, _slot: int) -> None:
+            _, xhat, inv = layer_norm_array(x3[b], gv, bv)
+            if g_xhat is not None:
+                np.multiply(g3[b], xhat, out=g_xhat[b])
+            if gx is not None:
+                gx[b] = layer_norm_grad_array(g3[b], xhat, inv, gv)
+
+        map_blocks(grads, blocks, row)
+        if g_xhat is not None:
+            _accum(gain, _unbroadcast(g_xhat.reshape(xv.shape), gv.shape), own=True)
         if isinstance(bias, Tensor):
             _accum(bias, _unbroadcast(g, bv.shape))
-        if isinstance(x, Tensor):
-            _accum(x, layer_norm_grad_array(g, xhat, inv, gv), own=True)
+        if gx is not None:
+            _accum(x, gx.reshape(xv.shape), own=True)
 
-    return Tensor(out, parents, back)
+    return Tensor(out.reshape(xv.shape), parents, back)
 
 
 def layer_norm_grad_array(g: Array, xhat: Array, inv: Array, gv: Array) -> Array:

@@ -5,8 +5,9 @@ convolution and batch norm ops it needs) as that fused block's oracle, the
 retention projections, the retention output glue and the feed-forward as
 the composites of Tensor ops their fused nodes replace (with the rotation,
 head split and merge ops they need), a taped decoder-stack oracle for eval
-encodes, and two oracles for streaming generation: re-encoding the whole
-prefix per token, and the recurrent decode step run through the Tensor ops.  The
+encodes (with the start token's broadcast op), and two oracles for
+streaming generation: re-encoding the whole prefix per token, and the
+recurrent decode step run through the Tensor ops.  The
 plain-expression forms of the in-place kernels (swish, its slope, layer
 norm and its gradient) are kept as their bitwise references, beside a
 check that gradients own their memory."""
@@ -28,7 +29,6 @@ from tsgpt.tensor import (
     add,
     as_f64,
     batch_norm_eval_array,
-    broadcast_to,
     concat,
     layer_norm,
     linear,
@@ -38,6 +38,19 @@ from tsgpt.tensor import (
     swapaxes,
     swish,
 )
+
+
+def broadcast_to(x, shape) -> Tensor:
+    """``x`` broadcast to ``shape`` as a copy; the backward sums the
+    gradient back down to ``x``'s shape."""
+    xv = _val(x)
+    out = np.broadcast_to(xv, shape).copy()
+
+    def back(g):
+        if isinstance(x, Tensor):
+            _accum(x, _unbroadcast(g, xv.shape))
+
+    return Tensor(out, (x,) if isinstance(x, Tensor) else (), back)
 
 
 def finite_diff_grad(loss_fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:

@@ -86,7 +86,8 @@ def test_pretrain_then_rerun_reproduces_artifacts_bitwise(tmp_path):
     assert manifest["peak_rss_mb"] > 0
     assert isinstance(manifest["minor_faults"], int) and manifest["minor_faults"] >= 0
     env = manifest["env"]
-    assert set(env) == {"python", "numpy", "blas", "cpu_count", "loadavg"}
+    assert set(env) == {"python", "numpy", "blas", "cpu_count", "block_threads", "loadavg"}
+    assert env["block_threads"] in (1, 2)
     assert env["numpy"] == np.__version__ and set(env["blas"]) == {"name", "version"}
     assert env["cpu_count"] >= 1 and len(env["loadavg"]) == 3
     assert json.loads((sig / "manifest.json").read_text())["peak_rss_mb"] > 0

@@ -17,11 +17,12 @@ from tsgpt.experiments import VANILLA_FLAGS, extrapolation_model, irregular_coho
 from tsgpt.model import DecoderLayer, Geometry, Model, ModelConfig, feed_forward, pooled_tokens, retention_output
 from tsgpt.positional import RotaryAngles, rotation_tables
 from tsgpt.retention import ChunkPlan, DecayMask
-from tsgpt.tensor import BLOCK_ELEMENTS, Rng, Tensor, backward, mul, no_grad, tsum, zero_grads
+from tsgpt.tensor import BLOCK_ELEMENTS, Rng, Tensor, backward, concat, mul, no_grad, tsum, zero_grads
 from tsgpt.training import OptimState, adam_step
 
 from oracles import (
     assert_grads_own_memory,
+    broadcast_to,
     feed_forward_taped,
     finite_diff_grad,
     generate_by_reencoding,
@@ -293,6 +294,29 @@ def test_fused_glue_gradients_match_finite_differences(kind, monkeypatch):
         assert rel_err(t.grad, finite_diff_grad(loss, a)) < 1e-7, i
 
 
+@pytest.mark.parametrize("B", [1, 3])
+def test_embed_equals_broadcast_concat_linear(B):
+    """The start token and the input projection as one node: value and
+    every gradient bitwise those of the broadcast, linear and concat nodes;
+    the node keeps only its inputs."""
+    rng = Rng(31)
+    L, V, d = 6, 2, 4
+    arrays = [rng.normal((B, L, V)), rng.normal((V, d)), rng.normal((d,)), rng.normal((1, 1, d))]
+    weights = rng.normal((B, L + 1, d))
+    ins = [[Tensor(a) for a in arrays] for _ in range(2)]
+    feats, w, b, sos = ins[1]
+    outs = [tm.embed(*ins[0]), concat([broadcast_to(sos, (B, 1, d)), tensor.linear(feats, w, b)], axis=1)]
+    assert outs[0].value.tobytes() == outs[1].value.tobytes()
+    assert outs[0]._parents == tuple(ins[0])
+    cells = [c.cell_contents for c in outs[0]._backward.__closure__]
+    assert not any(isinstance(c, np.ndarray) and c.size > max(a.size for a in arrays) for c in cells)
+    for o in outs:
+        backward(tsum(mul(o, weights)))
+    for x, y in zip(*ins):
+        assert x.grad.tobytes() == y.grad.tobytes()
+    assert_grads_own_memory(ins[0])
+
+
 # ---------------------------------------------------------------------------
 # objectives
 # ---------------------------------------------------------------------------
@@ -410,7 +434,7 @@ def test_eval_classify_keeps_no_tape_alive():
     m = Model(tiny_cfg(n_inputs=8, discrete=True, no_subsampler=True, head_kind="classification", n_classes=3,
                        chunk_size=8))
     taped = m.classify_logits(cohort, train=True)
-    assert len(reachable(taped)) >= 72
+    assert len(reachable(taped)) >= 70
     logits = m.classify_logits(cohort, train=False)
     assert len(reachable(logits)) <= 10
 
@@ -591,6 +615,34 @@ def test_encode_builds_its_geometry_once_for_all_layers(monkeypatch):
     m = Model(tiny_cfg(layers=3, n_inputs=1, no_subsampler=True))
     m.encode(SequenceBatch(values=Rng(3).normal((1, 1024, 1))), train=True)
     assert counts == {"mask": 2, "tables": 1}
+
+
+@pytest.mark.parametrize("form", ["chunkwise", "parallel"])
+def test_one_gamma_for_every_head_builds_one_mask_plane(form):
+    """With every head on the same gamma, the decay masks have one head
+    plane, and the retention sublayer's output and gradients are bitwise
+    those of masks built with a plane per head."""
+    cohort = padded_cohort()
+    cfg = tiny_cfg(n_inputs=6, discrete=True, no_subsampler=True, gamma=0.9, chunk_size=8)
+    B, T = cohort.values.shape[:2]
+    pos = np.concatenate([np.zeros((B, 1), dtype=np.int64), cohort.timestamps], axis=1)
+    geo = Geometry.build(cfg, pos, form)
+    masks = [c.mask for c in geo.decay.chunks] if form == "chunkwise" else [geo.decay.matrix]
+    assert all(m.shape[:2] == (B, 1) for m in masks)
+    planes = ChunkPlan.build(pos, cfg.gammas, cfg.chunk_size) if form == "chunkwise" else DecayMask.build(
+        cfg.gammas, timestamps=pos)
+    per_head = Geometry(form, pos, cfg.gammas, geo.tables, planes)
+    layer = Model(cfg).layers[0]
+    h = Rng(4).normal((B, T + 1, cfg.d_model))
+    results = []
+    for g in (geo, per_head):
+        ht = Tensor(h)
+        out, _ = layer._retention_inner(ht, ht, g)
+        backward(tsum(mul(out, h)))
+        results.append([out.value, ht.grad] + [p.grad for _, p in layer.named_params() if p.grad is not None])
+        zero_grads([p for _, p in layer.named_params()])
+    for a, b in zip(*results):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_no_geometry_outlives_its_encode(monkeypatch):
