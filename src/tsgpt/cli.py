@@ -119,15 +119,18 @@ def _git_describe() -> str:
 
 def _environment() -> dict:
     """What a run's timings depend on beyond the code: interpreter, numpy
-    and its BLAS, the host's CPU count, the threads the blocked kernels may
-    run on and the load averages (1, 5, 15 min)."""
+    and its BLAS (with the threads it runs a call on, None if unknown), the
+    host's CPU count, the threads the blocked kernels may run on, the CPU
+    their worker is pinned to (None: not pinned) and the load averages (1,
+    5, 15 min)."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "blas": {"name": blas.get("name"), "version": blas.get("version"), "threads": tensor.blas_threads()},
         "cpu_count": os.cpu_count(),
         "block_threads": tensor.BLOCK_THREADS,
+        "worker_cpu": tensor.worker_cpu(),
         "loadavg": list(os.getloadavg()),
     }
 

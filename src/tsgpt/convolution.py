@@ -131,7 +131,7 @@ class TemporalConvModule:
         B, L, d = xv.shape
         k, keep, taps = self.kernel, grad_enabled(), np.ascontiguousarray(wd.T)
         blocks = row_blocks(B, L * d)
-        rows, threads = blocks[0].stop, block_threads(blocks, L * d)
+        rows, threads = blocks[0].stop, block_threads(blocks)
         hp = np.zeros((B if keep else threads * rows, L + k - 1, d))  # layer norm after k-1 zero rows
         dw = np.empty((B if keep else threads * rows, L, d))
         tmp = np.empty((threads, rows, L, d))
@@ -157,7 +157,7 @@ class TemporalConvModule:
             def stage(b: slice, slot: int) -> None:
                 xhat[b] = point_wise(b, slot)
 
-            map_blocks(stage, blocks, L * d)
+            map_blocks(stage, blocks)
             mu = np.multiply(xhat, w, out=s).sum(axis=(0, 1)) * (1.0 / count)
             xhat -= mu
             var = np.multiply(np.multiply(xhat, xhat, out=s), w, out=s).sum(axis=(0, 1)) * (1.0 / count)
@@ -181,7 +181,7 @@ class TemporalConvModule:
             if keep:
                 s[b] = sig
 
-        map_blocks(activate, blocks, L * d)
+        map_blocks(activate, blocks)
         if capture is not None:
             capture["dw_input"] = buf
         if not keep:
@@ -195,7 +195,7 @@ class TemporalConvModule:
                 np.multiply(g[b], sb + (xb * gb + bb) * sb * (1.0 - sb), out=sb)
                 return np.einsum("blc,blc->c", sb, xb), sb.sum(axis=(0, 1))
 
-            add_partials((g_gb, g_bb), map_blocks(through_swish, blocks, L * d))
+            add_partials((g_gb, g_bb), map_blocks(through_swish, blocks))
             if train:  # through the batch mean and variance, both weighted by w
                 m_b, m_x = g_bb * gb * (1.0 / count), g_gb * gb * (1.0 / count)
             x.grad = np.zeros_like(xv) if x.grad is None else x.grad
@@ -218,7 +218,7 @@ class TemporalConvModule:
                 x.grad[b] += g[b] + layer_norm_grad_array(gy, xh, iv, gl)
                 return np.einsum("blc,blc->c", gy, xh), gy.sum(axis=(0, 1)), p_wd, p_wp
 
-            add_partials((g_lg, g_lb, g_wd, g_wp), map_blocks(stages, blocks, L * d))
+            add_partials((g_lg, g_lb, g_wd, g_wp), map_blocks(stages, blocks))
             for (_, p), gp in zip(params, sums):
                 _accum(p, gp, own=True)
 

@@ -281,7 +281,7 @@ def retention_output(ret, gain, bias, w_o, b_o, residual) -> Tensor:
         y += ov
         np.add(res[b], y, out=out[b])
 
-    map_blocks(project, blocks, row)
+    map_blocks(project, blocks)
 
     def back(g):
         g3 = g.reshape((N, L, d))
@@ -296,7 +296,7 @@ def retention_output(ret, gain, bias, w_o, b_o, residual) -> Tensor:
             g_xhat = np.einsum("blc,blc->c", gn, xhat)
             return gb.sum(axis=(0, 1)), weight_grad(normed, gb), g_xhat, gn.sum(axis=(0, 1))
 
-        add_partials(sums, map_blocks(grads, blocks, row))
+        add_partials(sums, map_blocks(grads, blocks))
         for t, gt in ((gain, g_g), (bias, g_b), (w_o, g_w), (b_o, g_o), (ret, g_r.reshape(rv.shape))):
             if isinstance(t, Tensor):
                 _accum(t, gt, own=True)
@@ -348,7 +348,7 @@ def feed_forward(x, ln_gain, ln_bias, w1, b1, w2, b2) -> Tensor:
     if grad_enabled() and x3.shape[0] * L * f <= FFN_KEEP_ELEMENTS:
         kept = {b.start: forward(b, True) for b in blocks}
     else:
-        map_blocks(lambda b, _slot: forward(b, False), blocks, row)
+        map_blocks(lambda b, _slot: forward(b, False), blocks)
 
     def back(g):
         g3 = g.reshape(x3.shape)
@@ -368,7 +368,7 @@ def feed_forward(x, ln_gain, ln_bias, w1, b1, w2, b2) -> Tensor:
             gb += layer_norm_grad_array(gh, xhat, inv, gl)  # g becomes the input's gradient
             return p_lg, p_lb, p_w1, p_b1, p_w2, p_b2
 
-        add_partials(sums, map_blocks(grads, blocks, row))
+        add_partials(sums, map_blocks(grads, blocks))
         for p, gp in zip(params, sums):
             if isinstance(p, Tensor):
                 _accum(p, gp, own=True)

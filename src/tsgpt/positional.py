@@ -125,7 +125,7 @@ def project_heads(x, w, heads: int, cos: Array | None = None, sin: Array | None 
         else:
             rotate_array(p, table(cos, b), table(sin, b), out=out[b])
 
-    map_blocks(project, blocks, L * n)
+    map_blocks(project, blocks)
 
     def back(g):
         g4 = g.reshape((N, heads, L, dh))
@@ -140,7 +140,7 @@ def project_heads(x, w, heads: int, cos: Array | None = None, sin: Array | None 
                 np.matmul(gp, wv.T, out=gx[b])
             return () if gw is None else (weight_grad(x3[b], gp),)
 
-        add_partials((gw,), map_blocks(grads, blocks, L * n))
+        add_partials((gw,), map_blocks(grads, blocks))
         if gx is not None:
             _accum(x, gx.reshape(xv.shape), own=True)
         if gw is not None:

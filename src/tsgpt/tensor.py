@@ -19,10 +19,10 @@ Two rules keep a train step from churning the heap:
   in-place operator), or into a temporary of one block of batch rows
   (:func:`row_blocks`), in the order and with the operands the plain
   expression would use, so the results are bitwise the same.
-- The blocks of a large kernel run on the calling thread and one worker
-  thread (:func:`map_blocks`), and the worker keeps nothing.  A block run
-  there allocates only temporaries it frees before it returns, and returns
-  at most parameter-sized partials, which the caller sums in block order.
+- The blocks of a kernel run on the calling thread and one worker thread
+  (:func:`map_blocks`), and the worker keeps nothing.  A block run there
+  allocates only temporaries it frees before it returns, and returns at
+  most parameter-sized partials, which the caller sums in block order.
   Everything that outlives the kernel call (its output, its input
   gradient, what its backward keeps) is a slice of an array the caller
   allocated, or is made on the caller.  glibc gives each thread its own
@@ -36,6 +36,16 @@ Two rules keep a train step from churning the heap:
   one parent only).  Later gradients add into it in place, so no two
   tensors' ``.grad`` share memory.
 
+Where the process may use two CPUs or more, the worker pins itself to the
+last of them (:func:`worker_cpu`), and while a call runs blocks on both
+threads the calling thread runs on its own CPUs minus that one; it gets its
+mask back when the call returns or raises.  Left to itself, the scheduler
+often ran the woken worker on the caller's CPU, where the two threads took
+turns instead of running side by side.  The caller is narrowed only where
+the BLAS runs each call on one thread (:func:`blas_threads`): the threads
+of a multi-threaded BLAS need a free CPU, and with caller and worker each
+held on one, a train step ran two to four times slower.
+
 Inside a :func:`no_grad` block nothing is recorded: new tensors hold no
 parents and no backward closure, so an eval pass frees each intermediate
 as soon as it drops it.
@@ -47,6 +57,8 @@ constants: they join the computation but receive no gradient.
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
 import hashlib
 import math
 import os
@@ -68,9 +80,13 @@ _grad_enabled = True
 BLOCK_ELEMENTS = 1 << 15
 
 
+# The CPUs this process may run on, as at import; empty where a thread
+# cannot be pinned to a CPU.
+CPUS = frozenset(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else frozenset()
+
 # Threads a blocked kernel may run on: the calling thread, plus one worker
 # when the process may use two cores or more.
-BLOCK_THREADS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+BLOCK_THREADS = min(2, len(CPUS) or os.cpu_count() or 1)
 
 
 def row_blocks(batch: int, row_elements: int) -> list[slice]:
@@ -83,26 +99,34 @@ def row_blocks(batch: int, row_elements: int) -> list[slice]:
     return [slice(lo, min(lo + rows, batch)) for lo in range(0, batch, rows)]
 
 
-def block_threads(blocks: list[slice], row_elements: int) -> int:
-    """How many threads :func:`map_blocks` runs ``blocks`` (of rows of
-    ``row_elements`` elements) on: 2, the caller and the worker, when
-    ``BLOCK_THREADS`` allows it, there are two blocks or more and a block
-    holds at least ``BLOCK_ELEMENTS`` elements; else 1.  Below that size
-    handing a block to the worker costs more than it saves."""
-    rows = blocks[0].stop - blocks[0].start
-    return 2 if BLOCK_THREADS >= 2 and len(blocks) >= 2 and rows * row_elements >= BLOCK_ELEMENTS else 1
+def block_threads(blocks: list[slice]) -> int:
+    """How many threads :func:`map_blocks` runs ``blocks`` on: 2, the caller
+    and the worker, when ``BLOCK_THREADS`` allows it and there are two
+    blocks or more; else 1.  Where caller and worker run on CPUs of their
+    own (see the module docstring), even the small blocks of a 400-subject
+    cohort gain from the hand-off."""
+    return 2 if BLOCK_THREADS >= 2 and len(blocks) >= 2 else 1
 
 
-def map_blocks(fn, blocks: list[slice], row_elements: int) -> list:
+def worker_cpu() -> int | None:
+    """The CPU the worker pins itself to: the last of ``CPUS`` when there
+    are two or more; else None, and the worker is not pinned."""
+    return max(CPUS) if len(CPUS) >= 2 else None
+
+
+def map_blocks(fn, blocks: list[slice]) -> list:
     """``[fn(b, slot) for b in blocks]``, run on :func:`block_threads`
     threads: slot 0 is the calling thread and slot 1 the worker, so that
     ``fn`` can pick a scratch buffer of its own.  Each thread takes the
     next block not yet taken.  No block reads another's rows, and the
     results come back in block order for the caller to sum, so nothing
     depends on which thread ran which block.  What ``fn`` may allocate is
-    in the module docstring.  An exception in either thread is raised
-    here once both have stopped."""
-    if block_threads(blocks, row_elements) < 2:
+    in the module docstring.  Where the worker is pinned and the BLAS runs
+    one thread, the caller keeps off the worker's CPU while both threads
+    run (see the module docstring); its mask is restored before this
+    returns or raises.  An exception in either thread is raised here once
+    both have stopped."""
+    if block_threads(blocks) < 2:
         return [fn(b, 0) for b in blocks]
     results = [None] * len(blocks)
     taken, lock = 0, threading.Lock()
@@ -126,17 +150,60 @@ def map_blocks(fn, blocks: list[slice], row_elements: int) -> list:
         finally:
             done.set()
 
-    _worker_jobs().put(work)
-    try:
-        drain(0)
-    except BaseException as e:
-        failed.append(e)  # the worker takes no further block
-        raise
-    finally:
-        done.wait()
+    with _off_worker_cpu():
+        _worker_jobs().put(work)
+        try:
+            drain(0)
+        except BaseException as e:
+            failed.append(e)  # the worker takes no further block
+            raise
+        finally:
+            done.wait()
     if failed:
         raise failed[0]
     return results
+
+
+@functools.cache
+def blas_threads() -> int | None:
+    """Threads numpy's BLAS runs a call on, asked of OpenBLAS (the BLAS of
+    numpy's wheels) under each name it exports the query as, once per
+    process; None for a BLAS this cannot ask."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)  # already loaded by numpy: no new code runs
+        except OSError:
+            continue
+        for name in ("openblas_get_num_threads", "openblas_get_num_threads64_",
+                     "scipy_openblas_get_num_threads", "scipy_openblas_get_num_threads64_"):
+            query = getattr(lib, name, None)
+            if query is not None:
+                query.restype = ctypes.c_int
+                return query()
+    return None
+
+
+@contextlib.contextmanager
+def _off_worker_cpu():
+    """Inside the block, the calling thread runs on its CPUs minus the
+    worker's; its mask is restored on the way out.  Nothing is narrowed
+    when the worker is not pinned, the BLAS may run more than one thread,
+    or the caller's mask lacks the worker's CPU or holds no other."""
+    cpu = worker_cpu()
+    mask = os.sched_getaffinity(0) if cpu is not None and blas_threads() == 1 else set()
+    if cpu not in mask or len(mask) < 2:
+        yield
+        return
+    os.sched_setaffinity(0, mask - {cpu})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, mask)
 
 
 def add_partials(sums: Sequence[Array], partials: list) -> None:
@@ -153,7 +220,8 @@ _jobs: queue.SimpleQueue | None = None
 
 def _worker_jobs() -> queue.SimpleQueue:
     """The worker's job queue.  The first call starts the worker: a daemon
-    thread that runs each job put on the queue, in turn."""
+    thread that pins itself to :func:`worker_cpu` and runs each job put on
+    the queue, in turn."""
     global _jobs
     if _jobs is None:
         _jobs = queue.SimpleQueue()
@@ -162,6 +230,10 @@ def _worker_jobs() -> queue.SimpleQueue:
 
 
 def _serve(jobs: queue.SimpleQueue) -> None:
+    cpu = worker_cpu()
+    if cpu is not None:
+        with contextlib.suppress(OSError):  # the CPU has left the process's set since import
+            os.sched_setaffinity(0, {cpu})
     while True:
         jobs.get()()
 
@@ -528,7 +600,7 @@ def layer_norm(x, gain, bias) -> Tensor:
     def norm(b: slice, _slot: int) -> None:
         out[b] = layer_norm_array(x3[b], gv, bv)[0]
 
-    map_blocks(norm, blocks, row)
+    map_blocks(norm, blocks)
     parents = tuple(t for t in (x, gain, bias) if isinstance(t, Tensor))
 
     def back(g):
@@ -543,7 +615,7 @@ def layer_norm(x, gain, bias) -> Tensor:
             if gx is not None:
                 gx[b] = layer_norm_grad_array(g3[b], xhat, inv, gv)
 
-        map_blocks(grads, blocks, row)
+        map_blocks(grads, blocks)
         if g_xhat is not None:
             _accum(gain, _unbroadcast(g_xhat.reshape(xv.shape), gv.shape), own=True)
         if isinstance(bias, Tensor):

@@ -1,11 +1,13 @@
 """The row blocks of the fused nodes run on the calling thread and one
 worker (``tensor.map_blocks``): every output, gradient and running
-statistic is bitwise the same on one thread and on two, and the worker
-keeps no memory past a node call."""
+statistic is bitwise the same on one thread and on two, the worker keeps
+no memory past a node call, and caller and worker run on CPUs of their own
+only for the length of a call."""
 
 import contextlib
 import json
 import os
+import queue
 import subprocess
 import sys
 import threading
@@ -39,8 +41,8 @@ def _threads(monkeypatch, threads: int, block_elements: int | None):
     a block."""
     slots = set()
 
-    def paced(fn, blocks, row_elements):
-        two = tensor.block_threads(blocks, row_elements) == 2
+    def paced(fn, blocks):
+        two = tensor.block_threads(blocks) == 2
         engaged = threading.Event()
 
         def run(b, slot):
@@ -51,7 +53,7 @@ def _threads(monkeypatch, threads: int, block_elements: int | None):
                 engaged.wait(timeout=10)
             return fn(b, slot)
 
-        return _map_blocks(run, blocks, row_elements)
+        return _map_blocks(run, blocks)
 
     with monkeypatch.context() as mp:
         mp.setattr(tensor, "BLOCK_THREADS", threads)
@@ -191,25 +193,38 @@ def test_map_blocks_returns_results_in_block_order(monkeypatch):
     for threads in (1, 2):
         with _threads(monkeypatch, threads, 1) as slots:
             blocks = tensor.row_blocks(6, 1)
-            assert tensor.block_threads(blocks, 1) == threads
-            seen = tensor.map_blocks(lambda b, slot: (b.start, threading.get_ident(), slot), blocks, 1)
+            assert tensor.block_threads(blocks) == threads
+            seen = tensor.map_blocks(lambda b, slot: (b.start, threading.get_ident(), slot), blocks)
         assert [s for s, _, _ in seen] == list(range(6))
         assert len({ident for _, ident, _ in seen}) == threads == len(slots)
         assert {slot for _, _, slot in seen} == slots
 
 
-def test_map_blocks_uses_the_worker_only_for_large_blocks(monkeypatch):
+def test_map_blocks_uses_the_worker_for_two_blocks_or_more(monkeypatch):
     monkeypatch.setattr(tensor, "BLOCK_THREADS", 2)
     monkeypatch.setattr(tensor, "BLOCK_ELEMENTS", 100)
-    assert tensor.block_threads(tensor.row_blocks(8, 100), 100) == 2  # one row, exactly a block
-    assert tensor.block_threads(tensor.row_blocks(8, 25), 25) == 2  # four rows, exactly a block
-    assert tensor.block_threads(tensor.row_blocks(8, 30), 30) == 1  # three rows hold 90 elements
-    assert tensor.block_threads(tensor.row_blocks(1, 500), 500) == 1  # one block
+    assert tensor.block_threads(tensor.row_blocks(8, 100)) == 2  # eight blocks of one row
+    assert tensor.block_threads(tensor.row_blocks(8, 30)) == 2  # three blocks of 90 elements or fewer
+    assert tensor.block_threads(tensor.row_blocks(2, 1)) == 1  # one block of two elements
+    assert tensor.block_threads(tensor.row_blocks(1, 500)) == 1  # one block of one row
     monkeypatch.setattr(tensor, "BLOCK_THREADS", 1)
-    assert tensor.block_threads(tensor.row_blocks(8, 100), 100) == 1
+    assert tensor.block_threads(tensor.row_blocks(8, 100)) == 1
+
+
+def _affinity() -> frozenset:
+    """The calling thread's CPUs; empty where threads cannot be pinned."""
+    return frozenset(os.sched_getaffinity(0)) if tensor.CPUS else frozenset()
+
+
+pinned = pytest.mark.skipif(tensor.worker_cpu() is None, reason="the worker is pinned only given two CPUs or more")
 
 
 def test_map_blocks_raises_an_error_of_either_thread(monkeypatch):
+    """An error in either slot reaches the caller, with its affinity as it
+    was before the call (narrowed during the call where the worker is
+    pinned)."""
+    monkeypatch.setattr(tensor, "blas_threads", lambda: 1)
+    before = _affinity()
     for threads in (1, 2):
         for failing in (0, 1):  # the slot whose block fails
             with _threads(monkeypatch, threads, 1):
@@ -221,30 +236,101 @@ def test_map_blocks_raises_an_error_of_either_thread(monkeypatch):
                     return b.start
 
                 with pytest.raises(ValueError, match="block"):
-                    tensor.map_blocks(fn, blocks, 1)
+                    tensor.map_blocks(fn, blocks)
+                assert _affinity() == before
                 # the worker is idle again and takes the next call's blocks
-                assert tensor.map_blocks(lambda b, slot: b.start, blocks, 1) == list(range(6))
+                assert tensor.map_blocks(lambda b, slot: b.start, blocks) == list(range(6))
+                assert _affinity() == before
+
+
+@pinned
+@pytest.mark.parametrize("blas_threads", [1, 2, None])
+def test_caller_and_worker_run_on_cpus_of_their_own_during_a_call(blas_threads, monkeypatch):
+    """The worker's blocks run on its one CPU.  The caller's run on its
+    other CPUs where the BLAS runs one thread, else on every CPU it had;
+    after the call it has its mask back."""
+    monkeypatch.setattr(tensor, "blas_threads", lambda: blas_threads)
+    cpu, before = tensor.worker_cpu(), _affinity()
+    assert cpu in before and len(before) >= 2
+    with _threads(monkeypatch, 2, 1) as slots:
+        seen = tensor.map_blocks(lambda b, slot: (slot, _affinity()), tensor.row_blocks(6, 1))
+    assert slots == {0, 1}
+    assert {mask for slot, mask in seen if slot == 0} == {before - {cpu} if blas_threads == 1 else before}
+    assert {mask for slot, mask in seen if slot == 1} == {frozenset({cpu})}
+    assert _affinity() == before
+
+
+def test_nothing_is_narrowed_with_a_single_allowed_cpu(monkeypatch):
+    """With one CPU in the process's set there is no worker CPU: both slots
+    still run blocks, and no thread's affinity is set."""
+    monkeypatch.setattr(tensor, "BLOCK_THREADS", 2)
+    monkeypatch.setattr(tensor, "blas_threads", lambda: 1)
+    blocks = tensor.row_blocks(6, tensor.BLOCK_ELEMENTS)
+    tensor.map_blocks(lambda b, slot: None, blocks)  # the worker starts, pinned as the real set allows
+    before, calls = _affinity(), []
+    monkeypatch.setattr(tensor, "CPUS", frozenset(sorted(tensor.CPUS)[:1]) or frozenset({0}))
+    monkeypatch.setattr(os, "sched_setaffinity", lambda *args: calls.append(args), raising=False)
+    assert tensor.worker_cpu() is None
+    with _threads(monkeypatch, 2, None) as slots:
+        seen = tensor.map_blocks(lambda b, slot: (slot, _affinity()), blocks)
+    assert slots == {0, 1} and calls == []
+    assert {mask for slot, mask in seen if slot == 0} == {before}
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("cpus", [{3}, {0, 3}, {0, 1, 2, 3}])
+def test_the_worker_pins_itself_to_the_last_cpu_given_two_or_more(cpus, monkeypatch):
+    """``_serve`` run on this thread, with the module's CPU set replaced and
+    the affinity call recorded: pinned to the last CPU given two or more,
+    not pinned given one."""
+    calls = []
+
+    def stop():
+        raise _Stop
+
+    monkeypatch.setattr(tensor, "CPUS", frozenset(cpus))
+    monkeypatch.setattr(os, "sched_setaffinity", lambda *args: calls.append(args), raising=False)
+    jobs = queue.SimpleQueue()
+    jobs.put(stop)
+    with pytest.raises(_Stop):
+        tensor._serve(jobs)
+    assert calls == ([] if len(cpus) == 1 else [(0, {3})])
 
 
 def test_map_blocks_runs_each_block_once_under_concurrent_callers(monkeypatch):
     """Four calling threads share the one worker, with the interpreter
     switching threads as often as it can: every call runs each of its
-    blocks exactly once and returns their results in block order."""
+    blocks exactly once and returns their results in block order.  Where
+    the worker is pinned, the callers hold different masks (two every CPU,
+    one all but the worker's CPU, one only that CPU): each caller's blocks
+    run on its own mask, less the worker's CPU where it held that and
+    another, the worker's on the worker's CPU, and each caller has its own
+    mask back after every call."""
     monkeypatch.setattr(tensor, "BLOCK_THREADS", 2)
     monkeypatch.setattr(tensor, "BLOCK_ELEMENTS", 1)
+    monkeypatch.setattr(tensor, "blas_threads", lambda: 1)
     blocks = tensor.row_blocks(50, 1)
+    cpu, full = tensor.worker_cpu(), _affinity()
+    masks = [full, full, full - {cpu}, frozenset({cpu})] if cpu is not None else [full] * 4
     wrong = []
 
     def caller(tag: int) -> None:
+        own = masks[tag]
+        if cpu is not None:
+            os.sched_setaffinity(0, own)
+        narrowed = own - {cpu} if cpu in own and len(own) >= 2 else own
         for _ in range(20):
             runs = [0] * len(blocks)
 
             def fn(b, slot):
                 runs[b.start] += 1  # each block's own entry: no two threads write one
-                return tag, b.start
+                return tag, b.start, _affinity() == (narrowed if slot == 0 or cpu is None else frozenset({cpu}))
 
-            got = tensor.map_blocks(fn, blocks, 1)
-            if runs != [1] * len(blocks) or got != [(tag, i) for i in range(len(blocks))]:
+            got = tensor.map_blocks(fn, blocks)
+            if runs != [1] * len(blocks) or got != [(tag, i, True) for i in range(len(blocks))] or _affinity() != own:
                 wrong.append(tag)
 
     interval = sys.getswitchinterval()
@@ -259,6 +345,44 @@ def test_map_blocks_runs_each_block_once_under_concurrent_callers(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in callers)
     assert wrong == []
+
+
+_CHILD_AFFINITY = """
+import json, os, subprocess, sys
+from tsgpt import tensor
+from tsgpt.datagen import SequenceBatch
+from tsgpt.model import Model, ModelConfig
+cfg = ModelConfig(layers=1, heads=2, d_q=4, d_v=4, n_inputs=1, conv_kernel=3, no_subsampler=True, seed=1)
+# 8 rows of 256 positions by 32 hidden units: two feed-forward blocks of 4 rows, run on two threads
+tensor.backward(Model(cfg).loss(SequenceBatch(values=tensor.Rng(1).normal((8, 255, 1))), train=True))
+child = subprocess.run([sys.executable, "-c", "import os; print(sorted(os.sched_getaffinity(0)))"],
+                       check=True, capture_output=True, text=True)
+print(json.dumps({"allowed": sorted(tensor.CPUS), "caller": sorted(os.sched_getaffinity(0)),
+                  "child": json.loads(child.stdout), "worker": tensor._jobs is not None,
+                  "blas_threads": tensor.blas_threads()}))
+"""
+
+
+@pinned
+def test_a_process_started_after_a_train_step_may_use_every_cpu():
+    """A train step in a fresh interpreter with a one-thread BLAS, so the
+    calling thread is narrowed during each two-thread call: afterwards it,
+    and a process it starts, may use every CPU of the process."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", _CHILD_AFFINITY], env=env, check=True, capture_output=True, text=True)
+    got = json.loads(out.stdout.strip().splitlines()[-1])
+    assert got["worker"] and got["blas_threads"] == 1 and len(got["allowed"]) >= 2
+    assert got["caller"] == got["child"] == got["allowed"]
+
+
+@pytest.mark.skipif(tensor.blas_threads() is None, reason="numpy's BLAS is not OpenBLAS")
+def test_blas_threads_reads_the_threads_openblas_was_started_with():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for threads in (1, 2):
+        env["OPENBLAS_NUM_THREADS"] = str(threads)
+        out = subprocess.run([sys.executable, "-c", "from tsgpt import tensor; print(tensor.blas_threads())"],
+                             env=env, check=True, capture_output=True, text=True)
+        assert out.stdout.strip() == str(threads)
 
 
 _TRAIN_STEPS = """

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from tsgpt import tensor
 from tsgpt.cli import main
 from tsgpt.datagen import EventCohortSpec, gen_cohort, read_signal_csv, write_cohort_jsonl, write_signal_csv
 from tsgpt.datagen import SequenceBatch
@@ -86,9 +87,11 @@ def test_pretrain_then_rerun_reproduces_artifacts_bitwise(tmp_path):
     assert manifest["peak_rss_mb"] > 0
     assert isinstance(manifest["minor_faults"], int) and manifest["minor_faults"] >= 0
     env = manifest["env"]
-    assert set(env) == {"python", "numpy", "blas", "cpu_count", "block_threads", "loadavg"}
+    assert set(env) == {"python", "numpy", "blas", "cpu_count", "block_threads", "worker_cpu", "loadavg"}
     assert env["block_threads"] in (1, 2)
-    assert env["numpy"] == np.__version__ and set(env["blas"]) == {"name", "version"}
+    assert env["worker_cpu"] == tensor.worker_cpu() and (env["worker_cpu"] is None) == (len(tensor.CPUS) < 2)
+    assert env["blas"]["threads"] == tensor.blas_threads()
+    assert env["numpy"] == np.__version__ and set(env["blas"]) == {"name", "version", "threads"}
     assert env["cpu_count"] >= 1 and len(env["loadavg"]) == 3
     assert json.loads((sig / "manifest.json").read_text())["peak_rss_mb"] > 0
     out2 = pretrain_dir(tmp_path, sig / "signal.ndar")

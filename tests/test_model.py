@@ -476,22 +476,16 @@ def test_backward_frees_every_swept_node_and_keeps_param_grads(irregular):
     assert_grads_own_memory(params)
 
 
-def test_train_forward_allocates_only_what_its_tape_keeps(monkeypatch):
-    """Every full-size kernel of a train forward allocates only the arrays it
-    returns or keeps, and the fused sublayers make their other arrays one
-    block of batch rows at a time, so the traced peak exceeds what the
-    finished tape holds by at most one block's temporaries.  The
-    feed-forward runs last and has the widest blocks: beside its hidden
-    activation and sigmoid (at most ``BLOCK_ELEMENTS`` elements each per
-    block) live the layer norm's output and centred input, each a quarter
-    of that: 2.5 blocks in all, bounded here by 3.  The whole batch's
-    hidden activation is 8 blocks.  (This is the feed-forward that
-    recomputes its activation, as batches above ``FFN_KEEP_ELEMENTS`` do.)"""
+def _train_forward_memory(monkeypatch, threads: int) -> tuple:
+    """Traced bytes (at the start, held after, peak) of a second train
+    forward whose feed-forward recomputes its activation, as batches above
+    ``FFN_KEEP_ELEMENTS`` do, on ``threads`` threads."""
     monkeypatch.setattr(tm, "FFN_KEEP_ELEMENTS", 0)
+    monkeypatch.setattr(tensor, "BLOCK_THREADS", threads)
     m = Model(tiny_cfg(layers=1, n_inputs=1, conv_kernel=3, no_subsampler=True))
     batch = SequenceBatch(values=Rng(1).normal((8, 510, 1)))  # 511 positions x 64 hidden fit one block
     assert 511 * 64 <= BLOCK_ELEMENTS < 2 * 511 * 64
-    m.loss(batch, train=True)  # first-pass set-up (running statistics) off the trace
+    m.loss(batch, train=True)  # first-pass set-up (running statistics) and the worker's start off the trace
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -500,8 +494,32 @@ def test_train_forward_allocates_only_what_its_tape_keeps(monkeypatch):
     finally:
         tracemalloc.stop()
     assert loss._backward is not None
+    return base, held, peak
+
+
+def test_train_forward_allocates_only_what_its_tape_keeps(monkeypatch):
+    """Every full-size kernel of a train forward allocates only the arrays it
+    returns or keeps, and the fused sublayers make their other arrays one
+    block of batch rows at a time, so on one thread the traced peak exceeds
+    what the finished tape holds by at most one block's temporaries.  The
+    feed-forward runs last and has the widest blocks: beside its hidden
+    activation and sigmoid (at most ``BLOCK_ELEMENTS`` elements each per
+    block) live the layer norm's output and centred input, each a quarter
+    of that: 2.5 blocks in all, bounded here by 3.  The whole batch's
+    hidden activation is 8 blocks."""
+    base, held, peak = _train_forward_memory(monkeypatch, 1)
     assert held - base > 16 * BLOCK_ELEMENTS * 8
     assert peak - held <= 3 * BLOCK_ELEMENTS * 8
+
+
+def test_train_forward_on_two_threads_allocates_one_block_more_per_thread(monkeypatch):
+    """As above with the worker: its blocks add their own temporaries (3
+    blocks), and the one ufunc buffer of numpy's and the hand-off's few
+    small objects that its calls borrow.  100 two-thread forwards peaked at
+    3.7 blocks above what the tape holds."""
+    base, held, peak = _train_forward_memory(monkeypatch, 2)
+    assert held - base > 16 * BLOCK_ELEMENTS * 8
+    assert peak - held <= 2 * 3 * BLOCK_ELEMENTS * 8 + 8 * np.getbufsize() + 4096
 
 
 def test_train_forward_at_the_long_pretraining_shape_keeps_at_most_60_mib():
