@@ -8,7 +8,8 @@ script runs once per tree in a fresh interpreter, with ``tsgpt`` imported
 from that tree's ``src/``, and writes every array below to an ``.npz``
 file.  The two files are compared array by array: the script prints how
 many arrays are bitwise equal and the first one that differs, and exits 0
-only when every array is equal.
+only when every array is equal.  It also prints the line count of each
+``src/tsgpt`` module in both trees and the change in the total.
 
 What is compared, for ``extrapolation_model``, its vanilla variant and
 ``irregular_model``: the loss and every gradient of three Adam steps and
@@ -171,6 +172,20 @@ def compare(a_path: Path, b_path: Path) -> int:
     return 0
 
 
+def line_counts(src: Path) -> dict[str, int]:
+    """Lines of each module of ``src/tsgpt``, by file name."""
+    return {p.name: len(p.read_text().splitlines()) for p in sorted((src / "tsgpt").glob("*.py"))}
+
+
+def print_line_counts(base: dict[str, int], this: dict[str, int]) -> None:
+    print(f"{'src/tsgpt':16s} {'base':>6s} {'this':>6s} {'change':>7s}")
+    for name in sorted(set(base) | set(this)):
+        a, b = base.get(name, 0), this.get(name, 0)
+        print(f"{name:16s} {a:6d} {b:6d} {b - a:+7d}")
+    a, b = sum(base.values()), sum(this.values())
+    print(f"{'total':16s} {a:6d} {b:6d} {b - a:+7d}")
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("rev", nargs="?", default="HEAD", help="git revision to compare this checkout against")
@@ -186,6 +201,7 @@ def main() -> int:
                                  check=True, capture_output=True).stdout
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp / "base", filter="data")
+        print_line_counts(line_counts(tmp / "base" / "src"), line_counts(REPO / "src"))
         _run_dump(tmp / "base" / "src", tmp / "base.npz")
         _run_dump(REPO / "src", tmp / "this.npz")
         return compare(tmp / "base.npz", tmp / "this.npz")

@@ -80,7 +80,7 @@ def _run_once(mechanism: str, q, k, v, gamma, chunk_size: int) -> None:
     if mechanism == "parallel":
         retention_parallel(Tensor(q), Tensor(k), Tensor(v), DecayMask.build(gamma, length=L))
     elif mechanism == "recurrent":
-        retention_recurrent(Tensor(q), Tensor(k), Tensor(v), None, gamma)
+        retention_recurrent(q, k, v, None, gamma)
     elif mechanism == "chunkwise":
         retention_chunkwise(Tensor(q), Tensor(k), Tensor(v), ChunkPlan.build(np.arange(L), gamma, chunk_size))
     elif mechanism == "attention":

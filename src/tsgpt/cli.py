@@ -549,9 +549,9 @@ def cmd_selftest(args) -> int:
     q, k, v = (rng.normal((2, 12, 4)) for _ in range(3))
     ts = np.cumsum(rng.integers(1, 5, (12,))).astype(np.int64)
     par = retention_parallel(Tensor(q), Tensor(k), Tensor(v), DecayMask.build(0.9, timestamps=ts)).value
-    rec, _ = retention_recurrent(Tensor(q), Tensor(k), Tensor(v), ts, 0.9)
+    rec, _ = retention_recurrent(q, k, v, ts, 0.9)
     chk, _ = retention_chunkwise(Tensor(q), Tensor(k), Tensor(v), ChunkPlan.build(ts, 0.9, 5))
-    checks.append(("retention-three-form-equivalence", float(max(np.max(np.abs(par - rec.value)), np.max(np.abs(par - chk.value)))) < 1e-9))
+    checks.append(("retention-three-form-equivalence", float(max(np.max(np.abs(par - rec)), np.max(np.abs(par - chk.value)))) < 1e-9))
 
     # irregular reduction is bitwise
     checks.append((

@@ -74,8 +74,7 @@ class ConvSubsampler:
     def named_params(self) -> list[tuple[str, Tensor]]:
         return [("w1", self.w1), ("b1", self.b1), ("w2", self.w2), ("b2", self.b2)]
 
-    def forward(self, x) -> Tensor:
-        x = x if isinstance(x, Tensor) else Tensor(x)
+    def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 3:
             raise InputError(f"subsampler expects [batch, L, V], got {x.shape}")
         if x.shape[1] < 4:
@@ -114,7 +113,7 @@ class TemporalConvModule:
             ("bn_bias", self.bn_bias),
         ]
 
-    def forward(self, x, train: bool, valid: np.ndarray | None = None, capture: dict | None = None) -> Tensor:
+    def forward(self, x: Tensor, train: bool, valid: np.ndarray | None = None, capture: dict | None = None) -> Tensor:
         """Residual block as one tape node, bitwise the six-op composite.
         Train mode normalizes by the batch statistics (positions weighted by
         ``valid``) and folds them into the running ones.  ``capture`` receives
@@ -125,7 +124,6 @@ class TemporalConvModule:
         layer norm); under :func:`no_grad` only the output spans the batch.
         Blocks run on up to two threads (:func:`~tsgpt.tensor.map_blocks`),
         each with its own block-sized scratch, allocated here."""
-        x = x if isinstance(x, Tensor) else Tensor(x)
         xv, params = x.value, self.named_params()
         gl, bl, wd, wp, gb, bb = (p.value for _, p in params)
         B, L, d = xv.shape

@@ -28,9 +28,10 @@ class SequenceBatch:
     """A batch of sequences: values [B, T, V] plus optional extras.
 
     ``timestamps`` [B, T] are strictly increasing integers per row (set for
-    irregularly sampled data).  ``codes`` carries integer event codes when
-    values are their one-hot encoding.  ``valid`` flags real (non-padding)
-    positions; ``labels`` are per-sequence targets.
+    irregularly sampled data).  ``codes`` [B, T] carries integer event codes
+    >= 0 when values are their one-hot encoding.  ``valid`` [B, T] flags
+    real (non-padding) positions; ``labels`` [B] are per-sequence targets.
+    Anything else raises InputError, here and on every :meth:`take`.
     """
 
     values: Array
@@ -43,14 +44,21 @@ class SequenceBatch:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 3:
             raise InputError(f"values must be [B, T, V], got {self.values.shape}")
+        rows = self.values.shape[:2]
         if self.timestamps is not None:
-            self.timestamps = np.asarray(self.timestamps, dtype=np.int64)
-            if self.timestamps.shape != self.values.shape[:2]:
-                raise InputError(
-                    f"timestamps shape {self.timestamps.shape} != values lead {self.values.shape[:2]}"
-                )
+            self.timestamps = _per_position("timestamps", self.timestamps, rows, integer=True)
             if self.timestamps.shape[1] > 1 and np.any(np.diff(self.timestamps, axis=1) <= 0):
                 raise InputError("timestamps must be strictly increasing per sequence")
+        if self.codes is not None:
+            self.codes = _per_position("codes", self.codes, rows, integer=True)
+            if self.codes.size and self.codes.min() < 0:
+                raise InputError(f"codes must be >= 0, got {self.codes.min()}")
+        if self.valid is not None:
+            self.valid = _per_position("valid", self.valid, rows, integer=False)
+        if self.labels is not None:
+            self.labels = np.asarray(self.labels)
+            if self.labels.shape != rows[:1]:
+                raise InputError(f"labels must be [B] = {rows[:1]}, got shape {self.labels.shape}")
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -65,6 +73,17 @@ class SequenceBatch:
             valid=pick(self.valid),
             labels=pick(self.labels),
         )
+
+
+def _per_position(name: str, a, rows: tuple[int, int], integer: bool) -> Array:
+    """``a`` as an array of shape ``rows`` ([B, T]), int64 when ``integer``
+    (which an integer dtype must then be); else InputError."""
+    a = np.asarray(a)
+    if integer and not np.issubdtype(a.dtype, np.integer):
+        raise InputError(f"{name} must have an integer dtype, got {a.dtype}")
+    if a.shape != rows:
+        raise InputError(f"{name} must be [B, T] = {rows}, got shape {a.shape}")
+    return a.astype(np.int64, copy=False) if integer else a
 
 
 # ---------------------------------------------------------------------------

@@ -17,31 +17,29 @@ the start token and the input projection are one :func:`embed` node, q,
 k and v are one :func:`~tsgpt.positional.project_heads` node each, the
 head merge, norm, output projection and residual after the retention
 kernel are one :func:`retention_output` node, and the pre-norm
-feed-forward with its residual is one :func:`feed_forward` node.  Their
-backwards recompute what they need (the feed-forward only above a size),
-one block of whole batch rows at a time, on the calling thread and one
-worker (:func:`~tsgpt.tensor.map_blocks`); the retention kernel between
-them runs on the whole batch, on the calling thread.  No block splits a
-row, so each row's outputs are bitwise the same in any batch and on any
-number of threads.
+feed-forward with its residual is one :func:`feed_forward` node.  Like
+every fused node they take ``Tensor`` operands only.  Their backwards
+recompute what they need (the feed-forward only above a size), one block
+of whole batch rows at a time, on the calling thread and one worker
+(:func:`~tsgpt.tensor.map_blocks`); the retention kernel between them runs
+on the whole batch, on the calling thread.  No block splits a row, so each
+row's outputs are bitwise the same in any batch and on any number of
+threads.
 
-Sequences always run through chunk-wise retention.  What the layers read
-of the positions (the cos/sin rotation tables and the chunk-wise decay
-masks and rows, :class:`Geometry`) depends on the positions and gammas
-alone, so :meth:`Model.encode` builds it once and every layer reads it; it
-lives as long as that encode's graph.  One-token continuation
-(:meth:`DecoderLayer.step`, the decode step of :meth:`Model.generate`) runs
-the recurrent form on plain numpy arrays: the same float operations, in
-the same order, as the Tensor ops, with no ``Tensor`` built per layer.
-What is fixed for one ``generate`` call (parameter arrays, the stacked
+Sequences run through chunk-wise retention; ``form="parallel"`` on
+:meth:`Model.encode`, :meth:`Model.forward` and :meth:`Model.pretrain_loss`
+selects the parallel reference for equivalence checks.  What the layers
+read of the positions (:class:`Geometry`) depends on the positions and
+gammas alone, so :meth:`Model.encode` builds it once and every layer reads
+it; it lives as long as that encode's graph.  The recurrent form is the
+one-token decode step (:meth:`DecoderLayer.step`), on plain numpy arrays:
+the same float operations, in the same order, as the Tensor ops.  What is
+fixed for one :meth:`Model.generate` call (parameter arrays, the stacked
 q|k|v weight, rotation rows, decay and batch-norm factors) is computed once
 per call into a decode plan (:class:`LayerDecode`), never cached across
-calls: training between two calls would leave a cached plan stale.  The
-parallel form is kept as a reference: ``form="parallel"`` on
-:meth:`Model.encode`, :meth:`Model.forward` and :meth:`Model.pretrain_loss`
-selects it for equivalence checks.  Eval passes (``train=False``) and
-:meth:`Model.generate` run under :func:`~tsgpt.tensor.no_grad`: they record
-no autodiff tape.
+calls: training between two calls would leave a cached plan stale.  Eval
+passes (``train=False``) and :meth:`Model.generate` run under
+:func:`~tsgpt.tensor.no_grad`: they record no autodiff tape.
 """
 
 from __future__ import annotations
@@ -59,21 +57,14 @@ from .convolution import ConvDecode, ConvSubsampler, TemporalConvModule, _unifor
 from .datagen import SequenceBatch
 from .errors import CheckpointError, ConfigError, DataError, InputError, ShapeError, TaskError
 from .positional import RotaryAngles, default_gammas, project_heads, rotate_array, rotation_tables, xpos_qk
-from .retention import (
-    ChunkPlan,
-    DecayMask,
-    _decay_factor,
-    retention_chunkwise,
-    retention_parallel,
-    retention_recurrent,
-)
+from .retention import ChunkPlan, DecayMask, _decay_factor, retention_chunkwise, retention_parallel
+from .retention import retention_recurrent  # noqa: F401  the benchmark patches and looks up the kernels here
 from .tensor import (
     Rng,
     Tensor,
     _accum,
     _sigmoid,
     _unbroadcast,
-    _val,
     add_partials,
     layer_norm,
     layer_norm_array,
@@ -102,7 +93,7 @@ FFN_EXPANSION = 4  # feed-forward width per model width
 # whole batch's has at most this many elements (4 MB), where recomputing it
 # costs more time than keeping it costs memory; larger batches recompute it.
 FFN_KEEP_ELEMENTS = 1 << 19
-RETENTION_FORMS = ("chunkwise", "recurrent", "parallel")
+RETENTION_FORMS = ("chunkwise", "parallel")
 
 
 def _untaped_in_eval(method):
@@ -191,16 +182,13 @@ class Geometry:
     rotation tables (None under ``no_rotation``); ``decay`` is the retention
     form's decay geometry: a :class:`~tsgpt.retention.ChunkPlan` for the
     chunk-wise form, the full :class:`~tsgpt.retention.DecayMask` for the
-    parallel reference, None for the recurrent reference, which reads
-    ``positions`` and ``gammas``.  When every head has the same gamma, the
-    decay geometry is built for that one gamma: its masks have one head
-    plane, which broadcasts over the heads."""
+    parallel reference.  When every head has the same gamma, the decay
+    geometry is built for that one gamma: its masks have one head plane,
+    which broadcasts over the heads."""
 
     form: str
-    positions: np.ndarray
-    gammas: np.ndarray
     tables: tuple[np.ndarray, np.ndarray] | None
-    decay: ChunkPlan | DecayMask | None
+    decay: ChunkPlan | DecayMask
 
     @classmethod
     def build(cls, cfg: ModelConfig, positions: np.ndarray, form: str | None = None) -> "Geometry":
@@ -215,22 +203,22 @@ class Geometry:
         if not cfg.no_rotation:
             cos, sin = rotation_tables(positions, RotaryAngles(cfg.d_q))
             tables = (cos, sin) if positions.ndim == 1 else (cos[:, None], sin[:, None])  # room for the head axis
-        gammas, decay = cfg.gammas, None
+        gammas = cfg.gammas
         shared = gammas[0] if np.all(gammas == gammas[0]) else gammas
         if form == "chunkwise":
             decay = ChunkPlan.build(positions, shared, cfg.chunk_size)
-        elif form == "parallel":
+        else:
             decay = DecayMask.build(shared, timestamps=positions)
-        return cls(form, positions, gammas, tables, decay)
+        return cls(form, tables, decay)
 
 
-def embed(feats, w_in, b_in, sos) -> Tensor:
+def embed(feats: Tensor, w_in: Tensor, b_in: Tensor, sos: Tensor) -> Tensor:
     """The start token ``sos`` [1, 1, d] followed by ``feats @ w_in + b_in``
     (feats [B, L, V]): [B, L+1, d] as one tape node that keeps only its
     inputs.  Value and gradients are bitwise those of the start token
     broadcast to [B, 1, d] and concatenated with :func:`linear`: the same
     products, the bias added in place, and the same sums over the batch."""
-    fv, wv, bv, sv = (_val(t) for t in (feats, w_in, b_in, sos))
+    fv, wv, bv, sv = feats.value, w_in.value, b_in.value, sos.value
     B, L, _ = fv.shape
     out = np.empty((B, L + 1, wv.shape[-1]))
     out[:, :1] = sv
@@ -240,19 +228,15 @@ def embed(feats, w_in, b_in, sos) -> Tensor:
 
     def back(g):
         g_emb = g[:, 1:]
-        if isinstance(feats, Tensor):
-            _accum(feats, g_emb @ wv.T, own=True)
-        if isinstance(w_in, Tensor):
-            _accum(w_in, _unbroadcast(np.swapaxes(fv, -1, -2) @ g_emb, wv.shape), own=True)
-        if isinstance(b_in, Tensor):
-            _accum(b_in, _unbroadcast(g_emb, bv.shape))
-        if isinstance(sos, Tensor):
-            _accum(sos, _unbroadcast(g[:, :1], sv.shape))
+        _accum(feats, g_emb @ wv.T, own=True)
+        _accum(w_in, _unbroadcast(np.swapaxes(fv, -1, -2) @ g_emb, wv.shape), own=True)
+        _accum(b_in, _unbroadcast(g_emb, bv.shape))
+        _accum(sos, _unbroadcast(g[:, :1], sv.shape))
 
-    return Tensor(out, tuple(t for t in (feats, w_in, b_in, sos) if isinstance(t, Tensor)), back)
+    return Tensor(out, (feats, w_in, b_in, sos), back)
 
 
-def retention_output(ret, gain, bias, w_o, b_o, residual) -> Tensor:
+def retention_output(ret: Tensor, gain: Tensor, bias: Tensor, w_o: Tensor, b_o: Tensor, residual: Tensor) -> Tensor:
     """``residual + linear(layer_norm(merged heads of ret, gain, bias), w_o,
     b_o)`` as one tape node.
 
@@ -262,13 +246,13 @@ def retention_output(ret, gain, bias, w_o, b_o, residual) -> Tensor:
     their layer norm.  Both directions run one block of whole batch rows at
     a time (:func:`~tsgpt.tensor.map_blocks`).
     """
-    rv, gv, bv, wv, ov = (_val(t) for t in (ret, gain, bias, w_o, b_o))
+    rv, gv, bv, wv, ov = (t.value for t in (ret, gain, bias, w_o, b_o))
     if rv.shape[-3] * rv.shape[-1] != wv.shape[0]:
         raise ShapeError(f"retention_output: merged heads of {rv.shape} do not match w_o {wv.shape}")
     r4 = rv.reshape((-1,) + rv.shape[-3:])
     N, h, L, dv = r4.shape
     width, d = h * dv, wv.shape[-1]
-    res = _val(residual).reshape((N, L, d))
+    res = residual.value.reshape((N, L, d))
     row = L * max(width, d)
     blocks = row_blocks(N, row)
     out = np.empty((N, L, d))
@@ -298,16 +282,13 @@ def retention_output(ret, gain, bias, w_o, b_o, residual) -> Tensor:
 
         add_partials(sums, map_blocks(grads, blocks))
         for t, gt in ((gain, g_g), (bias, g_b), (w_o, g_w), (b_o, g_o), (ret, g_r.reshape(rv.shape))):
-            if isinstance(t, Tensor):
-                _accum(t, gt, own=True)
-        if isinstance(residual, Tensor):  # the last reader of g, so it may adopt it
-            _accum(residual, g, own=True)
+            _accum(t, gt, own=True)
+        _accum(residual, g, own=True)  # the last reader of g, so it may adopt it
 
-    parents = tuple(t for t in (ret, gain, bias, w_o, b_o, residual) if isinstance(t, Tensor))
-    return Tensor(out.reshape(rv.shape[:-3] + (L, d)), parents, back)
+    return Tensor(out.reshape(rv.shape[:-3] + (L, d)), (ret, gain, bias, w_o, b_o, residual), back)
 
 
-def feed_forward(x, ln_gain, ln_bias, w1, b1, w2, b2) -> Tensor:
+def feed_forward(x: Tensor, ln_gain: Tensor, ln_bias: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """``x + linear(swish(linear(layer_norm(x, ln_gain, ln_bias), w1, b1)),
     w2, b2)`` as one tape node, bitwise the five-node composite.
 
@@ -319,9 +300,9 @@ def feed_forward(x, ln_gain, ln_bias, w1, b1, w2, b2) -> Tensor:
     and the forward runs on the calling thread alone, since no array the
     node keeps may be made on the worker.
     """
-    xv = _val(x)
+    xv = x.value
     params = (ln_gain, ln_bias, w1, b1, w2, b2)
-    gl, bl, w1v, b1v, w2v, b2v = (_val(p) for p in params)
+    gl, bl, w1v, b1v, w2v, b2v = (p.value for p in params)
     L, d = xv.shape[-2:]
     f = w1v.shape[-1]
     x3 = xv.reshape((-1, L, d))
@@ -370,13 +351,10 @@ def feed_forward(x, ln_gain, ln_bias, w1, b1, w2, b2) -> Tensor:
 
         add_partials(sums, map_blocks(grads, blocks))
         for p, gp in zip(params, sums):
-            if isinstance(p, Tensor):
-                _accum(p, gp, own=True)
-        if isinstance(x, Tensor):
-            _accum(x, g, own=True)
+            _accum(p, gp, own=True)
+        _accum(x, g, own=True)
 
-    parents = tuple(t for t in (x,) + params if isinstance(t, Tensor))
-    return Tensor(out.reshape(xv.shape), parents, back)
+    return Tensor(out.reshape(xv.shape), (x,) + params, back)
 
 
 class DecoderLayer:
@@ -434,19 +412,17 @@ class DecoderLayer:
 
         Rotary q/k and v are one :func:`project_heads` node each, rotated by
         ``geo``'s tables; retention runs on the whole batch in ``geo``'s
-        form (chunk-wise, or the "recurrent" or "parallel" reference) on its
-        decay geometry; head merge, layer norm, output projection and the
-        residual add are one :func:`retention_output` node.  Returns (out
-        [..., L, d_model], the retention state after the last token, None
-        under the parallel form).
+        form (chunk-wise, or the parallel reference) on its decay geometry;
+        head merge, layer norm, output projection and the residual add are
+        one :func:`retention_output` node.  Returns (out [..., L, d_model],
+        the retention state after the last token, None under the parallel
+        form).
         """
         cfg = self.cfg
         q, k = xpos_qk(h, self.w_q, self.w_k, geo.tables, cfg.heads)
         v = project_heads(h, self.w_v, cfg.heads)
         if geo.form == "chunkwise":
             out, state = retention_chunkwise(q, k, v, geo.decay)
-        elif geo.form == "recurrent":
-            out, state = retention_recurrent(q, k, v, geo.positions, geo.gammas)
         else:
             out, state = retention_parallel(q, k, v, geo.decay), None
         return retention_output(out, self.ret_gain, self.ret_bias, self.w_o, self.b_o, x), state
@@ -636,8 +612,8 @@ class Model:
     ):
         """Hidden states [B, L+1, d_model]: position 0 is the start token.
 
-        ``form`` None runs chunk-wise retention; "parallel" or "recurrent"
-        selects a reference form.  The layers share one :class:`Geometry`
+        ``form`` None runs chunk-wise retention; "parallel" selects the
+        reference form.  The layers share one :class:`Geometry`
         of the positions.  ``want_states`` also returns each layer's
         retention state and the positions, for continuation.
         """
@@ -684,10 +660,9 @@ class Model:
         if n_tokens < 2:
             raise InputError(f"need at least 2 tokens for next-token training, got {n_tokens}")
         if self.cfg.discrete:
-            if batch.codes is None:
-                raise InputError("discrete pretraining needs integer codes in the batch")
+            codes = _class_indices(batch.codes, self.cfg.n_inputs, "codes")
             logp = log_softmax(preds)
-            onehot = np.eye(self.cfg.n_inputs)[np.asarray(batch.codes, dtype=np.int64)]
+            onehot = np.eye(self.cfg.n_inputs)[codes]
             tok_ll = tsum(mul(logp, onehot), axis=-1)  # [B, L]
             if batch.valid is not None:
                 w = np.asarray(batch.valid, dtype=np.float64)
@@ -724,9 +699,10 @@ class Model:
 
     @_untaped_in_eval
     def classification_loss(self, batch: SequenceBatch, *, train: bool = True) -> Tensor:
+        labels = _class_indices(batch.labels, self.cfg.n_classes, "labels")
         logits = self.classify_logits(batch, train=train)
         logp = log_softmax(logits)
-        onehot = np.eye(self.cfg.n_classes)[np.asarray(batch.labels, dtype=np.int64)]
+        onehot = np.eye(self.cfg.n_classes)[labels]
         return tmean(tsum(mul(logp, mul(onehot, -1.0)), axis=-1))
 
     @_untaped_in_eval
@@ -737,6 +713,8 @@ class Model:
 
     @_untaped_in_eval
     def regression_loss(self, batch: SequenceBatch, *, train: bool = True) -> Tensor:
+        if batch.labels is None:
+            raise InputError("the batch has no labels")
         out = self.regression_output(batch, train=train)
         err = sub(out, np.asarray(batch.labels, dtype=np.float64)[:, None])
         return tmean(mul(err, err))
@@ -757,8 +735,9 @@ class Model:
         The prompt is encoded chunk-wise once.  Each emitted token then
         takes one recurrent :meth:`DecoderLayer.step` per layer on plain
         numpy arrays, carrying the retention states and the depth-wise
-        windows: O(1) per token, and no ``Tensor`` but the head's, which
-        every token leaves through ``self._head``.  The outputs are bitwise
+        windows: O(1) per token, and no ``Tensor`` but the head's input and
+        output, since every token leaves through ``self._head``, a fused
+        node that takes a ``Tensor``.  The outputs are bitwise
         those of the same recurrence run through the Tensor ops.
 
         After the first token, the call builds its decode plan (one
@@ -788,7 +767,7 @@ class Model:
             h += b_in
             for layer, plan in zip(self.layers, plans):
                 h = layer.step(h, plan, cos, sin)
-            preds.append(self._head(h).value)
+            preds.append(self._head(Tensor(h)).value)
         return np.concatenate(preds, axis=1)
 
     def _rotation_rows(self, first: int, n: int):
@@ -884,6 +863,18 @@ class Model:
             p.value = mine[name].value.copy()
         out.set_norm_stats(self.named_norm_stats())
         return out
+
+
+def _class_indices(targets, n: int, what: str) -> np.ndarray:
+    """``targets`` as int64 row indices of ``np.eye(n)``: each must be an
+    integer in [0, n), since numpy would read -1 as row n-1; else
+    InputError."""
+    if targets is None:
+        raise InputError(f"the batch has no {what}")
+    idx = np.asarray(targets).astype(np.int64)
+    if np.any(idx != targets) or idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise InputError(f"{what} must be integers in [0, {n}) for this head")
+    return idx
 
 
 def pooled_tokens(values: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .tensor import Tensor, _accum, _check_matmul, _val, add_partials, as_f64, map_blocks, row_blocks, weight_grad
+from .tensor import Tensor, _accum, _check_matmul, add_partials, as_f64, map_blocks, row_blocks, weight_grad
 
 Array = np.ndarray
 
@@ -71,7 +71,7 @@ def rotate_array(x: Array, cos: Array, sin: Array, out: Array | None = None) -> 
     return res.reshape(x.shape)
 
 
-def xpos_qk(x, w_q, w_k, tables: tuple[Array, Array] | None, heads: int) -> tuple[Tensor, Tensor]:
+def xpos_qk(x: Tensor, w_q: Tensor, w_k: Tensor, tables: tuple[Array, Array] | None, heads: int) -> tuple[Tensor, Tensor]:
     """Project to per-head queries/keys and apply the positional rotation.
 
     x: [..., L, d_model] with d_model = heads * head_dim; w_q, w_k:
@@ -84,7 +84,7 @@ def xpos_qk(x, w_q, w_k, tables: tuple[Array, Array] | None, heads: int) -> tupl
     product itself, which is what makes the product depend on n - m only.
     No decay is applied here: the retention stage applies it.
     """
-    width = _val(w_q).shape[-1]
+    width = w_q.shape[-1]
     if width % heads != 0:
         raise ConfigError(f"xpos_qk: projection width {width} not divisible by {heads} heads")
     cos, sin = (None, None) if tables is None else tables
@@ -93,7 +93,7 @@ def xpos_qk(x, w_q, w_k, tables: tuple[Array, Array] | None, heads: int) -> tupl
     return project_heads(x, w_q, heads, cos, sin), project_heads(x, w_k, heads, cos, sin)
 
 
-def project_heads(x, w, heads: int, cos: Array | None = None, sin: Array | None = None) -> Tensor:
+def project_heads(x: Tensor, w: Tensor, heads: int, cos: Array | None = None, sin: Array | None = None) -> Tensor:
     """``x @ w`` split into heads, [..., L, heads*dh] -> [..., heads, L, dh],
     then, when the tables are given, rotated by ``cos``/``sin``
     (:func:`rotation_tables` of the positions: [L, dh/2], or [B, 1, L, dh/2]
@@ -106,7 +106,7 @@ def project_heads(x, w, heads: int, cos: Array | None = None, sin: Array | None 
     run one block of whole batch rows at a time
     (:func:`~tsgpt.tensor.map_blocks`).
     """
-    xv, wv = _val(x), _val(w)
+    xv, wv = x.value, w.value
     _check_matmul(xv, wv, "project_heads")
     L, d = xv.shape[-2:]
     n = wv.shape[-1]
@@ -129,22 +129,17 @@ def project_heads(x, w, heads: int, cos: Array | None = None, sin: Array | None 
 
     def back(g):
         g4 = g.reshape((N, heads, L, dh))
-        gx = np.empty_like(x3) if isinstance(x, Tensor) else None
-        gw = np.zeros_like(wv) if isinstance(w, Tensor) else None
+        gx, gw = np.empty_like(x3), np.zeros_like(wv)
         neg_sin = None if sin is None else -sin
 
         def grads(b: slice, _slot: int) -> tuple:
             gb = g4[b] if cos is None else rotate_array(g4[b], table(cos, b), table(neg_sin, b))
             gp = gb.swapaxes(1, 2).reshape((-1, L, n))
-            if gx is not None:
-                np.matmul(gp, wv.T, out=gx[b])
-            return () if gw is None else (weight_grad(x3[b], gp),)
+            np.matmul(gp, wv.T, out=gx[b])
+            return (weight_grad(x3[b], gp),)
 
         add_partials((gw,), map_blocks(grads, blocks))
-        if gx is not None:
-            _accum(x, gx.reshape(xv.shape), own=True)
-        if gw is not None:
-            _accum(w, gw, own=True)
+        _accum(x, gx.reshape(xv.shape), own=True)
+        _accum(w, gw, own=True)
 
-    parents = tuple(t for t in (x, w) if isinstance(t, Tensor))
-    return Tensor(out.reshape(xv.shape[:-2] + out.shape[1:]), parents, back)
+    return Tensor(out.reshape(xv.shape[:-2] + out.shape[1:]), (x, w), back)

@@ -4,17 +4,19 @@ All three forms compute, per head and per step n,
 
     out_n = sum_{m <= n} gamma^(t_n - t_m) (q_n . k_m) v_m
 
-where t are integer timestamps (t_n = n for regularly sampled data).  The
-chunk-wise form is the one the model runs on whole sequences: parallel
+where t are integer timestamps (t_n = n for regularly sampled data).
+
+The chunk-wise form is the one the model runs on whole sequences: parallel
 intra-chunk work plus a recurrent inter-chunk state, recorded as one tape
-node with an analytic backward (the reverse chunk recurrence of GLA, Yang
-et al. arXiv 2312.06635 §4, and RetNet's chunk-wise form).  The recurrent form
-carries a d_k x d_v state one step at a time; the model's one-token decode
-step (``DecoderLayer.step``) runs its update on plain arrays.  The parallel
-form materializes the full decay matrix D and is kept as the reference the
-other two are checked against.  The chunk-wise and recurrent forms start
-from a zero state and return the state after their last token as a plain
-array on no tape, which the decode step carries on.
+node over ``Tensor`` q, k and v with an analytic backward (the reverse
+chunk recurrence of GLA, Yang et al. arXiv 2312.06635 §4, and RetNet's
+chunk-wise form).  The parallel form materializes the full decay matrix D
+through generic tape ops and is the reference the model runs on request.
+The recurrent form carries a d_k x d_v state one step at a time on plain
+arrays and records no tape: a forward-only oracle, whose update the
+model's decode step (``DecoderLayer.step``) runs.  The chunk-wise and
+recurrent forms start from a zero state and return the state after their
+last token as a plain array.
 
 The chunk-wise kernel builds no geometry: it reads a :class:`ChunkPlan`,
 which holds each chunk's decay mask and decay rows and depends on the
@@ -42,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .tensor import Tensor, _accum, _unbroadcast, _val, add, as_f64, concat, matmul, mul, swapaxes
+from .tensor import Tensor, _accum, _unbroadcast, as_f64, matmul, mul, swapaxes
 
 Array = np.ndarray
 
@@ -184,11 +186,8 @@ class ChunkPlan:
         return cls(L, tuple(chunks))
 
 
-def retention_parallel(q, k, v, mask: DecayMask) -> Tensor:
+def retention_parallel(q: Tensor, k: Tensor, v: Tensor, mask: DecayMask) -> Tensor:
     """(q k^T elementwise-decayed) v over a full sequence."""
-    q = q if isinstance(q, Tensor) else Tensor(q)
-    k = k if isinstance(k, Tensor) else Tensor(k)
-    v = v if isinstance(v, Tensor) else Tensor(v)
     L = q.shape[-2]
     if mask.length != L:
         raise InputError(f"decay mask built for length {mask.length}, sequence has {L}")
@@ -198,35 +197,32 @@ def retention_parallel(q, k, v, mask: DecayMask) -> Tensor:
     return matmul(mul(scores, mask.matrix), v)
 
 
-def retention_recurrent(q, k, v, timestamps, gamma) -> tuple[Tensor, Array]:
-    """Step-by-step form: s_n = gamma^dt s_(n-1) + k_n^T v_n, out_n = q_n s_n.
+def retention_recurrent(q, k, v, timestamps, gamma) -> tuple[Array, Array]:
+    """Step-by-step form on plain arrays, recording no tape:
+    s_n = gamma^dt s_(n-1) + k_n^T v_n, out_n = q_n s_n.
 
     Returns (out, s): s is the state after the last token, the running
-    per-head summary sum_m gamma^(t_last - t_m) k_m^T v_m as a plain array.
+    per-head summary sum_m gamma^(t_last - t_m) k_m^T v_m.
     """
-    q = q if isinstance(q, Tensor) else Tensor(q)
-    k = k if isinstance(k, Tensor) else Tensor(k)
-    v = v if isinstance(v, Tensor) else Tensor(v)
+    q, k, v = as_f64(q), as_f64(k), as_f64(v)
     L = q.shape[-2]
     t = np.arange(L, dtype=np.int64) if timestamps is None else _check_timestamps(timestamps)
     if t.shape[-1] != L:
         raise InputError(f"timestamps length {t.shape[-1]} != sequence length {L}")
 
-    s = Tensor(np.zeros(q.shape[:-2] + (q.shape[-1], v.shape[-1])))
+    s = np.zeros(q.shape[:-2] + (q.shape[-1], v.shape[-1]))
     last_t = t[..., 0]
     outs = []
     for n in range(L):
         t_n = t[..., n]
-        k_n = k[..., n : n + 1, :]
-        v_n = v[..., n : n + 1, :]
-        s = add(mul(s, _decay_factor(gamma, t_n - last_t)), matmul(swapaxes(k_n, -1, -2), v_n))
-        outs.append(matmul(q[..., n : n + 1, :], s))
+        k_n, v_n = k[..., n : n + 1, :], v[..., n : n + 1, :]
+        s = s * _decay_factor(gamma, t_n - last_t) + np.swapaxes(k_n, -1, -2) @ v_n
+        outs.append(q[..., n : n + 1, :] @ s)
         last_t = t_n
-    out = concat(outs, axis=-2)
-    return out, _val(s)
+    return np.concatenate(outs, axis=-2), s
 
 
-def retention_chunkwise(q, k, v, plan: ChunkPlan) -> tuple[Tensor, Array]:
+def retention_chunkwise(q: Tensor, k: Tensor, v: Tensor, plan: ChunkPlan) -> tuple[Tensor, Array]:
     """Parallel within chunks, recurrent across them; equals the other forms.
 
     Per chunk of ``plan``: intra-chunk term (q_c k_c^T . D_c) v_c plus
@@ -244,7 +240,7 @@ def retention_chunkwise(q, k, v, plan: ChunkPlan) -> tuple[Tensor, Array]:
     dq = dP k + (zeta dO) s_prev^T, dk = dP^T q + (tail v) dS^T,
     dv = (q k^T . D)^T dO + tail (k dS) and dS_prev = q^T (zeta dO) + fac dS.
     """
-    qv, kv, vv = _val(q), _val(k), _val(v)
+    qv, kv, vv = q.value, k.value, v.value
     L = qv.shape[-2]
     if plan.length != L:
         raise InputError(f"chunk plan covers length {plan.length}, sequence has {L}")
@@ -290,8 +286,6 @@ def retention_chunkwise(q, k, v, plan: ChunkPlan) -> tuple[Tensor, Array]:
                 ds = ds_prev if ds is None else ds_prev + ds * fac_c
             dq[..., lo:hi, :], dk[..., lo:hi, :], dv[..., lo:hi, :] = dq_c, dk_c, dv_c
         for x, d in ((q, dq), (k, dk), (v, dv)):
-            if isinstance(x, Tensor):
-                _accum(x, _unbroadcast(d, x.shape), own=True)
+            _accum(x, _unbroadcast(d, x.shape), own=True)
 
-    parents = tuple(x for x in (q, k, v) if isinstance(x, Tensor))
-    return Tensor(out, parents, back), s
+    return Tensor(out, (q, k, v), back), s

@@ -50,8 +50,15 @@ Inside a :func:`no_grad` block nothing is recorded: new tensors hold no
 parents and no backward closure, so an eval pass frees each intermediate
 as soon as it drops it.
 
-Non-``Tensor`` operands (python floats, numpy arrays) are treated as
-constants: they join the computation but receive no gradient.
+Operands.  A fused node (:func:`linear`, :func:`layer_norm`,
+:func:`swish`, :func:`conv1d` here; the retention, projection, output,
+feed-forward, embedding and temporal-convolution nodes in their modules)
+takes ``Tensor`` operands only, reads their ``.value`` and records every
+one of them as a parent, in argument order.  The generic ops (:func:`mul`,
+:func:`sub`, :func:`matmul`, :func:`swapaxes`, :func:`tsum`,
+:func:`tmean`, :func:`getitem`, :func:`log_softmax`) also take
+non-``Tensor`` operands (python floats, numpy arrays) as constants: they
+join the computation but receive no gradient.
 """
 
 from __future__ import annotations
@@ -332,20 +339,6 @@ def _check_broadcast(a: Array, b: Array, op: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def add(a, b) -> Tensor:
-    av, bv = _val(a), _val(b)
-    _check_broadcast(av, bv, "add")
-    parents = tuple(t for t in (a, b) if isinstance(t, Tensor))
-
-    def back(g):  # g is this node's own gradient: the first parent may adopt it
-        if isinstance(a, Tensor):
-            _accum(a, _unbroadcast(g, av.shape), own=True)
-        if isinstance(b, Tensor):
-            _accum(b, _unbroadcast(g, bv.shape))
-
-    return Tensor(av + bv, parents, back)
-
-
 def sub(a, b) -> Tensor:
     av, bv = _val(a), _val(b)
     _check_broadcast(av, bv, "sub")
@@ -406,16 +399,14 @@ def swish_grad_array(g: Array, out: Array, s: Array) -> Array:
     return slope
 
 
-def swish(x) -> Tensor:
+def swish(x: Tensor) -> Tensor:
     """swish(x) = x * sigmoid(x)."""
-    xv = _val(x)
-    out, s = swish_array(xv)
+    out, s = swish_array(x.value)
 
     def back(g):
-        if isinstance(x, Tensor):
-            _accum(x, swish_grad_array(g, out, s), own=True)
+        _accum(x, swish_grad_array(g, out, s), own=True)
 
-    return Tensor(out, (x,) if isinstance(x, Tensor) else (), back)
+    return Tensor(out, (x,), back)
 
 
 # ---------------------------------------------------------------------------
@@ -481,22 +472,6 @@ def getitem(x, idx) -> Tensor:
     return Tensor(out, (x,) if isinstance(x, Tensor) else (), back)
 
 
-def concat(parts: Sequence, axis: int = 0) -> Tensor:
-    vals = [_val(p) for p in parts]
-    out = np.concatenate(vals, axis=axis)
-    sizes = [v.shape[axis] for v in vals]
-    offsets = np.cumsum([0] + sizes)
-
-    def back(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if isinstance(p, Tensor):
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(lo, hi)
-                _accum(p, g[tuple(sl)])
-
-    return Tensor(out, tuple(p for p in parts if isinstance(p, Tensor)), back)
-
-
 # ---------------------------------------------------------------------------
 # matmul
 # ---------------------------------------------------------------------------
@@ -526,11 +501,11 @@ def matmul(a, b) -> Tensor:
     return Tensor(out, parents, back)
 
 
-def linear(x, w, b) -> Tensor:
-    """``add(matmul(x, w), b)`` as one node whose values and gradients are
-    bitwise theirs.  The product takes the bias in place, so the tape keeps
-    no bias-free copy of it."""
-    xv, wv, bv = _val(x), _val(w), _val(b)
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``matmul(x, w) + b`` as one node whose values and gradients are
+    bitwise those of the two-node composite.  The product takes the bias in
+    place, so the tape keeps no bias-free copy of it."""
+    xv, wv, bv = x.value, w.value, b.value
     _check_matmul(xv, wv, "linear")
     out = xv @ wv
     try:
@@ -539,14 +514,11 @@ def linear(x, w, b) -> Tensor:
         raise ShapeError(f"linear: bias {bv.shape} does not broadcast to the product {out.shape}")
 
     def back(g):
-        if isinstance(x, Tensor):
-            _accum(x, _unbroadcast(g @ np.swapaxes(wv, -1, -2), xv.shape), own=True)
-        if isinstance(w, Tensor):
-            _accum(w, _unbroadcast(np.swapaxes(xv, -1, -2) @ g, wv.shape), own=True)
-        if isinstance(b, Tensor):  # the last reader of g, so it may adopt it
-            _accum(b, _unbroadcast(g, bv.shape), own=True)
+        _accum(x, _unbroadcast(g @ np.swapaxes(wv, -1, -2), xv.shape), own=True)
+        _accum(w, _unbroadcast(np.swapaxes(xv, -1, -2) @ g, wv.shape), own=True)
+        _accum(b, _unbroadcast(g, bv.shape), own=True)  # the last reader of g, so it may adopt it
 
-    return Tensor(out, tuple(t for t in (x, w, b) if isinstance(t, Tensor)), back)
+    return Tensor(out, (x, w, b), back)
 
 
 def weight_grad(x: Array, g: Array) -> Array:
@@ -582,7 +554,7 @@ def layer_norm_array(xv: Array, gv: Array, bv: Array) -> tuple[Array, Array, Arr
     return out, xhat, inv
 
 
-def layer_norm(x, gain, bias) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize over the last axis, then apply a learnable affine.  The
     node keeps only its inputs: the backward recomputes ``xhat`` and ``inv``
     with :func:`layer_norm_array`, bitwise the forward's.  Both directions
@@ -591,7 +563,7 @@ def layer_norm(x, gain, bias) -> Tensor:
     output beyond the blocks' temporaries.  The backward writes ``g * xhat``
     into one array and sums it over the whole batch afterwards, so the gain
     gradient is summed in the order of the unblocked expression."""
-    xv, gv, bv = _val(x), _val(gain), _val(bias)
+    xv, gv, bv = x.value, gain.value, bias.value
     x3 = xv.reshape((-1,) + xv.shape[-2:]) if xv.ndim > 1 else xv.reshape((1, 1, -1))
     row = x3[0].size
     blocks = row_blocks(x3.shape[0], row)
@@ -601,29 +573,22 @@ def layer_norm(x, gain, bias) -> Tensor:
         out[b] = layer_norm_array(x3[b], gv, bv)[0]
 
     map_blocks(norm, blocks)
-    parents = tuple(t for t in (x, gain, bias) if isinstance(t, Tensor))
 
     def back(g):
         g3 = g.reshape(x3.shape)
-        g_xhat = np.empty(x3.shape) if isinstance(gain, Tensor) else None
-        gx = np.empty(x3.shape) if isinstance(x, Tensor) else None
+        g_xhat, gx = np.empty(x3.shape), np.empty(x3.shape)
 
         def grads(b: slice, _slot: int) -> None:
             _, xhat, inv = layer_norm_array(x3[b], gv, bv)
-            if g_xhat is not None:
-                np.multiply(g3[b], xhat, out=g_xhat[b])
-            if gx is not None:
-                gx[b] = layer_norm_grad_array(g3[b], xhat, inv, gv)
+            np.multiply(g3[b], xhat, out=g_xhat[b])
+            gx[b] = layer_norm_grad_array(g3[b], xhat, inv, gv)
 
         map_blocks(grads, blocks)
-        if g_xhat is not None:
-            _accum(gain, _unbroadcast(g_xhat.reshape(xv.shape), gv.shape), own=True)
-        if isinstance(bias, Tensor):
-            _accum(bias, _unbroadcast(g, bv.shape))
-        if gx is not None:
-            _accum(x, gx.reshape(xv.shape), own=True)
+        _accum(gain, _unbroadcast(g_xhat.reshape(xv.shape), gv.shape), own=True)
+        _accum(bias, _unbroadcast(g, bv.shape))
+        _accum(x, gx.reshape(xv.shape), own=True)
 
-    return Tensor(out.reshape(xv.shape), parents, back)
+    return Tensor(out.reshape(xv.shape), (x, gain, bias), back)
 
 
 def layer_norm_grad_array(g: Array, xhat: Array, inv: Array, gv: Array) -> Array:
@@ -687,10 +652,10 @@ def log_softmax(x) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def conv1d(x, w, bias, stride: int, pad_left: int) -> Tensor:
+def conv1d(x: Tensor, w: Tensor, bias: Tensor, stride: int, pad_left: int) -> Tensor:
     """Full 1-D convolution plus bias: x [B, L, Cin], w [Cout, Cin, k],
     bias [Cout] -> [B, L', Cout].  Padding is causal (left only)."""
-    xv, wv, bv = _val(x), _val(w), _val(bias)
+    xv, wv, bv = x.value, w.value, bias.value
     if xv.ndim != 3 or wv.ndim != 3:
         raise ShapeError(f"conv1d: expected 3-D operands, got {xv.shape} and {wv.shape}")
     cout, cin, k = wv.shape
@@ -702,23 +667,19 @@ def conv1d(x, w, bias, stride: int, pad_left: int) -> Tensor:
     for j in range(k):
         out += np.einsum("blc,oc->blo", xp[:, j : j + stride * lout : stride, :], wv[:, :, j], optimize=True)
     out += bv
-    parents = tuple(t for t in (x, w, bias) if isinstance(t, Tensor))
 
     def back(g):
-        if isinstance(bias, Tensor):
-            _accum(bias, _unbroadcast(g, bv.shape), own=True)
-        if isinstance(w, Tensor):
-            gw = np.zeros_like(wv)
-            for j in range(k):
-                gw[:, :, j] = np.einsum("blo,blc->oc", g, xp[:, j : j + stride * lout : stride, :], optimize=True)
-            _accum(w, gw, own=True)
-        if isinstance(x, Tensor):
-            gxp = np.zeros_like(xp)
-            for j in range(k):
-                gxp[:, j : j + stride * lout : stride, :] += np.einsum("blo,oc->blc", g, wv[:, :, j], optimize=True)
-            _accum(x, gxp[:, pad_left:, :])
+        _accum(bias, _unbroadcast(g, bv.shape), own=True)
+        gw = np.zeros_like(wv)
+        for j in range(k):
+            gw[:, :, j] = np.einsum("blo,blc->oc", g, xp[:, j : j + stride * lout : stride, :], optimize=True)
+        _accum(w, gw, own=True)
+        gxp = np.zeros_like(xp)
+        for j in range(k):
+            gxp[:, j : j + stride * lout : stride, :] += np.einsum("blo,oc->blc", g, wv[:, :, j], optimize=True)
+        _accum(x, gxp[:, pad_left:, :])
 
-    return Tensor(out, parents, back)
+    return Tensor(out, (x, w, bias), back)
 
 
 # ---------------------------------------------------------------------------

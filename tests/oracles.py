@@ -1,5 +1,6 @@
-"""Shared test helpers: a central-finite-difference oracle, the chunk-wise
-retention loop recorded op by op as the fused op's gradient oracle, the
+"""Shared test helpers: a central-finite-difference oracle, the tape ops
+no package code records any more (``add``, ``concat``), the recurrent and
+chunk-wise retention loops recorded op by op as gradient oracles, the
 temporal convolution block as six Tensor ops (with the depth-wise
 convolution and batch norm ops it needs) as that fused block's oracle, the
 retention projections, the retention output glue and the feed-forward as
@@ -24,12 +25,11 @@ from tsgpt.tensor import (
     LAYER_NORM_EPS,
     Tensor,
     _accum,
+    _check_broadcast,
     _unbroadcast,
     _val,
-    add,
     as_f64,
     batch_norm_eval_array,
-    concat,
     layer_norm,
     linear,
     matmul,
@@ -38,6 +38,39 @@ from tsgpt.tensor import (
     swapaxes,
     swish,
 )
+
+
+def add(a, b) -> Tensor:
+    """``a + b`` with numpy broadcasting; a non-``Tensor`` operand is a
+    constant."""
+    av, bv = _val(a), _val(b)
+    _check_broadcast(av, bv, "add")
+    parents = tuple(t for t in (a, b) if isinstance(t, Tensor))
+
+    def back(g):  # g is this node's own gradient: the first parent may adopt it
+        if isinstance(a, Tensor):
+            _accum(a, _unbroadcast(g, av.shape), own=True)
+        if isinstance(b, Tensor):
+            _accum(b, _unbroadcast(g, bv.shape))
+
+    return Tensor(av + bv, parents, back)
+
+
+def concat(parts, axis: int = 0) -> Tensor:
+    """``parts`` joined along ``axis``; the backward hands each ``Tensor``
+    part its slice of the gradient."""
+    vals = [_val(p) for p in parts]
+    out = np.concatenate(vals, axis=axis)
+    offsets = np.cumsum([0] + [v.shape[axis] for v in vals])
+
+    def back(g):
+        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+            if isinstance(p, Tensor):
+                sl = [slice(None)] * g.ndim
+                sl[axis] = slice(lo, hi)
+                _accum(p, g[tuple(sl)])
+
+    return Tensor(out, tuple(p for p in parts if isinstance(p, Tensor)), back)
 
 
 def broadcast_to(x, shape) -> Tensor:
@@ -124,6 +157,25 @@ def assert_grads_own_memory(tensors) -> None:
         assert isinstance(g, np.ndarray) and g.flags.c_contiguous and g.flags.writeable
         assert not any(np.shares_memory(g, h) for h in grads[i + 1 :])
         assert not any(np.shares_memory(g, t.value) for t in tensors)
+
+
+def retention_recurrent_taped(q, k, v, timestamps, gamma):
+    """Oracle for ``retention_recurrent`` with gradients: the same step-by-step
+    loop recorded op by op on the tape.  Returns (out Tensor, state array)."""
+    q, k, v = (x if isinstance(x, Tensor) else Tensor(x) for x in (q, k, v))
+    L = q.shape[-2]
+    t = np.arange(L, dtype=np.int64) if timestamps is None else _check_timestamps(timestamps)
+    s = Tensor(np.zeros(q.shape[:-2] + (q.shape[-1], v.shape[-1])))
+    last_t = t[..., 0]
+    outs = []
+    for n in range(L):
+        t_n = t[..., n]
+        k_n = k[..., n : n + 1, :]
+        v_n = v[..., n : n + 1, :]
+        s = add(mul(s, _decay_factor(gamma, t_n - last_t)), matmul(swapaxes(k_n, -1, -2), v_n))
+        outs.append(matmul(q[..., n : n + 1, :], s))
+        last_t = t_n
+    return concat(outs, axis=-2), s.value
 
 
 def retention_chunkwise_taped(q, k, v, timestamps, gamma, chunk_size: int):

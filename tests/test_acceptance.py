@@ -48,8 +48,8 @@ def test_criterion_1_three_form_equivalence():
                 ts = np.cumsum(rng.integers(1, 7, (L,))).astype(np.int64) if irregular else None
                 mask = DecayMask.build(gamma, length=L) if ts is None else DecayMask.build(gamma, timestamps=ts)
                 par = retention_parallel(Tensor(q), Tensor(k), Tensor(v), mask).value
-                rec, _ = retention_recurrent(Tensor(q), Tensor(k), Tensor(v), ts, gamma)
-                worst = max(worst, float(np.max(np.abs(par - rec.value))))
+                rec, _ = retention_recurrent(q, k, v, ts, gamma)
+                worst = max(worst, float(np.max(np.abs(par - rec))))
                 t = np.arange(L) if ts is None else ts
                 for B in chunk_sizes:
                     chk, _ = retention_chunkwise(Tensor(q), Tensor(k), Tensor(v), ChunkPlan.build(t, gamma, B))
@@ -92,7 +92,7 @@ def test_criterion_3_xpos_shift_invariance():
         x = np.tile(row, (L, 1))
         wq = rng.normal((2 * d, d))
         wk = rng.normal((2 * d, d))
-        q, k = xpos_qk(Tensor(x), wq, wk, (cos, sin), 1)
+        q, k = xpos_qk(Tensor(x), Tensor(wq), Tensor(wk), (cos, sin), 1)
         qv, kv = q.value[0], k.value[0]
         scores = qv @ kv.T
         for rel in range(-(L - 1), L):

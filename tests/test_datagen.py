@@ -142,6 +142,43 @@ def test_criterion_7_and_benchmark_cohorts_are_pinned():
         assert h.hexdigest() == digest, seed
 
 
+def _small_batch(**fields):
+    """Two sequences of three one-variate values, plus ``fields``."""
+    return dg.SequenceBatch(values=np.zeros((2, 3, 1)), **fields)
+
+
+def test_batch_rejects_float_timestamps():
+    """Float timestamps are refused, not truncated to integers."""
+    with pytest.raises(InputError, match="integer dtype"):
+        _small_batch(timestamps=[[1.9, 2.1, 3.7], [1.0, 2.0, 3.0]])
+
+
+def test_batch_rejects_valid_of_another_shape():
+    with pytest.raises(InputError, match="valid"):
+        _small_batch(valid=np.ones((1, 3)))
+
+
+def test_batch_rejects_codes_of_another_shape():
+    with pytest.raises(InputError, match="codes"):
+        _small_batch(codes=np.zeros((2,), dtype=np.int64))
+
+
+def test_batch_rejects_float_codes():
+    with pytest.raises(InputError, match="integer dtype"):
+        _small_batch(codes=np.zeros((2, 3)))
+
+
+def test_batch_rejects_negative_codes():
+    with pytest.raises(InputError, match=">= 0"):
+        _small_batch(codes=np.array([[0, 1, 2], [0, -1, 2]]))
+
+
+def test_batch_rejects_labels_that_are_not_one_per_sequence():
+    """[B, 1] labels would broadcast against a [B, 1] head output."""
+    with pytest.raises(InputError, match="labels"):
+        _small_batch(labels=np.zeros((2, 1)))
+
+
 def test_cohort_spec_validation():
     with pytest.raises(ConfigError):
         dg.EventCohortSpec(min_events=5)

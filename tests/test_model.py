@@ -15,14 +15,15 @@ from tsgpt.datagen import EventCohortSpec, SequenceBatch, SignalSpec, gen_cohort
 from tsgpt.errors import CheckpointError, ConfigError, ContractError, InputError, TaskError
 from tsgpt.experiments import VANILLA_FLAGS, extrapolation_model, irregular_cohort_spec, irregular_model
 from tsgpt.model import DecoderLayer, Geometry, Model, ModelConfig, feed_forward, pooled_tokens, retention_output
-from tsgpt.positional import RotaryAngles, rotation_tables
-from tsgpt.retention import ChunkPlan, DecayMask
-from tsgpt.tensor import BLOCK_ELEMENTS, Rng, Tensor, backward, concat, mul, no_grad, tsum, zero_grads
+from tsgpt.positional import RotaryAngles, project_heads, rotation_tables
+from tsgpt.retention import ChunkPlan, DecayMask, retention_chunkwise
+from tsgpt.tensor import BLOCK_ELEMENTS, Rng, Tensor, backward, mul, no_grad, tsum, zero_grads
 from tsgpt.training import OptimState, adam_step
 
 from oracles import (
     assert_grads_own_memory,
     broadcast_to,
+    concat,
     feed_forward_taped,
     finite_diff_grad,
     generate_by_reencoding,
@@ -137,12 +138,12 @@ def test_full_stack_causality_perturbation_eval_mode():
     assert np.any(base[:, t:] != pert[:, t:])
 
 
-def test_full_stack_three_forms_agree():
+def test_full_stack_chunkwise_and_parallel_forms_agree():
     batch = signal_batch(T=32)
     m = Model(tiny_cfg(chunk_size=3))
     m.pretrain_loss(batch, train=True)
     ref = m.forward(batch, form="parallel").value
-    for form in (None, "recurrent", "chunkwise"):
+    for form in (None, "chunkwise"):
         out = m.forward(batch, form=form).value
         assert np.max(np.abs(out - ref)) < 1e-9
 
@@ -187,7 +188,7 @@ def test_multihead_retention_single_head_reduces_to_parallel_compose():
     assert np.max(np.abs(out.value - want)) < 1e-12
 
 
-def test_multihead_retention_three_forms_pairwise():
+def test_multihead_retention_chunkwise_and_parallel_forms_agree():
     rng = Rng(42)
     L, h, dh = 11, 2, 4
     layer = _layer_with(tiny_cfg(heads=h, d_q=dh, d_v=dh, chunk_size=4), rng)
@@ -195,14 +196,20 @@ def test_multihead_retention_three_forms_pairwise():
     # a geometry with faster decays than the config's schedule
     pos, gammas = np.arange(L), np.array([0.95, 0.8])
     tables = rotation_tables(pos, RotaryAngles(dh))
-    decay = {"parallel": DecayMask.build(gammas, timestamps=pos), "recurrent": None,
-             "chunkwise": ChunkPlan.build(pos, gammas, 4)}
+    decay = {"parallel": DecayMask.build(gammas, timestamps=pos), "chunkwise": ChunkPlan.build(pos, gammas, 4)}
     outs = {}
-    for form in ("parallel", "recurrent", "chunkwise"):
-        out, _ = layer._retention_inner(x, x, Geometry(form, pos, gammas, tables, decay[form]))
+    for form in ("parallel", "chunkwise"):
+        out, _ = layer._retention_inner(x, x, Geometry(form, tables, decay[form]))
         outs[form] = out.value
-    assert np.max(np.abs(outs["parallel"] - outs["recurrent"])) < 1e-9
     assert np.max(np.abs(outs["parallel"] - outs["chunkwise"])) < 1e-9
+
+
+def test_encode_rejects_the_recurrent_form():
+    """The stack runs chunk-wise or the parallel reference; the recurrent
+    form is the decode step's, not a form an encode selects."""
+    assert tm.RETENTION_FORMS == ("chunkwise", "parallel")
+    with pytest.raises(ConfigError):
+        Model(tiny_cfg()).encode(signal_batch(T=16), form="recurrent")
 
 
 # B (None: no batch axis), L, heads, d_v, d_model, rows per block (None: one
@@ -294,6 +301,40 @@ def test_fused_glue_gradients_match_finite_differences(kind, monkeypatch):
         assert rel_err(t.grad, finite_diff_grad(loss, a)) < 1e-7, i
 
 
+def _fused_node_case(name):
+    """(the node as a function of its operands, the operands as Tensors)."""
+    rng = Rng(33).child(name)
+    B, L, d = 2, 5, 4
+    if name == "temporal_block":  # its operands past the input are the block's own parameters
+        block = TemporalConvModule(d, 3, Rng(1))
+        return (lambda x, *_: block.forward(x, train=True)), [Tensor(rng.normal((B, L, d)))] + [
+            p for _, p in block.named_params()]
+    tables = rotation_tables(np.arange(L), RotaryAngles(2))
+    node, shapes = {
+        "embed": (tm.embed, [(B, L, 2), (2, d), (d,), (1, 1, d)]),
+        "layer_norm": (tensor.layer_norm, [(B, L, d), (d,), (d,)]),
+        "linear": (tensor.linear, [(B, L, d), (d, 3), (3,)]),
+        "swish": (tensor.swish, [(B, L, d)]),
+        "conv1d": (lambda x, w, b: tensor.conv1d(x, w, b, stride=2, pad_left=2), [(B, L, 2), (3, 2, 3), (3,)]),
+        "project_heads": (lambda x, w: project_heads(x, w, 2, *tables), [(B, L, d), (d, d)]),
+        "retention_chunkwise": (lambda q, k, v: retention_chunkwise(q, k, v, ChunkPlan.build(np.arange(L), 0.9, 2))[0],
+                                [(B, 2, L, 3)] * 3),
+    }[name]
+    return node, [Tensor(rng.normal(shape)) for shape in shapes]
+
+
+@pytest.mark.parametrize("name", ["embed", "layer_norm", "linear", "swish", "conv1d", "project_heads",
+                                  "retention_chunkwise", "temporal_block"])
+def test_fused_node_records_exactly_its_operands_as_parents(name):
+    """Every fused node takes Tensor operands and records each of them as a
+    parent, in order, and hands each one a gradient of its shape."""
+    node, ins = _fused_node_case(name)
+    out = node(*ins)
+    assert out._parents == tuple(ins)
+    backward(tsum(mul(out, 1.0)))
+    assert all(t.grad is not None and t.grad.shape == t.value.shape for t in ins)
+
+
 @pytest.mark.parametrize("B", [1, 3])
 def test_embed_equals_broadcast_concat_linear(B):
     """The start token and the input projection as one node: value and
@@ -320,6 +361,34 @@ def test_embed_equals_broadcast_concat_linear(B):
 # ---------------------------------------------------------------------------
 # objectives
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("label", [-1, 2])
+def test_classification_loss_rejects_labels_outside_the_classes(label):
+    """np.eye(n)[-1] is class n-1 and np.eye(n)[n] an IndexError: both are
+    refused as input errors."""
+    cohort = padded_cohort()
+    labels = cohort.labels.copy()
+    labels[1] = label
+    m = Model(tiny_cfg(n_inputs=6, discrete=True, no_subsampler=True, head_kind="classification", n_classes=2))
+    with pytest.raises(InputError, match="labels"):
+        m.classification_loss(SequenceBatch(cohort.values, cohort.timestamps, cohort.codes, cohort.valid, labels))
+
+
+@pytest.mark.parametrize("head", ["classification", "regression"])
+def test_pooled_losses_reject_a_batch_without_labels(head):
+    m = Model(tiny_cfg(no_subsampler=True, head_kind=head))
+    with pytest.raises(InputError, match="no labels"):
+        m.loss(signal_batch(T=8))
+
+
+def test_discrete_pretrain_loss_rejects_codes_beyond_the_vocabulary():
+    cohort = padded_cohort(vocab=6)
+    m = Model(tiny_cfg(n_inputs=5, discrete=True, no_subsampler=True))
+    batch = SequenceBatch(cohort.values[..., :5], cohort.timestamps, cohort.codes, cohort.valid)
+    assert cohort.codes.max() == 5
+    with pytest.raises(InputError, match="codes"):
+        m.pretrain_loss(batch)
 
 
 def test_pretrain_loss_too_short_sequence():
@@ -649,7 +718,7 @@ def test_one_gamma_for_every_head_builds_one_mask_plane(form):
     assert all(m.shape[:2] == (B, 1) for m in masks)
     planes = ChunkPlan.build(pos, cfg.gammas, cfg.chunk_size) if form == "chunkwise" else DecayMask.build(
         cfg.gammas, timestamps=pos)
-    per_head = Geometry(form, pos, cfg.gammas, geo.tables, planes)
+    per_head = Geometry(form, geo.tables, planes)
     layer = Model(cfg).layers[0]
     h = Rng(4).normal((B, T + 1, cfg.d_model))
     results = []

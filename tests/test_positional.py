@@ -108,7 +108,7 @@ def _tables(positions, angles):
 
 def test_xpos_qk_single_token_identity_weights():
     x = Rng(2).normal((1, 4))
-    q, k = xpos_qk(Tensor(x), np.eye(4), np.eye(4), _tables([0], RotaryAngles(4)), 1)
+    q, k = xpos_qk(Tensor(x), Tensor(np.eye(4)), Tensor(np.eye(4)), _tables([0], RotaryAngles(4)), 1)
     assert q.shape == (1, 1, 4)
     np.testing.assert_allclose(q.value[0], x, atol=1e-15)
     np.testing.assert_allclose(k.value[0], x, atol=1e-15)
@@ -118,7 +118,7 @@ def test_xpos_qk_distance_two_quarter_turn():
     ang = RotaryAngles(2)
     object.__setattr__(ang, "thetas", np.array([np.pi / 2]))
     x = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
-    q, k = xpos_qk(Tensor(x), np.eye(2), np.eye(2), _tables(np.arange(4), ang), 1)
+    q, k = xpos_qk(Tensor(x), Tensor(np.eye(2)), Tensor(np.eye(2)), _tables(np.arange(4), ang), 1)
     score = float((q.value[0, 3] * k.value[0, 1]).sum())
     assert abs(score - np.cos(np.pi)) < 1e-12
 
@@ -131,7 +131,7 @@ def test_xpos_inner_product_depends_only_on_relative_distance(d):
     x = rng.normal((L, 2 * d))
     wq = rng.normal((2 * d, d))
     wk = rng.normal((2 * d, d))
-    q, k = xpos_qk(Tensor(x), wq, wk, _tables(np.arange(L), RotaryAngles(d)), 1)
+    q, k = xpos_qk(Tensor(x), Tensor(wq), Tensor(wk), _tables(np.arange(L), RotaryAngles(d)), 1)
     qv, kv = q.value[0], k.value[0]
     # oracle: unrotated projections evaluated at each relative distance
     base_q, base_k = x @ wq, x @ wk
@@ -156,7 +156,7 @@ def test_xpos_shift_invariance_with_identical_content():
         x = np.tile(row, (L, 1))
         wq = rng.normal((2 * d, d))
         wk = rng.normal((2 * d, d))
-        q, k = xpos_qk(Tensor(x), wq, wk, _tables(np.arange(L), RotaryAngles(d)), 1)
+        q, k = xpos_qk(Tensor(x), Tensor(wq), Tensor(wk), _tables(np.arange(L), RotaryAngles(d)), 1)
         qv, kv = q.value[0], k.value[0]
         for rel in range(0, L):
             scores = [float(qv[n] @ kv[n - rel]) for n in range(rel, L)]
@@ -175,10 +175,10 @@ def test_xpos_rejects_nonincreasing_positions():
 
 def test_xpos_rejects_indivisible_head_split():
     x = Tensor(Rng(5).normal((3, 6)))
-    w = Rng(6).normal((6, 5))  # width 5 cannot split across 2 heads
+    w = Tensor(Rng(6).normal((6, 5)))  # width 5 cannot split across 2 heads
     with pytest.raises(ConfigError):
         xpos_qk(x, w, w, _tables(np.arange(3), RotaryAngles(2)), 2)
-    w = Rng(6).normal((6, 4))
+    w = Tensor(Rng(6).normal((6, 4)))
     with pytest.raises(ConfigError, match="tables built for dim 4"):
         xpos_qk(x, w, w, _tables(np.arange(3), RotaryAngles(4)), 2)
 

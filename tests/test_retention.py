@@ -15,7 +15,7 @@ from tsgpt.retention import (
 )
 from tsgpt.tensor import Rng, Tensor, backward, mul, tsum
 
-from oracles import finite_diff_grad, rel_err, retention_chunkwise_taped
+from oracles import finite_diff_grad, rel_err, retention_chunkwise_taped, retention_recurrent_taped
 
 
 def _qkv(rng, lead, L, dk, dv):
@@ -33,8 +33,10 @@ def _irregular_ts(rng, L, batch=None):
 
 
 def _chunkwise(q, k, v, t, gamma, chunk_size):
-    """The chunk-wise form over timestamps ``t`` (None: 0 .. L-1)."""
-    t = np.arange(np.shape(q)[-2]) if t is None else t
+    """The chunk-wise form over timestamps ``t`` (None: 0 .. L-1); array
+    operands are wrapped in Tensors."""
+    q, k, v = (x if isinstance(x, Tensor) else Tensor(x) for x in (q, k, v))
+    t = np.arange(q.shape[-2]) if t is None else t
     return retention_chunkwise(q, k, v, ChunkPlan.build(t, gamma, chunk_size))
 
 
@@ -158,7 +160,7 @@ def test_recurrent_regular_equals_parallel():
     q, k, v = _qkv(rng, (), L, 4, 4)
     par = retention_parallel(q, k, v, DecayMask.build(0.9, length=L)).value
     rec, _ = retention_recurrent(q, k, v, None, 0.9)
-    assert np.max(np.abs(par - rec.value)) < 1e-10
+    assert np.max(np.abs(par - rec)) < 1e-10
 
 
 def test_recurrent_one_gap_hand_case():
@@ -170,9 +172,9 @@ def test_recurrent_one_gap_hand_case():
     t = np.array([1, 1 + gap])
     out, state = retention_recurrent(q, k, v, t, gamma)
     # step 1: s = k1^T v1, out1 = (q1.k1) v1 = 2
-    assert out.value[0, 0] == 2.0
+    assert out[0, 0] == 2.0
     # step 2: s scaled by gamma^gap, k2 = v2 = 0, out2 = gamma^gap * 2
-    assert abs(out.value[1, 0] - gamma**gap * 2.0) < 1e-15
+    assert abs(out[1, 0] - gamma**gap * 2.0) < 1e-15
     # and the state leaving step 2 is k1^T v1 decayed over the gap
     np.testing.assert_array_equal(state, [[gamma**gap * 2.0, 0.0], [0.0, 0.0]])
 
@@ -184,7 +186,7 @@ def test_recurrent_irregular_equals_parallel_with_irregular_mask():
     t = _irregular_ts(rng, L)
     par = retention_parallel(q, k, v, DecayMask.build(0.9, timestamps=t)).value
     rec, _ = retention_recurrent(q, k, v, t, 0.9)
-    assert np.max(np.abs(par - rec.value)) < 1e-10
+    assert np.max(np.abs(par - rec)) < 1e-10
 
 
 def test_recurrent_state_closed_form():
@@ -198,6 +200,24 @@ def test_recurrent_state_closed_form():
     for m in range(L):
         want += g ** (t[-1] - t[m]) * np.outer(k[m], v[m])
     assert np.max(np.abs(state - want)) < 1e-10
+
+
+@pytest.mark.parametrize("per_sequence", [False, True])
+@pytest.mark.parametrize("per_head", [False, True])
+@pytest.mark.parametrize("L", [1, 9])
+def test_recurrent_on_arrays_is_the_taped_loop_bitwise(per_sequence, per_head, L):
+    """The array form runs the taped loop's float operations in its order:
+    output and state are bitwise the oracle's, as plain arrays."""
+    rng = Rng(9).child(f"{per_sequence}-{per_head}-{L}")
+    B, h = 2, 3
+    q, k, v = _qkv(rng, (B, h), L, 4, 3)
+    t = _irregular_ts(rng, L, batch=B if per_sequence else None)
+    gamma = np.array([0.97, 0.9, 0.6]) if per_head else 0.9
+    out, state = retention_recurrent(q, k, v, t, gamma)
+    ref_out, ref_state = retention_recurrent_taped(q, k, v, t, gamma)
+    assert type(out) is np.ndarray and type(state) is np.ndarray
+    assert out.tobytes() == ref_out.value.tobytes()
+    assert state.tobytes() == ref_state.tobytes()
 
 
 def test_recurrent_rejects_decreasing_timestamps():
@@ -280,7 +300,7 @@ def test_chunkwise_unit_chunks_equal_recurrent():
     t = _irregular_ts(rng, L)
     rec, rst = retention_recurrent(q, k, v, t, 0.9)
     out, cst = _chunkwise(q, k, v, t, 0.9, 1)
-    assert np.max(np.abs(out.value - rec.value)) < 1e-12
+    assert np.max(np.abs(out.value - rec)) < 1e-12
     assert np.max(np.abs(cst - rst)) < 1e-12
 
 
@@ -292,7 +312,7 @@ def test_chunkwise_ragged_matches_recurrent(irregular):
     t = _irregular_ts(rng, L) if irregular else None
     rec, rst = retention_recurrent(q, k, v, t, 0.9)
     out, cst = _chunkwise(q, k, v, t, 0.9, B)
-    assert np.max(np.abs(out.value - rec.value)) < 1e-9
+    assert np.max(np.abs(out.value - rec)) < 1e-9
     assert np.max(np.abs(cst - rst)) < 1e-9
 
 
@@ -312,7 +332,7 @@ def test_three_forms_agree_batched_multihead(irregular):
     par = retention_parallel(q, k, v, mask).value
     rec, _ = retention_recurrent(q, k, v, t, gammas)
     chk, _ = _chunkwise(q, k, v, t, gammas, 6)
-    assert np.max(np.abs(par - rec.value)) < 1e-9
+    assert np.max(np.abs(par - rec)) < 1e-9
     assert np.max(np.abs(par - chk.value)) < 1e-9
 
 
@@ -362,7 +382,7 @@ def test_retention_gradients_flow_through_all_forms():
         if form == "parallel":
             out = retention_parallel(qt, kt, vt, DecayMask.build(0.9, timestamps=t))
         elif form == "recurrent":
-            out, _ = retention_recurrent(qt, kt, vt, t, 0.9)
+            out, _ = retention_recurrent_taped(qt, kt, vt, t, 0.9)
         else:
             out, _ = _chunkwise(qt, kt, vt, t, 0.9, 2)
         loss = tsum(mul(out, out))

@@ -10,9 +10,11 @@ from tsgpt import tensor as T
 from tsgpt.errors import ContractError, DataError, ShapeError, StateError
 
 from oracles import (
+    add,
     assert_grads_own_memory,
     batch_norm,
     broadcast_to,
+    concat,
     depthwise_conv1d,
     finite_diff_grad,
     layer_norm_grad_reference,
@@ -92,7 +94,7 @@ def test_backward_visits_each_node_once():
 
     q._backward = counting
     # diamond: q feeds two consumers
-    loss = T.tsum(T.add(q, T.mul(q, q)))
+    loss = T.tsum(add(q, T.mul(q, q)))
     T.backward(loss)
     assert calls["n"] == 1
     np.testing.assert_allclose(p.grad, 3.0 * (1.0 + 2.0 * q.value), atol=1e-15)
@@ -146,7 +148,7 @@ def test_no_grad_records_no_tape_and_nests():
         with T.no_grad():
             inner = T.mul(x, 2.0)
         assert not T._grad_enabled
-        outer = T.add(x, 1.0)
+        outer = add(x, 1.0)
     assert T._grad_enabled
     for t in (inner, outer):
         assert t._parents == () and t._backward is None
@@ -159,12 +161,12 @@ def test_no_grad_records_no_tape_and_nests():
 def test_no_grad_restores_switch_after_exception():
     with pytest.raises(ShapeError):
         with T.no_grad():
-            T.add(Tns(np.ones(2)), Tns(np.ones(3)))
+            add(Tns(np.ones(2)), Tns(np.ones(3)))
     assert T._grad_enabled
     with pytest.raises(ShapeError):
         with T.no_grad():
             with T.no_grad():
-                T.add(Tns(np.ones(2)), Tns(np.ones(3)))
+                add(Tns(np.ones(2)), Tns(np.ones(3)))
     assert T._grad_enabled
 
 
@@ -173,7 +175,7 @@ def test_gradients_elementwise_suite(seed):
     rng = T.Rng(seed)
     x = rng.normal((3, 4))
     y = rng.normal((3, 4))
-    _fd_check(lambda a, b: T.tsum(T.mul(T.add(a, b), T.sub(a, b))), [x, y])
+    _fd_check(lambda a, b: T.tsum(T.mul(add(a, b), T.sub(a, b))), [x, y])
     _fd_check(lambda a: T.tsum(T.swish(a)), [x])
     _fd_check(lambda a: T.tsum(T.log_softmax(a)), [x])
 
@@ -187,7 +189,7 @@ def test_gradients_matmul_and_shapes(seed):
     _fd_check(lambda x: T.tsum(T.mul(T.swapaxes(x, -1, -2), 2.0)), [a])
     _fd_check(lambda x: T.tsum(reshape(x, (6, 4))), [a])
     _fd_check(lambda x: T.tsum(T.mul(x[..., 1:3, :], x[..., 1:3, :])), [a])
-    _fd_check(lambda x, y: T.tsum(T.concat([x, T.matmul(x, T.matmul(y, T.swapaxes(y, -1, -2)))], axis=-1)), [a, b])
+    _fd_check(lambda x, y: T.tsum(concat([x, T.matmul(x, T.matmul(y, T.swapaxes(y, -1, -2)))], axis=-1)), [a, b])
     _fd_check(lambda x: T.tsum(broadcast_to(T.tsum(x, axis=1)[:, None], x.shape)), [a])
 
 
@@ -221,7 +223,7 @@ def test_gradients_norms_and_convs(seed):
         # excluded positions are normalized too: their outputs carry gradient
         st_ = T.BatchNormState()
         out = batch_norm(a, g, b, st_, train=True, valid=valid)
-        return T.add(T.tsum(T.mul(out, valid[..., None] * weights)), T.tsum(T.mul(out, 1.0 - valid[..., None])))
+        return add(T.tsum(T.mul(out, valid[..., None] * weights)), T.tsum(T.mul(out, 1.0 - valid[..., None])))
 
     _fd_check(bn_masked_loss, [x, gain, bias])
 
@@ -235,7 +237,7 @@ def test_linear_is_the_composite_bitwise_in_one_node():
     x, w, b, weights = rng.normal((2, 5, 4)), rng.normal((4, 6)), rng.normal((6,)), rng.normal((2, 5, 6))
 
     def composite(a, wt, bt):
-        return T.add(T.matmul(a, wt), bt)
+        return add(T.matmul(a, wt), bt)
 
     fused = [Tns(v) for v in (x, w, b)]
     ref = [Tns(v) for v in (x, w, b)]
@@ -263,7 +265,7 @@ def test_getitem_gradient_accumulates_repeated_and_sliced_entries():
 
     # basic slices of one parent, overlapping each other and an elementwise use
     y = Tns(np.arange(12.0).reshape(3, 4))
-    T.backward(T.add(T.add(T.tsum(T.mul(y[0:2, 1:3], 2.0)), T.tsum(y[1])), T.tsum(T.mul(y, y[..., -1:]))))
+    T.backward(add(add(T.tsum(T.mul(y[0:2, 1:3], 2.0)), T.tsum(y[1])), T.tsum(T.mul(y, y[..., -1:]))))
     want = 2.0 * np.pad(np.ones((2, 2)), ((0, 1), (1, 1))) + np.eye(3)[1][:, None] + y.value[:, -1:]
     want[:, -1] += y.value.sum(axis=1)
     np.testing.assert_array_equal(y.grad, want)
@@ -271,7 +273,7 @@ def test_getitem_gradient_accumulates_repeated_and_sliced_entries():
     rng = T.Rng(9)
 
     def squared_slice_sum(a):
-        s = T.add(a[1:, ::2], a[[0, 0], 1::2])
+        s = add(a[1:, ::2], a[[0, 0], 1::2])
         return T.tsum(T.mul(s, s))
 
     _fd_check(squared_slice_sum, [rng.normal((3, 4))])
@@ -291,13 +293,13 @@ def test_swish_at_zero():
 
 def test_layer_norm_constant_row_is_zero_before_affine():
     x = Tns(np.full((2, 6), 3.7))
-    out = T.layer_norm(x, np.ones(6), np.zeros(6))
+    out = T.layer_norm(x, Tns(np.ones(6)), Tns(np.zeros(6)))
     assert np.max(np.abs(out.value)) < 1e-10
 
 
 def test_layer_norm_standardizes_rows():
     x = Tns(T.Rng(11).normal((4, 16), scale=3.0))
-    out = T.layer_norm(x, np.ones(16), np.zeros(16)).value
+    out = T.layer_norm(x, Tns(np.ones(16)), Tns(np.zeros(16))).value
     assert np.max(np.abs(out.mean(axis=-1))) < 1e-10
     assert np.max(np.abs(out.var(axis=-1) - 1.0)) < 1e-4  # eps-limited
 
@@ -403,14 +405,14 @@ def test_linear_and_layer_norm_forwards_allocate_only_what_they_keep(monkeypatch
 def test_gradients_own_their_memory_in_shared_and_diamond_graphs():
     rng = T.Rng(28)
     x = Tns(rng.normal((3, 4)))
-    T.backward(T.tsum(T.add(x, x)))
+    T.backward(T.tsum(add(x, x)))
     np.testing.assert_array_equal(x.grad, np.full((3, 4), 2.0))
     assert_grads_own_memory([x])
 
     # a diamond: x and y meet in h, h is used twice by add and twice by mul
     x, y = Tns(rng.normal((3, 4))), Tns(rng.normal((3, 4)))
-    h = T.add(x, y)
-    z = T.add(h, h)
+    h = add(x, y)
+    z = add(h, h)
     T.backward(T.tsum(T.mul(z, z)))
     want = 8.0 * (x.value + y.value)
     assert x.grad.tobytes() == want.tobytes() and y.grad.tobytes() == want.tobytes()
@@ -420,7 +422,7 @@ def test_gradients_own_their_memory_in_shared_and_diamond_graphs():
     x, w = Tns(rng.normal((2, 3, 3))), Tns(rng.normal((3, 3)))
     b, c = Tns(rng.normal((2, 3, 3))), Tns(rng.normal((2, 3, 3)))
     lin = T.linear(x, w, b)
-    T.backward(T.tsum(T.add(T.add(lin, T.matmul(x, x)), T.sub(c, lin))))
+    T.backward(T.tsum(add(add(lin, T.matmul(x, x)), T.sub(c, lin))))
     assert_grads_own_memory([x, w, b, c])
     np.testing.assert_array_equal(b.grad, np.zeros((2, 3, 3)))
     np.testing.assert_array_equal(c.grad, np.ones((2, 3, 3)))
@@ -479,13 +481,13 @@ def test_ndar1_every_truncation_and_an_oversized_dim_are_data_errors():
 @settings(max_examples=20, deadline=None)
 def test_broadcasting_trailing_alignment(sa, sb):
     a, b = np.ones(sa), np.ones(sb)
-    out = T.add(Tns(a), Tns(b))
+    out = add(Tns(a), Tns(b))
     assert out.shape == np.broadcast_shapes(sa, sb)
 
 
 def test_broadcast_violation_raises_not_clips():
     with pytest.raises(ShapeError):
-        T.add(Tns(np.ones((3, 2))), Tns(np.ones((3, 4))))
+        add(Tns(np.ones((3, 2))), Tns(np.ones((3, 4))))
 
 
 def test_grad_shape_matches_value_shape_after_broadcast_graph():
