@@ -4,12 +4,16 @@
 
 REV (default ``HEAD``) is a git revision of this repository.  Its ``src/``
 is extracted with ``git archive`` into a temporary directory; then this
-script runs once per tree in a fresh interpreter, with ``tsgpt`` imported
-from that tree's ``src/``, and writes every array below to an ``.npz``
-file.  The two files are compared array by array: the script prints how
-many arrays are bitwise equal and the first one that differs, and exits 0
-only when every array is equal.  It also prints the line count of each
-``src/tsgpt`` module in both trees and the change in the total.
+script runs once per tree and BLAS setting in a fresh interpreter, with
+``tsgpt`` imported from that tree's ``src/``, and writes every array below
+to an ``.npz`` file.  The two BLAS settings are numpy's default thread
+count (``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` unset) and
+``OPENBLAS_NUM_THREADS=1``, which the benchmark uses; a tree's own arrays
+may differ between the two, so the trees are compared within each setting
+only.  For each setting the script prints how many arrays are bitwise
+equal and the first one that differs, and it exits 0 only when every array
+is equal under both.  It also prints the line count of each ``src/tsgpt``
+module in both trees and the change in the total.
 
 What is compared, for ``extrapolation_model``, its vanilla variant and
 ``irregular_model``: the loss and every gradient of three Adam steps and
@@ -145,9 +149,31 @@ def dump(path: str, src: str) -> None:
     np.savez(path, **out)
 
 
-def _run_dump(src: Path, path: Path) -> None:
+# (name, environment changes): None unsets a variable.
+BLAS_SETTINGS = (
+    ("default BLAS threads", {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": None}),
+    ("OPENBLAS_NUM_THREADS=1", {"OPENBLAS_NUM_THREADS": "1"}),
+)
+
+
+def _run_dump(src: Path, path: Path, blas: dict) -> None:
     env = dict(os.environ, PYTHONPATH=str(src))
+    for var, value in blas.items():
+        env.pop(var, None)
+        if value is not None:
+            env[var] = value
     subprocess.run([sys.executable, __file__, "--dump", str(path), "--src", str(src)], env=env, check=True)
+
+
+def extract(rev: str, dest: Path, paths: tuple[str, ...] = ("src",)) -> Path:
+    """``paths`` of git revision ``rev`` of this repository, extracted with
+    ``git archive`` into ``dest`` (made if missing); returns ``dest``."""
+    archive = subprocess.run(["git", "-C", str(REPO), "archive", rev, *paths],
+                             check=True, capture_output=True).stdout
+    dest.mkdir(parents=True, exist_ok=True)
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+    return dest
 
 
 def compare(a_path: Path, b_path: Path) -> int:
@@ -197,14 +223,15 @@ def main() -> int:
         return 0
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        archive = subprocess.run(["git", "-C", str(REPO), "archive", args.rev, "src"],
-                                 check=True, capture_output=True).stdout
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(tmp / "base", filter="data")
-        print_line_counts(line_counts(tmp / "base" / "src"), line_counts(REPO / "src"))
-        _run_dump(tmp / "base" / "src", tmp / "base.npz")
-        _run_dump(REPO / "src", tmp / "this.npz")
-        return compare(tmp / "base.npz", tmp / "this.npz")
+        base = extract(args.rev, tmp / "base") / "src"
+        print_line_counts(line_counts(base), line_counts(REPO / "src"))
+        failed = 0
+        for i, (name, blas) in enumerate(BLAS_SETTINGS):
+            print(f"{name}:")
+            _run_dump(base, tmp / f"base{i}.npz", blas)
+            _run_dump(REPO / "src", tmp / f"this{i}.npz", blas)
+            failed |= compare(tmp / f"base{i}.npz", tmp / f"this{i}.npz")
+        return failed
 
 
 if __name__ == "__main__":

@@ -30,7 +30,8 @@ class SequenceBatch:
     ``timestamps`` [B, T] are strictly increasing integers per row (set for
     irregularly sampled data).  ``codes`` [B, T] carries integer event codes
     >= 0 when values are their one-hot encoding.  ``valid`` [B, T] flags
-    real (non-padding) positions; ``labels`` [B] are per-sequence targets.
+    real (non-padding) positions, as weights in [0, 1]; ``labels`` [B] are
+    per-sequence targets.
     Anything else raises InputError, here and on every :meth:`take`.
     """
 
@@ -55,6 +56,11 @@ class SequenceBatch:
                 raise InputError(f"codes must be >= 0, got {self.codes.min()}")
         if self.valid is not None:
             self.valid = _per_position("valid", self.valid, rows, integer=False)
+            if self.valid.dtype.kind not in "biuf":
+                raise InputError(f"valid must be numeric, got dtype {self.valid.dtype}")
+            outside = ~((self.valid >= 0) & (self.valid <= 1))  # NaN too
+            if np.any(outside):
+                raise InputError(f"valid must lie in [0, 1], got {self.valid[outside][0]}")
         if self.labels is not None:
             self.labels = np.asarray(self.labels)
             if self.labels.shape != rows[:1]:

@@ -22,7 +22,7 @@ every fused node they take ``Tensor`` operands only.  Their backwards
 recompute what they need (the feed-forward only above a size), one block
 of whole batch rows at a time, on the calling thread and one worker
 (:func:`~tsgpt.tensor.map_blocks`); the retention kernel between them runs
-on the whole batch, on the calling thread.  No block splits a row, so each
+its blocks on the calling thread alone.  No block splits a row, so each
 row's outputs are bitwise the same in any batch and on any number of
 threads.
 
@@ -411,7 +411,7 @@ class DecoderLayer:
         """``x`` plus the retention sublayer run on ``h``, its normalized input.
 
         Rotary q/k and v are one :func:`project_heads` node each, rotated by
-        ``geo``'s tables; retention runs on the whole batch in ``geo``'s
+        ``geo``'s tables; retention takes the whole batch in ``geo``'s
         form (chunk-wise, or the parallel reference) on its decay geometry;
         head merge, layer norm, output projection and the residual add are
         one :func:`retention_output` node.  Returns (out [..., L, d_model],

@@ -28,7 +28,10 @@ Two rules keep a train step from churning the heap:
   allocated, or is made on the caller.  glibc gives each thread its own
   malloc arena: memory freed into the worker's is not reused by the
   caller, so an array the worker made and the caller kept past the call
-  would add its size to the process's peak.
+  would add its size to the process's peak.  The chunk-wise retention
+  kernel runs its blocks on the calling thread only: each is a loop of
+  small products per chunk that holds the GIL too often to gain from a
+  second thread.
 - A tensor's first gradient is adopted, not copied, when the caller
   passes ``own=True`` to :func:`_accum`: the caller guarantees that the
   array is C-contiguous and that nothing else refers to it or will write
@@ -102,7 +105,7 @@ def row_blocks(batch: int, row_elements: int) -> list[slice]:
     one row).  Every kernel that runs by blocks sizes them here, by its
     widest per-block array; no block splits a row, so a row's results never
     depend on the rows beside it."""
-    rows = min(batch, max(1, BLOCK_ELEMENTS // row_elements))
+    rows = max(1, min(batch, BLOCK_ELEMENTS // max(1, row_elements)))
     return [slice(lo, min(lo + rows, batch)) for lo in range(0, batch, rows)]
 
 

@@ -10,8 +10,9 @@ encodes (with the start token's broadcast op), and two oracles for
 streaming generation: re-encoding the whole prefix per token, and the
 recurrent decode step run through the Tensor ops.  The
 plain-expression forms of the in-place kernels (swish, its slope, layer
-norm and its gradient) are kept as their bitwise references, beside a
-check that gradients own their memory."""
+norm and its gradient) and of the decay mask (``gamma ** gaps``) are kept
+as their bitwise references, beside a check that gradients own their
+memory."""
 
 import numpy as np
 
@@ -157,6 +158,23 @@ def assert_grads_own_memory(tensors) -> None:
         assert isinstance(g, np.ndarray) and g.flags.c_contiguous and g.flags.writeable
         assert not any(np.shares_memory(g, h) for h in grads[i + 1 :])
         assert not any(np.shares_memory(g, t.value) for t in tensors)
+
+
+def decay_mask_direct(gamma, timestamps) -> np.ndarray:
+    """Bitwise reference for ``DecayMask.build(gamma, timestamps=t)``: the
+    whole mask as one ``gamma ** gaps`` expression, gaps zeroed above the
+    diagonal, then the upper triangle zeroed."""
+    g = np.asarray(gamma, dtype=np.float64)
+    t = _check_timestamps(timestamps)
+    L = t.shape[-1]
+    gaps = t[..., :, None] - t[..., None, :]
+    tril = np.tril(np.ones((L, L), dtype=bool))
+    gaps *= tril
+    if t.ndim == 2:
+        gaps = gaps[:, None, :, :]  # room for the head axis
+    d = g**gaps if g.ndim == 0 else g[:, None, None] ** gaps
+    d *= tril
+    return d
 
 
 def retention_recurrent_taped(q, k, v, timestamps, gamma):

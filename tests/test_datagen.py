@@ -158,6 +158,23 @@ def test_batch_rejects_valid_of_another_shape():
         _small_batch(valid=np.ones((1, 3)))
 
 
+@pytest.mark.parametrize("bad", [-1.0, 1.5, np.nan])
+def test_batch_rejects_valid_outside_zero_one(bad):
+    """A valid weight outside [0, 1] (or NaN) is refused, also when a batch
+    whose ``valid`` was changed in place is taken from: a -1 would make the
+    masked losses negative without an error."""
+    valid = np.ones((2, 3))
+    valid[1, 2] = bad
+    with pytest.raises(InputError, match=r"valid must lie in \[0, 1\]"):
+        _small_batch(valid=valid)
+    batch = _small_batch(valid=np.ones((2, 3)))
+    batch.valid[1, 2] = bad
+    with pytest.raises(InputError, match=r"valid must lie in \[0, 1\]"):
+        batch.take([1])
+    _small_batch(valid=np.array([[1.0, 0.5, 0.0], [1.0, 1.0, 0.0]]))  # fractions and 0 pass
+    _small_batch(valid=np.array([[True, True, False], [True, False, False]]))
+
+
 def test_batch_rejects_codes_of_another_shape():
     with pytest.raises(InputError, match="codes"):
         _small_batch(codes=np.zeros((2,), dtype=np.int64))

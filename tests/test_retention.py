@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,9 +15,16 @@ from tsgpt.retention import (
     retention_parallel,
     retention_recurrent,
 )
-from tsgpt.tensor import Rng, Tensor, backward, mul, tsum
+from tsgpt import tensor
+from tsgpt.tensor import Rng, Tensor, backward, mul, no_grad, row_blocks, tsum
 
-from oracles import finite_diff_grad, rel_err, retention_chunkwise_taped, retention_recurrent_taped
+from oracles import (
+    decay_mask_direct,
+    finite_diff_grad,
+    rel_err,
+    retention_chunkwise_taped,
+    retention_recurrent_taped,
+)
 
 
 def _qkv(rng, lead, L, dk, dv):
@@ -97,6 +106,57 @@ def test_mask_rejects_decreasing_timestamps_and_bad_gamma():
         DecayMask.build(1.5, length=3)
     with pytest.raises(ConfigError):
         DecayMask.build(-0.1, length=3)
+
+
+MASK_TIMESTAMPS = {
+    # name: timestamps
+    "regular": np.arange(9),
+    "repeated": np.array([2, 2, 3, 7, 7, 7, 8]),
+    "batched": np.array([[1, 2, 5, 9, 9], [3, 3, 4, 30, 31], [0, 1, 2, 3, 4]]),
+    "table_fills_the_mask": np.array([0, 3]),  # span + 1 == 4 entries: the table
+    "table_exceeds_the_mask": np.array([0, 4]),  # span + 1 == 5 > 4 entries: direct powers
+    "batched_direct": np.array([[0, 40], [5, 6]]),
+    "no_rows": np.zeros((0, 3), dtype=np.int64),
+    "no_positions": np.zeros((2, 0), dtype=np.int64),
+}
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 0.9, np.array([0.0, 0.5, 1.0]), np.array([0.98, 0.7])])
+@pytest.mark.parametrize("name", sorted(MASK_TIMESTAMPS))
+def test_mask_is_the_direct_power_expression_bitwise(name, gamma):
+    """Table or direct powers, the mask is bitwise ``gamma ** gaps``."""
+    t = MASK_TIMESTAMPS[name]
+    got = DecayMask.build(gamma, timestamps=t).matrix
+    want = decay_mask_direct(gamma, t)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def test_mask_of_a_huge_span_builds_no_span_sized_table():
+    """Epoch-scale gaps take the direct powers: the result is the direct
+    expression and nothing near the span's size is allocated."""
+    for t in (np.array([0, 10**12]), np.array([[0, 10**12], [7, 8]])):
+        for gamma in (0.5, np.array([0.9, 1.0])):
+            tracemalloc.start()
+            try:
+                got = DecayMask.build(gamma, timestamps=t).matrix
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got.tobytes() == decay_mask_direct(gamma, t).tobytes()
+            assert peak < 64 * 1024
+
+
+def test_mask_writes_per_sequence_rows_by_blocks(monkeypatch):
+    """With blocks of one row, a per-sequence mask is the direct expression
+    and each row is that row's mask built alone."""
+    monkeypatch.setattr(tensor, "BLOCK_ELEMENTS", 1)
+    t = MASK_TIMESTAMPS["batched"]
+    gammas = np.array([0.9, 0.6])
+    got = DecayMask.build(gammas, timestamps=t).matrix
+    assert got.tobytes() == decay_mask_direct(gammas, t).tobytes()
+    for i in range(len(t)):
+        assert got[i : i + 1].tobytes() == DecayMask.build(gammas, timestamps=t[i : i + 1]).matrix.tobytes()
 
 
 @given(st.floats(min_value=0.05, max_value=1.0), st.integers(min_value=2, max_value=12))
@@ -457,3 +517,83 @@ def test_chunkwise_fused_equals_taped_oracle(name):
     for got, want in zip(tensors, ref_tensors):
         scale = np.max(np.abs(want.grad))
         assert np.max(np.abs(got.grad - want.grad)) <= 1e-10 * scale, name
+
+
+# ---------------------------------------------------------------------------
+# blocked chunk-wise kernel: rows run by blocks are the rows run alone
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("per_sequence", [False, True])
+@pytest.mark.parametrize("per_head", [False, True])
+def test_chunkwise_blocks_are_rows_run_alone_bitwise(per_sequence, per_head, monkeypatch):
+    """With blocks small enough that a batch spans several, each row's
+    output, state and q/k/v gradients are bitwise that row run alone (a
+    ragged last chunk included), and an eval call gives the same output."""
+    B, h, L, d, chunk = 7, 2, 11, 3, 4  # chunks 0..4, 4..8, 8..11
+    monkeypatch.setattr(tensor, "BLOCK_ELEMENTS", 2 * h * chunk * chunk)
+    assert len(row_blocks(B, h * chunk * chunk)) == 4  # blocks of 2, 2, 2, 1 rows
+    rng = Rng(41).child(f"{per_sequence}-{per_head}")
+    arrays = _qkv(rng, (B, h), L, d, d)
+    t = _irregular_ts(rng, L, batch=B if per_sequence else None)
+    gamma = np.array([0.97, 0.6]) if per_head else 0.9
+    weights = rng.normal((B, h, L, d))
+
+    def run(rows):
+        ts = t[rows] if per_sequence else t
+        tensors = [Tensor(a[rows]) for a in arrays]
+        out, state = _chunkwise(*tensors, ts, gamma, chunk)
+        backward(tsum(mul(out, weights[rows])))
+        with no_grad():
+            assert _chunkwise(*(a[rows] for a in arrays), ts, gamma, chunk)[0].value.tobytes() == out.value.tobytes()
+        return out.value, state, [x.grad for x in tensors]
+
+    out, state, grads = run(slice(None))
+    for i in range(B):
+        out_i, state_i, grads_i = run(slice(i, i + 1))
+        assert out[i : i + 1].tobytes() == out_i.tobytes(), i
+        assert state[i : i + 1].tobytes() == state_i.tobytes(), i
+        for g, g_i in zip(grads, grads_i):
+            assert g[i : i + 1].tobytes() == g_i.tobytes(), i
+
+
+def test_chunkwise_rejects_a_plan_for_another_batch():
+    rng = Rng(42)
+    q, k, v = _qkv(rng, (3, 2), 5, 4, 4)
+    plan = ChunkPlan.build(_irregular_ts(rng, 5, batch=2), 0.9, 4)
+    with pytest.raises(InputError, match="batch of 2"):
+        retention_chunkwise(Tensor(q), Tensor(k), Tensor(v), plan)
+
+
+@pytest.mark.parametrize("per_sequence", [False, True])
+def test_chunkwise_of_a_zero_length_sequence_is_empty_with_the_zero_state(per_sequence):
+    q, k, v = (Tensor(np.ones((2, 1, 0, 3))) for _ in range(3))
+    t = np.zeros((2, 0) if per_sequence else (0,), dtype=np.int64)
+    out, state = _chunkwise(q, k, v, t, 0.9, 4)
+    assert out.shape == (2, 1, 0, 3)
+    assert state.shape == (2, 1, 3, 3) and not state.any()
+    backward(tsum(out))
+    assert all(x.grad.shape == (2, 1, 0, 3) for x in (q, k, v))
+
+
+def test_chunkwise_eval_call_at_the_cohort_shape_allocates_blocks_not_the_batch():
+    """An eval call at the benchmark cohort's shape ([400, 2, 61, 8], one
+    chunk of per-sequence timestamps) peaks below its output and states plus
+    a few blocks' score arrays; the whole batch's [400, 2, 61, 61] scores
+    would be 24 MB."""
+    B, h, L, d = 400, 2, 61, 8
+    rng = Rng(43)
+    q, k, v = (Tensor(a) for a in _qkv(rng, (B, h), L, d, d))
+    plan = ChunkPlan.build(_irregular_ts(rng, L, batch=B), 0.9, 64)
+    rows = row_blocks(B, h * L * L)[0].stop
+    block = rows * h * L * L * 8
+    out_bytes, state_bytes = B * h * L * d * 8, B * h * d * d * 8
+    with no_grad():
+        tracemalloc.start()
+        try:
+            out, state = retention_chunkwise(q, k, v, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert out.value.nbytes == out_bytes and state.nbytes == state_bytes
+    assert peak < out_bytes + state_bytes + 4 * block, (peak, block)
