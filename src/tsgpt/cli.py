@@ -6,8 +6,8 @@ artifacts under --out, and records a manifest.json with the resolved
 settings and wall-clock timings.  Artifacts other than the manifest are
 byte-identical across reruns with the same config and seed.
 
-Exit codes: 0 success, 2 usage/config error, 3 data error, 4 numeric
-failure during training.
+Exit codes: 0 success, 2 usage/config error, 3 data error (an
+unreadable or unwritable path too), 4 numeric failure during training.
 """
 
 from __future__ import annotations
@@ -53,33 +53,44 @@ USAGE_EXIT, DATA_EXIT, NUMERIC_EXIT = 2, 3, 4
 
 
 def _load_config(path) -> dict:
+    """The JSON object in ``path``; an unreadable file, bytes that are not
+    UTF-8 JSON or a top-level value other than an object are a UsageError."""
     if path is None:
         raise UsageError("missing required --config")
-    if not os.path.exists(path):
-        raise UsageError(f"config file not found: {path}")
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as e:
-        raise UsageError(f"config {path} is not valid JSON: {e}")
+            cfg = json.load(fh)
+    except (OSError, ValueError) as e:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        raise UsageError(f"config {path}: {e}")
+    if not isinstance(cfg, dict):
+        raise UsageError(f"config {path} must be a JSON object, got {type(cfg).__name__}")
+    return cfg
 
 
-def _require(cfg: dict, key: str, context: str):
+def _require(cfg: dict, key: str, context: str, kind: type | None = None):
+    """``cfg[key]``, typed as :func:`_scalar` types it when ``kind`` is
+    given; a missing field is a UsageError."""
     if key not in cfg:
         raise UsageError(f"config for {context} is missing required field {key!r}")
-    return cfg[key]
+    return cfg[key] if kind is None else _scalar(cfg, key, kind)
+
+
+_JSON_KINDS = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}  # integers pass as floats
+
+
+def _is_kind(value, kind: type) -> bool:
+    """Whether the JSON ``value`` is a ``kind`` (bool, int, float or str; a
+    str with a NUL, which no path can hold, is none)."""
+    return isinstance(value, bool) == (kind is bool) and isinstance(value, _JSON_KINDS[kind]) and (
+        kind is not str or "\0" not in value)
 
 
 def _scalar(cfg: dict, key: str, kind: type, default=None):
-    """``cfg[key]``, or ``default`` when absent: a JSON integer when ``kind``
-    is int, any JSON number when it is float (never a boolean); anything else
-    is a UsageError."""
-    if key not in cfg:
-        return default
-    value = cfg[key]
-    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
-        raise UsageError(f"config field {key!r} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
-    return value
+    """``cfg[key]`` if it is a ``kind`` (int, float or str, see
+    :func:`_is_kind`), or ``default`` when absent; else a UsageError."""
+    if key in cfg and not _is_kind(cfg[key], kind):
+        raise UsageError(f"config field {key!r} must be {kind.__name__}, got {cfg[key]!r}")
+    return cfg.get(key, default)
 
 
 def _from_section(cls, section, context: str, seed: int | None = None, **fields):
@@ -90,12 +101,10 @@ def _from_section(cls, section, context: str, seed: int | None = None, **fields)
     if not isinstance(section, dict):
         raise UsageError(f"{context} config must be a JSON object, got {type(section).__name__}")
     hints = typing.get_type_hints(cls) if dataclasses.is_dataclass(cls) else {}
-    json_kinds = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
     for key, value in section.items():
         kinds = typing.get_args(hints.get(key)) or (hints.get(key),)  # X | None names both
-        kind = next((k for k in kinds if k in json_kinds), None)
-        if kind and not (value is None and type(None) in kinds) and (
-                isinstance(value, bool) != (kind is bool) or not isinstance(value, json_kinds[kind])):
+        kind = next((k for k in kinds if k in _JSON_KINDS), None)
+        if kind and not (value is None and type(None) in kinds) and not _is_kind(value, kind):
             raise UsageError(f"{context} config field {key!r} must be {kind.__name__}, got {value!r}")
     d = dict(section, **fields)
     if seed is not None:
@@ -157,17 +166,9 @@ def _write_manifest(out_dir, command: str, config_path, seed, timings: dict, ext
 
 
 def _load_signal(path) -> dg.SequenceBatch:
-    if not os.path.exists(path):
-        raise DataError(f"data file not found: {path}")
     if str(path).endswith(".csv"):
         return dg.read_signal_csv(path)
     return dg.read_signal_ndar(path)
-
-
-def _load_cohort(path, vocab: int) -> dg.SequenceBatch:
-    if not os.path.exists(path):
-        raise DataError(f"data file not found: {path}")
-    return dg.read_cohort_jsonl(path, vocab)
 
 
 def _load_batch(path, model_cfg: ModelConfig, command: str) -> dg.SequenceBatch:
@@ -177,7 +178,7 @@ def _load_batch(path, model_cfg: ModelConfig, command: str) -> dg.SequenceBatch:
     if str(path).endswith(".csv"):
         raise UsageError(f"{command} cannot train on {path}: a signal CSV holds one sequence; CSV input is for forecast")
     if model_cfg.discrete:
-        return _load_cohort(path, model_cfg.n_inputs)
+        return dg.read_cohort_jsonl(path, model_cfg.n_inputs)
     return _load_signal(path)
 
 
@@ -185,8 +186,8 @@ def _eval_inputs(args, command: str) -> tuple[dict, str, str]:
     """(config, checkpoint, data) for an eval command; flags win over the
     config's ``checkpoint`` and ``data`` fields."""
     cfg = _load_config(args.config) if args.config else {}
-    checkpoint = args.checkpoint or cfg.get("checkpoint")
-    data = args.data or cfg.get("data")
+    checkpoint = args.checkpoint or _scalar(cfg, "checkpoint", str)
+    data = args.data or _scalar(cfg, "data", str)
     if not checkpoint:
         raise UsageError(f"{command} needs a checkpoint (--checkpoint or config field 'checkpoint')")
     if not data:
@@ -280,7 +281,7 @@ def cmd_pretrain(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     model_cfg = _from_section(ModelConfig, _require(cfg, "model", "pretrain"), "model", seed)
     sched = _from_section(TrainSchedule, cfg.get("train", {}), "train", seed)
-    data_path = _require(cfg, "data", "pretrain")
+    data_path = _require(cfg, "data", "pretrain", str)
 
     t0 = time.perf_counter()
     batch = _load_batch(data_path, model_cfg, "pretrain")
@@ -314,9 +315,9 @@ def cmd_finetune(args) -> int:
             raise CheckpointError(
                 f"checkpoint backbone {pretrained.cfg.backbone_hash()} does not match config {wanted.backbone_hash()}"
             )
-    head = cfg.get("head", "classification")
+    head = _scalar(cfg, "head", str, "classification")
     sched = _from_section(TrainSchedule, cfg.get("train", {"epochs": 5}), "train", seed)
-    data_path = _require(cfg, "data", "finetune")
+    data_path = _require(cfg, "data", "finetune", str)
     fraction = _scalar(cfg, "subset_fraction", float)
     if fraction is not None and not 0.0 < fraction <= 1.0:
         raise UsageError(f"config field 'subset_fraction' must be in (0, 1], got {fraction}")
@@ -428,7 +429,7 @@ def cmd_classify(args) -> int:
     model = _load_trained(checkpoint)
     if model.cfg.head_kind != "classification":
         raise TaskError(f"checkpoint head is {model.cfg.head_kind!r}, classify needs a classification head")
-    batch = _load_cohort(data, model.cfg.n_inputs)
+    batch = dg.read_cohort_jsonl(data, model.cfg.n_inputs)
     t0 = time.perf_counter()
     logits = model.classify_logits(batch, train=False).value
     t_eval = time.perf_counter() - t0
@@ -493,7 +494,7 @@ def cmd_ablate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     base_model = _from_section(dict, _require(cfg, "model", "ablate"), "model")
     sched = _from_section(TrainSchedule, cfg.get("train", {"epochs": 2}), "train", seed)
-    data_path = _require(cfg, "data", "ablate")
+    data_path = _require(cfg, "data", "ablate", str)
     irregular = bool(base_model.get("discrete", False))
     row_cfgs = []
     for name, flags in ABLATION_ROWS:
@@ -667,7 +668,7 @@ def main(argv=None) -> int:
     except (UsageError, ConfigError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_EXIT
-    except (DataError, InputError, CheckpointError, TaskError) as e:
+    except (DataError, InputError, CheckpointError, TaskError, OSError) as e:  # OSError names its path
         print(f"error: {e}", file=sys.stderr)
         return DATA_EXIT
     except TsgptError as e:

@@ -25,14 +25,14 @@ Array = np.ndarray
 
 @dataclass
 class SequenceBatch:
-    """A batch of sequences: values [B, T, V] plus optional extras.
+    """A batch of B >= 1 sequences: finite values [B, T, V] plus extras.
 
-    ``timestamps`` [B, T] are strictly increasing integers per row (set for
-    irregularly sampled data).  ``codes`` [B, T] carries integer event codes
-    >= 0 when values are their one-hot encoding.  ``valid`` [B, T] flags
-    real (non-padding) positions, as weights in [0, 1]; ``labels`` [B] are
-    per-sequence targets.
-    Anything else raises InputError, here and on every :meth:`take`.
+    ``timestamps`` [B, T] are strictly increasing integers from 1 up per row
+    (set for irregularly sampled data; the model's start token sits at 0).
+    ``codes`` [B, T] carries integer event codes >= 0 when values are their
+    one-hot encoding.  ``valid`` [B, T] flags real (non-padding) positions,
+    as weights in [0, 1]; ``labels`` [B] are per-sequence targets.  Anything
+    else raises InputError, here and on every :meth:`take`.
     """
 
     values: Array
@@ -43,13 +43,15 @@ class SequenceBatch:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 3:
-            raise InputError(f"values must be [B, T, V], got {self.values.shape}")
+        if self.values.ndim != 3 or not len(self.values):
+            raise InputError(f"values must be [B, T, V] with B >= 1, got {self.values.shape}")
+        if not np.all(np.isfinite(self.values)):
+            raise InputError("values must be finite, got NaN or inf")
         rows = self.values.shape[:2]
         if self.timestamps is not None:
-            self.timestamps = _per_position("timestamps", self.timestamps, rows, integer=True)
-            if self.timestamps.shape[1] > 1 and np.any(np.diff(self.timestamps, axis=1) <= 0):
-                raise InputError("timestamps must be strictly increasing per sequence")
+            ts = self.timestamps = _per_position("timestamps", self.timestamps, rows, integer=True)
+            if ts.size and (ts[:, 0].min() < 1 or np.any(np.diff(ts, axis=1) <= 0)):
+                raise InputError("timestamps must be strictly increasing and >= 1 per sequence (the start token sits at 0)")
         if self.codes is not None:
             self.codes = _per_position("codes", self.codes, rows, integer=True)
             if self.codes.size and self.codes.min() < 0:
@@ -368,11 +370,15 @@ def write_signal_csv(path, batch: SequenceBatch) -> None:
 
 
 def read_signal_csv(path) -> SequenceBatch:
-    """Read :func:`write_signal_csv` output.  A missing header, a header with
-    no rows, a row whose cell count is not the header's (a blank row too)
-    and a cell that is not a number raise DataError."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    """Read :func:`write_signal_csv` output.  Bytes that are not UTF-8 CSV, a
+    missing header, a header with no rows, a row whose cell count is not the
+    header's (a blank row too) and a cell that is not a number raise
+    DataError."""
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise DataError(f"{path}: {e}")
     if not rows or len(rows[0]) < 2 or rows[0][0] != "t":
         raise DataError(f"{path}: expected header t,v1..vV")
     if len(rows) == 1:

@@ -1,8 +1,10 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto process exit codes: usage/config problems exit 2,
-data/input/checkpoint problems exit 3, numeric failures during training
-exit 4.
+Each input is checked once, where it enters (the README's table of inputs
+and exit codes names the owners).  The CLI maps these onto exit codes:
+usage/config problems exit 2; data/input/checkpoint problems and an
+``OSError`` (a path that cannot be read or written) exit 3; numeric
+failures during training exit 4.
 """
 
 

@@ -192,13 +192,12 @@ class Geometry:
 
     @classmethod
     def build(cls, cfg: ModelConfig, positions: np.ndarray, form: str | None = None) -> "Geometry":
-        """``positions`` [L] or [B, L] include the start token's; ``form``
+        """``positions`` [L] or [B, L] include the start token's (strictly
+        increasing, as :class:`~tsgpt.datagen.SequenceBatch` checks); ``form``
         None (or "chunkwise") is the chunk-wise form."""
         form = form or "chunkwise"
         if form not in RETENTION_FORMS:
             raise ConfigError(f"unknown retention form {form!r}")
-        if positions.shape[-1] > 1 and np.any(np.diff(positions, axis=-1) <= 0):
-            raise InputError("positions must be strictly increasing (the start token sits at 0)")
         tables = None
         if not cfg.no_rotation:
             cos, sin = rotation_tables(positions, RotaryAngles(cfg.d_q))
@@ -437,15 +436,16 @@ class DecoderLayer:
         geo: Geometry,
         train: bool,
         valid: np.ndarray | None = None,
-        capture: dict | None = None,
     ):
         """Whole-sequence pass over the positions ``geo`` was built for;
-        returns (x, retention state after the last token), the state being
-        None under the parallel reference form."""
+        returns (x, (retention state after the last token, depth-wise
+        window)), what :meth:`step` continues from: the state is None under
+        the parallel form, the window without a temporal block."""
         x, state = self._retention_inner(layer_norm(x, self.ln1_gain, self.ln1_bias), x, geo)
+        window = {}
         if self.tconv is not None:
-            x = self.tconv.forward(x, train=train, valid=valid, capture=capture)
-        return self._ffn(x), state
+            x = self.tconv.forward(x, train=train, valid=valid, capture=window)
+        return self._ffn(x), (state, window.get("dw_input"))
 
     def step(self, x_t: np.ndarray, plan: LayerDecode, cos: np.ndarray | None, sin: np.ndarray | None) -> np.ndarray:
         """One-token eval-mode continuation on plain arrays; O(1) in the prefix length.
@@ -582,22 +582,16 @@ class Model:
 
     def _token_features(self, batch: SequenceBatch) -> tuple[Tensor, np.ndarray]:
         """Token features [B, L, V] plus integer positions [L] or [B, L]."""
-        values = np.asarray(batch.values, dtype=np.float64)
-        if values.ndim != 3:
-            raise InputError(f"batch values must be [B, T, V], got {values.shape}")
-        if values.shape[-1] != self.cfg.n_inputs:
-            raise InputError(f"batch has {values.shape[-1]} variates, model expects {self.cfg.n_inputs}")
+        if batch.values.shape[-1] != self.cfg.n_inputs:
+            raise InputError(f"batch has {batch.values.shape[-1]} variates, model expects {self.cfg.n_inputs}")
+        feats = Tensor(batch.values)
         if self.subsampler is not None:
             if batch.timestamps is not None:
                 raise ConfigError("subsampling is undefined for irregular timestamps; use no_subsampler")
-            feats = self.subsampler.forward(Tensor(values))
+            feats = self.subsampler.forward(feats)
+        positions = batch.timestamps
+        if positions is None:
             positions = np.arange(1, feats.shape[1] + 1, dtype=np.int64)
-        else:
-            feats = Tensor(values)
-            if batch.timestamps is not None:
-                positions = np.asarray(batch.timestamps, dtype=np.int64)
-            else:
-                positions = np.arange(1, values.shape[1] + 1, dtype=np.int64)
         return feats, positions
 
     @_untaped_in_eval
@@ -608,14 +602,14 @@ class Model:
         train: bool = False,
         form: str | None = None,
         want_states: bool = False,
-        capture: list | None = None,
     ):
         """Hidden states [B, L+1, d_model]: position 0 is the start token.
 
         ``form`` None runs chunk-wise retention; "parallel" selects the
         reference form.  The layers share one :class:`Geometry`
         of the positions.  ``want_states`` also returns each layer's
-        retention state and the positions, for continuation.
+        (retention state, depth-wise window) and the positions, for
+        continuation.
         """
         feats, positions = self._token_features(batch)
         B = feats.shape[0]
@@ -630,13 +624,8 @@ class Model:
         geo = Geometry.build(self.cfg, pos, form) if self.layers else None
         states = []
         for layer in self.layers:
-            cap = None
-            if capture is not None:
-                cap = {}
-                capture.append(cap)
-            x, st = layer.forward(x, geo, train=train, valid=valid, capture=cap)
-            if want_states:
-                states.append(st)
+            x, st = layer.forward(x, geo, train=train, valid=valid)
+            states.append(st)
         return (x, states, pos) if want_states else x
 
     @_untaped_in_eval
@@ -754,13 +743,12 @@ class Model:
         if prompt.timestamps is not None:
             raise InputError("generate supports regularly sampled prompts only")
 
-        capture: list[dict] = []
-        x, states, pos = self.encode(prompt, train=False, want_states=True, capture=capture)
+        x, states, pos = self.encode(prompt, train=False, want_states=True)
         preds = [self._head(x[:, -1:, :]).value]  # each [B, 1, V]
         # the decode plan comes after the first head call, so that the time
         # to the first token does not include it; the last prediction needs
         # no step after it
-        plans = [LayerDecode(layer, st, cap.get("dw_input")) for layer, st, cap in zip(self.layers, states, capture)]
+        plans = [LayerDecode(layer, *st) for layer, st in zip(self.layers, states)]
         w_in, b_in = self.w_in.value, self.b_in.value
         for cos, sin in self._rotation_rows(int(pos[-1]) + 1, horizon - 1):
             h = preds[-1] @ w_in

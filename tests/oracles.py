@@ -450,15 +450,13 @@ def generate_by_tensor_steps(model, prompt, horizon: int) -> np.ndarray:
     emitted token runs the recurrent step of every layer through the Tensor
     ops instead of on plain arrays."""
     with no_grad():
-        capture = []
-        x, states, pos = model.encode(prompt, train=False, want_states=True, capture=capture)
-        bufs = [cap.get("dw_input") for cap in capture]
+        x, states, pos = model.encode(prompt, train=False, want_states=True)  # each (retention state, window)
         position = int(pos[-1])
         preds = [model._head(x[:, -1:, :]).value]
         for _ in range(horizon - 1):
             position += 1
             h = add(matmul(Tensor(preds[-1]), model.w_in), model.b_in)
             for li, layer in enumerate(model.layers):
-                h, states[li], bufs[li] = _layer_tensor_step(layer, h, position, states[li], bufs[li])
+                h, *states[li] = _layer_tensor_step(layer, h, position, *states[li])
             preds.append(model._head(h).value)
     return np.concatenate(preds, axis=1)

@@ -185,13 +185,18 @@ def test_criterion_8_complexity_crossover():
         assert layer_flops(n, h, d) == attention_flops(n, h, d) + ffn_flops(n, h, d)
     # (ii) measured wall-clock slopes
     lengths = (512, 1024, 2048, 4096, 8192)
-    _, slopes = run_bench(lengths, ("parallel", "chunkwise"), heads=1, d=16, chunk_size=64, repetitions=5)
-    assert slopes["parallel"] >= 1.8, slopes
-    assert slopes["chunkwise"] <= 1.2, slopes
+    results, slopes = run_bench(lengths, ("parallel", "chunkwise"), heads=1, d=16, chunk_size=64, repetitions=5)
+    # each length's median per form, so that a failed slope shows which length moved
+    medians = "; ".join(
+        f"{m} " + " ".join(f"{r.n}:{r.median_seconds * 1e3:.2f}ms" for r in results if r.mechanism == m)
+        for m in slopes
+    )
+    assert slopes["parallel"] >= 1.8, (slopes, medians)
+    assert slopes["chunkwise"] <= 1.2, (slopes, medians)
     _report(
         8,
         f"boundary identities exact; measured slopes parallel {slopes['parallel']:.2f} (>=1.8), "
-        f"chunkwise {slopes['chunkwise']:.2f} (<=1.2)",
+        f"chunkwise {slopes['chunkwise']:.2f} (<=1.2); medians {medians}",
     )
 
 

@@ -297,9 +297,13 @@ def _truncated_data(ckpt, data):
     data.write_bytes(data.read_bytes()[:-8])
 
 
+def _no_sequences(ckpt, data):
+    save_tensor(data, np.zeros((0, 32, 1)))
+
+
 @pytest.mark.parametrize("corrupt", [
     _truncate_payload, _header_line_only, _record_header_only, _non_utf8_header, _garbage_header, _bad_magic,
-    _trailing_bytes, _truncated_data,
+    _trailing_bytes, _truncated_data, _no_sequences,
 ], ids=lambda f: f.__name__.strip("_"))
 def test_malformed_checkpoint_or_data_exits_three(tmp_path, capsys, corrupt):
     m = Model(ModelConfig(**TINY_MODEL))
@@ -378,10 +382,16 @@ def test_checkpoint_config_with_output_gate_exits_three(tmp_path, capsys):
     ("pretrain", {"model": dict(TINY_MODEL, chunk_size=2.5)}),
     ("pretrain", {"model": dict(TINY_MODEL, no_decay="yes")}),
     ("pretrain", {"model": dict(TINY_MODEL, head_kind=None)}),
+    ("pretrain", {"data": 0}),  # open(0) would read the training set from stdin
+    ("forecast", {"checkpoint": 3}),  # open(3) would read file descriptor 3
+    ("classify", {"data": ["cohort.jsonl"]}),
+    ("forecast", {"data": "signal\u0000.ndar"}),  # no path holds a NUL
+    ("finetune", {"head": 1}),
 ], ids=["horizon_str", "horizon_list", "horizon_bool", "prompt_tokens_str", "train_len_str", "splits_int",
         "splits_str_item", "splits_two_items", "seed_str", "split_seed_str", "n_classes_str", "n_classes_float",
         "subset_fraction_str", "train_lr_str", "train_epochs_float", "train_clip_norm_bool",
-        "model_chunk_size_float", "model_no_decay_str", "model_head_kind_null"])
+        "model_chunk_size_float", "model_no_decay_str", "model_head_kind_null", "data_int", "checkpoint_int",
+        "data_list", "data_nul", "head_int"])
 def test_mistyped_command_config_field_exits_two(tmp_path, capsys, command, fields):
     m = Model(ModelConfig(**TINY_MODEL))
     m.encode(SequenceBatch(values=Rng(1).normal((2, 16, 1))), train=True)  # batch-norm statistics
@@ -390,6 +400,7 @@ def test_mistyped_command_config_field_exits_two(tmp_path, capsys, command, fiel
     save_tensor(data, Rng(2).normal((20, 32, 1)))
     base = {
         "forecast": {"checkpoint": str(ckpt), "data": str(data)},
+        "classify": {"checkpoint": str(ckpt), "data": str(data)},
         "pretrain": {"model": TINY_MODEL, "train": {"epochs": 1}, "data": str(data)},
         "finetune": {"head": "classification", "train": {"epochs": 1}, "data": str(data)},
     }[command]
@@ -561,6 +572,80 @@ def test_missing_data_exits_three(tmp_path):
         "model": TINY_MODEL, "train": {"epochs": 1}, "data": str(tmp_path / "nope.ndar"),
     })
     assert main(["pretrain", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+
+
+def _error_line(capsys) -> str:
+    """The one line a failed command wrote to stderr."""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize("command", ["finetune", "forecast", "classify"])
+def test_missing_checkpoint_exits_three(tmp_path, capsys, command):
+    data = tmp_path / "sig.ndar"
+    save_tensor(data, Rng(2).normal((2, 32, 1)))
+    if command == "finetune":  # which reads its data path from the config
+        inputs = ["--config", write_json(tmp_path / "ft.json", {"train": {"epochs": 1}, "data": str(data)})]
+    else:
+        inputs = ["--data", str(data)]
+    missing = tmp_path / "nope.ckpt"
+    assert main([command, "--checkpoint", str(missing), "--out", str(tmp_path / "o")] + inputs) == 3
+    assert str(missing) in _error_line(capsys)
+
+
+@pytest.mark.parametrize("which", ["data", "checkpoint"])
+def test_directory_as_data_or_checkpoint_exits_three(tmp_path, capsys, which):
+    ckpt, data = trained_checkpoint(tmp_path), tmp_path / "sig.ndar"
+    save_tensor(data, Rng(2).normal((2, 32, 1)))
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    paths = {"checkpoint": ckpt, "data": data, which: folder}
+    assert main(["forecast", "--checkpoint", str(paths["checkpoint"]), "--data", str(paths["data"]),
+                 "--horizon", "2", "--out", str(tmp_path / "o")]) == 3
+    assert str(folder) in _error_line(capsys)
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: path.mkdir(),
+    lambda path: path.write_text("[1, 2]"),
+    lambda path: path.write_text('"forecast"'),
+    lambda path: path.write_bytes(b'{"horizon": 2, "note": "\xff"}'),
+], ids=["directory", "array", "string", "not_utf8"])
+def test_unreadable_or_non_object_config_exits_two(tmp_path, capsys, write):
+    ckpt, data = trained_checkpoint(tmp_path), tmp_path / "sig.ndar"
+    save_tensor(data, Rng(2).normal((2, 32, 1)))
+    cfg = tmp_path / "cfg.json"
+    write(cfg)
+    args = ["forecast", "--config", str(cfg), "--checkpoint", ckpt, "--data", str(data), "--out", str(tmp_path / "o")]
+    assert main(args) == 2
+    assert str(cfg) in _error_line(capsys)
+
+
+def test_non_utf8_signal_csv_exits_three(tmp_path, capsys):
+    data = tmp_path / "signal.csv"
+    write_signal_csv(data, SequenceBatch(values=Rng(4).normal((1, 64, 1))))
+    data.write_bytes(data.read_bytes().replace(b"\n1,", b"\n1\xff,", 1))
+    assert main(["forecast", "--checkpoint", trained_checkpoint(tmp_path), "--data", str(data),
+                 "--out", str(tmp_path / "o")]) == 3
+    assert _error_line(capsys).startswith(f"error: {data}: ")
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("suffix", [".ndar", ".csv"])
+def test_nonfinite_signal_exits_three(tmp_path, capsys, bad, suffix):
+    """A NaN or inf in a signal file is refused, not forecast from into a
+    ``token_mae`` of nan."""
+    values = Rng(4).normal((1, 64, 1))
+    values[0, 10, 0] = float(bad)
+    data = tmp_path / f"signal{suffix}"
+    if suffix == ".ndar":
+        save_tensor(data, values)
+    else:
+        data.write_text("t,v1\n" + "".join(f"{t},{float(v)!r}\n" for t, v in enumerate(values[0, :, 0])))
+    assert main(["forecast", "--checkpoint", trained_checkpoint(tmp_path), "--data", str(data),
+                 "--out", str(tmp_path / "o")]) == 3
+    assert "finite" in _error_line(capsys)
 
 
 def test_bench_writes_results_and_slopes(tmp_path):

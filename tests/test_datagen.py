@@ -153,6 +153,31 @@ def test_batch_rejects_float_timestamps():
         _small_batch(timestamps=[[1.9, 2.1, 3.7], [1.0, 2.0, 3.0]])
 
 
+@pytest.mark.parametrize("first", [0, -4])
+def test_batch_rejects_timestamps_below_one(first):
+    """A timestamp at or below the start token's 0 is refused when the batch
+    is built, and on :meth:`take` after an in-place change."""
+    with pytest.raises(InputError, match=">= 1"):
+        _small_batch(timestamps=[[first, 2, 3], [1, 2, 3]])
+    batch = _small_batch(timestamps=[[1, 2, 3], [1, 2, 3]])
+    batch.timestamps[1, 0] = first
+    with pytest.raises(InputError, match=">= 1"):
+        batch.take([1])
+
+
+def test_batch_rejects_no_sequences():
+    with pytest.raises(InputError, match="B >= 1"):
+        dg.SequenceBatch(values=np.zeros((0, 3, 1)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_batch_rejects_nonfinite_values(bad):
+    values = np.zeros((2, 3, 1))
+    values[1, 2, 0] = bad
+    with pytest.raises(InputError, match="finite"):
+        dg.SequenceBatch(values=values)
+
+
 def test_batch_rejects_valid_of_another_shape():
     with pytest.raises(InputError, match="valid"):
         _small_batch(valid=np.ones((1, 3)))

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from tsgpt import tensor
 from tsgpt.datagen import SequenceBatch
 from tsgpt.errors import ConfigError, InputError
-from tsgpt.model import Geometry, Model, ModelConfig
 from tsgpt.positional import RotaryAngles, default_gammas, project_heads, rotate_array, rotation_tables, xpos_qk
 from tsgpt.tensor import Rng, Tensor, backward, mul, no_grad, tsum
 
@@ -164,13 +163,12 @@ def test_xpos_shift_invariance_with_identical_content():
 
 
 def test_xpos_rejects_nonincreasing_positions():
-    """The positions are checked where an encode builds its rotation tables."""
-    cfg = ModelConfig(d_q=4, heads=1, n_inputs=2, discrete=True, no_subsampler=True)
-    with pytest.raises(InputError, match="strictly increasing"):
-        Geometry.build(cfg, np.array([0, 2, 2]))
-    batch = SequenceBatch(values=np.zeros((1, 2, 2)), timestamps=np.array([[0, 3]]))  # 0 is the start token's
-    with pytest.raises(InputError, match="strictly increasing"):
-        Model(cfg).encode(batch)
+    """An encode rotates by the start token's 0 followed by the batch's
+    timestamps, so those must be strictly increasing from 1: the batch
+    refuses any others when it is built, before a model sees them."""
+    for timestamps in ([[0, 3]], [[2, 2]], [[3, 2]]):  # 0 would repeat the start token's
+        with pytest.raises(InputError, match="strictly increasing and >= 1"):
+            SequenceBatch(values=np.zeros((1, 2, 2)), timestamps=np.array(timestamps))
 
 
 def test_xpos_rejects_indivisible_head_split():
