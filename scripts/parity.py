@@ -19,7 +19,11 @@ What is compared, for ``extrapolation_model``, its vanilla variant and
 ``irregular_model``: the loss and every gradient of three Adam steps and
 the parameters after them, the eval encode and batch-norm statistics, a
 16-token ``generate`` at B=1 and B=8 (the signal models), and the
-classifier's gradients and logits over two steps.  At the benchmark's
+classifier's gradients and logits over two steps.  The loss and gradients
+of one step each of: ``extrapolation_model`` on signals padded by a
+``valid`` mask (the weighted squared error), the same model trained
+through the parallel retention form, and a regression head on signals and
+on ``irregular_model``'s events.  At the benchmark's
 ``cohort`` shape (the 400-subject cohort of seed 1, ``irregular_model(1)``):
 the loss and gradients of a B=16 next-token train step, those of a B=16
 classifier step, and the classifier's logits over all 400 subjects.  At the benchmark's
@@ -49,8 +53,10 @@ import numpy as np
 REPO = Path(__file__).resolve().parent.parent
 
 
-def _train(model, batch, steps: int, out: dict, tag: str) -> None:
-    """``steps`` Adam steps; records each loss and gradient, then the parameters."""
+def _train(model, batch, steps: int, out: dict, tag: str, form: str | None = None) -> None:
+    """``steps`` Adam steps; records each loss and gradient, then the
+    parameters.  ``form`` "parallel" trains a next-token model through the
+    parallel retention form."""
     from tsgpt.tensor import backward, zero_grads
     from tsgpt.training import OptimState, adam_step
 
@@ -58,7 +64,7 @@ def _train(model, batch, steps: int, out: dict, tag: str) -> None:
     opt = OptimState(lr=1.5e-3, warmup=20)
     for step in range(steps):
         zero_grads([p for _, p in params])
-        loss = model.loss(batch, train=True)
+        loss = model.loss(batch, train=True) if form is None else model.pretrain_loss(batch, train=True, form=form)
         backward(loss)
         out[f"{tag}/step{step}/loss"] = loss.value
         for name, p in params:
@@ -112,6 +118,17 @@ def dump(path: str, src: str) -> None:
     _model_arrays("extrapolation", extrapolation_model(1, vanilla=False), signal, out)
     _model_arrays("vanilla", extrapolation_model(1, vanilla=True), signal, out)
     _model_arrays("irregular", irregular_model(1, no_decay=False), events, out)
+
+    cfg = extrapolation_model(1, vanilla=False)
+    valid = (np.arange(96) < np.array([[96], [80], [64], [50], [96], [33], [90], [70]])).astype(np.float64)
+    valid[4, 40] = 0.5
+    _train(Model(cfg), dg.SequenceBatch(values=signal.values, valid=valid), 1, out, "padded/train")
+    _train(Model(cfg), signal, 1, out, "parallel/train", form="parallel")
+    scores = signal.values[:, -16:, 0].mean(axis=1)
+    _train(Model(replace(cfg, head_kind="regression")), dg.SequenceBatch(values=signal.values, labels=scores),
+           1, out, "regression/signal")
+    _train(Model(replace(irregular_model(1, no_decay=False), head_kind="regression")),
+           replace(events, labels=events.labels.astype(np.float64)), 1, out, "regression/events")
 
     cohort400, _ = dg.gen_cohort(replace(irregular_cohort_spec(), seed=1))
     first16 = cohort400.take(np.arange(16))

@@ -17,18 +17,20 @@ the start token and the input projection are one :func:`embed` node, q,
 k and v are one :func:`~tsgpt.positional.project_heads` node each, the
 head merge, norm, output projection and residual after the retention
 kernel are one :func:`retention_output` node, and the pre-norm
-feed-forward with its residual is one :func:`feed_forward` node.  Like
-every fused node they take ``Tensor`` operands only.  Their backwards
-recompute what they need (the feed-forward only above a size), one block
-of whole batch rows at a time, on the calling thread and one worker
-(:func:`~tsgpt.tensor.map_blocks`); the retention kernel between them runs
-its blocks on the calling thread alone.  No block splits a row, so each
-row's outputs are bitwise the same in any batch and on any number of
-threads.
+feed-forward with its residual is one :func:`feed_forward` node.  Their
+backwards recompute what they need (the feed-forward only above a size),
+one block of whole batch rows at a time, on the calling thread and one
+worker (:func:`~tsgpt.tensor.map_blocks`); the retention kernel between
+them runs its blocks on the calling thread alone.  No block splits a row,
+so each row's outputs are bitwise the same in any batch and on any number
+of threads.  At the head, each objective is one :func:`head_loss` node
+(the head's linear layer and the loss together, reading the hidden states
+as a view), fed for the pooled heads by one :func:`masked_mean` node.
+Every node takes ``Tensor`` operands only.
 
 Sequences run through chunk-wise retention; ``form="parallel"`` on
-:meth:`Model.encode`, :meth:`Model.forward` and :meth:`Model.pretrain_loss`
-selects the parallel reference for equivalence checks.  What the layers
+:meth:`Model.encode` and :meth:`Model.pretrain_loss` selects the parallel
+reference for equivalence checks.  What the layers
 read of the positions (:class:`Geometry`) depends on the positions and
 gammas alone, so :meth:`Model.encode` builds it once and every layer reads
 it; it lives as long as that encode's graph.  The recurrent form is the
@@ -70,18 +72,13 @@ from .tensor import (
     layer_norm_array,
     layer_norm_grad_array,
     linear,
-    log_softmax,
     map_blocks,
-    mul,
     no_grad,
     grad_enabled,
     read_ndar1,
     row_blocks,
-    sub,
     swish_array,
     swish_grad_array,
-    tmean,
-    tsum,
     weight_grad,
     write_ndar1,
 )
@@ -356,6 +353,102 @@ def feed_forward(x: Tensor, ln_gain: Tensor, ln_bias: Tensor, w1: Tensor, b1: Te
     return Tensor(out.reshape(xv.shape), (x,) + params, back)
 
 
+def masked_mean(x: Tensor, valid: np.ndarray | None) -> Tensor:
+    """The mean over the tokens of hidden states ``x`` [B, L+1, d], the
+    start token at position 0 left out: [B, d] as one tape node that keeps
+    only its input.  ``valid`` [B, L] weights each token, and the weighted
+    sum is divided by the row's total weight (at least 1).  Value and
+    gradient are bitwise those of the composite that slices ``x[:, 1:]``,
+    weights it, sums over the tokens and scales; the slice's gradient is
+    added into zeros, as a slice node adds it."""
+    xv = x.value
+    tokens = xv[:, 1:]
+    if valid is None:
+        scale = 1.0 / tokens.shape[1]
+        out = tokens.sum(axis=1) * scale
+    else:
+        w = np.asarray(valid, dtype=np.float64)[..., None]
+        scale = 1.0 / np.maximum(w.sum(axis=1), 1.0)
+        out = (tokens * w).sum(axis=1) * scale
+
+    def back(g):
+        gx = np.zeros_like(xv)
+        gt = (g * scale)[:, None, :]
+        gx[:, 1:] += gt if valid is None else gt * w
+        _accum(x, gx, own=True)
+
+    return Tensor(out, (x,), back)
+
+
+def head_loss(x: Tensor, w: Tensor, b: Tensor, rows: tuple, target: np.ndarray, valid: np.ndarray | None = None) -> Tensor:
+    """The loss of the linear head ``x[rows] @ w + b`` against ``target``
+    as one tape node, which reads ``x[rows]`` as a view and keeps no copy.
+
+    A float ``target`` of the head's output shape gives the mean squared
+    error.  An int64 ``target`` of that shape without its last axis holds
+    class indices and gives the mean cross-entropy of the log-softmax, each
+    target's log-probability read by index.  ``valid`` (the output's shape
+    without its last axis) weights each row's terms, and the weighted sum is
+    divided by the total weight times the terms per row (at least 1).
+
+    Value and gradients are bitwise those of the composite (a slice node,
+    :func:`~tsgpt.tensor.linear`, then elementwise, log-softmax and sum
+    nodes, with a one-hot product for cross-entropy), down to the sign of
+    a zero, with one exception: where every row's target log-probability
+    is exactly 0, the unweighted cross-entropy is -0.0 here, and +0.0 from
+    a composite that negates the one-hot before its product.
+    """
+    xv, wv, bv = x.value, w.value, b.value
+    h = xv[rows]
+    out = h @ wv
+    out += bv
+    classes = np.issubdtype(target.dtype, np.integer)
+    if target.shape != (out.shape[:-1] if classes else out.shape):
+        raise ShapeError(f"head_loss: target {target.shape} does not fit the head's output {out.shape}")
+    row_weights = None if valid is None else np.asarray(valid, dtype=np.float64)[..., None]
+    if classes:
+        out -= out.max(axis=-1, keepdims=True)
+        probs = np.exp(out)
+        out -= np.log(probs.sum(axis=-1, keepdims=True))  # log-probabilities
+        np.exp(out, out=probs)
+        idx = target[..., None]
+        terms = np.take_along_axis(out, idx, axis=-1)
+        weights = -1.0 if valid is None else -row_weights
+    else:
+        err = out
+        err -= target
+        terms = err * err
+        weights = row_weights
+    if weights is not None:
+        terms *= weights
+    scale = 1.0 / (terms.size if valid is None else max(row_weights.sum() * terms.shape[-1], 1.0))
+    loss = terms.sum() * scale
+
+    def back(g):
+        gs = g * scale
+        if classes:
+            # the composite's one-hot product leaves a * 0.0 off the target,
+            # and its sum over the classes is a + 0.0
+            a = gs * weights
+            gout = probs * (a + 0.0)
+            picked = np.take_along_axis(gout, idx, axis=-1)
+            np.subtract(a * 0.0, gout, out=gout)
+            np.put_along_axis(gout, idx, a - picked, axis=-1)
+        else:
+            gout = err * (gs if weights is None else gs * weights)
+            gout += gout
+        gx = gout @ wv.T
+        if rows != ():  # the composite's slice node adds its gradient into zeros
+            full = np.zeros_like(xv)
+            full[rows] += gx
+            gx = full
+        _accum(x, gx, own=True)
+        _accum(w, _unbroadcast(np.swapaxes(h, -1, -2) @ gout, wv.shape), own=True)
+        _accum(b, _unbroadcast(gout, bv.shape), own=True)  # the last reader of gout, so it may adopt it
+
+    return Tensor(loss, (x, w, b), back)
+
+
 class DecoderLayer:
     """Pre-norm retention -> temporal convolution -> pre-norm feed-forward."""
 
@@ -628,41 +721,30 @@ class Model:
             states.append(st)
         return (x, states, pos) if want_states else x
 
-    @_untaped_in_eval
-    def forward(self, batch: SequenceBatch, *, train: bool = False, form: str | None = None) -> Tensor:
-        """Token-aligned embeddings [B, L, d_model] (start token dropped)."""
-        return self.encode(batch, train=train, form=form)[:, 1:, :]
-
     # -- objectives ------------------------------------------------------------
 
     def _head(self, x: Tensor) -> Tensor:
         return linear(x, self.w_head, self.b_head)
 
+    def _check_head(self, kind: str, what: str) -> None:
+        if self.cfg.head_kind != kind:
+            raise TaskError(f"{what} needs a {kind} head, model has {self.cfg.head_kind!r}")
+
     @_untaped_in_eval
     def pretrain_loss(self, batch: SequenceBatch, *, train: bool = True, form: str | None = None) -> Tensor:
-        """Next-token objective: MSE for continuous values, cross-entropy for codes."""
-        if self.cfg.head_kind != "next_token":
-            raise TaskError(f"pretrain_loss needs a next_token head, model has {self.cfg.head_kind!r}")
+        """Next-token objective: MSE for continuous values, cross-entropy for
+        codes, as one :func:`head_loss` node on the hidden states of every
+        position but the last (position i predicts token i+1)."""
+        self._check_head("next_token", "pretrain_loss")
         hidden = self.encode(batch, train=train, form=form)
-        preds = self._head(hidden[:, :-1, :])  # position i predicts token i+1
-        n_tokens = preds.shape[1]
+        n_tokens = hidden.shape[1] - 1
         if n_tokens < 2:
             raise InputError(f"need at least 2 tokens for next-token training, got {n_tokens}")
         if self.cfg.discrete:
-            codes = _class_indices(batch.codes, self.cfg.n_inputs, "codes")
-            logp = log_softmax(preds)
-            onehot = np.eye(self.cfg.n_inputs)[codes]
-            tok_ll = tsum(mul(logp, onehot), axis=-1)  # [B, L]
-            if batch.valid is not None:
-                w = np.asarray(batch.valid, dtype=np.float64)
-                return mul(tsum(mul(tok_ll, -w)), 1.0 / max(w.sum(), 1.0))
-            return tmean(mul(tok_ll, -1.0))
-        targets = self.token_targets(batch)
-        err = sub(preds, targets)
-        if batch.valid is not None:
-            w = np.asarray(batch.valid, dtype=np.float64)[..., None]
-            return mul(tsum(mul(mul(err, err), w)), 1.0 / max(w.sum() * targets.shape[-1], 1.0))
-        return tmean(mul(err, err))
+            target = _class_indices(batch.codes, self.cfg.n_inputs, "codes")
+        else:
+            target = self.token_targets(batch)
+        return head_loss(hidden, self.w_head, self.b_head, np.s_[:, :-1], target, batch.valid)
 
     def token_targets(self, batch: SequenceBatch) -> np.ndarray:
         """Token-granularity ground truth for continuous next-token training."""
@@ -673,40 +755,35 @@ class Model:
 
     @_untaped_in_eval
     def mean_hidden(self, batch: SequenceBatch, *, train: bool = False) -> Tensor:
-        hidden = self.encode(batch, train=train)[:, 1:, :]
-        if batch.valid is not None:
-            w = np.asarray(batch.valid, dtype=np.float64)[..., None]
-            total = tsum(mul(hidden, w), axis=1)
-            return mul(total, 1.0 / np.maximum(w.sum(axis=1), 1.0))
-        return tmean(hidden, axis=1)
+        """The :func:`masked_mean` of the final hidden states over the
+        batch's valid tokens: [B, d_model]."""
+        return masked_mean(self.encode(batch, train=train), batch.valid)
 
     @_untaped_in_eval
     def classify_logits(self, batch: SequenceBatch, *, train: bool = False) -> Tensor:
-        if self.cfg.head_kind != "classification":
-            raise TaskError(f"classification needs a classification head, model has {self.cfg.head_kind!r}")
+        self._check_head("classification", "classification")
         return self._head(self.mean_hidden(batch, train=train))
 
     @_untaped_in_eval
     def classification_loss(self, batch: SequenceBatch, *, train: bool = True) -> Tensor:
+        """Cross-entropy of the pooled head: one :func:`head_loss` node."""
         labels = _class_indices(batch.labels, self.cfg.n_classes, "labels")
-        logits = self.classify_logits(batch, train=train)
-        logp = log_softmax(logits)
-        onehot = np.eye(self.cfg.n_classes)[labels]
-        return tmean(tsum(mul(logp, mul(onehot, -1.0)), axis=-1))
+        self._check_head("classification", "classification")
+        return head_loss(self.mean_hidden(batch, train=train), self.w_head, self.b_head, (), labels)
 
     @_untaped_in_eval
     def regression_output(self, batch: SequenceBatch, *, train: bool = False) -> Tensor:
-        if self.cfg.head_kind != "regression":
-            raise TaskError(f"regression needs a regression head, model has {self.cfg.head_kind!r}")
+        self._check_head("regression", "regression")
         return self._head(self.mean_hidden(batch, train=train))
 
     @_untaped_in_eval
     def regression_loss(self, batch: SequenceBatch, *, train: bool = True) -> Tensor:
+        """Mean squared error of the pooled head: one :func:`head_loss` node."""
         if batch.labels is None:
             raise InputError("the batch has no labels")
-        out = self.regression_output(batch, train=train)
-        err = sub(out, np.asarray(batch.labels, dtype=np.float64)[:, None])
-        return tmean(mul(err, err))
+        self._check_head("regression", "regression")
+        target = np.asarray(batch.labels, dtype=np.float64)[:, None]
+        return head_loss(self.mean_hidden(batch, train=train), self.w_head, self.b_head, (), target)
 
     def loss(self, batch: SequenceBatch, train: bool = True) -> Tensor:
         if self.cfg.head_kind == "next_token":
@@ -736,8 +813,7 @@ class Model:
         batch-norm statistics as they are then.  Timestamped prompts are
         not supported: rollout emits one token per regular step.
         """
-        if self.cfg.head_kind != "next_token":
-            raise TaskError(f"generate needs a next_token head, model has {self.cfg.head_kind!r}")
+        self._check_head("next_token", "generate")
         if horizon < 1:
             raise InputError(f"horizon must be >= 1, got {horizon}")
         if prompt.timestamps is not None:
@@ -854,9 +930,9 @@ class Model:
 
 
 def _class_indices(targets, n: int, what: str) -> np.ndarray:
-    """``targets`` as int64 row indices of ``np.eye(n)``: each must be an
-    integer in [0, n), since numpy would read -1 as row n-1; else
-    InputError."""
+    """``targets`` as int64 class indices that :func:`head_loss` reads
+    log-probabilities by: each must be an integer in [0, n), since numpy
+    would read -1 as class n-1; else InputError."""
     if targets is None:
         raise InputError(f"the batch has no {what}")
     idx = np.asarray(targets).astype(np.int64)

@@ -11,7 +11,8 @@ intra-chunk work plus a recurrent inter-chunk state, recorded as one tape
 node over ``Tensor`` q, k and v with an analytic backward (the reverse
 chunk recurrence of GLA, Yang et al. arXiv 2312.06635 §4, and RetNet's
 chunk-wise form).  The parallel form materializes the full decay matrix D
-through generic tape ops and is the reference the model runs on request.
+and is the reference the model runs on request: one tape node over q, k
+and v, bitwise the composite of product and elementwise nodes it replaces.
 The recurrent form carries a d_k x d_v state one step at a time on plain
 arrays and records no tape: a forward-only oracle, whose update the
 model's decode step (``DecoderLayer.step``) runs.  The chunk-wise and
@@ -47,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .tensor import Tensor, _accum, _unbroadcast, as_f64, matmul, mul, row_blocks, swapaxes
+from .tensor import Tensor, _accum, _unbroadcast, as_f64, row_blocks
 
 Array = np.ndarray
 
@@ -220,14 +221,36 @@ class ChunkPlan:
 
 
 def retention_parallel(q: Tensor, k: Tensor, v: Tensor, mask: DecayMask) -> Tensor:
-    """(q k^T elementwise-decayed) v over a full sequence."""
-    L = q.shape[-2]
+    """(q k^T elementwise-decayed) v over a full sequence, as one tape node
+    over (q, k, v).
+
+    The node keeps k^T and the decayed scores P = (q k^T) . D.  The
+    backward forms dS = (dO v^T) . D (summed down to the scores' shape where
+    D has more leading axes), dq = dS k, dk = (q^T dS)^T and dv = P^T dO.
+    Value and gradients are bitwise those of the composite of product,
+    transpose and elementwise nodes: the same products on operands of the
+    same memory order (the BLAS may round a product of a transposed view
+    differently from one of a copy), in the same order.
+    """
+    qv, kv, vv = q.value, k.value, v.value
+    L = qv.shape[-2]
     if mask.length != L:
         raise InputError(f"decay mask built for length {mask.length}, sequence has {L}")
-    if k.shape[-2] != L or v.shape[-2] != L:
-        raise InputError(f"q/k/v lengths disagree: {q.shape} {k.shape} {v.shape}")
-    scores = matmul(q, swapaxes(k, -1, -2))
-    return matmul(mul(scores, mask.matrix), v)
+    if kv.shape[-2] != L or vv.shape[-2] != L:
+        raise InputError(f"q/k/v lengths disagree: {qv.shape} {kv.shape} {vv.shape}")
+    k_t = as_f64(np.swapaxes(kv, -1, -2))  # a C-ordered copy, as the composite's transpose node made it
+    scores = qv @ k_t
+    scores_shape = scores.shape
+    p = scores * mask.matrix
+    out = p @ vv
+
+    def back(g):
+        ds = _unbroadcast((g @ np.swapaxes(vv, -1, -2)) * mask.matrix, scores_shape)
+        _accum(q, _unbroadcast(ds @ np.swapaxes(k_t, -1, -2), qv.shape), own=True)
+        _accum(k, np.swapaxes(_unbroadcast(np.swapaxes(qv, -1, -2) @ ds, k_t.shape), -1, -2))
+        _accum(v, _unbroadcast(np.swapaxes(p, -1, -2) @ g, vv.shape), own=True)
+
+    return Tensor(out, (q, k, v), back)
 
 
 def retention_recurrent(q, k, v, timestamps, gamma) -> tuple[Array, Array]:

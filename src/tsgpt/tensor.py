@@ -7,10 +7,10 @@ node's gradient, closure and parents are freed once its closure has run,
 so afterwards only leaves (parameters and inputs) carry ``.grad``.  The
 tape is rebuilt on every forward pass (define-by-run).  Layer norm and a
 linear layer (``x @ w + b``) are each one fused op with an analytic
-backward, as are, in their modules, the temporal convolution block,
-chunk-wise retention, the per-head projections and the retention output
-and feed-forward sublayers.  A slice adds to its parent's
-``.grad`` in place.
+backward, as are, in their modules, the temporal convolution block, both
+retention forms, the per-head projections, the retention output and
+feed-forward sublayers, the pooled mean and the head with its loss.  A
+slice adds to its parent's ``.grad`` in place.
 
 Two rules keep a train step from churning the heap:
 
@@ -53,15 +53,13 @@ Inside a :func:`no_grad` block nothing is recorded: new tensors hold no
 parents and no backward closure, so an eval pass frees each intermediate
 as soon as it drops it.
 
-Operands.  A fused node (:func:`linear`, :func:`layer_norm`,
-:func:`swish`, :func:`conv1d` here; the retention, projection, output,
-feed-forward, embedding and temporal-convolution nodes in their modules)
-takes ``Tensor`` operands only, reads their ``.value`` and records every
-one of them as a parent, in argument order.  The generic ops (:func:`mul`,
-:func:`sub`, :func:`matmul`, :func:`swapaxes`, :func:`tsum`,
-:func:`tmean`, :func:`getitem`, :func:`log_softmax`) also take
-non-``Tensor`` operands (python floats, numpy arrays) as constants: they
-join the computation but receive no gradient.
+Operands.  Every node takes ``Tensor`` operands only, reads their
+``.value`` and records every one of them as a parent, in argument order:
+:func:`linear`, :func:`layer_norm`, :func:`swish`, :func:`conv1d` and
+:func:`getitem` here; the retention, projection, output, feed-forward,
+embedding, temporal-convolution, pooling and objective nodes in their
+modules.  What is not differentiated (a decay plan, targets, ``valid``
+weights, an index) is a plain argument, never an operand.
 """
 
 from __future__ import annotations
@@ -303,10 +301,6 @@ class Tensor:
         return getitem(self, idx)
 
 
-def _val(x) -> Array:
-    return x.value if isinstance(x, Tensor) else as_f64(x)
-
-
 def _accum(t: Tensor, g: Array, own: bool = False) -> None:
     """Add ``g`` into ``t.grad``.  A first gradient is copied in, or adopted
     as it is when ``own`` (see the module docstring for when that holds)."""
@@ -330,44 +324,9 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
     return g.reshape(shape)
 
 
-def _check_broadcast(a: Array, b: Array, op: str) -> None:
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast")
-
-
 # ---------------------------------------------------------------------------
 # elementwise ops
 # ---------------------------------------------------------------------------
-
-
-def sub(a, b) -> Tensor:
-    av, bv = _val(a), _val(b)
-    _check_broadcast(av, bv, "sub")
-    parents = tuple(t for t in (a, b) if isinstance(t, Tensor))
-
-    def back(g):
-        if isinstance(a, Tensor):
-            _accum(a, _unbroadcast(g, av.shape), own=True)
-        if isinstance(b, Tensor):
-            _accum(b, _unbroadcast(-g, bv.shape), own=True)
-
-    return Tensor(av - bv, parents, back)
-
-
-def mul(a, b) -> Tensor:
-    av, bv = _val(a), _val(b)
-    _check_broadcast(av, bv, "mul")
-    parents = tuple(t for t in (a, b) if isinstance(t, Tensor))
-
-    def back(g):
-        if isinstance(a, Tensor):
-            _accum(a, _unbroadcast(g * bv, av.shape), own=True)
-        if isinstance(b, Tensor):
-            _accum(b, _unbroadcast(g * av, bv.shape), own=True)
-
-    return Tensor(av * bv, parents, back)
 
 
 def _sigmoid(xv: Array) -> Array:
@@ -413,71 +372,28 @@ def swish(x: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# reductions and shape ops
+# slices and linear layers
 # ---------------------------------------------------------------------------
 
 
-def tsum(x, axis=None) -> Tensor:
-    xv = _val(x)
-    out = xv.sum(axis=axis)
-
-    def back(g):
-        if not isinstance(x, Tensor):
-            return
-        gg = np.asarray(g)
-        if axis is not None:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            gg = np.expand_dims(gg, tuple(a % xv.ndim for a in axes))
-        _accum(x, np.broadcast_to(gg, xv.shape))
-
-    return Tensor(out, (x,) if isinstance(x, Tensor) else (), back)
-
-
-def tmean(x, axis=None) -> Tensor:
-    xv = _val(x)
-    if axis is None:
-        n = xv.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        n = int(np.prod([xv.shape[a] for a in axes]))
-    return mul(tsum(x, axis=axis), 1.0 / n)
-
-
-def swapaxes(x, a1: int, a2: int) -> Tensor:
-    xv = _val(x)
-    out = np.swapaxes(xv, a1, a2)
-
-    def back(g):
-        if isinstance(x, Tensor):
-            _accum(x, np.swapaxes(g, a1, a2))
-
-    return Tensor(out, (x,) if isinstance(x, Tensor) else (), back)
-
-
-def getitem(x, idx) -> Tensor:
+def getitem(x: Tensor, idx) -> Tensor:
     """``x[idx]``; its backward adds into ``x.grad`` in place, with
     ``np.add.at`` for advanced indices so repeated entries accumulate."""
-    xv = _val(x)
+    xv = x.value
     out = xv[idx]
     parts = idx if isinstance(idx, tuple) else (idx,)
     basic = all(i is None or i is Ellipsis or isinstance(i, (slice, int, np.integer)) and not isinstance(i, bool)
                 for i in parts)
 
     def back(g):
-        if isinstance(x, Tensor):
-            if x.grad is None:
-                x.grad = np.zeros_like(xv)
-            if basic:
-                x.grad[idx] += g
-            else:
-                np.add.at(x.grad, idx, g)
+        if x.grad is None:
+            x.grad = np.zeros_like(xv)
+        if basic:
+            x.grad[idx] += g
+        else:
+            np.add.at(x.grad, idx, g)
 
-    return Tensor(out, (x,) if isinstance(x, Tensor) else (), back)
-
-
-# ---------------------------------------------------------------------------
-# matmul
-# ---------------------------------------------------------------------------
+    return Tensor(out, (x,), back)
 
 
 def _check_matmul(av: Array, bv: Array, op: str) -> None:
@@ -485,28 +401,11 @@ def _check_matmul(av: Array, bv: Array, op: str) -> None:
         raise ShapeError(f"{op}: operands must be >= 2-D, got {av.shape} and {bv.shape}")
     if av.shape[-1] != bv.shape[-2]:
         raise ShapeError(f"{op}: inner dims differ, {av.shape} x {bv.shape}")
-    if av.ndim > 2 and bv.ndim > 2:  # a 2-D operand has no batch dims to disagree
-        _check_broadcast(av[..., :1, :1], bv[..., :1, :1], f"{op}(batch dims)")
-
-
-def matmul(a, b) -> Tensor:
-    av, bv = _val(a), _val(b)
-    _check_matmul(av, bv, "matmul")
-    out = av @ bv
-    parents = tuple(t for t in (a, b) if isinstance(t, Tensor))
-
-    def back(g):
-        if isinstance(a, Tensor):
-            _accum(a, _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape), own=True)
-        if isinstance(b, Tensor):
-            _accum(b, _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape), own=True)
-
-    return Tensor(out, parents, back)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``matmul(x, w) + b`` as one node whose values and gradients are
-    bitwise those of the two-node composite.  The product takes the bias in
+    """``x @ w + b`` as one node whose values and gradients are
+    bitwise those of a product node followed by a bias add.  The product takes the bias in
     place, so the tape keeps no bias-free copy of it."""
     xv, wv, bv = x.value, w.value, b.value
     _check_matmul(xv, wv, "linear")
@@ -632,22 +531,6 @@ def batch_norm_eval_array(xv: Array, gv: Array, bv: Array, state: BatchNormState
     inv = batch_norm_eval_scale(state)
     xhat = (xv - state.running_mean) * inv
     return xhat * gv + bv, xhat, inv
-
-
-def log_softmax(x) -> Tensor:
-    """Numerically stable log-softmax over the last axis."""
-    xv = _val(x)
-    m = xv.max(axis=-1, keepdims=True)
-    z = xv - m
-    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    out = z - lse
-    sm = np.exp(out)
-
-    def back(g):
-        if isinstance(x, Tensor):
-            _accum(x, g - sm * g.sum(axis=-1, keepdims=True), own=True)
-
-    return Tensor(out, (x,) if isinstance(x, Tensor) else (), back)
 
 
 # ---------------------------------------------------------------------------
@@ -823,9 +706,13 @@ def save_tensor(path, arr: Array) -> None:
 
 
 def load_tensor(path) -> Array:
-    """The single NDAR1 record of a file; anything after it is a DataError."""
+    """The single NDAR1 record of a file.  A bad or truncated record, or
+    anything after it, is a DataError that names the file."""
     with open(path, "rb") as fh:
-        arr = read_ndar1(fh)
+        try:
+            arr = read_ndar1(fh)
+        except DataError as e:
+            raise DataError(f"{path}: {e}") from None
         if fh.read(1):
             raise DataError(f"{path}: bytes after the NDAR1 record")
     return arr

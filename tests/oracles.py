@@ -1,5 +1,9 @@
-"""Shared test helpers: a central-finite-difference oracle, the tape ops
-no package code records any more (``add``, ``concat``), the recurrent and
+"""Shared test helpers: a central-finite-difference oracle, the generic
+tape ops no package code records any more (``sub``, ``mul``, ``tsum``,
+``tmean``, ``swapaxes``, ``matmul``, ``log_softmax``, ``add``, ``concat``,
+``broadcast_to``), which take non-``Tensor`` operands as constants, the
+head losses, the pooled mean and parallel retention as the composites of
+those ops that their fused nodes replace, the recurrent and
 chunk-wise retention loops recorded op by op as gradient oracles, the
 temporal convolution block as six Tensor ops (with the depth-wise
 convolution and batch norm ops it needs) as that fused block's oracle, the
@@ -26,19 +30,131 @@ from tsgpt.tensor import (
     LAYER_NORM_EPS,
     Tensor,
     _accum,
-    _check_broadcast,
+    _check_matmul,
     _unbroadcast,
-    _val,
     as_f64,
     batch_norm_eval_array,
     layer_norm,
     linear,
-    matmul,
-    mul,
     no_grad,
-    swapaxes,
     swish,
 )
+
+
+def _val(x) -> np.ndarray:
+    return x.value if isinstance(x, Tensor) else as_f64(x)
+
+
+def _check_broadcast(a: np.ndarray, b: np.ndarray, op: str) -> None:
+    try:
+        np.broadcast_shapes(a.shape, b.shape)
+    except ValueError:
+        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast")
+
+
+def sub(a, b) -> Tensor:
+    """``a - b`` with numpy broadcasting; a non-``Tensor`` operand is a
+    constant."""
+    av, bv = _val(a), _val(b)
+    _check_broadcast(av, bv, "sub")
+    parents = tuple(t for t in (a, b) if isinstance(t, Tensor))
+
+    def back(g):
+        if isinstance(a, Tensor):
+            _accum(a, _unbroadcast(g, av.shape), own=True)
+        if isinstance(b, Tensor):
+            _accum(b, _unbroadcast(-g, bv.shape), own=True)
+
+    return Tensor(av - bv, parents, back)
+
+
+def mul(a, b) -> Tensor:
+    """``a * b`` with numpy broadcasting; a non-``Tensor`` operand is a
+    constant."""
+    av, bv = _val(a), _val(b)
+    _check_broadcast(av, bv, "mul")
+    parents = tuple(t for t in (a, b) if isinstance(t, Tensor))
+
+    def back(g):
+        if isinstance(a, Tensor):
+            _accum(a, _unbroadcast(g * bv, av.shape), own=True)
+        if isinstance(b, Tensor):
+            _accum(b, _unbroadcast(g * av, bv.shape), own=True)
+
+    return Tensor(av * bv, parents, back)
+
+
+def tsum(x, axis=None) -> Tensor:
+    """``x.sum(axis)``; the backward broadcasts the gradient back."""
+    xv = _val(x)
+    out = xv.sum(axis=axis)
+
+    def back(g):
+        if not isinstance(x, Tensor):
+            return
+        gg = np.asarray(g)
+        if axis is not None:
+            axes = axis if isinstance(axis, tuple) else (axis,)
+            gg = np.expand_dims(gg, tuple(a % xv.ndim for a in axes))
+        _accum(x, np.broadcast_to(gg, xv.shape))
+
+    return Tensor(out, (x,) if isinstance(x, Tensor) else (), back)
+
+
+def tmean(x, axis=None) -> Tensor:
+    """``x.mean(axis)`` as the sum times one over the count."""
+    xv = _val(x)
+    if axis is None:
+        n = xv.size
+    else:
+        axes = axis if isinstance(axis, tuple) else (axis,)
+        n = int(np.prod([xv.shape[a] for a in axes]))
+    return mul(tsum(x, axis=axis), 1.0 / n)
+
+
+def swapaxes(x, a1: int, a2: int) -> Tensor:
+    xv = _val(x)
+    out = np.swapaxes(xv, a1, a2)
+
+    def back(g):
+        if isinstance(x, Tensor):
+            _accum(x, np.swapaxes(g, a1, a2))
+
+    return Tensor(out, (x,) if isinstance(x, Tensor) else (), back)
+
+
+def matmul(a, b) -> Tensor:
+    """``a @ b`` (operands >= 2-D, batch dims broadcast)."""
+    av, bv = _val(a), _val(b)
+    _check_matmul(av, bv, "matmul")
+    if av.ndim > 2 and bv.ndim > 2:  # a 2-D operand has no batch dims to disagree
+        _check_broadcast(av[..., :1, :1], bv[..., :1, :1], "matmul(batch dims)")
+    out = av @ bv
+    parents = tuple(t for t in (a, b) if isinstance(t, Tensor))
+
+    def back(g):
+        if isinstance(a, Tensor):
+            _accum(a, _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape), own=True)
+        if isinstance(b, Tensor):
+            _accum(b, _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape), own=True)
+
+    return Tensor(out, parents, back)
+
+
+def log_softmax(x) -> Tensor:
+    """Numerically stable log-softmax over the last axis."""
+    xv = _val(x)
+    m = xv.max(axis=-1, keepdims=True)
+    z = xv - m
+    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    out = z - lse
+    sm = np.exp(out)
+
+    def back(g):
+        if isinstance(x, Tensor):
+            _accum(x, g - sm * g.sum(axis=-1, keepdims=True), own=True)
+
+    return Tensor(out, (x,) if isinstance(x, Tensor) else (), back)
 
 
 def add(a, b) -> Tensor:
@@ -85,6 +201,54 @@ def broadcast_to(x, shape) -> Tensor:
             _accum(x, _unbroadcast(g, xv.shape))
 
     return Tensor(out, (x,) if isinstance(x, Tensor) else (), back)
+
+
+def retention_parallel_taped(q, k, v, mask) -> Tensor:
+    """Oracle for ``retention.retention_parallel``: ((q k^T) . D) v as
+    product, transpose and elementwise nodes."""
+    return matmul(mul(matmul(q, swapaxes(k, -1, -2)), mask.matrix), v)
+
+
+def masked_mean_taped(x, valid) -> Tensor:
+    """Oracle for ``model.masked_mean``: the tokens after the start token,
+    weighted by ``valid``, summed and scaled, as recorded Tensor ops."""
+    hidden = x[:, 1:, :]
+    if valid is None:
+        return tmean(hidden, axis=1)
+    w = np.asarray(valid, dtype=np.float64)[..., None]
+    return mul(tsum(mul(hidden, w), axis=1), 1.0 / np.maximum(w.sum(axis=1), 1.0))
+
+
+def pretrain_loss_taped(hidden, w, b, target, valid=None) -> Tensor:
+    """Oracle for ``model.head_loss`` on next-token rows: the head ``linear``
+    on a slice of every position but the last, then squared error (float
+    ``target``) or log-softmax cross-entropy against a one-hot of the class
+    indices (int ``target``), as recorded Tensor ops."""
+    preds = linear(hidden[:, :-1, :], w, b)
+    if np.issubdtype(target.dtype, np.integer):
+        onehot = np.eye(preds.shape[-1])[target]
+        tok_ll = tsum(mul(log_softmax(preds), onehot), axis=-1)
+        if valid is not None:
+            wv = np.asarray(valid, dtype=np.float64)
+            return mul(tsum(mul(tok_ll, -wv)), 1.0 / max(wv.sum(), 1.0))
+        return tmean(mul(tok_ll, -1.0))
+    err = sub(preds, target)
+    if valid is not None:
+        wv = np.asarray(valid, dtype=np.float64)[..., None]
+        return mul(tsum(mul(mul(err, err), wv)), 1.0 / max(wv.sum() * target.shape[-1], 1.0))
+    return tmean(mul(err, err))
+
+
+def classification_loss_taped(pooled, w, b, labels) -> Tensor:
+    """Oracle for ``model.head_loss`` on pooled rows with class labels."""
+    onehot = np.eye(w.shape[-1])[labels]
+    return tmean(tsum(mul(log_softmax(linear(pooled, w, b)), mul(onehot, -1.0)), axis=-1))
+
+
+def regression_loss_taped(pooled, w, b, target) -> Tensor:
+    """Oracle for ``model.head_loss`` on pooled rows with float targets [B, 1]."""
+    err = sub(linear(pooled, w, b), target)
+    return tmean(mul(err, err))
 
 
 def finite_diff_grad(loss_fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:

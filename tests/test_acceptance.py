@@ -124,11 +124,11 @@ def test_criterion_5_full_stack_causality():
         # token-exact case: no tokenizer
         m = Model(ModelConfig(layers=2, heads=2, d_q=8, d_v=8, n_inputs=2, conv_kernel=5, no_subsampler=True, seed=seed))
         m.pretrain_loss(batch, train=True)  # prime batch-norm statistics
-        base = m.forward(batch).value
+        base = m.encode(batch)[:, 1:].value
         t = int(rng.integers(4, 28))
         vals = batch.values.copy()
         vals[:, t:, :] += rng.normal(vals[:, t:, :].shape)
-        pert = m.forward(SequenceBatch(values=vals)).value
+        pert = m.encode(SequenceBatch(values=vals))[:, 1:].value
         np.testing.assert_array_equal(base[:, :t], pert[:, :t])
         assert np.any(base[:, t:] != pert[:, t:])
         trials += 1
@@ -136,11 +136,11 @@ def test_criterion_5_full_stack_causality():
         # through the tokenizer: tokens strictly before ceil(r/4) are fixed
         ms = Model(ModelConfig(layers=2, heads=2, d_q=8, d_v=8, n_inputs=2, conv_kernel=5, seed=seed))
         ms.pretrain_loss(batch, train=True)
-        base_s = ms.forward(batch).value
+        base_s = ms.encode(batch)[:, 1:].value
         r = int(rng.integers(8, 28))
         vals = batch.values.copy()
         vals[:, r:, :] += rng.normal(vals[:, r:, :].shape)
-        pert_s = ms.forward(SequenceBatch(values=vals)).value
+        pert_s = ms.encode(SequenceBatch(values=vals))[:, 1:].value
         safe = int(np.ceil(r / 4))
         np.testing.assert_array_equal(base_s[:, :safe], pert_s[:, :safe])
         trials += 1
@@ -230,7 +230,7 @@ def test_criterion_10_determinism_and_roundtrip(tmp_path):
     ckpt = tmp_path / "model.ckpt"
     m1.save(ckpt)
     m3 = Model.load(ckpt)
-    out_a = m1.forward(data).value
-    out_b = m3.forward(data).value
+    out_a = m1.encode(data)[:, 1:].value
+    out_b = m3.encode(data)[:, 1:].value
     assert out_a.tobytes() == out_b.tobytes()
     _report(10, "identical seeds give byte-identical metrics CSV; checkpoint round-trip is bitwise")

@@ -319,6 +319,21 @@ def test_malformed_checkpoint_or_data_exits_three(tmp_path, capsys, corrupt):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("raw", [b"", b"NDAR2\x00", b"NDAR1\x03\x00\x00\x00\x02", b"NDAR1\x01\x00\x00\x00"
+                                 + (4).to_bytes(8, "little") + bytes(16)],
+                         ids=["empty", "bad-magic", "truncated-dims", "short-payload"])
+def test_bad_data_record_names_the_file_and_exits_three(tmp_path, capsys, raw):
+    m = Model(ModelConfig(**TINY_MODEL))
+    m.encode(SequenceBatch(values=Rng(1).normal((2, 16, 1))), train=True)  # batch-norm statistics
+    ckpt, data = tmp_path / "model.ckpt", tmp_path / "sig.ndar"
+    m.save(ckpt)
+    data.write_bytes(raw)
+    rc = main(["forecast", "--checkpoint", str(ckpt), "--data", str(data), "--horizon", "2", "--out", str(tmp_path / "f")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(data) in err and "NDAR1" in err
+
+
 def test_usage_errors_exit_two(tmp_path):
     assert main(["gen", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path / "o")]) == 2
     bad = write_json(tmp_path / "nokind.json", {"spec": {}})

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from tsgpt import tensor
 from tsgpt.convolution import ConvDecode, ConvSubsampler, TemporalConvModule, subsampled_length
 from tsgpt.errors import InputError
-from tsgpt.tensor import Rng, Tensor, backward, mul, no_grad, tsum
+from tsgpt.tensor import Rng, Tensor, backward, no_grad
 
-from oracles import depthwise_conv1d, finite_diff_grad, rel_err, temporal_conv_taped
+from oracles import depthwise_conv1d, finite_diff_grad, mul, rel_err, temporal_conv_taped, tsum
 
 
 def test_length_arithmetic_headline_cases():

@@ -17,20 +17,26 @@ from tsgpt.experiments import VANILLA_FLAGS, extrapolation_model, irregular_coho
 from tsgpt.model import DecoderLayer, Geometry, Model, ModelConfig, feed_forward, pooled_tokens, retention_output
 from tsgpt.positional import RotaryAngles, project_heads, rotation_tables
 from tsgpt.retention import ChunkPlan, DecayMask, retention_chunkwise
-from tsgpt.tensor import BLOCK_ELEMENTS, Rng, Tensor, backward, mul, no_grad, tsum, zero_grads
+from tsgpt.tensor import BLOCK_ELEMENTS, Rng, Tensor, backward, no_grad, zero_grads
 from tsgpt.training import OptimState, adam_step
 
 from oracles import (
     assert_grads_own_memory,
+    classification_loss_taped,
+    masked_mean_taped,
+    pretrain_loss_taped,
+    regression_loss_taped,
     broadcast_to,
     concat,
     feed_forward_taped,
     finite_diff_grad,
     generate_by_reencoding,
     generate_by_tensor_steps,
+    mul,
     rel_err,
     retention_output_taped,
     taped_stack,
+    tsum,
 )
 
 
@@ -90,18 +96,18 @@ def test_default_gamma_schedule_is_per_head():
 def test_forward_shapes_with_and_without_subsampler():
     batch = signal_batch(T=32)
     m = Model(tiny_cfg())
-    out = m.forward(batch, train=True)
+    out = m.encode(batch, train=True)[:, 1:]
     assert out.shape == (3, subsampled_length(32), 16)
 
     m2 = Model(tiny_cfg(no_subsampler=True))
-    out2 = m2.forward(batch, train=True)
+    out2 = m2.encode(batch, train=True)[:, 1:]
     assert out2.shape == (3, 32, 16)
 
 
 def test_zero_layer_model_is_input_projection_only():
     batch = signal_batch(T=16)
     m = Model(tiny_cfg(layers=0, no_subsampler=True))
-    out = m.forward(batch)
+    out = m.encode(batch)[:, 1:]
     want = batch.values @ m.w_in.value + m.b_in.value
     np.testing.assert_allclose(out.value, want, atol=1e-15)
 
@@ -111,7 +117,7 @@ def test_timestamps_with_subsampler_is_config_error():
     cohort, _ = gen_cohort(spec)
     m = Model(tiny_cfg(n_inputs=8))
     with pytest.raises(ConfigError):
-        m.forward(cohort)
+        m.encode(cohort)
 
 
 def test_vanilla_ablation_runs_and_changes_nothing_structural():
@@ -129,11 +135,11 @@ def test_full_stack_causality_perturbation_eval_mode():
     batch = signal_batch(T=24, B=2, seed=7)
     m = Model(tiny_cfg(no_subsampler=True, seed=3))
     m.pretrain_loss(batch, train=True)  # prime batch-norm statistics
-    base = m.forward(batch).value
+    base = m.encode(batch)[:, 1:].value
     t = 11
     vals = batch.values.copy()
     vals[:, t:, :] += rng.normal(vals[:, t:, :].shape)
-    pert = Model.forward(m, SequenceBatch(values=vals)).value
+    pert = m.encode(SequenceBatch(values=vals))[:, 1:].value
     np.testing.assert_array_equal(base[:, :t], pert[:, :t])
     assert np.any(base[:, t:] != pert[:, t:])
 
@@ -142,9 +148,9 @@ def test_full_stack_chunkwise_and_parallel_forms_agree():
     batch = signal_batch(T=32)
     m = Model(tiny_cfg(chunk_size=3))
     m.pretrain_loss(batch, train=True)
-    ref = m.forward(batch, form="parallel").value
+    ref = m.encode(batch, form="parallel")[:, 1:].value
     for form in (None, "chunkwise"):
-        out = m.forward(batch, form=form).value
+        out = m.encode(batch, form=form)[:, 1:].value
         assert np.max(np.abs(out - ref)) < 1e-9
 
     # padded irregular event cohort, several chunks long: the default
@@ -182,7 +188,7 @@ def test_multihead_retention_single_head_reduces_to_parallel_compose():
     cos, sin = rotation_tables(positions, RotaryAngles(D))
     q = rotate_array(h @ layer.w_q.value, cos, sin)
     k = rotate_array(h @ layer.w_k.value, cos, sin)
-    ret = retention_parallel(q, k, h @ layer.w_v.value, DecayMask.build(0.9, length=L))
+    ret = retention_parallel(Tensor(q), Tensor(k), Tensor(h @ layer.w_v.value), DecayMask.build(0.9, length=L))
     want = x + layer_norm_array(ret.value, layer.ret_gain.value, layer.ret_bias.value)[0] @ layer.w_o.value
     want += layer.b_o.value
     assert np.max(np.abs(out.value - want)) < 1e-12
@@ -503,7 +509,7 @@ def test_eval_classify_keeps_no_tape_alive():
     m = Model(tiny_cfg(n_inputs=8, discrete=True, no_subsampler=True, head_kind="classification", n_classes=3,
                        chunk_size=8))
     taped = m.classify_logits(cohort, train=True)
-    assert len(reachable(taped)) >= 70
+    assert len(reachable(taped)) >= 67
     logits = m.classify_logits(cohort, train=False)
     assert len(reachable(logits)) <= 10
 
@@ -523,6 +529,134 @@ def test_train_step_tape_size_is_pinned(irregular, limit):
         m = Model(tiny_cfg(chunk_size=8))
     nodes = [t for t in reachable(m.loss(batch, train=True)) if t._backward is not None]
     assert len(nodes) <= limit
+
+
+# The functions whose nodes a train tape may hold: every one a fused node
+# that takes Tensor operands only.
+FUSED_NODES = {
+    "conv1d", "swish", "embed", "layer_norm", "project_heads", "retention_chunkwise", "retention_parallel",
+    "retention_output", "TemporalConvModule.forward", "feed_forward", "masked_mean", "head_loss",
+}
+
+
+def node_kinds(loss: Tensor) -> dict[str, int]:
+    """How many nodes each function recorded on the tape from ``loss``,
+    checking that each is a node of ``src/tsgpt`` with Tensor parents."""
+    kinds: dict[str, int] = {}
+    for t in reachable(loss):
+        if t._backward is None:
+            continue
+        assert t._backward.__module__.startswith("tsgpt.")
+        assert t._parents and all(isinstance(p, Tensor) for p in t._parents)
+        name = t._backward.__qualname__.split(".<locals>")[0]
+        kinds[name] = kinds.get(name, 0) + 1
+    return kinds
+
+
+@pytest.mark.parametrize("case", ["signal", "signal-parallel", "events", "classification", "regression"])
+def test_every_loss_tape_holds_fused_nodes_only(case):
+    """A tape walk from each loss: one embedding node, eight nodes per
+    layer, and at the head one objective node, after one pooling node for
+    the pooled heads; no generic op anywhere."""
+    if case.startswith("signal"):
+        batch = signal_batch(T=32)
+        m = Model(tiny_cfg(no_subsampler=True, chunk_size=8))
+        loss = m.pretrain_loss(batch, train=True, form="parallel" if case == "signal-parallel" else None)
+    else:
+        cohort = padded_cohort()
+        head = "next_token" if case == "events" else case
+        m = Model(tiny_cfg(n_inputs=6, discrete=True, no_subsampler=True, chunk_size=8, head_kind=head))
+        if case == "regression":
+            cohort = SequenceBatch(values=cohort.values, timestamps=cohort.timestamps, codes=cohort.codes,
+                                   valid=cohort.valid, labels=cohort.labels.astype(np.float64))
+        loss = m.loss(cohort, train=True)
+    layers = len(m.layers)
+    kernel = "retention_parallel" if case == "signal-parallel" else "retention_chunkwise"
+    want = {"embed": 1, "layer_norm": layers, "project_heads": 3 * layers, kernel: layers,
+            "retention_output": layers, "TemporalConvModule.forward": layers, "feed_forward": layers,
+            "head_loss": 1}
+    if case in ("classification", "regression"):
+        want["masked_mean"] = 1
+    kinds = node_kinds(loss)
+    assert set(kinds) <= FUSED_NODES
+    assert kinds == want
+    assert sum(kinds.values()) == 2 + 8 * layers + ("masked_mean" in want)
+
+
+def _bitwise_pair(build_fused, build_ref, arrays, weights=None):
+    """Run ``build_fused`` and ``build_ref`` on fresh Tensors of ``arrays``
+    (a loss each, or an output weighted by ``weights`` into one); assert the
+    values and every input's gradient are bitwise equal."""
+    outs, grads = [], []
+    for build in (build_fused, build_ref):
+        ins = [Tensor(a.copy()) for a in arrays]
+        out = build(*ins)
+        outs.append(out.value)
+        backward(out if weights is None else tsum(mul(out, weights)))
+        grads.append([t.grad for t in ins])
+    assert outs[0].tobytes() == outs[1].tobytes()
+    for a, b in zip(*grads):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("case", ["mse", "mse-valid", "ce", "ce-valid", "ce-saturated", "classification",
+                                  "regression"])
+def test_head_loss_is_bitwise_its_composite(case):
+    rng = Rng(77)
+    B, L, d, V = 3, 9, 5, 4
+    valid = np.ones((B, L))
+    valid[0, 6:], valid[1, 3:], valid[2, 5] = 0.0, 0.0, 0.5
+    valid = valid if case.endswith("-valid") or case == "ce-saturated" else None
+    w, b = rng.normal((d, V)), rng.normal((V,))
+    if case in ("classification", "regression"):
+        x = rng.normal((B, d))
+        if case == "classification":
+            target = np.array([2, 0, 3])
+            ref = lambda x, w, b: classification_loss_taped(x, w, b, target)  # noqa: E731
+        else:
+            w, b, target = w[:, :1], b[:1], rng.normal((B, 1))
+            ref = lambda x, w, b: regression_loss_taped(x, w, b, target)  # noqa: E731
+        rows = ()
+    else:
+        x = rng.normal((B, L + 1, d)) * (300.0 if case == "ce-saturated" else 1.0)
+        target = rng.integers(0, V, (B, L)) if case.startswith("ce") else rng.normal((B, L, V))
+        ref = lambda x, w, b: pretrain_loss_taped(x, w, b, target, valid)  # noqa: E731
+        rows = np.s_[:, :-1]
+    _bitwise_pair(lambda x, w, b: tm.head_loss(x, w, b, rows, target, valid), ref, (x, w, b))
+
+
+@pytest.mark.parametrize("padded", [False, True])
+def test_masked_mean_is_bitwise_its_composite(padded):
+    rng = Rng(78)
+    B, L, d = 3, 9, 5
+    valid = None
+    if padded:
+        valid = np.ones((B, L))
+        valid[0, 6:], valid[1, 1:], valid[2, 5] = 0.0, 0.0, 0.5
+    x = rng.normal((B, L + 1, d))
+    xt = Tensor(x)
+    assert tm.masked_mean(xt, valid)._parents == (xt,)
+    _bitwise_pair(lambda t: tm.masked_mean(t, valid), lambda t: masked_mean_taped(t, valid), (x,),
+                  weights=rng.normal((B, d)))
+
+
+def test_head_loss_keeps_no_copy_of_its_rows():
+    """The next-token objective reads the hidden states as a view: a train
+    forward at B=8, L=1024 holds no [B, L, d] array beyond the encode's."""
+    batch = signal_batch(T=1024 * 4, V=1, B=8)
+    m = Model(tiny_cfg(n_inputs=1, layers=1))
+    hidden = m.encode(batch, train=True)
+    row_bytes = hidden.value[:, :-1].nbytes
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        loss = tm.head_loss(hidden, m.w_head, m.b_head, np.s_[:, :-1], m.token_targets(batch))
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held < row_bytes // 4
+    assert loss._parents[0] is hidden
 
 
 @pytest.mark.parametrize("irregular", [False, True])
@@ -998,8 +1132,8 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     p = tmp_path / "model.ckpt"
     m.save(p)
     m2 = Model.load(p)
-    a = m.forward(batch).value
-    b = m2.forward(batch).value
+    a = m.encode(batch)[:, 1:].value
+    b = m2.encode(batch)[:, 1:].value
     assert a.tobytes() == b.tobytes()
 
 

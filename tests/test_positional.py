@@ -7,9 +7,9 @@ from tsgpt import tensor
 from tsgpt.datagen import SequenceBatch
 from tsgpt.errors import ConfigError, InputError
 from tsgpt.positional import RotaryAngles, default_gammas, project_heads, rotate_array, rotation_tables, xpos_qk
-from tsgpt.tensor import Rng, Tensor, backward, mul, no_grad, tsum
+from tsgpt.tensor import Rng, Tensor, backward, no_grad
 
-from oracles import finite_diff_grad, merge_heads, project_heads_taped, rel_err, rotate, split_heads
+from oracles import finite_diff_grad, merge_heads, mul, project_heads_taped, rel_err, rotate, split_heads, tsum
 
 
 def _rotated(x, positions, angles):

@@ -16,14 +16,17 @@ from tsgpt.retention import (
     retention_recurrent,
 )
 from tsgpt import tensor
-from tsgpt.tensor import Rng, Tensor, backward, mul, no_grad, row_blocks, tsum
+from tsgpt.tensor import Rng, Tensor, backward, no_grad, row_blocks
 
 from oracles import (
     decay_mask_direct,
     finite_diff_grad,
+    mul,
     rel_err,
     retention_chunkwise_taped,
+    retention_parallel_taped,
     retention_recurrent_taped,
+    tsum,
 )
 
 
@@ -47,6 +50,12 @@ def _chunkwise(q, k, v, t, gamma, chunk_size):
     q, k, v = (x if isinstance(x, Tensor) else Tensor(x) for x in (q, k, v))
     t = np.arange(q.shape[-2]) if t is None else t
     return retention_chunkwise(q, k, v, ChunkPlan.build(t, gamma, chunk_size))
+
+
+def _parallel(q, k, v, mask):
+    """The parallel form; array operands are wrapped in Tensors."""
+    q, k, v = (x if isinstance(x, Tensor) else Tensor(x) for x in (q, k, v))
+    return retention_parallel(q, k, v, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +185,7 @@ def test_mask_monotone_decay_property(g, L):
 def test_parallel_single_step():
     rng = Rng(0)
     q, k, v = _qkv(rng, (), 1, 4, 3)
-    out = retention_parallel(q, k, v, DecayMask.build(0.9, length=1))
+    out = _parallel(q, k, v, DecayMask.build(0.9, length=1))
     want = (q[0] @ k[0]) * v[0]
     np.testing.assert_allclose(out.value[0], want, atol=1e-15)
 
@@ -184,7 +193,7 @@ def test_parallel_single_step():
 def test_parallel_memoryless_gamma_zero():
     rng = Rng(1)
     q, k, v = _qkv(rng, (), 5, 4, 3)
-    out = retention_parallel(q, k, v, DecayMask.build(0.0, length=5))
+    out = _parallel(q, k, v, DecayMask.build(0.0, length=5))
     for n in range(5):
         np.testing.assert_allclose(out.value[n], (q[n] @ k[n]) * v[n], atol=1e-12)
 
@@ -194,7 +203,7 @@ def test_parallel_matches_double_loop_oracle():
     L, d = 8, 4
     q, k, v = _qkv(rng, (), L, d, d)
     g = 0.85
-    out = retention_parallel(q, k, v, DecayMask.build(g, length=L)).value
+    out = _parallel(q, k, v, DecayMask.build(g, length=L)).value
     want = np.zeros((L, d))
     for n in range(L):
         for m in range(n + 1):
@@ -206,7 +215,32 @@ def test_parallel_mask_length_mismatch():
     rng = Rng(2)
     q, k, v = _qkv(rng, (), 4, 2, 2)
     with pytest.raises(InputError):
-        retention_parallel(q, k, v, DecayMask.build(0.9, length=5))
+        _parallel(q, k, v, DecayMask.build(0.9, length=5))
+
+
+@pytest.mark.parametrize("lead, gammas, per_sequence", [
+    ((2, 3), 0.9, False),
+    ((2, 3), (0.98, 0.9, 0.7), False),
+    ((2, 3), (0.98, 0.9, 0.7), True),
+    ((2, 3), 0.9, True),
+    ((3,), 0.9, False),
+    ((), (0.98, 0.9, 0.7), False),  # the mask has more leading axes than the scores
+])
+def test_parallel_is_one_node_bitwise_its_composite(lead, gammas, per_sequence):
+    rng = Rng(19)
+    L = 33  # with d_k = 16, a product with a transposed view of k rounds differently from one with a copy
+    q, k, v = _qkv(rng, lead, L, 16, 3)
+    t = _irregular_ts(rng, L, batch=lead[0]) if per_sequence else _irregular_ts(rng, L)
+    mask = DecayMask.build(np.asarray(gammas), timestamps=t)
+    fused, ref = [Tensor(a) for a in (q, k, v)], [Tensor(a) for a in (q, k, v)]
+    out, want = retention_parallel(*fused, mask), retention_parallel_taped(*ref, mask)
+    assert out._parents == tuple(fused)
+    assert out.value.tobytes() == want.value.tobytes()
+    weights = rng.normal(out.shape)
+    backward(tsum(mul(out, weights)))
+    backward(tsum(mul(want, weights)))
+    for f, r in zip(fused, ref):
+        assert f.grad.shape == r.grad.shape and f.grad.tobytes() == r.grad.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +252,7 @@ def test_recurrent_regular_equals_parallel():
     rng = Rng(3)
     L = 12
     q, k, v = _qkv(rng, (), L, 4, 4)
-    par = retention_parallel(q, k, v, DecayMask.build(0.9, length=L)).value
+    par = _parallel(q, k, v, DecayMask.build(0.9, length=L)).value
     rec, _ = retention_recurrent(q, k, v, None, 0.9)
     assert np.max(np.abs(par - rec)) < 1e-10
 
@@ -244,7 +278,7 @@ def test_recurrent_irregular_equals_parallel_with_irregular_mask():
     L = 12
     q, k, v = _qkv(rng, (), L, 4, 4)
     t = _irregular_ts(rng, L)
-    par = retention_parallel(q, k, v, DecayMask.build(0.9, timestamps=t)).value
+    par = _parallel(q, k, v, DecayMask.build(0.9, timestamps=t)).value
     rec, _ = retention_recurrent(q, k, v, t, 0.9)
     assert np.max(np.abs(par - rec)) < 1e-10
 
@@ -342,13 +376,13 @@ def test_chunkwise_single_chunk_equals_parallel():
     gammas = np.array([0.98, 0.9])
     for L in (1, 7, 61):
         q, k, v = _qkv(rng, (), L, 4, 4)
-        par = retention_parallel(q, k, v, DecayMask.build(0.9, length=L)).value
+        par = _parallel(q, k, v, DecayMask.build(0.9, length=L)).value
         out, _ = _chunkwise(q, k, v, None, 0.9, 64)
         np.testing.assert_array_equal(out.value, par)
 
         q, k, v = _qkv(rng, (3, 2), L, 4, 4)
         t = _irregular_ts(rng, L, batch=3)
-        par = retention_parallel(q, k, v, DecayMask.build(gammas, timestamps=t)).value
+        par = _parallel(q, k, v, DecayMask.build(gammas, timestamps=t)).value
         out, _ = _chunkwise(q, k, v, t, gammas, 64)
         np.testing.assert_array_equal(out.value, par)
 
@@ -389,7 +423,7 @@ def test_three_forms_agree_batched_multihead(irregular):
     gammas = np.array([0.98, 0.9, 0.7])
     t = _irregular_ts(rng, L, batch=Bq) if irregular else None
     mask = DecayMask.build(gammas, length=L) if t is None else DecayMask.build(gammas, timestamps=t)
-    par = retention_parallel(q, k, v, mask).value
+    par = _parallel(q, k, v, mask).value
     rec, _ = retention_recurrent(q, k, v, t, gammas)
     chk, _ = _chunkwise(q, k, v, t, gammas, 6)
     assert np.max(np.abs(par - rec)) < 1e-9
@@ -407,8 +441,8 @@ def test_head_permutation_oracle():
     w_out = rng.normal((h * d, D))
     perm = np.array([2, 0, 1])
 
-    out = retention_parallel(q, k, v, DecayMask.build(gammas, length=L)).value
-    out_p = retention_parallel(q[perm], k[perm], v[perm], DecayMask.build(gammas[perm], length=L)).value
+    out = _parallel(q, k, v, DecayMask.build(gammas, length=L)).value
+    out_p = _parallel(q[perm], k[perm], v[perm], DecayMask.build(gammas[perm], length=L)).value
     np.testing.assert_allclose(out_p, out[perm], atol=1e-12)
 
     merged = out.transpose(1, 0, 2).reshape(L, h * d)
@@ -422,11 +456,11 @@ def test_causality_perturbation():
     L = 10
     q, k, v = _qkv(rng, (), L, 4, 4)
     mask = DecayMask.build(0.9, length=L)
-    base = retention_parallel(q, k, v, mask).value
+    base = _parallel(q, k, v, mask).value
     kp, vp = k.copy(), v.copy()
     kp[7] += 10.0
     vp[7] -= 3.0
-    pert = retention_parallel(q, kp, vp, mask).value
+    pert = _parallel(q, kp, vp, mask).value
     np.testing.assert_array_equal(base[:7], pert[:7])
     assert np.any(base[7:] != pert[7:])
 

@@ -20,16 +20,22 @@ from oracles import (
     layer_norm_grad_reference,
     layer_norm_reference,
     linear_swish_grad_reference,
+    log_softmax,
+    matmul,
+    mul,
     rel_err,
     reshape,
+    sub,
+    swapaxes,
     swish_grad_reference,
     swish_reference,
+    tsum,
 )
 
 
 def test_matmul_identity():
     m = T.Rng(0).normal((3, 3))
-    out = T.matmul(Tns(np.eye(3)), Tns(m))
+    out = matmul(Tns(np.eye(3)), Tns(m))
     np.testing.assert_array_equal(out.value, m)
 
 
@@ -40,7 +46,7 @@ def Tns(x):
 def test_matmul_zero():
     a = Tns([[1.0, 2.0], [3.0, 4.0]])
     b = Tns([[0.0], [0.0]])
-    out = T.matmul(a, b)
+    out = matmul(a, b)
     np.testing.assert_array_equal(out.value, [[0.0], [0.0]])
 
 
@@ -54,37 +60,37 @@ def test_matmul_matches_triple_loop_oracle():
         for j in range(3):
             for k in range(5):
                 want[i, j] += a[i, k] * b[k, j]
-    got = T.matmul(Tns(a), Tns(b)).value
+    got = matmul(Tns(a), Tns(b)).value
     assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_matmul_shape_error_names_both_shapes():
     with pytest.raises(ShapeError) as ei:
-        T.matmul(Tns(np.zeros((2, 3))), Tns(np.zeros((4, 2))))
+        matmul(Tns(np.zeros((2, 3))), Tns(np.zeros((4, 2))))
     assert "(2, 3)" in str(ei.value) and "(4, 2)" in str(ei.value)
 
 
 def test_backward_sum_gives_ones():
     p = Tns(np.arange(12.0).reshape(3, 4))
-    T.backward(T.tsum(p))
+    T.backward(tsum(p))
     np.testing.assert_array_equal(p.grad, np.ones((3, 4)))
 
 
 def test_backward_quadratic_gives_2p():
     p = Tns(np.arange(6.0).reshape(2, 3))
-    T.backward(T.tsum(T.mul(p, p)))
+    T.backward(tsum(mul(p, p)))
     np.testing.assert_allclose(p.grad, 2.0 * p.value, rtol=0, atol=0)
 
 
 def test_backward_rejects_nonscalar():
     p = Tns(np.ones(3))
     with pytest.raises(ContractError):
-        T.backward(T.mul(p, 2.0))
+        T.backward(mul(p, 2.0))
 
 
 def test_backward_visits_each_node_once():
     p = Tns(np.ones(4))
-    q = T.mul(p, 3.0)
+    q = mul(p, 3.0)
     calls = {"n": 0}
     orig = q._backward
 
@@ -94,7 +100,7 @@ def test_backward_visits_each_node_once():
 
     q._backward = counting
     # diamond: q feeds two consumers
-    loss = T.tsum(add(q, T.mul(q, q)))
+    loss = tsum(add(q, mul(q, q)))
     T.backward(loss)
     assert calls["n"] == 1
     np.testing.assert_allclose(p.grad, 3.0 * (1.0 + 2.0 * q.value), atol=1e-15)
@@ -114,7 +120,7 @@ def _fd_check(build, arrs, tol=1e-4, h=1e-5):
 def test_backward_rejects_loss_that_recorded_nothing():
     x = Tns(np.ones(3))
     with T.no_grad():
-        loss = T.tsum(x)
+        loss = tsum(x)
     with pytest.raises(ContractError, match="recorded no operations"):
         T.backward(loss)
     with pytest.raises(ContractError):
@@ -124,8 +130,8 @@ def test_backward_rejects_loss_that_recorded_nothing():
 
 def test_backward_consumes_the_tape():
     x = Tns(np.arange(1.0, 4.0))
-    h = T.mul(x, x)
-    loss = T.tsum(h)
+    h = mul(x, x)
+    loss = tsum(h)
     T.backward(loss)
     np.testing.assert_array_equal(x.grad, 2.0 * x.value)  # the leaf keeps its gradient
     for node in (h, loss):
@@ -138,7 +144,7 @@ def test_backward_consumes_the_tape():
     # a new loss on a swept intermediate raises instead of silently dropping x's gradient
     x.grad = None
     with pytest.raises(ContractError, match="already consumed"):
-        T.backward(T.tsum(T.mul(h, 3.0)))
+        T.backward(tsum(mul(h, 3.0)))
     assert x.grad is None
 
 
@@ -146,7 +152,7 @@ def test_no_grad_records_no_tape_and_nests():
     x = Tns(np.arange(3.0))
     with T.no_grad():
         with T.no_grad():
-            inner = T.mul(x, 2.0)
+            inner = mul(x, 2.0)
         assert not T._grad_enabled
         outer = add(x, 1.0)
     assert T._grad_enabled
@@ -154,7 +160,7 @@ def test_no_grad_records_no_tape_and_nests():
         assert t._parents == () and t._backward is None
     np.testing.assert_array_equal(inner.value, [0.0, 2.0, 4.0])
     np.testing.assert_array_equal(outer.value, [1.0, 2.0, 3.0])
-    taped = T.mul(x, 2.0)
+    taped = mul(x, 2.0)
     assert taped._parents == (x,) and taped._backward is not None
 
 
@@ -175,9 +181,9 @@ def test_gradients_elementwise_suite(seed):
     rng = T.Rng(seed)
     x = rng.normal((3, 4))
     y = rng.normal((3, 4))
-    _fd_check(lambda a, b: T.tsum(T.mul(add(a, b), T.sub(a, b))), [x, y])
-    _fd_check(lambda a: T.tsum(T.swish(a)), [x])
-    _fd_check(lambda a: T.tsum(T.log_softmax(a)), [x])
+    _fd_check(lambda a, b: tsum(mul(add(a, b), sub(a, b))), [x, y])
+    _fd_check(lambda a: tsum(T.swish(a)), [x])
+    _fd_check(lambda a: tsum(log_softmax(a)), [x])
 
 
 @pytest.mark.parametrize("seed", [3, 4, 5])
@@ -185,12 +191,12 @@ def test_gradients_matmul_and_shapes(seed):
     rng = T.Rng(seed)
     a = rng.normal((2, 3, 4))
     b = rng.normal((4, 5))
-    _fd_check(lambda x, y: T.tsum(T.matmul(x, y)), [a, b])
-    _fd_check(lambda x: T.tsum(T.mul(T.swapaxes(x, -1, -2), 2.0)), [a])
-    _fd_check(lambda x: T.tsum(reshape(x, (6, 4))), [a])
-    _fd_check(lambda x: T.tsum(T.mul(x[..., 1:3, :], x[..., 1:3, :])), [a])
-    _fd_check(lambda x, y: T.tsum(concat([x, T.matmul(x, T.matmul(y, T.swapaxes(y, -1, -2)))], axis=-1)), [a, b])
-    _fd_check(lambda x: T.tsum(broadcast_to(T.tsum(x, axis=1)[:, None], x.shape)), [a])
+    _fd_check(lambda x, y: tsum(matmul(x, y)), [a, b])
+    _fd_check(lambda x: tsum(mul(swapaxes(x, -1, -2), 2.0)), [a])
+    _fd_check(lambda x: tsum(reshape(x, (6, 4))), [a])
+    _fd_check(lambda x: tsum(mul(x[..., 1:3, :], x[..., 1:3, :])), [a])
+    _fd_check(lambda x, y: tsum(concat([x, matmul(x, matmul(y, swapaxes(y, -1, -2)))], axis=-1)), [a, b])
+    _fd_check(lambda x: tsum(broadcast_to(tsum(x, axis=1)[:, None], x.shape)), [a])
 
 
 @pytest.mark.parametrize("seed", [6, 7, 8])
@@ -199,21 +205,21 @@ def test_gradients_norms_and_convs(seed):
     x = rng.normal((2, 5, 4))
     gain = rng.normal((4,), scale=0.5) + 1.0
     bias = rng.normal((4,), scale=0.2)
-    _fd_check(lambda a, g, b: T.tsum(T.layer_norm(a, g, b)), [x, gain, bias])
+    _fd_check(lambda a, g, b: tsum(T.layer_norm(a, g, b)), [x, gain, bias])
 
     wdw = rng.normal((4, 3))
-    _fd_check(lambda a, w: T.tsum(T.swish(depthwise_conv1d(a, w))), [x, wdw])
+    _fd_check(lambda a, w: tsum(T.swish(depthwise_conv1d(a, w))), [x, wdw])
 
     wc = rng.normal((6, 4, 3))
     bc = rng.normal((6,))
-    _fd_check(lambda a, w, b: T.tsum(T.conv1d(a, w, b, stride=2, pad_left=2)), [x, wc, bc])
+    _fd_check(lambda a, w, b: tsum(T.conv1d(a, w, b, stride=2, pad_left=2)), [x, wc, bc])
 
     # A plain sum of batch-norm outputs has zero gradient in x; weight them.
     weights = rng.normal(x.shape)
 
     def bn_loss(a, g, b):
         st_ = T.BatchNormState()
-        return T.tsum(T.mul(batch_norm(a, g, b, st_, train=True), weights))
+        return tsum(mul(batch_norm(a, g, b, st_, train=True), weights))
 
     _fd_check(bn_loss, [x, gain, bias])
 
@@ -223,13 +229,13 @@ def test_gradients_norms_and_convs(seed):
         # excluded positions are normalized too: their outputs carry gradient
         st_ = T.BatchNormState()
         out = batch_norm(a, g, b, st_, train=True, valid=valid)
-        return add(T.tsum(T.mul(out, valid[..., None] * weights)), T.tsum(T.mul(out, 1.0 - valid[..., None])))
+        return add(tsum(mul(out, valid[..., None] * weights)), tsum(mul(out, 1.0 - valid[..., None])))
 
     _fd_check(bn_masked_loss, [x, gain, bias])
 
     running = T.BatchNormState()
     running.running_mean, running.running_var = rng.normal((4,)), rng.uniform((4,), 0.5, 2.0)
-    _fd_check(lambda a, g, b: T.tsum(batch_norm(a, g, b, running, train=False)), [x, gain, bias])
+    _fd_check(lambda a, g, b: tsum(batch_norm(a, g, b, running, train=False)), [x, gain, bias])
 
 
 def test_linear_is_the_composite_bitwise_in_one_node():
@@ -237,7 +243,7 @@ def test_linear_is_the_composite_bitwise_in_one_node():
     x, w, b, weights = rng.normal((2, 5, 4)), rng.normal((4, 6)), rng.normal((6,)), rng.normal((2, 5, 6))
 
     def composite(a, wt, bt):
-        return add(T.matmul(a, wt), bt)
+        return add(matmul(a, wt), bt)
 
     fused = [Tns(v) for v in (x, w, b)]
     ref = [Tns(v) for v in (x, w, b)]
@@ -246,11 +252,11 @@ def test_linear_is_the_composite_bitwise_in_one_node():
     np.testing.assert_array_equal(out.value, composite(*ref).value)
     with T.no_grad():
         np.testing.assert_array_equal(T.linear(*fused).value, out.value)
-    T.backward(T.tsum(T.mul(out, weights)))
-    T.backward(T.tsum(T.mul(composite(*ref), weights)))
+    T.backward(tsum(mul(out, weights)))
+    T.backward(tsum(mul(composite(*ref), weights)))
     for f, r in zip(fused, ref):
         np.testing.assert_array_equal(f.grad, r.grad)
-    _fd_check(lambda a, wt, bt: T.tsum(T.mul(T.linear(a, wt, bt), weights)), [x, w, b])
+    _fd_check(lambda a, wt, bt: tsum(mul(T.linear(a, wt, bt), weights)), [x, w, b])
     with pytest.raises(ShapeError, match="linear: inner dims differ"):
         T.linear(Tns(x), Tns(w.T), Tns(b))
     for bad in (np.ones(7), np.ones((3, 2, 5, 6))):
@@ -260,12 +266,12 @@ def test_linear_is_the_composite_bitwise_in_one_node():
 
 def test_getitem_gradient_accumulates_repeated_and_sliced_entries():
     x = Tns(np.arange(4.0))
-    T.backward(T.tsum(x[[1, 1, 2]]))
+    T.backward(tsum(x[[1, 1, 2]]))
     np.testing.assert_array_equal(x.grad, [0.0, 2.0, 1.0, 0.0])
 
     # basic slices of one parent, overlapping each other and an elementwise use
     y = Tns(np.arange(12.0).reshape(3, 4))
-    T.backward(add(add(T.tsum(T.mul(y[0:2, 1:3], 2.0)), T.tsum(y[1])), T.tsum(T.mul(y, y[..., -1:]))))
+    T.backward(add(add(tsum(mul(y[0:2, 1:3], 2.0)), tsum(y[1])), tsum(mul(y, y[..., -1:]))))
     want = 2.0 * np.pad(np.ones((2, 2)), ((0, 1), (1, 1))) + np.eye(3)[1][:, None] + y.value[:, -1:]
     want[:, -1] += y.value.sum(axis=1)
     np.testing.assert_array_equal(y.grad, want)
@@ -274,10 +280,10 @@ def test_getitem_gradient_accumulates_repeated_and_sliced_entries():
 
     def squared_slice_sum(a):
         s = add(a[1:, ::2], a[[0, 0], 1::2])
-        return T.tsum(T.mul(s, s))
+        return tsum(mul(s, s))
 
     _fd_check(squared_slice_sum, [rng.normal((3, 4))])
-    _fd_check(lambda a: T.tsum(T.mul(a[:, [2, 0, 2]], a[..., 1:2])), [rng.normal((2, 3))])
+    _fd_check(lambda a: tsum(mul(a[:, [2, 0, 2]], a[..., 1:2])), [rng.normal((2, 3))])
 
 
 def test_train_batch_norm_records_one_node():
@@ -361,7 +367,7 @@ def test_in_place_kernels_are_their_plain_expressions_bitwise(shape):
     y = T.linear(xt, wt, bt)
     assert y.value.tobytes() == (x @ w + b).tobytes()
     gy = T.Rng(26).normal(y.shape)
-    T.backward(T.tsum(T.mul(y, gy)))
+    T.backward(tsum(mul(y, gy)))
     assert xt.grad.tobytes() == (gy @ w.T).tobytes()
     assert bt.grad.tobytes() == gy.sum(axis=(0, 1)).tobytes()
 
@@ -405,7 +411,7 @@ def test_linear_and_layer_norm_forwards_allocate_only_what_they_keep(monkeypatch
 def test_gradients_own_their_memory_in_shared_and_diamond_graphs():
     rng = T.Rng(28)
     x = Tns(rng.normal((3, 4)))
-    T.backward(T.tsum(add(x, x)))
+    T.backward(tsum(add(x, x)))
     np.testing.assert_array_equal(x.grad, np.full((3, 4), 2.0))
     assert_grads_own_memory([x])
 
@@ -413,7 +419,7 @@ def test_gradients_own_their_memory_in_shared_and_diamond_graphs():
     x, y = Tns(rng.normal((3, 4))), Tns(rng.normal((3, 4)))
     h = add(x, y)
     z = add(h, h)
-    T.backward(T.tsum(T.mul(z, z)))
+    T.backward(tsum(mul(z, z)))
     want = 8.0 * (x.value + y.value)
     assert x.grad.tobytes() == want.tobytes() and y.grad.tobytes() == want.tobytes()
     assert_grads_own_memory([x, y])
@@ -422,7 +428,7 @@ def test_gradients_own_their_memory_in_shared_and_diamond_graphs():
     x, w = Tns(rng.normal((2, 3, 3))), Tns(rng.normal((3, 3)))
     b, c = Tns(rng.normal((2, 3, 3))), Tns(rng.normal((2, 3, 3)))
     lin = T.linear(x, w, b)
-    T.backward(T.tsum(add(add(lin, T.matmul(x, x)), T.sub(c, lin))))
+    T.backward(tsum(add(add(lin, matmul(x, x)), sub(c, lin))))
     assert_grads_own_memory([x, w, b, c])
     np.testing.assert_array_equal(b.grad, np.zeros((2, 3, 3)))
     np.testing.assert_array_equal(c.grad, np.ones((2, 3, 3)))
@@ -493,5 +499,5 @@ def test_broadcast_violation_raises_not_clips():
 def test_grad_shape_matches_value_shape_after_broadcast_graph():
     a = Tns(np.ones((3, 1)))
     b = Tns(np.ones((1, 4)))
-    T.backward(T.tsum(T.mul(a, b)))
+    T.backward(tsum(mul(a, b)))
     assert a.grad.shape == (3, 1) and b.grad.shape == (1, 4)
