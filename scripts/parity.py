@@ -26,7 +26,9 @@ through the parallel retention form, and a regression head on signals and
 on ``irregular_model``'s events.  At the benchmark's
 ``cohort`` shape (the 400-subject cohort of seed 1, ``irregular_model(1)``):
 the loss and gradients of a B=16 next-token train step, those of a B=16
-classifier step, and the classifier's logits over all 400 subjects.  At the benchmark's
+classifier step, and the classifier's logits over all 400 subjects; the
+same three with ``chunk_size=16``, four chunks of per-sequence timestamps
+(every other irregular case fits in one chunk).  At the benchmark's
 ``pretrain-long`` shape (``extrapolation_model(1)`` on signals of 1024
 tokens, where every blocked node's blocks are single rows large enough to
 run on two threads): the loss and gradients of a B=8 train step, a B=8
@@ -137,6 +139,11 @@ def dump(path: str, src: str) -> None:
     clf = Model(replace(cfg, head_kind="classification"))
     _train(clf, first16, 1, out, "cohort400/classifier")
     out["cohort400/classifier/logits"] = clf.classify_logits(cohort400, train=False).value
+    cfg = replace(cfg, chunk_size=16)  # 61 positions: four chunks of per-sequence timestamps
+    _train(Model(cfg), first16, 1, out, "cohort400/chunks16/train")
+    clf = Model(replace(cfg, head_kind="classification"))
+    _train(clf, first16, 1, out, "cohort400/chunks16/classifier")
+    out["cohort400/chunks16/classifier/logits"] = clf.classify_logits(cohort400, train=False).value
 
     long, _ = dg.gen_signal(replace(extrapolation_signal(1), length=1024, n_sequences=8))
     model = Model(extrapolation_model(1, vanilla=False))

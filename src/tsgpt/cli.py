@@ -388,6 +388,9 @@ def cmd_forecast(args) -> int:
     prompt_tokens = prompt_tokens_arg or max(2, total_tokens // 2)
     if prompt_tokens >= total_tokens and total_tokens > 2:
         prompt_tokens = max(2, total_tokens - horizon)
+    if prompt_tokens >= total_tokens:
+        raise InputError(f"{data}: {total_tokens} tokens leave no truth after a prompt of {prompt_tokens} "
+                         "to score the forecast against")
     prompt = dg.SequenceBatch(values=full.values[:, : prompt_tokens * ratio, :])
     preds = model.generate(prompt, horizon=horizon)
     t_gen = time.perf_counter() - t0
@@ -403,16 +406,15 @@ def cmd_forecast(args) -> int:
                 row += [repr(float(x)) for x in truth[b, t]] if t < truth.shape[1] else [""] * V
                 w.writerow(row)
 
-    fc_mae = mae(preds[:, : truth.shape[1]], truth) if truth.shape[1] else float("nan")
+    fc_mae = mae(preds[:, : truth.shape[1]], truth)
     _write_metric_csv(os.path.join(args.out, "eval.csv"), [("token_mae", fc_mae)])
 
     prompt_t = np.arange(prompt_tokens)
     series = [
         ("prompt", prompt_t, tokens_full[0, :prompt_tokens, 0], "#555555", False),
         ("forecast", prompt_tokens + np.arange(preds.shape[1]), preds[0, :, 0], "#c0392b", False),
+        ("truth", prompt_tokens + np.arange(truth.shape[1]), truth[0, :, 0], "#2e86c1", True),
     ]
-    if truth.shape[1]:
-        series.append(("truth", prompt_tokens + np.arange(truth.shape[1]), truth[0, :, 0], "#2e86c1", True))
     svg = line_plot_svg(series, vline=None if train_len is None else float(train_len),
                         title="token-granularity forecast")
     with open(os.path.join(args.out, "forecast.svg"), "w") as fh:

@@ -508,15 +508,19 @@ class DecoderLayer:
         head merge, layer norm, output projection and the residual add are
         one :func:`retention_output` node.  Returns (out [..., L, d_model],
         the retention state after the last token, None under the parallel
-        form).
+        form).  ``h`` is dropped once q, k and v are projected, and they
+        once retention has read them: an eval encode frees each before the
+        next allocates, where a train step's tape keeps them anyway.
         """
         cfg = self.cfg
         q, k = xpos_qk(h, self.w_q, self.w_k, geo.tables, cfg.heads)
         v = project_heads(h, self.w_v, cfg.heads)
+        del h
         if geo.form == "chunkwise":
             out, state = retention_chunkwise(q, k, v, geo.decay)
         else:
             out, state = retention_parallel(q, k, v, geo.decay), None
+        del q, k, v
         return retention_output(out, self.ret_gain, self.ret_bias, self.w_o, self.b_o, x), state
 
     def _ffn(self, x: Tensor) -> Tensor:

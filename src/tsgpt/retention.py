@@ -19,14 +19,18 @@ model's decode step (``DecoderLayer.step``) runs.  The chunk-wise and
 recurrent forms start from a zero state and return the state after their
 last token as a plain array.
 
-The chunk-wise kernel builds no geometry: it reads a :class:`ChunkPlan`,
-which holds each chunk's decay mask and decay rows and depends on the
-timestamps and gammas alone (RetNet, arXiv 2307.08621), so one plan serves
-every layer of an encode.  The model builds it once per encode and keeps it
-no longer than that encode's graph.  The kernel runs its forward and
-backward one block of whole batch rows at a time on the calling thread,
-never on the worker of :func:`~tsgpt.tensor.map_blocks`: its ~20 small
-numpy calls per chunk hold the GIL too often for two threads to gain.
+The chunk-wise kernel reads its geometry from a :class:`ChunkPlan`, which
+holds each chunk's decay rows and depends on the timestamps and gammas
+alone (RetNet, arXiv 2307.08621), so one plan serves every layer of an
+encode.  Shared timestamps have their [h, C, C] masks built once per plan.
+Per-sequence timestamps give every sequence its own masks, so their plan
+keeps the timestamps and one :class:`PowerTable`, and the kernel gathers
+each block of rows' masks as it reaches them: no mask of the whole batch
+is held.  The model builds the plan once per encode and keeps it no longer
+than that encode's graph.  The kernel runs its forward and backward one
+block of whole batch rows at a time on the calling thread, never on the
+worker of :func:`~tsgpt.tensor.map_blocks`: its ~20 small numpy calls per
+chunk hold the GIL too often for two threads to gain.
 
 Cross-chunk decays are defined in timestamp space
 (gamma^(t - t_last_of_previous_chunk)), the unique choice that keeps the
@@ -65,6 +69,63 @@ def _check_timestamps(t) -> Array:
 
 
 @dataclass(frozen=True)
+class PowerTable:
+    """The powers of gamma that decay masks [..., C, C], C up to ``width``,
+    are gathered from: built once per gamma (or one per head), widest gap
+    ``span`` and width, then read by every mask :meth:`gather` makes.
+
+    ``table`` holds ``gamma ** arange(span + 1)``, one row per head, then a
+    0 that the entries above the diagonal read; :meth:`gather` indexes it by
+    the integer gaps: the same ``pow`` calls as ``gamma ** gaps``, so the
+    same bits.  Where ``span + 1`` exceeds ``entries`` (the mask entries per
+    head it serves, e.g. under epoch-second timestamps), the table would be
+    the larger array: ``table`` is None and the entries are
+    ``gamma ** gaps`` directly."""
+
+    gamma: Array  # broadcasts over a head's powers: 0-D, or [h, 1]
+    table: Array | None  # [h, span + 2]
+    offsets: Array | None  # [h, 1, 1]: where each head's row starts in the flat table
+    tril: Array  # [width, width] bool
+    upper: Array  # ~tril
+
+    @classmethod
+    def build(cls, gamma, span: int, entries: int, width: int) -> "PowerTable":
+        g = np.asarray(gamma, dtype=np.float64)
+        if (g < 0).any() or (g > 1).any():
+            # 0 is allowed here (memoryless limit, 0^0 = 1 on the diagonal);
+            # per-head schedules are restricted to (0, 1] separately.
+            raise ConfigError(f"gamma must lie in [0, 1], got {gamma}")
+        g_col = g if g.ndim == 0 else g[:, None]
+        heads = g.size
+        tril = np.tri(width, dtype=bool)
+        table = offsets = None
+        if span + 1 <= entries:
+            powers = (g_col ** np.arange(span + 1)).reshape(heads, span + 1)
+            table = np.concatenate([powers, np.zeros((heads, 1))], axis=1)
+            offsets = np.arange(heads).reshape(-1, 1, 1) * (span + 2)
+        return cls(g_col, table, offsets, tril, ~tril)
+
+    def gather(self, rows: Array, out: Array | None = None) -> Array:
+        """Decay masks [B, h, C, C] (h = 1 for one gamma) of the validated,
+        non-decreasing timestamp rows [B, C], C at most ``width`` and no gap
+        in a row above ``span``; written into ``out`` if given."""
+        C = rows.shape[-1]
+        tril, g, heads = self.tril[:C, :C], self.gamma, self.gamma.size
+        if out is None:
+            out = np.empty((len(rows), heads, C, C))
+        gaps = rows[:, :, None] - rows[:, None, :]
+        if self.table is None:
+            gaps *= tril  # gamma^0 above the diagonal, never gamma to a negative power
+            np.power(g[..., None], gaps[:, None], out=out)
+            out *= tril  # each entry in [0, 1]: np.where(tril, d, 0.0) bitwise
+        else:
+            np.copyto(gaps, self.table.shape[1] - 1, where=self.upper[:C, :C])
+            index = gaps[:, None] if heads == 1 else gaps[:, None] + self.offsets
+            self.table.take(index, out=out, mode="clip")
+        return out
+
+
+@dataclass(frozen=True)
 class DecayMask:
     """Lower-triangular decay matrix D with D[n, m] = gamma^(t_n - t_m)."""
 
@@ -80,20 +141,10 @@ class DecayMask:
         per-head gamma, with an extra leading batch axis (and broadcast
         head axis) for per-sequence timestamps [B, L].
 
-        The powers come from a table ``gamma ** arange(span + 1)`` (one row
-        per head for per-head gamma), span being the widest gap, gathered by
-        the integer gaps: the same ``pow`` calls as ``gamma ** gaps``, so
-        the same bits.  Where ``span + 1`` exceeds a head's entry count of
-        the mask (e.g. epoch-second timestamps), the table would be the
-        larger array, and the entries are ``gamma ** gaps`` directly.
-        Per-sequence masks are written one block of batch rows at a time
+        The entries are gathered from a :class:`PowerTable` spanning the
+        widest gap, one block of batch rows at a time
         (:func:`~tsgpt.tensor.row_blocks`).
         """
-        g = np.asarray(gamma, dtype=np.float64)
-        if (g < 0).any() or (g > 1).any():
-            # 0 is allowed here (memoryless limit, 0^0 = 1 on the diagonal);
-            # per-head schedules are restricted to (0, 1] separately.
-            raise ConfigError(f"gamma must lie in [0, 1], got {gamma}")
         if timestamps is None:
             if length is None:
                 raise InputError("DecayMask.build: need length or timestamps")
@@ -102,30 +153,14 @@ class DecayMask:
             t = _check_timestamps(timestamps)
             length = t.shape[-1]
         rows = t if t.ndim == 2 else t[None]  # [B, L]; one row for shared timestamps
-        g_col = g if g.ndim == 0 else g[:, None]  # broadcasts over a head's powers
-        heads = g.size
-        tril = np.tri(length, dtype=bool)
-        upper = ~tril
         span = int((rows[:, -1] - rows[:, 0]).max()) if rows.size else 0
-        table = None
-        if span + 1 <= rows.size * length:
-            # one row of powers per head, then a 0 that the entries above the diagonal read
-            powers = (g_col ** np.arange(span + 1)).reshape(heads, span + 1)
-            table = np.concatenate([powers, np.zeros((heads, 1))], axis=1)
-            offsets = np.arange(heads).reshape(-1, 1, 1) * (span + 2)
+        powers = PowerTable.build(gamma, span, rows.size * length, length)
+        heads = powers.gamma.size
         mask = np.empty((len(rows), heads, length, length))
         for b in row_blocks(len(rows), heads * length * length):
-            gaps = rows[b, :, None] - rows[b, None, :]
-            if table is None:
-                gaps *= tril  # gamma^0 above the diagonal, never gamma to a negative power
-                np.power(g_col[..., None], gaps[:, None], out=mask[b])
-                mask[b] *= tril  # each entry in [0, 1]: np.where(tril, d, 0.0) bitwise
-            else:
-                np.copyto(gaps, span + 1, where=upper)
-                index = gaps[:, None] if heads == 1 else gaps[:, None] + offsets
-                table.take(index, out=mask[b], mode="clip")
+            powers.gather(rows[b], out=mask[b])
         if t.ndim == 1:
-            mask = mask[0, 0] if g.ndim == 0 else mask[0]
+            mask = mask[0, 0] if powers.gamma.ndim == 0 else mask[0]
         return cls(mask)
 
     @property
@@ -166,14 +201,16 @@ def _decay_rows(gamma, exponents, batched: bool) -> Array:
 
 class Chunk(NamedTuple):
     """Rows [lo, hi) of a sequence and the decays the chunk-wise form
-    applies to them: the chunk's decay mask D_c, ``zeta`` (rows
-    gamma^(t - t_last of the previous chunk)) and ``fac`` (gamma^span of
-    this chunk's last timestamp over the previous one's), both None on the
-    first chunk, and ``tail`` (rows gamma^(t_last - t))."""
+    applies to them: the chunk's decay mask D_c (None under per-sequence
+    timestamps, whose masks :meth:`ChunkPlan.mask` gathers a block of rows
+    at a time), ``zeta`` (rows gamma^(t - t_last of the previous chunk)) and
+    ``fac`` (gamma^span of this chunk's last timestamp over the previous
+    one's), both None on the first chunk, and ``tail`` (rows
+    gamma^(t_last - t))."""
 
     lo: int
     hi: int
-    mask: Array
+    mask: Array | None
     zeta: Array | None
     tail: Array
     fac: Array | None
@@ -186,30 +223,41 @@ class ChunkPlan:
     a function of the timestamps and gammas only, so every layer of one
     encode reads the same plan.  ``batch`` is B for per-sequence timestamps
     [B, L], whose chunk arrays lead with a batch axis, and None for shared
-    ones."""
+    ones.  Shared timestamps have their masks built here, one reused
+    [h, C, C] mask for every chunk of the same relative timestamps.
+    Per-sequence ones keep the timestamps ``times`` and one
+    :class:`PowerTable` ``powers`` for all their chunks, O(B L) bytes where
+    the masks would be O(B L C): :meth:`mask` gathers a chunk's mask for the
+    batch rows the kernel is running."""
 
     length: int
     batch: int | None
     chunks: tuple[Chunk, ...]
+    times: Array | None = None
+    powers: PowerTable | None = None
 
     @classmethod
     def build(cls, timestamps, gamma, chunk_size: int) -> "ChunkPlan":
         """Plan for timestamps [L] or [B, L], validated once here.  A chunk
-        reuses the previous chunk's mask when its timestamps relative to its
-        first one repeat (every full chunk of a regular sequence)."""
+        of shared timestamps reuses the previous chunk's mask when its
+        timestamps relative to its first one repeat (every full chunk of a
+        regular sequence)."""
         if chunk_size <= 0:
             raise ConfigError(f"chunk_size must be >= 1, got {chunk_size}")
         t = _check_timestamps(timestamps)
         L = t.shape[-1]
         batched = t.ndim == 2
-        chunks, mask, rel_prev, prev_last = [], None, None, None
+        chunks, mask, rel_prev, prev_last, span = [], None, None, None, 0
         for lo in range(0, L, chunk_size):
             hi = min(lo + chunk_size, L)
             t_c = t[..., lo:hi]
-            rel = t_c - t_c[..., :1]
-            if mask is None or not np.array_equal(rel, rel_prev):
-                mask, rel_prev = DecayMask.build(gamma, timestamps=t_c).matrix, rel
             last = t_c[..., -1]
+            if batched:
+                span = max(span, int((last - t_c[:, 0]).max(initial=0)))
+            else:
+                rel = t_c - t_c[0]
+                if mask is None or not np.array_equal(rel, rel_prev):
+                    mask, rel_prev = DecayMask.build(gamma, timestamps=t_c).matrix, rel
             zeta = fac = None
             if prev_last is not None:
                 zeta = _decay_rows(gamma, t_c - prev_last[..., None], batched)
@@ -217,7 +265,18 @@ class ChunkPlan:
             tail = _decay_rows(gamma, last[..., None] - t_c, batched)
             chunks.append(Chunk(lo, hi, mask, zeta, tail, fac))
             prev_last = last
-        return cls(L, t.shape[0] if batched else None, tuple(chunks))
+        if not batched:
+            return cls(L, None, tuple(chunks))
+        width = min(chunk_size, L)
+        return cls(L, t.shape[0], tuple(chunks), t, PowerTable.build(gamma, span, t.size * width, width))
+
+    def mask(self, chunk: Chunk, rows: slice = slice(None)) -> Array:
+        """``chunk``'s decay mask: the one built for shared timestamps, or
+        for per-sequence ones the [rows, h, C, C] mask of the batch rows
+        ``rows``, gathered anew."""
+        if self.powers is None:
+            return chunk.mask
+        return self.powers.gather(self.times[rows, chunk.lo : chunk.hi])
 
 
 def retention_parallel(q: Tensor, k: Tensor, v: Tensor, mask: DecayMask) -> Tensor:
@@ -300,9 +359,11 @@ def retention_chunkwise(q: Tensor, k: Tensor, v: Tensor, plan: ChunkPlan) -> tup
     (:func:`~tsgpt.tensor.row_blocks`, sized by a block's widest score
     array [rows, heads, C, C]) on the calling thread, and write into
     arrays allocated here: the output, the final state and the input
-    gradients.  A per-sequence plan's arrays are sliced to the block's
-    rows.  q of lead () or (heads,) runs as one block.  A zero-length
-    sequence gives an empty output and the zero state.
+    gradients.  A per-sequence plan's decays are sliced to the block's
+    rows, and each chunk's mask is gathered for those rows alone
+    (:meth:`ChunkPlan.mask`), in the forward and again in the backward.  q
+    of lead () or (heads,) runs as one block.  A zero-length sequence gives
+    an empty output and the zero state.
     """
     qv, kv, vv = q.value, k.value, v.value
     L = qv.shape[-2]
@@ -321,16 +382,18 @@ def retention_chunkwise(q: Tensor, k: Tensor, v: Tensor, plan: ChunkPlan) -> tup
     # train step take ~8,200 page faults where this takes almost none.
     s_in = []
 
-    def block_chunks(b: slice) -> list[Chunk]:
-        """The chunks, a per-sequence plan's decays cut to the rows ``b``."""
+    def block_chunk(c: Chunk, b: slice) -> Chunk:
+        """``c`` with its mask for the rows ``b`` and a per-sequence plan's
+        decays cut to them."""
         if plan.batch is None:
-            return chunks
-        return [Chunk(c.lo, c.hi, *(None if x is None else x[b] for x in c[2:])) for c in chunks]
+            return c
+        return Chunk(c.lo, c.hi, plan.mask(c, b), *(None if x is None else x[b] for x in c[3:]))
 
     for b in blocks:
         qb, kb, vb, ob = qv[b], kv[b], vv[b], out[b]
         s, entering = None, []
-        for lo, hi, mask, zeta, tail, fac in block_chunks(b):
+        for c in chunks:
+            lo, hi, mask, zeta, tail, fac = block_chunk(c, b)
             q_c, k_c, v_c = as_f64(qb[..., lo:hi, :]), as_f64(kb[..., lo:hi, :]), as_f64(vb[..., lo:hi, :])
             k_t = as_f64(np.swapaxes(k_c, -1, -2))
             out_c = q_c @ k_t
@@ -354,9 +417,8 @@ def retention_chunkwise(q: Tensor, k: Tensor, v: Tensor, plan: ChunkPlan) -> tup
         for b, entering in zip(blocks, s_in):
             qb, kb, vb, gb, dqb, dkb, dvb = qv[b], kv[b], vv[b], g[b], dq[b], dk[b], dv[b]
             ds = None  # gradient of the state leaving the current chunk
-            cut = block_chunks(b)
-            for i in reversed(range(len(cut))):
-                lo, hi, mask_c, zeta_c, tail_c, fac_c = cut[i]
+            for i in reversed(range(len(chunks))):
+                lo, hi, mask_c, zeta_c, tail_c, fac_c = block_chunk(chunks[i], b)
                 q_c, k_c, v_c, g_c = (as_f64(x[..., lo:hi, :]) for x in (qb, kb, vb, gb))
                 dp = (g_c @ np.swapaxes(v_c, -1, -2)) * mask_c
                 dq_c = dp @ k_c

@@ -663,6 +663,20 @@ def test_nonfinite_signal_exits_three(tmp_path, capsys, bad, suffix):
     assert "finite" in _error_line(capsys)
 
 
+@pytest.mark.parametrize("length", [0, 1])
+def test_forecast_of_data_with_no_token_after_the_prompt_exits_three(tmp_path, capsys, length):
+    """Sequences of 0 or 1 tokens leave no truth after the shortest prompt
+    (the start token and one more): refused with the file and the token
+    counts, not scored as a ``token_mae`` of nan."""
+    data = tmp_path / "short.ndar"
+    save_tensor(data, np.zeros((2, length, 1)))
+    assert main(["forecast", "--checkpoint", trained_checkpoint(tmp_path), "--data", str(data),
+                 "--out", str(tmp_path / "o")]) == 3
+    assert _error_line(capsys) == (f"error: {data}: {length} tokens leave no truth after a prompt of 2 "
+                                   "to score the forecast against\n")
+    assert not (tmp_path / "o" / "eval.csv").exists()
+
+
 def test_bench_writes_results_and_slopes(tmp_path):
     out = tmp_path / "bench"
     assert main(["bench", "--lengths", "16,32,64,128", "--mechanisms", "chunkwise,attention",

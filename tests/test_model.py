@@ -2,7 +2,7 @@ import importlib.util
 import json
 import tracemalloc
 import weakref
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +16,8 @@ from tsgpt.errors import CheckpointError, ConfigError, ContractError, InputError
 from tsgpt.experiments import VANILLA_FLAGS, extrapolation_model, irregular_cohort_spec, irregular_model
 from tsgpt.model import DecoderLayer, Geometry, Model, ModelConfig, feed_forward, pooled_tokens, retention_output
 from tsgpt.positional import RotaryAngles, project_heads, rotation_tables
-from tsgpt.retention import ChunkPlan, DecayMask, retention_chunkwise
-from tsgpt.tensor import BLOCK_ELEMENTS, Rng, Tensor, backward, no_grad, zero_grads
+from tsgpt.retention import ChunkPlan, DecayMask, PowerTable, retention_chunkwise
+from tsgpt.tensor import BLOCK_ELEMENTS, Rng, Tensor, backward, no_grad, row_blocks, zero_grads
 from tsgpt.training import OptimState, adam_step
 
 from oracles import (
@@ -808,34 +808,36 @@ def test_benchmark_traced_entry_points_exist_and_retention_sees_the_whole_batch(
 
 
 def test_encode_builds_its_geometry_once_for_all_layers(monkeypatch):
-    """Every layer of one encode reads the same decay masks and rotation
-    tables: a 3-layer encode builds as many as one layer needs."""
+    """Every layer of one encode reads the same decay geometry and rotation
+    tables: a 3-layer encode builds as many tables of powers (one per mask
+    built whole, one per plan of per-sequence timestamps) as one layer
+    needs."""
     import tsgpt.positional as tp
 
-    counts = {"mask": 0, "tables": 0}
-    build, tables = DecayMask.build.__func__, tp.rotation_tables
+    counts = {"powers": 0, "tables": 0}
+    build, tables = PowerTable.build.__func__, tp.rotation_tables
 
     def counted_build(cls, *args, **kwargs):
-        counts["mask"] += 1
+        counts["powers"] += 1
         return build(cls, *args, **kwargs)
 
     def counted_tables(*args):
         counts["tables"] += 1
         return tables(*args)
 
-    monkeypatch.setattr(DecayMask, "build", classmethod(counted_build))
+    monkeypatch.setattr(PowerTable, "build", classmethod(counted_build))
     for module in (tp, tm):  # wherever the package looks the tables up
         monkeypatch.setattr(module, "rotation_tables", counted_tables)
     cohort = padded_cohort()
     m = Model(tiny_cfg(layers=3, n_inputs=6, discrete=True, no_subsampler=True))
-    assert cohort.values.shape[1] + 1 <= m.cfg.chunk_size  # one chunk: one mask
+    assert cohort.values.shape[1] + 1 <= m.cfg.chunk_size  # one chunk of per-sequence timestamps: one table
     m.encode(cohort, train=True)
-    assert counts == {"mask": 1, "tables": 1}
-    counts.update(mask=0, tables=0)
+    assert counts == {"powers": 1, "tables": 1}
+    counts.update(powers=0, tables=0)
     # regular, 1025 positions in chunks of 64: 16 full chunks share one mask, the last needs its own
     m = Model(tiny_cfg(layers=3, n_inputs=1, no_subsampler=True))
     m.encode(SequenceBatch(values=Rng(3).normal((1, 1024, 1))), train=True)
-    assert counts == {"mask": 2, "tables": 1}
+    assert counts == {"powers": 2, "tables": 1}
 
 
 @pytest.mark.parametrize("form", ["chunkwise", "parallel"])
@@ -848,7 +850,7 @@ def test_one_gamma_for_every_head_builds_one_mask_plane(form):
     B, T = cohort.values.shape[:2]
     pos = np.concatenate([np.zeros((B, 1), dtype=np.int64), cohort.timestamps], axis=1)
     geo = Geometry.build(cfg, pos, form)
-    masks = [c.mask for c in geo.decay.chunks] if form == "chunkwise" else [geo.decay.matrix]
+    masks = [geo.decay.mask(c) for c in geo.decay.chunks] if form == "chunkwise" else [geo.decay.matrix]
     assert all(m.shape[:2] == (B, 1) for m in masks)
     planes = ChunkPlan.build(pos, cfg.gammas, cfg.chunk_size) if form == "chunkwise" else DecayMask.build(
         cfg.gammas, timestamps=pos)
@@ -867,26 +869,55 @@ def test_one_gamma_for_every_head_builds_one_mask_plane(form):
 
 
 def test_no_geometry_outlives_its_encode(monkeypatch):
-    """The decay mask lives as long as the encode's graph: a train loss's
-    tape keeps it until its backward has run, and an eval classify drops it
-    on return."""
-    masks = []
-    build = DecayMask.build.__func__
+    """The decay geometry lives as long as the encode's graph: a train
+    loss's tape keeps the plan's table of powers until its backward has
+    run, and an eval classify drops it on return."""
+    tables = []
+    build = PowerTable.build.__func__
 
     def kept_build(cls, *args, **kwargs):
-        mask = build(cls, *args, **kwargs)
-        masks.append(weakref.ref(mask.matrix))
-        return mask
+        powers = build(cls, *args, **kwargs)
+        tables.append(weakref.ref(powers))
+        return powers
 
-    monkeypatch.setattr(DecayMask, "build", classmethod(kept_build))
+    monkeypatch.setattr(PowerTable, "build", classmethod(kept_build))
     cohort = padded_cohort()
     m = Model(tiny_cfg(n_inputs=6, discrete=True, no_subsampler=True, head_kind="classification"))
     loss = m.classification_loss(cohort, train=True)
-    assert len(masks) == 1 and masks[0]() is not None
+    assert len(tables) == 1 and tables[0]() is not None
     backward(loss)
-    assert masks[0]() is None
+    assert tables[0]() is None
     m.classify_logits(cohort, train=False)
-    assert len(masks) == 2 and masks[1]() is None
+    assert len(tables) == 2 and tables[1]() is None
+
+
+def test_eval_classify_at_the_cohort_shape_holds_no_batch_mask():
+    """An eval classify of the benchmark's 400-subject cohort peaks below
+    what one layer needs at once: the encode's rotation tables and the
+    plan's rows, six [B, L, d_model] activations (x, q, k, v, the kernel's
+    output and the sublayer's, as heads * d_v = d_model) and four blocks of
+    the kernel's score arrays.  Holding a [B, 1, L, L] decay mask of the
+    whole batch (11.9 MB), or the normalized input and q, k, v past the
+    kernel, would cross it."""
+    cohort, _ = gen_cohort(replace(irregular_cohort_spec(), seed=1))
+    m = Model(replace(irregular_model(1, no_decay=False), head_kind="classification"))
+    m.encode(cohort.take(np.arange(16)), train=True)  # batch-norm statistics
+    cfg = m.cfg
+    B, L = cohort.values.shape[0], cohort.values.shape[1] + 1
+    pos = np.concatenate([np.zeros((B, 1), dtype=np.int64), cohort.timestamps], axis=1)
+    geo = Geometry.build(cfg, pos)
+    geometry = sum(a.nbytes for a in geo.tables) + pos.nbytes + sum(c.tail.nbytes for c in geo.decay.chunks)
+    activation = B * L * cfg.d_model * 8
+    block = row_blocks(B, cfg.heads * L * L)[0].stop * cfg.heads * L * L * 8
+    m.classify_logits(cohort, train=False)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        m.classify_logits(cohort, train=False)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < geometry + 6 * activation + 4 * block, (peak, geometry, activation, block)
 
 
 @pytest.mark.parametrize("head", ["next_token", "classification"])

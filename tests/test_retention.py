@@ -342,7 +342,8 @@ def test_chunk_plan_boundaries():
 
 @pytest.mark.parametrize("batched", [False, True])
 def test_chunk_plan_arrays_are_the_per_chunk_builds_bitwise(batched):
-    """Each chunk's mask, zeta, tail and span factor are bitwise what
+    """Each chunk's mask (read through ``ChunkPlan.mask``, which gathers a
+    per-sequence chunk's), zeta, tail and span factor are bitwise what
     ``DecayMask.build``, ``_decay_rows`` and ``_decay_factor`` give for that
     chunk's timestamps alone."""
     rng = Rng(14)
@@ -354,7 +355,7 @@ def test_chunk_plan_arrays_are_the_per_chunk_builds_bitwise(batched):
     for c in plan.chunks:
         t_c = t[..., c.lo : c.hi]
         last = t_c[..., -1]
-        assert c.mask.tobytes() == DecayMask.build(gammas, timestamps=t_c).matrix.tobytes()
+        assert plan.mask(c).tobytes() == DecayMask.build(gammas, timestamps=t_c).matrix.tobytes()
         assert c.tail.tobytes() == _decay_rows(gammas, last[..., None] - t_c, batched).tobytes()
         if prev is None:
             assert c.zeta is None and c.fac is None
@@ -362,6 +363,52 @@ def test_chunk_plan_arrays_are_the_per_chunk_builds_bitwise(batched):
             assert c.zeta.tobytes() == _decay_rows(gammas, t_c - prev[..., None], batched).tobytes()
             assert c.fac.tobytes() == _decay_factor(gammas, last - prev).tobytes()
         prev = last
+
+
+# Per-sequence timestamps whose chunks read the plan's table of powers, and
+# epoch seconds, whose gaps outrun the masks' entries: no table, direct powers.
+GATHER_TIMESTAMPS = {
+    "table": lambda rng: _irregular_ts(rng, 11, batch=5),
+    "epoch_seconds": lambda rng: 1_700_000_000 + np.cumsum(rng.integers(1, 90_000, (5, 11)), axis=-1),
+}
+
+
+@pytest.mark.parametrize("gamma", [0.9, np.array([0.98, 0.9]), np.array([0.5, 1.0, 0.0])])
+@pytest.mark.parametrize("name", sorted(GATHER_TIMESTAMPS))
+def test_per_sequence_chunk_masks_are_gathered_per_block_bitwise(name, gamma):
+    """For several blocks of rows, a per-sequence chunk's gathered mask is
+    bitwise ``DecayMask.build`` on that block's timestamps of the chunk, for
+    one shared gamma and per-head gammas, from the plan's table or, where
+    the span outruns it, from direct powers."""
+    t = GATHER_TIMESTAMPS[name](Rng(15)).astype(np.int64)
+    plan = ChunkPlan.build(t, gamma, 4)
+    assert plan.batch == 5 and all(c.mask is None for c in plan.chunks)
+    assert (plan.powers.table is None) == (name == "epoch_seconds")
+    for rows in (slice(None), slice(0, 1), slice(1, 4), slice(4, 5), slice(2, 2)):
+        for c in plan.chunks:
+            want = DecayMask.build(gamma, timestamps=t[rows, c.lo : c.hi]).matrix
+            got = plan.mask(c, rows)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (rows, c.lo)
+
+
+def test_per_sequence_plan_holds_no_mask_of_the_batch():
+    """At the benchmark cohort's shape (B=400, L=61, one chunk), a
+    per-sequence plan allocates O(B L) bytes: its tail rows, a table of
+    powers no longer than the widest gap and the triangle masks (the
+    timestamps are the caller's array), where one [B, 1, L, L] mask would
+    be 11.9 MB."""
+    B, L = 400, 61
+    t = _irregular_ts(Rng(16), L, batch=B)
+    span = int((t[:, -1] - t[:, 0]).max())
+    tracemalloc.start()
+    try:
+        plan = ChunkPlan.build(t, 0.9, 64)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    tail_bytes, table_bytes, tri_bytes = B * L * 8, (span + 2) * 8, 2 * L * L
+    assert held < tail_bytes + table_bytes + tri_bytes + 16 * 1024, held
+    assert plan.times is t and plan.powers.table.nbytes == table_bytes
 
 
 def test_chunk_plan_shares_a_mask_between_chunks_of_equal_relative_timestamps():
